@@ -19,9 +19,9 @@ conserved along every noise mode exactly (each mode's f-row integrates to
 -b_L/L), which is what makes the closed-curve invariants hold pathwise and
 not just in expectation.
 
-Noise rows are assembled per basis mode with unit amplitude: b_L is exactly
--2*pi for closed curves under scalar noise (the total turning of a simple
-closed curve), and -L*integral(f*phi_l) otherwise.  The global amplitude
+Noise rows have unit amplitude, one per basis mode: b_L is exactly -2*pi
+for closed curves under scalar noise (the total turning of a simple closed
+curve), and -L*integral(f*phi_l) otherwise.  The global amplitude
 multiplies the Brownian increments in the stepper, and enters the
 Stratonovich-to-Ito correction quadratically.  The correction is the exact
 directional derivative of each diffusion row along itself,
@@ -30,6 +30,13 @@ directional derivative of each diffusion row along itself,
 
 so the Ito drift equals the Stratonovich drift plus C by construction.
 
+One pass assembles everything, with the noise modes on a leading array axis
+(Trefethen, Spectral Methods in MATLAB, ch. 3): one transform of f gives
+its first, second and fourth derivatives through stacked multipliers; f*V
+and every f*phi_l share one running-integral pass, and every b_f,l*phi_l of
+the correction one more.  The basis samples and their derivatives are
+tabulated once per grid.
+
 The fourth-order term -(1/L^4) drrrr f is returned separately (stiff) so the
 stepper can treat it implicitly; everything else, corrections included, is
 in the explicit part.
@@ -37,11 +44,11 @@ in the explicit part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CLOSED, Grid
+from .grid import CLOSED
 from .noise import SCALAR, NoiseModel, basis_eval
 
 WILLMORE = "willmore"
@@ -54,17 +61,25 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """Which flow, on which topology, driven by which noise."""
+    """Which flow, on which topology, driven by which noise.
+
+    stiff_sign is a diagnostic knob: -1.0 is the dissipative fourth-order
+    operator, +1.0 flips it so regression tests can confirm that the
+    energy-dissipation check catches the backward-parabolic variant.
+    """
 
     kind: str
     topology: str
     noise: NoiseModel
+    stiff_sign: float = -1.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"flow kind must be one of {_KINDS}, got {self.kind!r}")
         if self.topology not in (CLOSED, "open"):
             raise ValueError(f"topology must be 'closed' or 'open', got {self.topology!r}")
+        if self.stiff_sign not in (-1.0, 1.0):
+            raise ValueError(f"stiff_sign must be -1.0 or +1.0, got {self.stiff_sign!r}")
 
     @property
     def uses_turning_shortcut(self):
@@ -110,23 +125,24 @@ class DiffusionRow:
 
 @dataclass
 class _Assembly:
-    """Everything one assembly pass produces, in batched array form."""
+    """Everything one assembly pass produces, for a batch shape B.
+
+    The drift pieces have shape (*B, n) on f and B on L.  The noise rows are
+    stacked with the modes on the leading axis: rows_beta has shape
+    (n_modes, *B, n) and rows_lam (n_modes, *B).
+    """
 
     stiff: np.ndarray
     det_f: np.ndarray
     det_L: np.ndarray
     corr_f: np.ndarray
     corr_L: np.ndarray
-    rows_beta: list = field(default_factory=list)
-    rows_lam: list = field(default_factory=list)
+    rows_beta: np.ndarray
+    rows_lam: np.ndarray
 
 
-def _check_state(spec, grid, state):
-    if spec.topology != grid.topology:
-        raise ValueError(
-            f"flow topology {spec.topology!r} does not match grid topology {grid.topology!r}"
-        )
-    f = grid.check_field(state.f)
+def _check_state(state):
+    f = np.asarray(state.f, dtype=float)
     if f.ndim != 1:
         raise ValueError("State.f must be a single field; stack batches via the integrator")
     length = float(state.length)
@@ -135,14 +151,35 @@ def _check_state(spec, grid, state):
     return f, length
 
 
-def assemble(spec, grid, f, length, include_ito=True, stiff_sign=-1.0):
+def _basis_table(noise, grid):
+    """phi_l and its first three derivatives at the nodes, shape (4, n_modes, n).
+
+    Sampled once per (grid, noise basis) through basis_eval, so every value
+    is bitwise the closed form; later assemblies read the cached table.
+    """
+
+    def build():
+        modes = range(1, noise.n_modes + 1)
+        return np.array([[basis_eval(noise, grid, l, order) for l in modes] for order in range(4)])
+
+    return grid.cached(("noise_basis", noise.basis), build)
+
+
+def _pointwise(*factors):
+    out = factors[0]
+    for g in factors[1:]:
+        out = out * g
+    return out
+
+
+def assemble(spec, grid, f, length, include_ito=True):
     """Assemble drift pieces and diffusion rows for (possibly stacked) states.
 
-    f has shape (..., n); length is a scalar for a single state or an array
-    of the batch shape.  stiff_sign is a diagnostic knob: -1.0 is the
-    dissipative operator, +1.0 flips the fourth-order term so regression
-    tests can confirm that the energy-dissipation check catches the
-    backward-parabolic variant.
+    f has shape (*B, n) for a batch shape B (empty for a single state) and
+    length has shape B.  All noise modes are assembled together on a leading
+    axis: one transform pair gives the running integrals of f*V and of every
+    f*phi_l, and one more those of every beta_l*phi_l for the Ito
+    correction.  The inputs are validated here; nothing below re-checks them.
 
     Returns an _Assembly whose fields broadcast over the batch shape.
     """
@@ -150,53 +187,51 @@ def assemble(spec, grid, f, length, include_ito=True, stiff_sign=-1.0):
         raise ValueError(
             f"flow topology {spec.topology!r} does not match grid topology {grid.topology!r}"
         )
-    f = grid.check_field(np.asarray(f, dtype=float))
-    batched = f.ndim > 1
-    if batched:
-        length = np.asarray(length, dtype=float)
-        if length.shape != f.shape[:-1]:
-            raise ValueError(
-                f"length batch shape {length.shape} does not match field batch {f.shape[:-1]}"
-            )
-        lc = length
-        lcol = length[..., None]
-    else:
-        lc = float(length)
-        lcol = lc
-    if not np.all(np.asarray(lc) > 0.0):
+    f = grid.check_field(f)
+    batch = f.shape[:-1]
+    lc = np.asarray(length, dtype=float)
+    if lc.shape != batch:
+        raise ValueError(f"length batch shape {lc.shape} does not match field batch {batch}")
+    if not np.all(lc > 0.0):
         raise ValueError("length must be positive")
 
-    if grid.dealias:
-        prod = grid.product
-    else:
-
-        def prod(*fs):
-            out = fs[0]
-            for g in fs[1:]:
-                out = out * g
-            return out
-
-    def col(x):
-        return x[..., None] if batched else x
-
+    prod = grid.product if grid.dealias else _pointwise
     r = grid.nodes
     noise = spec.noise
+    n_modes = noise.n_modes
     amp = noise.amplitude
-    willmore = spec.kind == WILLMORE
+    # basis samples broadcast against the (n_modes, *B, n) stacks
+    phi, phi1, phi2, phi3 = _basis_table(noise, grid).reshape(
+        (4, n_modes) + (1,) * len(batch) + (grid.n,)
+    )
 
-    f1 = grid.deriv(f, 1)
-    f2 = grid.deriv(f, 2)
-    f4 = grid.deriv(f, 4)
+    # Full-size temporaries are freed as soon as they are used and updated in
+    # place where possible: at M ~ 2000 paths every (M, n) array is a MiB.
+    f1, f2, f4 = grid.derivs(f, (1, 2, 4))
+    lcol = lc[..., None]
     l2 = lcol * lcol
     l4 = l2 * l2
+    stiff = f4  # in f4's slot: stiff_sign * f4 / l4
+    stiff *= spec.stiff_sign
+    stiff /= l4
+    ff = prod(f, f)
 
-    if willmore:
+    if spec.kind == WILLMORE:
         v = -(f2 / l2 + 0.5 * prod(f, f, f))
     else:
         v = -(f2 / l2)
-    det_l = -lc * grid.integrate(f * v)
-    transport = grid.cumint(f * v) + r * col(det_l / lc)
-    if willmore:
+    # f*V and every f*phi_l share one running-integral pass
+    fv_fphi = np.empty((n_modes + 1,) + f.shape)
+    np.multiply(f, v, out=fv_fphi[0])
+    del v
+    np.multiply(f, phi, out=fv_fphi[1:])
+    ints = grid.integrate(fv_fphi)
+    cums = grid.cumint(fv_fphi)
+    del fv_fphi
+
+    det_l = -lc * ints[0]
+    transport = cums[0] + r * (det_l / lc)[..., None]
+    if spec.kind == WILLMORE:
         det_f = (
             -2.5 * prod(f, f, f2) / l2
             - 3.0 * prod(f, f1, f1) / l2
@@ -205,76 +240,78 @@ def assemble(spec, grid, f, length, include_ito=True, stiff_sign=-1.0):
         )
     else:
         det_f = -prod(f, f, f2) / l2 + transport * f1
-    stiff = stiff_sign * f4 / l4
+    del transport
 
-    out = _Assembly(
+    shortcut = spec.uses_turning_shortcut
+    if shortcut:
+        lam = np.full((n_modes,) + batch, -TWO_PI)
+    else:
+        lam = -lc * ints[1:]
+    lam_l = (lam / lc)[..., None]
+    coef = cums[1:]
+    coef += r * lam_l
+    beta = phi2 / l2
+    beta += ff * phi
+    beta += coef * f1
+
+    corr_f = np.zeros_like(f)
+    corr_L = np.zeros_like(det_l)
+    if include_ito and amp > 0.0:
+        # D(beta_l)[(beta_l, lam_l)] for every mode at once:
+        #   dbeta = -2 phi'' lam / L^3 + 2 f phi beta + rate * f' + coef * beta'
+        # with beta' by the chain rule, since the basis derivatives are
+        # analytic and the r-linear transport coefficient differentiates
+        # exactly
+        bphi = beta * phi
+        if shortcut:
+            dlam = np.zeros_like(lam)
+        else:
+            dlam = -lam * ints[1:] - lc * grid.integrate(bphi)
+        rate = grid.cumint(bphi)
+        del bphi
+        rate += r * (dlam / lc)[..., None]
+        rate -= r * (lam * lam / (lc * lc))[..., None]
+        rate *= f1
+        dbeta = -2.0 * phi2 * lam[..., None] / (l2 * lcol)
+        dbeta += (2.0 * f) * phi * beta
+        dbeta += rate
+        del rate
+        beta1 = phi3 / l2
+        beta1 += (2.0 * f * f1) * phi
+        beta1 += ff * phi1
+        beta1 += (f * phi + lam_l) * f1
+        beta1 += coef * f2
+        beta1 *= coef
+        dbeta += beta1
+        del beta1
+        # sum over modes in mode order, then scale once
+        for d, dl in zip(dbeta, dlam):
+            corr_f += d
+            corr_L = corr_L + dl
+        half_var = 0.5 * amp * amp
+        corr_f *= half_var
+        corr_L = half_var * corr_L
+
+    return _Assembly(
         stiff=stiff,
         det_f=det_f,
         det_L=det_l,
-        corr_f=np.zeros_like(f),
-        corr_L=np.zeros_like(np.asarray(det_l, dtype=float)),
+        corr_f=corr_f,
+        corr_L=corr_L,
+        rows_beta=beta,
+        rows_lam=lam,
     )
 
-    shortcut = spec.uses_turning_shortcut
-    for l in range(1, noise.n_modes + 1):
-        phi = basis_eval(noise, grid, l, 0)
-        phi2 = basis_eval(noise, grid, l, 2)
-        mode_integral = grid.integrate(f * phi)
-        if shortcut:
-            lam = -TWO_PI * np.ones_like(np.asarray(det_l, dtype=float))
-            if not batched:
-                lam = -TWO_PI
-        else:
-            lam = -lc * mode_integral
-        coef = grid.cumint(f * phi) + r * col(lam / lc)
-        beta = phi2 / l2 + prod(f, f) * phi + coef * f1
-        out.rows_beta.append(beta)
-        out.rows_lam.append(lam)
 
-        if include_ito and amp > 0.0:
-            if shortcut:
-                dlam = np.zeros_like(np.asarray(det_l, dtype=float))
-                if not batched:
-                    dlam = 0.0
-            else:
-                dlam = -lam * mode_integral - lc * grid.integrate(beta * phi)
-            phi1 = basis_eval(noise, grid, l, 1)
-            phi3 = basis_eval(noise, grid, l, 3)
-            # d/dr of beta by the chain rule; the basis derivatives are
-            # analytic so the r-linear transport coefficient differentiates
-            # exactly instead of through the periodic transform.
-            beta1 = (
-                phi3 / l2
-                + 2.0 * f * f1 * phi
-                + prod(f, f) * phi1
-                + (f * phi + col(lam / lc)) * f1
-                + coef * f2
-            )
-            dbeta = (
-                -2.0 * phi2 * col(lam) / (l2 * lcol)
-                + 2.0 * f * phi * beta
-                + (grid.cumint(beta * phi) + r * col(dlam / lc) - r * col(lam * lam / (lc * lc))) * f1
-                + coef * beta1
-            )
-            out.corr_f = out.corr_f + dbeta
-            out.corr_L = out.corr_L + dlam
-
-    if include_ito and amp > 0.0:
-        half_var = 0.5 * amp * amp
-        out.corr_f = half_var * out.corr_f
-        out.corr_L = half_var * out.corr_L
-    return out
-
-
-def assemble_system(spec, grid, state, include_ito=True, stiff_sign=-1.0):
+def assemble_system(spec, grid, state, include_ito=True):
     """DriftSplit and diffusion rows for one State.
 
     With include_ito=False the explicit drift omits the Stratonovich-to-Ito
     correction (the Stratonovich drift), which is what the Heun stepper
     integrates.
     """
-    f, length = _check_state(spec, grid, state)
-    a = assemble(spec, grid, f, length, include_ito=include_ito, stiff_sign=stiff_sign)
+    f, length = _check_state(state)
+    a = assemble(spec, grid, f, length, include_ito=include_ito)
     split = DriftSplit(
         stiff=a.stiff,
         explicit_f=a.det_f + a.corr_f,
@@ -302,6 +339,6 @@ def ito_correction(spec, grid, state):
     assemble_drift's explicit parts equal the include_ito=False assembly plus
     exactly these values (same code path, same floating-point operations).
     """
-    f, length = _check_state(spec, grid, state)
+    f, length = _check_state(state)
     a = assemble(spec, grid, f, length, include_ito=True)
     return a.corr_f, float(a.corr_L)

@@ -128,7 +128,7 @@ def polyline_arclength(sample):
 
 def functionals(grid, state):
     """Scalar diagnostics of a state: length, bending energy, turning, sup."""
-    f = np.asarray(state.f, dtype=float)
+    f = grid.check_field(state.f)
     length = float(state.length)
     return {
         "length": length,

@@ -10,7 +10,10 @@ the torus, an end-corrected composite rule of fourth order on the interval.
 
 All operations accept arrays of shape ``(..., n)`` and act along the last
 axis, so stacked batches of fields go through the same code path as single
-fields.
+fields, and a stack of several fields shares one transform pair (``derivs``
+for several derivative orders, ``cumint`` for several integrands).  They
+check the node count but not finiteness: callers validate their inputs once
+at the API boundary with ``check_field``.
 """
 
 from __future__ import annotations
@@ -145,24 +148,52 @@ class Grid:
         return self.topology == CLOSED
 
     def check_field(self, values):
-        v = np.asarray(values, dtype=float)
-        if v.shape[-1] != self.n:
-            raise ValueError(f"field has {v.shape[-1]} values, grid has {self.n} nodes")
+        """Validate a field at an API boundary: n values per row, all finite.
+
+        The calculus methods below check only the node count; public entry
+        points (flow assembly, ``run``, ``run_ensemble``, reconstruction)
+        validate their inputs once here instead of on every derivative.
+        """
+        v = self._field(values)
         if not np.all(np.isfinite(v)):
             raise ValueError("field contains non-finite values")
         return v
 
+    def _field(self, values):
+        v = np.asarray(values, dtype=float)
+        if v.shape[-1] != self.n:
+            raise ValueError(f"field has {v.shape[-1]} values, grid has {self.n} nodes")
+        return v
+
+    def cached(self, key, build):
+        """The array stored under key, made by build() on first use.
+
+        Everything cached is derived from the node set, so it is shared by
+        every caller on this grid; cached arrays are read-only.
+        """
+        value = self._cache.get(key)
+        if value is None:
+            value = build()
+            value.setflags(write=False)
+            self._cache[key] = value
+        return value
+
     def _wavenumbers(self):
-        key = "wavenumbers"
-        if key not in self._cache:
-            self._cache[key] = 2.0 * np.pi * np.arange(self.n // 2 + 1)
-        return self._cache[key]
+        return self.cached("wavenumbers", lambda: 2.0 * np.pi * np.arange(self.n // 2 + 1))
+
+    def _symbol(self, order):
+        """Fourier multiplier (ik)^order; odd orders drop the Nyquist mode,
+        which carries no usable odd derivative."""
+        sym = (1j * self._wavenumbers()) ** order
+        if order % 2 == 1:
+            sym[-1] = 0.0
+        return sym
 
     def _fd_matrix(self, order):
-        key = ("fd", order)
-        if key in self._cache:
-            return self._cache[key]
-        n, h = self.n, self.h
+        return self.cached(("fd", order), lambda: self._build_fd_matrix(order))
+
+    def _build_fd_matrix(self, order):
+        n = self.n
         width_c = _CENTERED_WIDTH[order]
         width_e = _EDGE_WIDTH[order]
         if n < order + 4:
@@ -181,62 +212,77 @@ class Grid:
                 lo = n - width
             idx = np.arange(lo, lo + width)
             d[i, idx] = _fd_weights(self.nodes[i], self.nodes[idx], order)
-        self._cache[key] = d
         return d
 
     # -- derivatives -----------------------------------------------------
 
+    def derivs(self, values, orders):
+        """Derivatives of several orders (each 1..4) along the last axis.
+
+        Returns shape (len(orders), ..., n).  Closed grids take one forward
+        transform and apply the stacked multipliers in one inverse transform.
+        """
+        orders = tuple(orders)
+        for order in orders:
+            if order not in (1, 2, 3, 4):
+                raise ValueError(f"derivative order must be in 1..4, got {order}")
+        v = self._field(values)
+        if not self.closed:
+            return np.stack([v @ self._fd_matrix(order).T for order in orders])
+        sym = self.cached(("symbols", orders), lambda: np.stack([self._symbol(o) for o in orders]))
+        vh = np.fft.rfft(v, axis=-1)
+        vh = vh * sym.reshape((len(orders),) + (1,) * (v.ndim - 1) + sym.shape[-1:])
+        return np.fft.irfft(vh, self.n, axis=-1)
+
     def deriv(self, values, order):
         """Discrete derivative of the given order (1..4) along the last axis."""
-        if order not in (1, 2, 3, 4):
-            raise ValueError(f"derivative order must be in 1..4, got {order}")
-        v = self.check_field(values)
-        if not self.closed:
-            return v @ self._fd_matrix(order).T
-        k = self._wavenumbers()
-        sym = (1j * k) ** order
-        if order % 2 == 1:
-            sym = sym.copy()
-            sym[-1] = 0.0  # Nyquist mode carries no usable odd derivative
-        return np.fft.irfft(np.fft.rfft(v, axis=-1) * sym, self.n, axis=-1)
+        return self.derivs(values, (order,))[0]
 
     # -- quadrature ------------------------------------------------------
 
     def integrate(self, values):
         """Integral over the parameter interval [0, 1]."""
-        v = self.check_field(values)
+        v = self._field(values)
         if self.closed:
             return v.mean(axis=-1)
-        w = self._cache.get("quad_weights")
-        if w is None:
-            w = np.ones(self.n)
-            for i, c in enumerate(_END_WEIGHTS):
-                w[i] = c
-                w[-1 - i] = c
-            w *= self.h
-            self._cache["quad_weights"] = w
-        return v @ w
+        # a row-wise sum rather than a matrix product, whose rounding would
+        # depend on how many fields are stacked
+        return (v * self.cached("quad_weights", self._quad_weights)).sum(axis=-1)
+
+    def _quad_weights(self):
+        w = np.ones(self.n)
+        for i, c in enumerate(_END_WEIGHTS):
+            w[i] = c
+            w[-1 - i] = c
+        return w * self.h
 
     def cumint(self, values):
         """Running integral r -> integral of the field from 0 to r.
 
-        Closed topology: the mean contributes exactly linearly and the
-        zero-mean remainder is integrated spectrally, so periodic integrands
-        are handled without seam error.  Open topology: fourth-order
-        composite rule.
+        Closed topology: the mean (the zero mode) contributes linearly and
+        the zero-mean remainder is integrated spectrally, so periodic
+        integrands are handled without seam error; a stack of fields shares
+        one transform pair.  Open topology: fourth-order composite rule.
         """
-        v = self.check_field(values)
+        v = self._field(values)
         if not self.closed:
             return cumulative_quadrature(v, self.h)
-        mean = v.mean(axis=-1, keepdims=True)
-        vh = np.fft.rfft(v - mean, axis=-1)
-        k = self._wavenumbers().copy()
-        k[0] = 1.0  # zero mode already removed; avoid division by zero
-        anti = vh / (1j * k)
-        anti[..., 0] = 0.0
-        anti[..., -1] = 0.0  # antiderivative of the Nyquist mode vanishes at nodes
+        anti = np.fft.rfft(v, axis=-1)
+        out = (anti[..., :1].real / self.n) * self.nodes  # the mean, integrated linearly
+        anti *= self.cached("antiderivative", self._antiderivative_symbol)
         periodic = np.fft.irfft(anti, self.n, axis=-1)
-        return mean * self.nodes + periodic - periodic[..., :1]
+        del anti
+        out += periodic
+        out -= periodic[..., :1]
+        return out
+
+    def _antiderivative_symbol(self):
+        """1/(ik), zero on the mean (integrated linearly instead) and on the
+        Nyquist mode, whose antiderivative vanishes at the nodes."""
+        k = self._wavenumbers()
+        inv = np.zeros(k.shape, dtype=complex)
+        inv[1:-1] = 1.0 / (1j * k[1:-1])
+        return inv
 
     # -- stiff fourth-order operator --------------------------------------
 
@@ -260,7 +306,7 @@ class Grid:
         ``length`` may be a scalar or an array matching the batch shape of
         ``rhs`` (one length per stacked field).
         """
-        v = self.check_field(rhs)
+        v = self._field(rhs)
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         L = np.asarray(length, dtype=float)
@@ -290,7 +336,7 @@ class Grid:
         m = int(m)
         if m < 8 or m % 2 != 0:
             raise ValueError(f"resample target must be even and >= 8, got {m}")
-        v = self.check_field(values)
+        v = self._field(values)
         if m == self.n:
             return v.copy()
         vh = np.fft.rfft(v, axis=-1)
@@ -308,7 +354,7 @@ class Grid:
         """Pointwise product of fields, optionally dealiased by 3/2 padding."""
         if not factors:
             raise ValueError("product needs at least one factor")
-        fields = [self.check_field(f) for f in factors]
+        fields = [self._field(f) for f in factors]
         if not self.dealias or not self.closed:
             out = fields[0].copy()
             for f in fields[1:]:

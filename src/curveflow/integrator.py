@@ -179,14 +179,21 @@ def dt_stability(scheme, grid, length, f_sup):
     return min(bound, 1.0 / lam)
 
 
-def _noise_sums(rows, dw, amplitude):
-    """amplitude * sum_l row_l * dw_l for the f rows and the L row."""
-    g_f = None
-    g_l = 0.0
-    for l, row in enumerate(rows):
-        term = (amplitude * dw[l]) * row.b_f
-        g_f = term if g_f is None else g_f + term
-        g_l += amplitude * dw[l] * row.b_L
+def _noise_sums(rows_beta, rows_lam, dw, amplitude):
+    """amplitude * sum_l dw_l * (beta_l, lam_l): the noise increment of f and L.
+
+    The rows are stacked with the modes leading, (n_modes, n) and (n_modes,)
+    for one path, (n_modes, M, n) and (n_modes, M) for a batch; dw has shape
+    (n_modes,) or (M, n_modes).  The mode terms are added in mode order, so a
+    single path and a batch row take identical arithmetic.
+    """
+    w = amplitude * np.asarray(dw, dtype=float).T
+    terms_f = w[..., None] * rows_beta
+    terms_l = w * rows_lam
+    g_f, g_l = terms_f[0], terms_l[0]
+    for term_f, term_l in zip(terms_f[1:], terms_l[1:]):
+        g_f += term_f
+        g_l = g_l + term_l
     return g_f, g_l
 
 
@@ -201,36 +208,36 @@ def _project_turning(new_f, f, length, new_length):
     return new_f + shift[..., None]
 
 
-def step_imex_em(spec, grid, state, dt, dw=None, stiff_sign=-1.0):
+def step_imex_em(spec, grid, state, dt, dw=None):
     """One semi-implicit Euler-Maruyama step; None if the length update fails.
 
     dw holds raw N(0, dt) increments, one per noise mode, not yet scaled by
     the noise amplitude; None means no noise term (deterministic step).
     """
-    split, rows = flows.assemble_system(spec, grid, state, stiff_sign=stiff_sign)
-    rhs = state.f + dt * split.explicit_f
-    new_length = state.length + dt * split.explicit_L
+    a = flows.assemble(spec, grid, state.f, state.length)
+    rhs = state.f + dt * (a.det_f + a.corr_f)
+    new_length = state.length + dt * (a.det_L + a.corr_L)
     if dw is not None:
-        g_f, g_l = _noise_sums(rows, dw, spec.noise.amplitude)
+        g_f, g_l = _noise_sums(a.rows_beta, a.rows_lam, dw, spec.noise.amplitude)
         rhs = rhs + g_f
         new_length += g_l
     if new_length <= 0.0:  # NaN falls through to the caller's failure detection
         return None
     if not np.all(np.isfinite(rhs)):
         return State(np.full_like(rhs, np.nan), new_length, state.time + dt)
-    new_f = grid.solve_stiff(rhs, state.length, dt * (-stiff_sign))
+    new_f = grid.solve_stiff(rhs, state.length, dt * (-spec.stiff_sign))
     if grid.closed:
         new_f = _project_turning(new_f, state.f, state.length, new_length)
     return State(new_f, new_length, state.time + dt)
 
 
-def step_explicit_em(spec, grid, state, dt, dw=None, stiff_sign=-1.0):
+def step_explicit_em(spec, grid, state, dt, dw=None):
     """One fully explicit Euler-Maruyama step on the Ito form."""
-    split, rows = flows.assemble_system(spec, grid, state, stiff_sign=stiff_sign)
-    new_f = state.f + dt * (split.stiff + split.explicit_f)
-    new_length = state.length + dt * split.explicit_L
+    a = flows.assemble(spec, grid, state.f, state.length)
+    new_f = state.f + dt * (a.stiff + a.det_f + a.corr_f)
+    new_length = state.length + dt * (a.det_L + a.corr_L)
     if dw is not None:
-        g_f, g_l = _noise_sums(rows, dw, spec.noise.amplitude)
+        g_f, g_l = _noise_sums(a.rows_beta, a.rows_lam, dw, spec.noise.amplitude)
         new_f = new_f + g_f
         new_length += g_l
     if new_length <= 0.0:
@@ -238,38 +245,34 @@ def step_explicit_em(spec, grid, state, dt, dw=None, stiff_sign=-1.0):
     return State(new_f, new_length, state.time + dt)
 
 
-def step_heun_strat(spec, grid, state, dt, dw=None, stiff_sign=-1.0):
+def step_heun_strat(spec, grid, state, dt, dw=None):
     """One Heun predictor-corrector step on the Stratonovich form.
 
     Drift excludes the Ito correction; drift and noise are both averaged
     between the start point and an Euler predictor, which is what makes the
     noise integral Stratonovich-consistent.
     """
-    split0, rows0 = flows.assemble_system(
-        spec, grid, state, include_ito=False, stiff_sign=stiff_sign
-    )
-    a_f0 = split0.stiff + split0.explicit_f
-    a_l0 = split0.explicit_L
+    amplitude = spec.noise.amplitude
+    a0 = flows.assemble(spec, grid, state.f, state.length, include_ito=False)
+    a_f0 = a0.stiff + a0.det_f
+    a_l0 = a0.det_L
     g_f0, g_l0 = (0.0, 0.0)
     if dw is not None:
-        g_f0, g_l0 = _noise_sums(rows0, dw, spec.noise.amplitude)
-    pred_f = state.f + dt * a_f0 + (g_f0 if dw is not None else 0.0)
+        g_f0, g_l0 = _noise_sums(a0.rows_beta, a0.rows_lam, dw, amplitude)
+    pred_f = state.f + dt * a_f0 + g_f0
     pred_length = state.length + dt * a_l0 + g_l0
     if pred_length <= 0.0:
         return None
     if not (np.all(np.isfinite(pred_f)) and math.isfinite(pred_length)):
         # hand the divergence back to the caller's failure detection
         return State(pred_f, pred_length, state.time + dt)
-    pred = State(pred_f, pred_length, state.time + dt)
-    split1, rows1 = flows.assemble_system(
-        spec, grid, pred, include_ito=False, stiff_sign=stiff_sign
-    )
-    a_f1 = split1.stiff + split1.explicit_f
-    a_l1 = split1.explicit_L
+    a1 = flows.assemble(spec, grid, pred_f, pred_length, include_ito=False)
+    a_f1 = a1.stiff + a1.det_f
+    a_l1 = a1.det_L
     new_f = state.f + 0.5 * dt * (a_f0 + a_f1)
     new_length = state.length + 0.5 * dt * (a_l0 + a_l1)
     if dw is not None:
-        g_f1, g_l1 = _noise_sums(rows1, dw, spec.noise.amplitude)
+        g_f1, g_l1 = _noise_sums(a1.rows_beta, a1.rows_lam, dw, amplitude)
         new_f = new_f + 0.5 * (g_f0 + g_f1)
         new_length += 0.5 * (g_l0 + g_l1)
     if new_length <= 0.0:
@@ -343,7 +346,6 @@ def run(
     driver=None,
     increments=None,
     check_turning=True,
-    stiff_sign=-1.0,
 ):
     """Advance one trajectory to t_end or to a stopping event.
 
@@ -403,7 +405,7 @@ def run(
                     dw = base * math.sqrt(h / stepper.dt)
                 else:
                     dw = driver.increments(n_modes, h)
-                new_state = step_fn(spec, grid, state, h, dw, stiff_sign=stiff_sign)
+                new_state = step_fn(spec, grid, state, h, dw)
                 if new_state is not None:
                     break
                 h *= 0.5
@@ -450,25 +452,12 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-def _batch_noise(rows_beta, rows_lam, dw, amplitude):
-    """Batched noise sums: dw has shape (M, n_modes)."""
-    g_f = None
-    g_l = None
-    for l, (beta, lam) in enumerate(zip(rows_beta, rows_lam)):
-        w = amplitude * dw[:, l]
-        term_f = w[:, None] * beta
-        term_l = w * lam
-        g_f = term_f if g_f is None else g_f + term_f
-        g_l = term_l if g_l is None else g_l + term_l
-    return g_f, g_l
-
-
-def _batch_drift_imex(spec, grid, f, lengths, dt, dw, amplitude, stiff_sign):
-    a = flows.assemble(spec, grid, f, lengths, stiff_sign=stiff_sign)
+def _batch_drift_imex(spec, grid, f, lengths, dt, dw):
+    a = flows.assemble(spec, grid, f, lengths)
     rhs = f + dt * (a.det_f + a.corr_f)
     new_l = lengths + dt * (a.det_L + a.corr_L)
     if dw is not None:
-        g_f, g_l = _batch_noise(a.rows_beta, a.rows_lam, dw, amplitude)
+        g_f, g_l = _noise_sums(a.rows_beta, a.rows_lam, dw, spec.noise.amplitude)
         rhs = rhs + g_f
         new_l = new_l + g_l
     # diverged rows would poison the implicit solve; mark them and solve a
@@ -476,7 +465,7 @@ def _batch_drift_imex(spec, grid, f, lengths, dt, dw, amplitude, stiff_sign):
     bad = ~np.isfinite(rhs).all(axis=-1)
     if bad.any():
         rhs = np.where(bad[:, None], 0.0, rhs)
-    new_f = grid.solve_stiff(rhs, lengths, dt * (-stiff_sign))
+    new_f = grid.solve_stiff(rhs, lengths, dt * (-spec.stiff_sign))
     if bad.any():
         new_f = np.where(bad[:, None], np.nan, new_f)
     if grid.closed:
@@ -486,23 +475,24 @@ def _batch_drift_imex(spec, grid, f, lengths, dt, dw, amplitude, stiff_sign):
     return new_f, new_l
 
 
-def _batch_drift_explicit(spec, grid, f, lengths, dt, dw, amplitude, stiff_sign):
-    a = flows.assemble(spec, grid, f, lengths, stiff_sign=stiff_sign)
+def _batch_drift_explicit(spec, grid, f, lengths, dt, dw):
+    a = flows.assemble(spec, grid, f, lengths)
     new_f = f + dt * (a.stiff + a.det_f + a.corr_f)
     new_l = lengths + dt * (a.det_L + a.corr_L)
     if dw is not None:
-        g_f, g_l = _batch_noise(a.rows_beta, a.rows_lam, dw, amplitude)
+        g_f, g_l = _noise_sums(a.rows_beta, a.rows_lam, dw, spec.noise.amplitude)
         new_f = new_f + g_f
         new_l = new_l + g_l
     return new_f, new_l
 
 
-def _batch_drift_heun(spec, grid, f, lengths, dt, dw, amplitude, stiff_sign):
-    a0 = flows.assemble(spec, grid, f, lengths, include_ito=False, stiff_sign=stiff_sign)
+def _batch_drift_heun(spec, grid, f, lengths, dt, dw):
+    amplitude = spec.noise.amplitude
+    a0 = flows.assemble(spec, grid, f, lengths, include_ito=False)
     af0 = a0.stiff + a0.det_f
     al0 = a0.det_L
     if dw is not None:
-        gf0, gl0 = _batch_noise(a0.rows_beta, a0.rows_lam, dw, amplitude)
+        gf0, gl0 = _noise_sums(a0.rows_beta, a0.rows_lam, dw, amplitude)
     else:
         gf0, gl0 = 0.0, 0.0
     pred_f = f + dt * af0 + gf0
@@ -513,13 +503,13 @@ def _batch_drift_heun(spec, grid, f, lengths, dt, dw, amplitude, stiff_sign):
     if bad.any():
         pred_f = np.where(bad[:, None], f, pred_f)
         pred_l = np.where(bad, lengths, pred_l)
-    a1 = flows.assemble(spec, grid, pred_f, pred_l, include_ito=False, stiff_sign=stiff_sign)
+    a1 = flows.assemble(spec, grid, pred_f, pred_l, include_ito=False)
     af1 = a1.stiff + a1.det_f
     al1 = a1.det_L
     new_f = f + 0.5 * dt * (af0 + af1)
     new_l = lengths + 0.5 * dt * (al0 + al1)
     if dw is not None:
-        gf1, gl1 = _batch_noise(a1.rows_beta, a1.rows_lam, dw, amplitude)
+        gf1, gl1 = _noise_sums(a1.rows_beta, a1.rows_lam, dw, amplitude)
         new_f = new_f + 0.5 * (gf0 + gf1)
         new_l = new_l + 0.5 * (gl0 + gl1)
     if bad.any():
@@ -548,7 +538,6 @@ def run_ensemble(
     stop=None,
     increments=None,
     check_turning=True,
-    stiff_sign=-1.0,
     first_path=0,
 ):
     """Advance n_paths independent trajectories as one stacked batch.
@@ -600,7 +589,6 @@ def run_ensemble(
 
     noisy = spec.noise.amplitude > 0.0
     n_modes = spec.noise.n_modes
-    amplitude = spec.noise.amplitude
     dt = stepper.dt
     n_steps = int(round(stepper.t_end / dt))
     if abs(n_steps * dt - stepper.t_end) > 1e-9 * max(1.0, stepper.t_end):
@@ -648,7 +636,7 @@ def run_ensemble(
             else:
                 dw = None
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                new_f, new_l = step_fn(spec, grid, f, lengths, dt, dw, amplitude, stiff_sign)
+                new_f, new_l = step_fn(spec, grid, f, lengths, dt, dw)
             finite = np.isfinite(new_f).all(axis=-1) & np.isfinite(new_l)
             positive = finite & (new_l > 0)
             sup = np.where(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from curveflow import flows
 from curveflow.flows import (
     CURVE_DIFFUSION,
     WILLMORE,
@@ -291,14 +292,49 @@ def test_batched_assembly_matches_loop():
             assert float(batched.rows_lam[l][i]) == float(single.rows_lam[l])
 
 
+def test_assembly_operation_counts(monkeypatch):
+    """One assembly with Ito terms takes a fixed number of transforms, however
+    many noise modes there are, validates its input once, and samples the
+    noise basis only on the first assembly on a grid.  Counts, not times."""
+    counts = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.fft, "rfft", counting("fft", np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", counting("fft", np.fft.irfft))
+    monkeypatch.setattr(Grid, "check_field", counting("check_field", Grid.check_field))
+    monkeypatch.setattr(flows, "basis_eval", counting("basis_eval", flows.basis_eval))
+    rng = np.random.default_rng(47)
+    fft_calls = []
+    for n_modes in (1, 8):
+        grid = Grid(CLOSED, 64)
+        noise = NoiseModel(mode="spectral", amplitude=0.4, n_modes=n_modes, decay_exponent=6.0)
+        spec = FlowSpec(WILLMORE, CLOSED, noise)
+        f = _band_limited(rng, grid)
+        for first in (True, False):
+            counts.clear()
+            assemble(spec, grid, f, 1.3)
+            assert counts["check_field"] == 1
+            assert counts.get("basis_eval", 0) == (4 * n_modes if first else 0)
+            fft_calls.append(counts["fft"])
+    assert len(set(fft_calls)) == 1
+    assert fft_calls[0] <= 8
+
+
 def test_stiff_sign_flip_only_touches_stiff_part():
     rng = np.random.default_rng(43)
     grid = Grid(CLOSED, 64)
     noise = NoiseModel(mode="scalar", amplitude=0.3)
     spec = FlowSpec(WILLMORE, CLOSED, noise)
     state = State(_band_limited(rng, grid), 1.7)
-    normal = assemble_system(spec, grid, state, stiff_sign=-1.0)[0]
-    flipped = assemble_system(spec, grid, state, stiff_sign=+1.0)[0]
+    normal = assemble_system(spec, grid, state)[0]
+    flipped_spec = FlowSpec(WILLMORE, CLOSED, noise, stiff_sign=+1.0)
+    flipped = assemble_system(flipped_spec, grid, state)[0]
     assert np.array_equal(flipped.stiff, -normal.stiff)
     assert np.array_equal(flipped.explicit_f, normal.explicit_f)
     assert flipped.explicit_L == normal.explicit_L

@@ -398,6 +398,40 @@ def test_ensemble_rows_match_single_runs_bitwise():
         assert np.all(ens.active)
 
 
+@pytest.mark.parametrize(
+    "scheme,dt", [(IMEX_EM, 1e-4), (HEUN_STRATONOVICH, 2e-7), (EXPLICIT_EM, 2e-7)]
+)
+@pytest.mark.parametrize("kind", [WILLMORE, CURVE_DIFFUSION])
+@pytest.mark.parametrize(
+    "noise",
+    [
+        NoiseModel(mode="scalar", amplitude=1.0),
+        NoiseModel(mode="spectral", amplitude=1.0, n_modes=8, decay_exponent=6.0),
+    ],
+    ids=["scalar", "spectral8"],
+)
+def test_ensemble_rows_match_single_runs_every_scheme(scheme, dt, kind, noise):
+    """Batch rows equal single runs bit for bit for every scheme, flow and
+    noise model, from a state that is not a circle.  Unit amplitude keeps the
+    noise terms large enough that a change in the order of the per-mode sums
+    shows in the final values."""
+    grid = Grid(CLOSED, 32)
+    spec = FlowSpec(kind, CLOSED, noise)
+    state = non_circle(grid)
+    cfg = StepperConfig(scheme, dt, 16 * dt, snapshot_every=4)
+    stop = StopCriteria.from_initial(state)
+    ens = run_ensemble(spec, grid, state.f, state.length, cfg, 5, seed=77, stop=stop)
+    assert ens.steps == 16
+    for i in range(5):
+        traj = run(spec, grid, state, cfg, stop=stop, driver=BrownianDriver(77, i))
+        assert traj.steps == 16
+        assert traj.terminal_status is ens.statuses[i] is TerminalStatus.REACHED_T
+        assert np.array_equal([s.length for s in traj.snapshots], ens.lengths[:, i])
+        assert np.array_equal([s.energy for s in traj.snapshots], ens.energies[:, i])
+        assert np.array_equal(traj.final_state.f, ens.final_f[i])
+        assert traj.final_state.length == ens.final_lengths[i]
+
+
 def test_ensemble_slicing_by_first_path():
     """A worker owning paths [1, 3) reproduces those rows bit for bit."""
     grid = Grid(CLOSED, 16)
