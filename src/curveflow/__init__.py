@@ -11,14 +11,8 @@ and diagnostics (``geometry``), and a CLI (``harness``).
 from .flows import (
     CURVE_DIFFUSION,
     WILLMORE,
-    DiffusionRow,
-    DriftSplit,
     FlowSpec,
     State,
-    assemble_diffusion,
-    assemble_drift,
-    assemble_system,
-    ito_correction,
 )
 from .geometry import (
     CurveSample,
@@ -53,8 +47,6 @@ __all__ = [
     "CLOSED",
     "CURVE_DIFFUSION",
     "CurveSample",
-    "DiffusionRow",
-    "DriftSplit",
     "EXPLICIT_EM",
     "EnsembleResult",
     "FlowSpec",
@@ -70,16 +62,12 @@ __all__ = [
     "TerminalStatus",
     "Trajectory",
     "WILLMORE",
-    "assemble_diffusion",
-    "assemble_drift",
-    "assemble_system",
     "basis_eval",
     "closure_defect",
     "cumulative_quadrature",
     "dt_stability",
     "enclosed_area",
     "functionals",
-    "ito_correction",
     "polyline_arclength",
     "reconstruct",
     "run",

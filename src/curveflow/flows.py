@@ -102,28 +102,6 @@ class State:
 
 
 @dataclass
-class DriftSplit:
-    """Ito drift of (f, L), split for semi-implicit stepping.
-
-    stiff is the constant-coefficient -(1/L^4) drrrr f contribution;
-    explicit_f carries every other f term including the Ito corrections;
-    explicit_L is the full L drift.
-    """
-
-    stiff: np.ndarray
-    explicit_f: np.ndarray
-    explicit_L: float
-
-
-@dataclass
-class DiffusionRow:
-    """Unit-amplitude noise coefficients of one mode: a field on f, a real on L."""
-
-    b_f: np.ndarray
-    b_L: float
-
-
-@dataclass
 class _Assembly:
     """Everything one assembly pass produces, for a batch shape B.
 
@@ -139,16 +117,6 @@ class _Assembly:
     corr_L: np.ndarray
     rows_beta: np.ndarray
     rows_lam: np.ndarray
-
-
-def _check_state(state):
-    f = np.asarray(state.f, dtype=float)
-    if f.ndim != 1:
-        raise ValueError("State.f must be a single field; stack batches via the integrator")
-    length = float(state.length)
-    if not (length > 0.0 and np.isfinite(length)):
-        raise ValueError(f"state length must be positive and finite, got {state.length}")
-    return f, length
 
 
 def _basis_table(noise, grid):
@@ -192,8 +160,8 @@ def assemble(spec, grid, f, length, include_ito=True):
     lc = np.asarray(length, dtype=float)
     if lc.shape != batch:
         raise ValueError(f"length batch shape {lc.shape} does not match field batch {batch}")
-    if not np.all(lc > 0.0):
-        raise ValueError("length must be positive")
+    if not np.all(np.isfinite(lc) & (lc > 0.0)):
+        raise ValueError(f"length must be positive and finite, got {length}")
 
     prod = grid.product if grid.dealias else _pointwise
     r = grid.nodes
@@ -301,44 +269,3 @@ def assemble(spec, grid, f, length, include_ito=True):
         rows_beta=beta,
         rows_lam=lam,
     )
-
-
-def assemble_system(spec, grid, state, include_ito=True):
-    """DriftSplit and diffusion rows for one State.
-
-    With include_ito=False the explicit drift omits the Stratonovich-to-Ito
-    correction (the Stratonovich drift), which is what the Heun stepper
-    integrates.
-    """
-    f, length = _check_state(state)
-    a = assemble(spec, grid, f, length, include_ito=include_ito)
-    split = DriftSplit(
-        stiff=a.stiff,
-        explicit_f=a.det_f + a.corr_f,
-        explicit_L=float(a.det_L + a.corr_L),
-    )
-    rows = [DiffusionRow(b_f=b, b_L=float(lam)) for b, lam in zip(a.rows_beta, a.rows_lam)]
-    return split, rows
-
-
-def assemble_drift(spec, grid, state):
-    """Full Ito drift of (f, L), split into stiff and explicit parts."""
-    split, _ = assemble_system(spec, grid, state)
-    return split
-
-
-def assemble_diffusion(spec, grid, state):
-    """Unit-amplitude diffusion rows, one per noise mode."""
-    _, rows = assemble_system(spec, grid, state)
-    return rows
-
-
-def ito_correction(spec, grid, state):
-    """The Stratonovich-to-Ito extra drift alone, as (field on f, real on L).
-
-    assemble_drift's explicit parts equal the include_ito=False assembly plus
-    exactly these values (same code path, same floating-point operations).
-    """
-    f, length = _check_state(state)
-    a = assemble(spec, grid, f, length, include_ito=True)
-    return a.corr_f, float(a.corr_L)

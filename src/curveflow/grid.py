@@ -228,7 +228,11 @@ class Grid:
                 raise ValueError(f"derivative order must be in 1..4, got {order}")
         v = self._field(values)
         if not self.closed:
-            return np.stack([v @ self._fd_matrix(order).T for order in orders])
+            # a row-wise contraction: a matrix product would round one field
+            # differently from the same field inside a stack
+            return np.stack(
+                [np.einsum("...j,ij->...i", v, self._fd_matrix(order)) for order in orders]
+            )
         sym = self.cached(("symbols", orders), lambda: np.stack([self._symbol(o) for o in orders]))
         vh = np.fft.rfft(v, axis=-1)
         vh = vh * sym.reshape((len(orders),) + (1,) * (v.ndim - 1) + sym.shape[-1:])

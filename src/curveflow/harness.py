@@ -40,8 +40,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import geometry
-from .flows import CURVE_DIFFUSION, WILLMORE, FlowSpec, State, assemble_diffusion
+from . import flows, geometry
+from .flows import CURVE_DIFFUSION, WILLMORE, FlowSpec, State
 from .grid import CLOSED, OPEN, Grid
 from .integrator import (
     EXPLICIT_EM,
@@ -768,8 +768,8 @@ def _check_diffusion_coefficient(seed):
     for _ in range(100):
         f = gen.standard_normal(64)
         length = 0.3 + 3.0 * gen.random()
-        rows = assemble_diffusion(spec, grid, State(f, length))
-        worst = max(worst, abs(rows[0].b_L + TWO_PI))
+        lam = flows.assemble(spec, grid, f, length).rows_lam[0]
+        worst = max(worst, abs(float(lam) + TWO_PI))
     return {
         "name": "diffusion_coefficient",
         "value": worst,

@@ -19,6 +19,13 @@ Three schemes advance the curvature-length system:
   divergence-detection reference, since the explicit fourth-order term
   demands a very small dt.
 
+Each scheme is written once, as a kernel on stacked arrays,
+``(spec, grid, f, length, dt, dw) -> (new_f, new_length)`` with f of shape
+(*B, n) and length of shape B.  ``run`` calls it with B = () and
+``run_ensemble`` with B = (M,), so a batch row and a single path take
+identical arithmetic.  A kernel never raises on a bad row: a diverged row
+comes back non-finite and a collapsed one with a non-positive length.
+
 Stability: the explicitly treated variable-coefficient second-order term
 requires dt <= 0.5 * L^2 / (sup|f|^2 n^2); fully explicit schemes
 additionally require dt below the reciprocal of the fourth-order operator's
@@ -26,13 +33,13 @@ largest eigenvalue.  ImexEM and HeunStratonovich refuse to start above their
 bound; ExplicitEM only warns, so that divergence detection itself can be
 exercised.
 
-A step that would drive the length non-positive is retried with a halved dt
-(and fresh Brownian increments) up to a bounded number of times before the
-run is declared to have shrunk to a point.  Runs stop early when the sup of
-|f| or the length leaves the configured window, mirroring the continuous
-flow's blow-up alternative; the terminal status records which predicate
-tripped.  Non-finite values terminate the run without ever being written to
-a snapshot.
+In ``run``, a step whose length update is non-positive is retried with a
+halved dt (and fresh Brownian increments) up to a bounded number of times
+before the run is declared to have shrunk to a point.  Runs stop early when
+the sup of |f| or the length leaves the configured window, mirroring the
+continuous flow's blow-up alternative; the terminal status records which
+predicate tripped.  Non-finite values terminate the run at once, without
+ever being written to a snapshot.
 
 ``run_ensemble`` advances many independent trajectories as one stacked
 batch.  Per-trajectory substreams make row i of a batch bit-identical to a
@@ -46,14 +53,13 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import flows
-from .flows import FlowSpec, State
-from .grid import Grid
-from .noise import BrownianDriver, substream_seed
+from .flows import State
+from .noise import BrownianDriver
 
 IMEX_EM = "imex_em"
 HEUN_STRATONOVICH = "heun_stratonovich"
@@ -208,83 +214,96 @@ def _project_turning(new_f, f, length, new_length):
     return new_f + shift[..., None]
 
 
-def step_imex_em(spec, grid, state, dt, dw=None):
-    """One semi-implicit Euler-Maruyama step; None if the length update fails.
+def _imex_em(spec, grid, f, length, dt, dw):
+    """Semi-implicit Euler-Maruyama on the Ito form.
 
     dw holds raw N(0, dt) increments, one per noise mode, not yet scaled by
     the noise amplitude; None means no noise term (deterministic step).
     """
-    a = flows.assemble(spec, grid, state.f, state.length)
-    rhs = state.f + dt * (a.det_f + a.corr_f)
-    new_length = state.length + dt * (a.det_L + a.corr_L)
+    a = flows.assemble(spec, grid, f, length)
+    rhs = f + dt * (a.det_f + a.corr_f)
+    new_l = length + dt * (a.det_L + a.corr_L)
     if dw is not None:
         g_f, g_l = _noise_sums(a.rows_beta, a.rows_lam, dw, spec.noise.amplitude)
         rhs = rhs + g_f
-        new_length += g_l
-    if new_length <= 0.0:  # NaN falls through to the caller's failure detection
-        return None
-    if not np.all(np.isfinite(rhs)):
-        return State(np.full_like(rhs, np.nan), new_length, state.time + dt)
-    new_f = grid.solve_stiff(rhs, state.length, dt * (-spec.stiff_sign))
+        new_l = new_l + g_l
+    # diverged rows would poison the implicit solve; solve a clean
+    # placeholder instead and hand them back as non-finite
+    bad = ~np.isfinite(rhs).all(axis=-1)
+    any_bad = bad.any()
+    if any_bad:
+        rhs = np.where(bad[..., None], 0.0, rhs)
+    new_f = grid.solve_stiff(rhs, length, dt * (-spec.stiff_sign))
+    if any_bad:
+        new_f = np.where(bad[..., None], np.nan, new_f)
     if grid.closed:
-        new_f = _project_turning(new_f, state.f, state.length, new_length)
-    return State(new_f, new_length, state.time + dt)
+        # a row whose length update is non-positive has shrunk; dividing by
+        # its length could make it look non-finite instead
+        new_f = _project_turning(new_f, f, length, np.where(new_l > 0, new_l, length))
+    return new_f, new_l
 
 
-def step_explicit_em(spec, grid, state, dt, dw=None):
-    """One fully explicit Euler-Maruyama step on the Ito form."""
-    a = flows.assemble(spec, grid, state.f, state.length)
-    new_f = state.f + dt * (a.stiff + a.det_f + a.corr_f)
-    new_length = state.length + dt * (a.det_L + a.corr_L)
+def _explicit_em(spec, grid, f, length, dt, dw):
+    """Fully explicit Euler-Maruyama on the Ito form."""
+    a = flows.assemble(spec, grid, f, length)
+    new_f = f + dt * (a.stiff + a.det_f + a.corr_f)
+    new_l = length + dt * (a.det_L + a.corr_L)
     if dw is not None:
         g_f, g_l = _noise_sums(a.rows_beta, a.rows_lam, dw, spec.noise.amplitude)
         new_f = new_f + g_f
-        new_length += g_l
-    if new_length <= 0.0:
-        return None
-    return State(new_f, new_length, state.time + dt)
+        new_l = new_l + g_l
+    return new_f, new_l
 
 
-def step_heun_strat(spec, grid, state, dt, dw=None):
-    """One Heun predictor-corrector step on the Stratonovich form.
+def _heun_stratonovich(spec, grid, f, length, dt, dw):
+    """Heun predictor-corrector on the Stratonovich form.
 
     Drift excludes the Ito correction; drift and noise are both averaged
     between the start point and an Euler predictor, which is what makes the
-    noise integral Stratonovich-consistent.
+    noise integral Stratonovich-consistent.  A row whose predictor is
+    non-finite or has a non-positive length returns the predictor itself, so
+    the caller sees the divergence or the collapse.
     """
     amplitude = spec.noise.amplitude
-    a0 = flows.assemble(spec, grid, state.f, state.length, include_ito=False)
+    a0 = flows.assemble(spec, grid, f, length, include_ito=False)
     a_f0 = a0.stiff + a0.det_f
     a_l0 = a0.det_L
-    g_f0, g_l0 = (0.0, 0.0)
+    g_f0, g_l0 = 0.0, 0.0
     if dw is not None:
         g_f0, g_l0 = _noise_sums(a0.rows_beta, a0.rows_lam, dw, amplitude)
-    pred_f = state.f + dt * a_f0 + g_f0
-    pred_length = state.length + dt * a_l0 + g_l0
-    if pred_length <= 0.0:
-        return None
-    if not (np.all(np.isfinite(pred_f)) and math.isfinite(pred_length)):
-        # hand the divergence back to the caller's failure detection
-        return State(pred_f, pred_length, state.time + dt)
-    a1 = flows.assemble(spec, grid, pred_f, pred_length, include_ito=False)
-    a_f1 = a1.stiff + a1.det_f
-    a_l1 = a1.det_L
-    new_f = state.f + 0.5 * dt * (a_f0 + a_f1)
-    new_length = state.length + 0.5 * dt * (a_l0 + a_l1)
+    pred_f = f + dt * a_f0 + g_f0
+    pred_l = length + dt * a_l0 + g_l0
+    # the corrector evaluates such rows at the start point instead; their
+    # result is replaced by the predictor below
+    bad = ~(np.isfinite(pred_f).all(axis=-1) & np.isfinite(pred_l) & (pred_l > 0))
+    any_bad = bad.any()
+    eval_f, eval_l = pred_f, pred_l
+    if any_bad:
+        eval_f = np.where(bad[..., None], f, pred_f)
+        eval_l = np.where(bad, length, pred_l)
+    a1 = flows.assemble(spec, grid, eval_f, eval_l, include_ito=False)
+    new_f = f + 0.5 * dt * (a_f0 + (a1.stiff + a1.det_f))
+    new_l = length + 0.5 * dt * (a_l0 + a1.det_L)
     if dw is not None:
         g_f1, g_l1 = _noise_sums(a1.rows_beta, a1.rows_lam, dw, amplitude)
         new_f = new_f + 0.5 * (g_f0 + g_f1)
-        new_length += 0.5 * (g_l0 + g_l1)
-    if new_length <= 0.0:
-        return None
-    return State(new_f, new_length, state.time + dt)
+        new_l = new_l + 0.5 * (g_l0 + g_l1)
+    if any_bad:
+        new_f = np.where(bad[..., None], pred_f, new_f)
+        new_l = np.where(bad, pred_l, new_l)
+    return new_f, new_l
 
 
+# run looks its kernel up in _STEPPERS and run_ensemble in _BATCH_STEPPERS.
+# Both map a scheme to the same kernel, but they are kept as two dicts so
+# that a wrapper installed on one table entry (a benchmark's step counter)
+# is never installed twice on a shared one.
 _STEPPERS = {
-    IMEX_EM: step_imex_em,
-    HEUN_STRATONOVICH: step_heun_strat,
-    EXPLICIT_EM: step_explicit_em,
+    IMEX_EM: _imex_em,
+    HEUN_STRATONOVICH: _heun_stratonovich,
+    EXPLICIT_EM: _explicit_em,
 }
+_BATCH_STEPPERS = dict(_STEPPERS)
 
 
 def _decimate(values, cap=_SNAPSHOT_VALUE_CAP):
@@ -325,16 +344,65 @@ def check_turning_consistency(grid, state, tol=_TURNING_TOL):
         )
 
 
-def _classify(state, stop):
-    if not (np.all(np.isfinite(state.f)) and math.isfinite(state.length)):
-        return TerminalStatus.NUMERICAL_FAILURE
-    if float(np.max(np.abs(state.f))) > stop.f_max:
-        return TerminalStatus.BLOWUP_CURVATURE
-    if state.length < stop.l_min:
-        return TerminalStatus.BLOWUP_LENGTH_ZERO
-    if state.length > stop.l_max:
-        return TerminalStatus.BLOWUP_LENGTH_INFINITE
-    return None
+# Stop verdicts in priority order, one per mask that _classify returns.
+_VERDICTS = (
+    TerminalStatus.NUMERICAL_FAILURE,
+    TerminalStatus.BLOWUP_LENGTH_ZERO,  # shrunk: the length update was non-positive
+    TerminalStatus.BLOWUP_CURVATURE,
+    TerminalStatus.BLOWUP_LENGTH_ZERO,
+    TerminalStatus.BLOWUP_LENGTH_INFINITE,
+)
+
+
+def _classify(f, length, stop):
+    """Disjoint stop masks over the rows of a step's result, one per verdict.
+
+    f has shape (*B, n) and length B.  The masks flag, in _VERDICTS order:
+    non-finite rows, a non-positive length, sup|f| above f_max, a length
+    below l_min and a length above l_max.  A row in none of them runs on;
+    a row in either of the first two is rejected and never recorded.
+    """
+    finite = np.isfinite(f).all(axis=-1) & np.isfinite(length)
+    positive = finite & (length > 0)
+    curv = positive & (np.abs(f).max(axis=-1) > stop.f_max)
+    window = positive & ~curv
+    return (
+        ~finite,
+        finite & ~positive,
+        curv,
+        window & (length < stop.l_min),
+        window & (length > stop.l_max),
+    )
+
+
+def _start(grid, stepper, f, lengths, stop, check_turning):
+    """Validate initial fields f (*B, n) and lengths B and check the start.
+
+    Closed states must pass the turning check unless check_turning is off,
+    and dt must lie below the stability bound of the worst initial state
+    (ExplicitEM only warns).  Returns the stop window, by default the one
+    StopCriteria.from_initial derives from the first state.
+    """
+    grid.check_field(f)
+    if not np.all(np.isfinite(lengths) & (lengths > 0)):
+        raise ValueError(f"initial length must be positive and finite, got {lengths}")
+    states = [State(fi, float(li)) for fi, li in zip(f.reshape(-1, grid.n), lengths.reshape(-1))]
+    if grid.closed and check_turning:
+        for state in states:
+            check_turning_consistency(grid, state)
+    if stop is None:
+        stop = StopCriteria.from_initial(states[0])
+    bound = dt_stability(stepper.scheme, grid, float(lengths.min()), float(np.max(np.abs(f))))
+    if stepper.dt > bound:
+        msg = (
+            f"dt={stepper.dt:g} exceeds the stability bound {bound:.3g} for "
+            f"{stepper.scheme} at the initial state"
+        )
+        if stepper.scheme == EXPLICIT_EM:
+            warnings.warn(msg, stacklevel=3)
+        else:
+            raise ValueError(msg)
+    return stop
 
 
 def run(
@@ -355,28 +423,11 @@ def run(
     pre-drawn increment by sqrt(h/dt) since a fresh draw would break the
     coupling).  With amplitude 0 neither is touched.
     """
-    state = state0.copy()
-    f0 = grid.check_field(state.f)
-    if not (state.length > 0 and math.isfinite(state.length)):
-        raise ValueError(f"initial length must be positive and finite, got {state0.length}")
-    if grid.closed and check_turning:
-        check_turning_consistency(grid, state)
-    if stop is None:
-        stop = StopCriteria.from_initial(state)
     noisy = spec.noise.amplitude > 0.0
     if noisy and driver is None and increments is None:
         raise ValueError("noisy run needs a BrownianDriver or a pre-drawn increments array")
-
-    bound = dt_stability(stepper.scheme, grid, state.length, float(np.max(np.abs(f0))))
-    if stepper.dt > bound:
-        msg = (
-            f"dt={stepper.dt:g} exceeds the stability bound {bound:.3g} for "
-            f"{stepper.scheme} at the initial state"
-        )
-        if stepper.scheme == EXPLICIT_EM:
-            warnings.warn(msg, stacklevel=2)
-        else:
-            raise ValueError(msg)
+    state = state0.copy()
+    stop = _start(grid, stepper, state.f, np.asarray(state.length), stop, check_turning)
 
     step_fn = _STEPPERS[stepper.scheme]
     n_modes = spec.noise.n_modes
@@ -394,30 +445,28 @@ def run(
             # a remainder within eps of dt is a full step: accumulated times
             # fall an ulp short of k * dt, and run_ensemble steps exactly dt
             remaining = t_end - state.time
-            h_base = stepper.dt if remaining > stepper.dt - eps else remaining
-            new_state = None
-            h = h_base
-            for attempt in range(_MAX_HALVINGS + 1):
+            h = stepper.dt if remaining > stepper.dt - eps else remaining
+            for _ in range(_MAX_HALVINGS + 1):
                 if not noisy:
                     dw = None
                 elif increments is not None:
-                    base = increments[steps]
-                    dw = base * math.sqrt(h / stepper.dt)
+                    dw = increments[steps] * math.sqrt(h / stepper.dt)
                 else:
                     dw = driver.increments(n_modes, h)
-                new_state = step_fn(spec, grid, state, h, dw)
-                if new_state is not None:
+                new_f, new_length = step_fn(spec, grid, state.f, state.length, h, dw)
+                if not new_length <= 0.0:  # NaN is left to the stop classifier
                     break
                 h *= 0.5
-            if new_state is None:
+            else:
                 status = TerminalStatus.BLOWUP_LENGTH_ZERO
                 break
             steps += 1
-            tripped = _classify(new_state, stop)
+            masks = _classify(new_f, new_length, stop)
+            tripped = next((v for mask, v in zip(masks, _VERDICTS) if mask), None)
             if tripped is TerminalStatus.NUMERICAL_FAILURE:
                 status = tripped
                 break  # keep the last finite state; never snapshot this one
-            state = new_state
+            state = State(new_f, float(new_length), state.time + h)
             if tripped is not None:
                 status = tripped
                 snapshots.append(_snapshot(grid, state, steps, full=True))
@@ -451,78 +500,6 @@ def run(
 # Batched ensembles
 # ---------------------------------------------------------------------------
 
-
-def _batch_drift_imex(spec, grid, f, lengths, dt, dw):
-    a = flows.assemble(spec, grid, f, lengths)
-    rhs = f + dt * (a.det_f + a.corr_f)
-    new_l = lengths + dt * (a.det_L + a.corr_L)
-    if dw is not None:
-        g_f, g_l = _noise_sums(a.rows_beta, a.rows_lam, dw, spec.noise.amplitude)
-        rhs = rhs + g_f
-        new_l = new_l + g_l
-    # diverged rows would poison the implicit solve; mark them and solve a
-    # clean placeholder instead (the caller freezes them as failures)
-    bad = ~np.isfinite(rhs).all(axis=-1)
-    if bad.any():
-        rhs = np.where(bad[:, None], 0.0, rhs)
-    new_f = grid.solve_stiff(rhs, lengths, dt * (-spec.stiff_sign))
-    if bad.any():
-        new_f = np.where(bad[:, None], np.nan, new_f)
-    if grid.closed:
-        # a row whose length update is non-positive is rejected by the caller
-        # as shrunk; dividing by its length could make it look non-finite
-        new_f = _project_turning(new_f, f, lengths, np.where(new_l > 0, new_l, lengths))
-    return new_f, new_l
-
-
-def _batch_drift_explicit(spec, grid, f, lengths, dt, dw):
-    a = flows.assemble(spec, grid, f, lengths)
-    new_f = f + dt * (a.stiff + a.det_f + a.corr_f)
-    new_l = lengths + dt * (a.det_L + a.corr_L)
-    if dw is not None:
-        g_f, g_l = _noise_sums(a.rows_beta, a.rows_lam, dw, spec.noise.amplitude)
-        new_f = new_f + g_f
-        new_l = new_l + g_l
-    return new_f, new_l
-
-
-def _batch_drift_heun(spec, grid, f, lengths, dt, dw):
-    amplitude = spec.noise.amplitude
-    a0 = flows.assemble(spec, grid, f, lengths, include_ito=False)
-    af0 = a0.stiff + a0.det_f
-    al0 = a0.det_L
-    if dw is not None:
-        gf0, gl0 = _noise_sums(a0.rows_beta, a0.rows_lam, dw, amplitude)
-    else:
-        gf0, gl0 = 0.0, 0.0
-    pred_f = f + dt * af0 + gf0
-    pred_l = lengths + dt * al0 + gl0
-    # paths whose predictor left the valid region are evaluated at the old
-    # state instead (their result is discarded by the caller's freeze logic)
-    bad = ~(np.isfinite(pred_f).all(axis=-1) & (pred_l > 0) & np.isfinite(pred_l))
-    if bad.any():
-        pred_f = np.where(bad[:, None], f, pred_f)
-        pred_l = np.where(bad, lengths, pred_l)
-    a1 = flows.assemble(spec, grid, pred_f, pred_l, include_ito=False)
-    af1 = a1.stiff + a1.det_f
-    al1 = a1.det_L
-    new_f = f + 0.5 * dt * (af0 + af1)
-    new_l = lengths + 0.5 * dt * (al0 + al1)
-    if dw is not None:
-        gf1, gl1 = _noise_sums(a1.rows_beta, a1.rows_lam, dw, amplitude)
-        new_f = new_f + 0.5 * (gf0 + gf1)
-        new_l = new_l + 0.5 * (gl0 + gl1)
-    if bad.any():
-        new_f = np.where(bad[:, None], np.nan, new_f)
-        new_l = np.where(bad, np.nan, new_l)
-    return new_f, new_l
-
-
-_BATCH_STEPPERS = {
-    IMEX_EM: _batch_drift_imex,
-    HEUN_STRATONOVICH: _batch_drift_heun,
-    EXPLICIT_EM: _batch_drift_explicit,
-}
 
 _DRAW_CHUNK = 64
 
@@ -564,28 +541,8 @@ def run_ensemble(
         if f0.shape[0] != m:
             raise ValueError(f"f0 batch {f0.shape[0]} does not match n_paths {m}")
         f = np.array(f0, copy=True)
-    f = grid.check_field(f)
     lengths = np.broadcast_to(np.asarray(length0, dtype=float), (m,)).copy()
-    if not np.all(lengths > 0):
-        raise ValueError("initial lengths must be positive")
-    if grid.closed and check_turning:
-        for i in range(m):
-            check_turning_consistency(grid, State(f[i], lengths[i]))
-
-    if stop is None:
-        stop = StopCriteria.from_initial(State(f[0], float(lengths[0])))
-    bound = dt_stability(
-        stepper.scheme, grid, float(lengths.min()), float(np.max(np.abs(f)))
-    )
-    if stepper.dt > bound:
-        msg = (
-            f"dt={stepper.dt:g} exceeds the stability bound {bound:.3g} for "
-            f"{stepper.scheme} at the initial states"
-        )
-        if stepper.scheme == EXPLICIT_EM:
-            warnings.warn(msg, stacklevel=2)
-        else:
-            raise ValueError(msg)
+    stop = _start(grid, stepper, f, lengths, stop, check_turning)
 
     noisy = spec.noise.amplitude > 0.0
     n_modes = spec.noise.n_modes
@@ -595,12 +552,9 @@ def run_ensemble(
         raise ValueError(
             f"t_end={stepper.t_end:g} is not an integer number of steps of dt={dt:g}"
         )
-    gens = None
+    drivers = None
     if noisy and increments is None:
-        gens = [
-            np.random.Generator(np.random.PCG64(substream_seed(seed, first_path + i)))
-            for i in range(m)
-        ]
+        drivers = [BrownianDriver(seed, first_path + i) for i in range(m)]
 
     step_fn = _BATCH_STEPPERS[stepper.scheme]
     active = np.ones(m, dtype=bool)
@@ -611,59 +565,36 @@ def run_ensemble(
     with np.errstate(over="ignore", invalid="ignore"):
         energy_rows = [0.5 * lengths * grid.integrate(f * f)]
     active_rows = [active.copy()]
-    sqrt_dt = math.sqrt(dt)
     chunk = None
-    chunk_base = 0
 
     for k in range(n_steps):
         # frozen-only batches keep looping so the snapshot cadence (and hence
         # any cross-worker row alignment) never depends on when paths stopped
         if active.any():
-            if noisy:
-                if increments is not None:
-                    dw = np.asarray(increments[k], dtype=float)
-                else:
-                    if chunk is None or k - chunk_base >= chunk.shape[0]:
-                        chunk_base = k
-                        size = min(_DRAW_CHUNK, n_steps - k)
-                        chunk = (
-                            np.stack(
-                                [g.standard_normal((size, n_modes)) for g in gens], axis=1
-                            )
-                            * sqrt_dt
-                        )
-                    dw = chunk[k - chunk_base]
-            else:
+            if not noisy:
                 dw = None
+            elif increments is not None:
+                dw = np.asarray(increments[k], dtype=float)
+            else:
+                # every step with a live path draws, so chunks start at
+                # multiples of _DRAW_CHUNK
+                if k % _DRAW_CHUNK == 0:
+                    size = min(_DRAW_CHUNK, n_steps - k)
+                    chunk = np.stack(
+                        [d.increment_block(size, n_modes, dt) for d in drivers], axis=1
+                    )
+                dw = chunk[k % _DRAW_CHUNK]
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 new_f, new_l = step_fn(spec, grid, f, lengths, dt, dw)
-            finite = np.isfinite(new_f).all(axis=-1) & np.isfinite(new_l)
-            positive = finite & (new_l > 0)
-            sup = np.where(
-                finite, np.abs(np.where(finite[:, None], new_f, 0.0)).max(axis=-1), np.inf
-            )
-            fail = active & ~finite
-            shrunk = active & finite & ~positive
-            curv = active & positive & (sup > stop.f_max)
-            lzero = active & positive & ~curv & (new_l < stop.l_min)
-            linf = active & positive & ~curv & (new_l > stop.l_max)
-
-            accept = active & positive
+                masks = [mask & active for mask in _classify(new_f, new_l, stop)]
+            accept = active & ~masks[0] & ~masks[1]
             f = np.where(accept[:, None], new_f, f)
             lengths = np.where(accept, new_l, lengths)
-
-            for mask, verdict in (
-                (fail, TerminalStatus.NUMERICAL_FAILURE),
-                (shrunk, TerminalStatus.BLOWUP_LENGTH_ZERO),
-                (curv, TerminalStatus.BLOWUP_CURVATURE),
-                (lzero, TerminalStatus.BLOWUP_LENGTH_ZERO),
-                (linf, TerminalStatus.BLOWUP_LENGTH_INFINITE),
-            ):
-                if mask.any():
-                    for i in np.nonzero(mask)[0]:
-                        statuses[i] = verdict
-                        stop_times[i] = (k + 1) * dt
-                    active &= ~mask
+            for mask, verdict in zip(masks, _VERDICTS):
+                for i in np.flatnonzero(mask):
+                    statuses[i] = verdict
+                    stop_times[i] = (k + 1) * dt
+                active &= ~mask
 
         if (k + 1) % stepper.snapshot_every == 0 or k == n_steps - 1:
             times.append((k + 1) * dt)

@@ -21,8 +21,7 @@ from curveflow.flows import (
     WILLMORE,
     FlowSpec,
     State,
-    assemble_diffusion,
-    assemble_system,
+    assemble,
 )
 from curveflow.grid import CLOSED, OPEN, Grid
 from curveflow.harness import main
@@ -196,9 +195,9 @@ def test_c06_length_noise_coefficient_exact(criterion_log):
     rng = np.random.Generator(np.random.PCG64(321))
     worst = 0.0
     for _ in range(100):
-        state = State(rng.standard_normal(64), 0.3 + 3.0 * rng.random())
-        rows = assemble_diffusion(spec, grid, state)
-        worst = max(worst, abs(rows[0].b_L + TWO_PI))
+        f, length = rng.standard_normal(64), 0.3 + 3.0 * rng.random()
+        lam = assemble(spec, grid, f, length).rows_lam[0]
+        worst = max(worst, abs(float(lam) + TWO_PI))
     criterion_log(
         "06 exact length noise coefficient",
         worst == 0.0,
@@ -254,20 +253,20 @@ def test_c08_spectral_basis_degenerates_to_scalar(criterion_log):
     rng = np.random.Generator(np.random.PCG64(7))
     worst = 0.0
     for _ in range(100):
-        state = State(rng.standard_normal(grid.n), 0.3 + 3.0 * rng.random())
-        drift_s, rows_s = assemble_system(scalar, grid, state)
-        drift_d, rows_d = assemble_system(degenerate, grid, state)
+        f, length = rng.standard_normal(grid.n), 0.3 + 3.0 * rng.random()
+        a_s = assemble(scalar, grid, f, length)
+        a_d = assemble(degenerate, grid, f, length)
         worst = max(
             worst,
-            float(np.abs(drift_s.stiff - drift_d.stiff).max()),
-            float(np.abs(drift_s.explicit_f - drift_d.explicit_f).max()),
-            abs(drift_s.explicit_L - drift_d.explicit_L),
-            float(np.abs(rows_s[0].b_f - rows_d[0].b_f).max()),
-            abs(rows_s[0].b_L - rows_d[0].b_L),
+            float(np.abs(a_s.stiff - a_d.stiff).max()),
+            float(np.abs((a_s.det_f + a_s.corr_f) - (a_d.det_f + a_d.corr_f)).max()),
+            abs(float(a_s.det_L + a_s.corr_L) - float(a_d.det_L + a_d.corr_L)),
+            float(np.abs(a_s.rows_beta[0] - a_d.rows_beta[0]).max()),
+            abs(float(a_s.rows_lam[0]) - float(a_d.rows_lam[0])),
         )
-        assert len(rows_d) == 8
-        for row in rows_d[1:]:
-            worst = max(worst, float(np.abs(row.b_f).max()), abs(row.b_L))
+        assert a_d.rows_beta.shape[0] == 8
+        for b_f, b_L in zip(a_d.rows_beta[1:], a_d.rows_lam[1:]):
+            worst = max(worst, float(np.abs(b_f).max()), abs(float(b_L)))
     criterion_log(
         "08 spectral basis degenerates to scalar noise",
         worst < 1e-12,

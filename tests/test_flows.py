@@ -20,10 +20,6 @@ from curveflow.flows import (
     FlowSpec,
     State,
     assemble,
-    assemble_diffusion,
-    assemble_drift,
-    assemble_system,
-    ito_correction,
 )
 from curveflow.grid import CLOSED, OPEN, Grid
 from curveflow.noise import NoiseModel, basis_eval
@@ -51,21 +47,20 @@ def test_willmore_constant_state_drift():
     grid = Grid(CLOSED, 64)
     c, length = 0.7, 3.1
     spec = FlowSpec(WILLMORE, CLOSED, NoiseModel(mode="scalar", amplitude=1.0))
-    state = State(np.full(64, c), length)
-    split = assemble_drift(spec, grid, state)
-    assert np.all(split.stiff == 0.0)
-    assert np.all(split.explicit_f == -0.5 * c**5 + c**3)
-    assert split.explicit_L == 0.5 * length * c**4
+    a = assemble(spec, grid, np.full(64, c), length)
+    assert np.all(a.stiff == 0.0)
+    assert np.all(a.det_f + a.corr_f == -0.5 * c**5 + c**3)
+    assert a.det_L + a.corr_L == 0.5 * length * c**4
 
 
 def test_willmore_constant_state_noise_row():
     grid = Grid(CLOSED, 64)
     c = 0.7
     spec = FlowSpec(WILLMORE, CLOSED, NoiseModel(mode="scalar", amplitude=1.0))
-    rows = assemble_diffusion(spec, grid, State(np.full(64, c), 3.1))
-    assert len(rows) == 1
-    assert np.all(rows[0].b_f == c * c)
-    assert rows[0].b_L == -TWO_PI
+    a = assemble(spec, grid, np.full(64, c), 3.1)
+    assert a.rows_beta.shape == (1, 64) and a.rows_lam.shape == (1,)
+    assert np.all(a.rows_beta[0] == c * c)
+    assert a.rows_lam[0] == -TWO_PI
 
 
 def test_curve_diffusion_constant_state():
@@ -74,35 +69,33 @@ def test_curve_diffusion_constant_state():
     grid = Grid(CLOSED, 64)
     c, amp = 1.3, 0.5
     spec = FlowSpec(CURVE_DIFFUSION, CLOSED, NoiseModel(mode="scalar", amplitude=amp))
-    state = State(np.full(64, c), 2.0)
-    split = assemble_drift(spec, grid, state)
-    corr_f, corr_L = ito_correction(spec, grid, state)
-    assert np.all(split.stiff == 0.0)
-    assert np.abs(corr_f - amp * amp * c**3).max() < 1e-15
-    assert corr_L == 0.0
-    assert np.all(split.explicit_f == corr_f)
-    assert split.explicit_L == 0.0
+    a = assemble(spec, grid, np.full(64, c), 2.0)
+    assert np.all(a.stiff == 0.0)
+    assert np.abs(a.corr_f - amp * amp * c**3).max() < 1e-15
+    assert a.corr_L == 0.0
+    assert np.all(a.det_f + a.corr_f == a.corr_f)
+    assert a.det_L + a.corr_L == 0.0
 
 
 def test_curve_diffusion_constant_state_open():
     grid = Grid(OPEN, 65)
     c, amp = 1.3, 0.5
     spec = FlowSpec(CURVE_DIFFUSION, OPEN, NoiseModel(mode="scalar", amplitude=amp))
-    corr_f, corr_L = ito_correction(spec, grid, State(np.full(65, c), 2.0))
-    assert np.abs(corr_f - amp * amp * c**3).max() < 1e-12
-    assert abs(corr_L) < 1e-12
+    a = assemble(spec, grid, np.full(65, c), 2.0)
+    assert np.abs(a.corr_f - amp * amp * c**3).max() < 1e-12
+    assert abs(a.corr_L) < 1e-12
 
 
 def test_flat_state_is_stationary():
     """A straight segment (f == 0) produces no drift and no noise response."""
     grid = Grid(OPEN, 65)
     spec = FlowSpec(WILLMORE, OPEN, NoiseModel(mode="scalar", amplitude=1.0))
-    split, rows = assemble_system(spec, grid, State(np.zeros(65), 2.0))
-    assert np.all(split.stiff == 0.0)
-    assert np.all(split.explicit_f == 0.0)
-    assert split.explicit_L == 0.0
-    assert np.all(rows[0].b_f == 0.0)
-    assert rows[0].b_L == 0.0
+    a = assemble(spec, grid, np.zeros(65), 2.0)
+    assert np.all(a.stiff == 0.0)
+    assert np.all(a.det_f + a.corr_f == 0.0)
+    assert a.det_L + a.corr_L == 0.0
+    assert np.all(a.rows_beta[0] == 0.0)
+    assert a.rows_lam[0] == 0.0
 
 
 def test_spectral_rows_at_zero_curvature():
@@ -112,17 +105,15 @@ def test_spectral_rows_at_zero_curvature():
     grid = Grid(CLOSED, 64)
     noise = NoiseModel(mode="spectral", amplitude=0.3, n_modes=4, decay_exponent=6.0)
     spec = FlowSpec(WILLMORE, CLOSED, noise)
-    state = State(np.zeros(64), 1.0)
-    rows = assemble_diffusion(spec, grid, state)
-    for l, row in enumerate(rows, start=1):
-        assert np.array_equal(row.b_f, basis_eval(noise, grid, l, 2))
-        assert row.b_L == 0.0
-    corr_f, corr_L = ito_correction(spec, grid, state)
+    a = assemble(spec, grid, np.zeros(64), 1.0)
+    for l, (b_f, b_L) in enumerate(zip(a.rows_beta, a.rows_lam), start=1):
+        assert np.array_equal(b_f, basis_eval(noise, grid, l, 2))
+        assert b_L == 0.0
     expected = noise.amplitude**2 * sum(
         b.coefficient**2 * (TWO_PI * b.wavenumber) ** 2 / 4.0 for b in noise.basis
     )
-    assert np.all(corr_f == 0.0)
-    assert corr_L == pytest.approx(expected, abs=1e-14)
+    assert np.all(a.corr_f == 0.0)
+    assert a.corr_L == pytest.approx(expected, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +123,13 @@ def test_spectral_rows_at_zero_curvature():
 def test_ito_correction_scales_quadratically():
     rng = np.random.default_rng(11)
     grid = Grid(CLOSED, 64)
-    state = State(_band_limited(rng, grid), 2.0)
+    f = _band_limited(rng, grid)
     low = NoiseModel(mode="spectral", amplitude=0.3, n_modes=4, decay_exponent=6.0)
     high = NoiseModel(mode="spectral", amplitude=0.6, n_modes=4, decay_exponent=6.0)
-    cf1, cl1 = ito_correction(FlowSpec(WILLMORE, CLOSED, low), grid, state)
-    cf2, cl2 = ito_correction(FlowSpec(WILLMORE, CLOSED, high), grid, state)
-    assert np.array_equal(cf2, 4.0 * cf1)
-    assert cl2 == 4.0 * cl1
+    a1 = assemble(FlowSpec(WILLMORE, CLOSED, low), grid, f, 2.0)
+    a2 = assemble(FlowSpec(WILLMORE, CLOSED, high), grid, f, 2.0)
+    assert np.array_equal(a2.corr_f, 4.0 * a1.corr_f)
+    assert a2.corr_L == 4.0 * a1.corr_L
 
 
 def test_zero_amplitude_has_no_correction():
@@ -146,31 +137,33 @@ def test_zero_amplitude_has_no_correction():
     grid = Grid(CLOSED, 64)
     noise = NoiseModel(mode="spectral", amplitude=0.0, n_modes=6, decay_exponent=6.0)
     spec = FlowSpec(CURVE_DIFFUSION, CLOSED, noise)
-    state = State(_band_limited(rng, grid), 1.5)
-    corr_f, corr_L = ito_correction(spec, grid, state)
-    assert np.all(corr_f == 0.0)
-    assert corr_L == 0.0
+    f = _band_limited(rng, grid)
+    with_corr = assemble(spec, grid, f, 1.5, include_ito=True)
+    assert np.all(with_corr.corr_f == 0.0)
+    assert with_corr.corr_L == 0.0
     # and the Ito drift coincides with the Stratonovich drift
-    with_corr = assemble_system(spec, grid, state, include_ito=True)[0]
-    without = assemble_system(spec, grid, state, include_ito=False)[0]
-    assert np.array_equal(with_corr.explicit_f, without.explicit_f)
-    assert with_corr.explicit_L == without.explicit_L
+    without = assemble(spec, grid, f, 1.5, include_ito=False)
+    assert np.array_equal(with_corr.det_f + with_corr.corr_f, without.det_f + without.corr_f)
+    assert with_corr.det_L + with_corr.corr_L == without.det_L + without.corr_L
 
 
 def test_stratonovich_drift_plus_correction_is_ito_drift():
-    """include_ito toggles exactly the ito_correction term, bitwise."""
+    """include_ito toggles exactly the correction term, bitwise."""
     rng = np.random.default_rng(5)
     grid = Grid(CLOSED, 64)
     noise = NoiseModel(mode="spectral", amplitude=0.4, n_modes=6, decay_exponent=6.0)
     for kind in (WILLMORE, CURVE_DIFFUSION):
         spec = FlowSpec(kind, CLOSED, noise)
-        state = State(_band_limited(rng, grid), 0.9 + rng.random())
-        strat = assemble_system(spec, grid, state, include_ito=False)[0]
-        ito = assemble_system(spec, grid, state, include_ito=True)[0]
-        corr_f, corr_L = ito_correction(spec, grid, state)
-        assert np.array_equal(ito.explicit_f, strat.explicit_f + corr_f)
-        assert ito.explicit_L == strat.explicit_L + corr_L
+        f, length = _band_limited(rng, grid), 0.9 + rng.random()
+        strat = assemble(spec, grid, f, length, include_ito=False)
+        ito = assemble(spec, grid, f, length, include_ito=True)
+        assert np.all(strat.corr_f == 0.0) and strat.corr_L == 0.0
+        assert np.any(ito.corr_f != 0.0)
+        assert np.array_equal(ito.det_f, strat.det_f)
+        assert ito.det_L == strat.det_L
         assert np.array_equal(ito.stiff, strat.stiff)
+        assert np.array_equal(ito.rows_beta, strat.rows_beta)
+        assert np.array_equal(ito.rows_lam, strat.rows_lam)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +179,11 @@ def test_turning_conserved_per_noise_mode(kind):
     for _ in range(25):
         f = _band_limited(rng, grid)
         length = 0.5 + 3.0 * rng.random()
-        rows = assemble_diffusion(spec, grid, State(f, length))
+        a = assemble(spec, grid, f, length)
         mean_f = grid.integrate(f)
-        for row in rows:
+        for b_f, b_L in zip(a.rows_beta, a.rows_lam):
             # d(L mean f) along the row: L*mean(b_f) + mean(f)*b_L
-            assert abs(length * grid.integrate(row.b_f) + mean_f * row.b_L) < 1e-13
+            assert abs(length * grid.integrate(b_f) + mean_f * b_L) < 1e-13
 
 
 @pytest.mark.parametrize("kind", [WILLMORE, CURVE_DIFFUSION])
@@ -220,13 +213,11 @@ def test_ito_correction_conserves_expected_turning(kind):
     for _ in range(25):
         f = _band_limited(rng, grid)
         length = 0.5 + 3.0 * rng.random()
-        state = State(f, length)
-        rows = assemble_diffusion(spec, grid, state)
-        corr_f, corr_L = ito_correction(spec, grid, state)
-        quad_var = sum(row.b_L * grid.integrate(row.b_f) for row in rows)
+        a = assemble(spec, grid, f, length)
+        quad_var = sum(b_L * grid.integrate(b_f) for b_f, b_L in zip(a.rows_beta, a.rows_lam))
         total = (
-            length * grid.integrate(corr_f)
-            + grid.integrate(f) * corr_L
+            length * grid.integrate(a.corr_f)
+            + grid.integrate(f) * a.corr_L
             + noise.amplitude**2 * quad_var
         )
         assert abs(total) < 1e-13
@@ -239,16 +230,15 @@ def test_scalar_noise_length_row_is_constant():
     spec = FlowSpec(WILLMORE, CLOSED, NoiseModel(mode="scalar", amplitude=0.7))
     assert spec.uses_turning_shortcut
     for _ in range(10):
-        state = State(rng.standard_normal(64), 0.3 + 3.0 * rng.random())
-        rows = assemble_diffusion(spec, grid, state)
-        assert rows[0].b_L == -TWO_PI
+        a = assemble(spec, grid, rng.standard_normal(64), 0.3 + 3.0 * rng.random())
+        assert a.rows_lam[0] == -TWO_PI
     # the shortcut is consistent with turning conservation exactly when the
     # state describes a simple closed curve (total turning 2 pi)
     f = _band_limited(rng, grid)
     length = 0.5 + 3.0 * rng.random()
     f *= TWO_PI / (length * grid.integrate(f))
-    rows = assemble_diffusion(spec, grid, State(f, length))
-    defect = length * grid.integrate(rows[0].b_f) + grid.integrate(f) * rows[0].b_L
+    a = assemble(spec, grid, f, length)
+    defect = length * grid.integrate(a.rows_beta[0]) + grid.integrate(f) * a.rows_lam[0]
     assert abs(defect) < 1e-12
 
 
@@ -262,9 +252,9 @@ def test_open_topology_has_no_shortcut():
     rng = np.random.default_rng(37)
     f = 1.0 + 0.2 * np.sin(np.pi * grid.nodes) * rng.random()
     length = 2.0
-    rows = assemble_diffusion(spec, grid, State(f, length))
+    lam = assemble(spec, grid, f, length).rows_lam[0]
     expected = -length * grid.integrate(f * np.ones(grid.n))
-    assert rows[0].b_L == pytest.approx(expected, rel=1e-14)
+    assert lam == pytest.approx(expected, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +321,13 @@ def test_stiff_sign_flip_only_touches_stiff_part():
     grid = Grid(CLOSED, 64)
     noise = NoiseModel(mode="scalar", amplitude=0.3)
     spec = FlowSpec(WILLMORE, CLOSED, noise)
-    state = State(_band_limited(rng, grid), 1.7)
-    normal = assemble_system(spec, grid, state)[0]
+    f = _band_limited(rng, grid)
+    normal = assemble(spec, grid, f, 1.7)
     flipped_spec = FlowSpec(WILLMORE, CLOSED, noise, stiff_sign=+1.0)
-    flipped = assemble_system(flipped_spec, grid, state)[0]
+    flipped = assemble(flipped_spec, grid, f, 1.7)
     assert np.array_equal(flipped.stiff, -normal.stiff)
-    assert np.array_equal(flipped.explicit_f, normal.explicit_f)
-    assert flipped.explicit_L == normal.explicit_L
+    assert np.array_equal(flipped.det_f + flipped.corr_f, normal.det_f + normal.corr_f)
+    assert flipped.det_L + flipped.corr_L == normal.det_L + normal.corr_L
 
 
 def test_spec_validation():
@@ -353,14 +343,14 @@ def test_state_validation():
     noise = NoiseModel(mode="scalar", amplitude=0.1)
     spec_open = FlowSpec(WILLMORE, OPEN, noise)
     with pytest.raises(ValueError):
-        assemble_system(spec_open, grid, State(np.ones(64), 1.0))
+        assemble(spec_open, grid, np.ones(64), 1.0)
     spec = FlowSpec(WILLMORE, CLOSED, noise)
     with pytest.raises(ValueError):
-        assemble_system(spec, grid, State(np.ones((2, 64)), 1.0))
+        assemble(spec, grid, np.ones((2, 64)), 1.0)
     with pytest.raises(ValueError):
-        assemble_system(spec, grid, State(np.ones(64), -1.0))
+        assemble(spec, grid, np.ones(64), -1.0)
     with pytest.raises(ValueError):
-        assemble_system(spec, grid, State(np.ones(64), np.inf))
+        assemble(spec, grid, np.ones(64), np.inf)
     with pytest.raises(ValueError):
         assemble(spec, grid, np.ones((3, 64)), np.ones(2))
 

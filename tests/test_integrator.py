@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+from curveflow import integrator
 from curveflow.flows import CURVE_DIFFUSION, WILLMORE, FlowSpec, State
 from curveflow.grid import CLOSED, OPEN, Grid
 from curveflow.integrator import (
@@ -28,9 +29,6 @@ from curveflow.integrator import (
     dt_stability,
     run,
     run_ensemble,
-    step_explicit_em,
-    step_heun_strat,
-    step_imex_em,
 )
 from curveflow.noise import BrownianDriver, NoiseModel
 
@@ -39,6 +37,7 @@ TWO_PI = 2.0 * np.pi
 NO_NOISE = NoiseModel(mode="scalar", amplitude=0.0)
 UNIT_NOISE = NoiseModel(mode="scalar", amplitude=1.0)
 WIDE_STOP = StopCriteria(l_min=1e-6, l_max=1e6, f_max=1e6)
+SCHEMES = (IMEX_EM, HEUN_STRATONOVICH, EXPLICIT_EM)
 
 
 def circle(n=32, radius=1.0):
@@ -109,6 +108,16 @@ def test_stability_enforcement_at_start():
 # single steps
 
 
+def step(scheme, spec, grid, state, dt, dw=None):
+    """One step of the scheme's kernel on a single state: (new_f, new_length)."""
+    return integrator._STEPPERS[scheme](spec, grid, state.f, state.length, dt, dw)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_run_and_ensemble_share_one_kernel(scheme):
+    assert integrator._STEPPERS[scheme] is integrator._BATCH_STEPPERS[scheme]
+
+
 def test_imex_step_exact_on_circle():
     # constant f: every derivative vanishes, so one step is pure arithmetic:
     # L -> L (1 + dt f^4 / 2), and the turning projection (the implicit solve
@@ -118,30 +127,32 @@ def test_imex_step_exact_on_circle():
     spec = FlowSpec(WILLMORE, CLOSED, NO_NOISE)
     state = circle()
     dt = 1e-4
-    out = step_imex_em(spec, grid, state, dt)
-    assert out.length == pytest.approx(TWO_PI * (1.0 + 0.5 * dt), rel=1e-15)
-    assert np.ptp(out.f) == 0.0
-    assert out.f[0] == pytest.approx(TWO_PI / out.length, rel=1e-15)
-    assert out.length * grid.integrate(out.f) == pytest.approx(TWO_PI, rel=1e-15)
-    assert out.time == dt
+    new_f, new_length = step(IMEX_EM, spec, grid, state, dt)
+    assert new_length == pytest.approx(TWO_PI * (1.0 + 0.5 * dt), rel=1e-15)
+    assert np.ptp(new_f) == 0.0
+    assert new_f[0] == pytest.approx(TWO_PI / new_length, rel=1e-15)
+    assert new_length * grid.integrate(new_f) == pytest.approx(TWO_PI, rel=1e-15)
 
 
 def test_flat_curve_diffusion_step_is_identity():
     grid = Grid(CLOSED, 32)
     spec = FlowSpec(CURVE_DIFFUSION, CLOSED, NO_NOISE)
     state = State(np.full(32, 0.5), 4.0 * np.pi, time=0.25)
-    out = step_imex_em(spec, grid, state, 1e-3)
-    assert np.array_equal(out.f, state.f)
-    assert out.length == state.length
-    assert out.time == 0.25 + 1e-3
+    new_f, new_length = step(IMEX_EM, spec, grid, state, 1e-3)
+    assert np.array_equal(new_f, state.f)
+    assert new_length == state.length
 
 
-@pytest.mark.parametrize("step_fn", [step_imex_em, step_explicit_em, step_heun_strat])
-def test_step_refuses_nonpositive_length(step_fn):
-    # a scalar increment of +5 removes 10 pi from a length of 2 pi
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_step_refuses_nonpositive_length(scheme):
+    # a scalar increment of +5 removes 10 pi from a length of 2 pi; the
+    # kernel reports the collapse as a non-positive length, which run
+    # retries and run_ensemble classifies
     grid = Grid(CLOSED, 32)
     spec = FlowSpec(CURVE_DIFFUSION, CLOSED, UNIT_NOISE)
-    assert step_fn(spec, grid, circle(), 1e-4, np.array([5.0])) is None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, new_length = step(scheme, spec, grid, circle(), 1e-4, np.array([5.0]))
+    assert new_length <= 0.0
 
 
 def test_heun_hands_divergence_to_caller():
@@ -151,9 +162,10 @@ def test_heun_hands_divergence_to_caller():
     grid = Grid(CLOSED, 32)
     spec = FlowSpec(CURVE_DIFFUSION, CLOSED, UNIT_NOISE)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = step_heun_strat(spec, grid, circle(), 1e-4, np.array([-1e150]))
-    assert out is not None
-    assert not (np.all(np.isfinite(out.f)) and math.isfinite(out.length))
+        new_f, new_length = step(
+            HEUN_STRATONOVICH, spec, grid, circle(), 1e-4, np.array([-1e150])
+        )
+    assert not (np.all(np.isfinite(new_f)) and math.isfinite(new_length))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +411,16 @@ def test_ensemble_rows_match_single_runs_bitwise():
 
 
 @pytest.mark.parametrize(
-    "scheme,dt", [(IMEX_EM, 1e-4), (HEUN_STRATONOVICH, 2e-7), (EXPLICIT_EM, 2e-7)]
+    "topology,scheme,dt",
+    [
+        pytest.param(CLOSED, IMEX_EM, 1e-4, id="imex_em-0.0001"),
+        pytest.param(CLOSED, HEUN_STRATONOVICH, 2e-7, id="heun_stratonovich-2e-07"),
+        pytest.param(CLOSED, EXPLICIT_EM, 2e-7, id="explicit_em-2e-07"),
+        # the open grid's one-sided stencils bound explicit steps near 1e-7
+        pytest.param(OPEN, IMEX_EM, 1e-4, id="open-imex_em-0.0001"),
+        pytest.param(OPEN, HEUN_STRATONOVICH, 5e-8, id="open-heun_stratonovich-5e-08"),
+        pytest.param(OPEN, EXPLICIT_EM, 5e-8, id="open-explicit_em-5e-08"),
+    ],
 )
 @pytest.mark.parametrize("kind", [WILLMORE, CURVE_DIFFUSION])
 @pytest.mark.parametrize(
@@ -410,13 +431,13 @@ def test_ensemble_rows_match_single_runs_bitwise():
     ],
     ids=["scalar", "spectral8"],
 )
-def test_ensemble_rows_match_single_runs_every_scheme(scheme, dt, kind, noise):
-    """Batch rows equal single runs bit for bit for every scheme, flow and
-    noise model, from a state that is not a circle.  Unit amplitude keeps the
-    noise terms large enough that a change in the order of the per-mode sums
-    shows in the final values."""
-    grid = Grid(CLOSED, 32)
-    spec = FlowSpec(kind, CLOSED, noise)
+def test_ensemble_rows_match_single_runs_every_scheme(topology, scheme, dt, kind, noise):
+    """Batch rows equal single runs bit for bit for every scheme, flow, noise
+    model and topology, from a state that is not a circle.  Unit amplitude
+    keeps the noise terms large enough that a change in the order of the
+    per-mode sums shows in the final values."""
+    grid = Grid(topology, 32 if topology == CLOSED else 33)
+    spec = FlowSpec(kind, topology, noise)
     state = non_circle(grid)
     cfg = StepperConfig(scheme, dt, 16 * dt, snapshot_every=4)
     stop = StopCriteria.from_initial(state)
@@ -498,18 +519,30 @@ def test_ensemble_rows_full_even_when_all_paths_stop():
 
 def test_ensemble_exact_zero_length_is_a_collapse():
     # b_L = -2 pi on a circle, so a unit increment takes the length to
-    # exactly 0; the turning projection divides by the new length and must
-    # not turn that collapse into a numerical failure
+    # exactly 0 (through the predictor for Heun); neither the turning
+    # projection's division by the new length nor the corrector may turn
+    # that collapse into a numerical failure
     grid = Grid(CLOSED, 32)
     spec = FlowSpec(CURVE_DIFFUSION, CLOSED, UNIT_NOISE)
-    cfg = StepperConfig(IMEX_EM, 1e-4, 1e-3, snapshot_every=2)
     inc = np.zeros((10, 1, 1))
     inc[1, 0, 0] = 1.0
-    ens = run_ensemble(
-        spec, grid, np.ones(32), TWO_PI, cfg, 1, seed=1, increments=inc, stop=WIDE_STOP
-    )
-    assert ens.statuses == [TerminalStatus.BLOWUP_LENGTH_ZERO]
-    assert ens.final_lengths[0] == TWO_PI
+    for scheme, dt in ((IMEX_EM, 1e-4), (HEUN_STRATONOVICH, 2e-7), (EXPLICIT_EM, 2e-7)):
+        cfg = StepperConfig(scheme, dt, 10 * dt, snapshot_every=2)
+        ens = run_ensemble(
+            spec, grid, np.ones(32), TWO_PI, cfg, 1, seed=1, increments=inc, stop=WIDE_STOP
+        )
+        assert ens.statuses == [TerminalStatus.BLOWUP_LENGTH_ZERO], scheme
+        assert ens.final_lengths[0] == TWO_PI
+
+
+def test_infinite_initial_length_is_rejected():
+    grid = Grid(CLOSED, 32)
+    spec = FlowSpec(CURVE_DIFFUSION, CLOSED, UNIT_NOISE)
+    cfg = StepperConfig(IMEX_EM, 1e-4, 1e-3)
+    with pytest.raises(ValueError, match="positive and finite"):
+        run(spec, grid, State(np.ones(32), np.inf), cfg, stop=WIDE_STOP, driver=BrownianDriver(1))
+    with pytest.raises(ValueError, match="positive and finite"):
+        run_ensemble(spec, grid, np.ones(32), np.inf, cfg, 2, seed=1, stop=WIDE_STOP)
 
 
 def test_ensemble_classifies_per_path_numerical_failure():
