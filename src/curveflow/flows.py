@@ -133,13 +133,6 @@ def _basis_table(noise, grid):
     return grid.cached(("noise_basis", noise.basis), build)
 
 
-def _pointwise(*factors):
-    out = factors[0]
-    for g in factors[1:]:
-        out = out * g
-    return out
-
-
 def assemble(spec, grid, f, length, include_ito=True):
     """Assemble drift pieces and diffusion rows for (possibly stacked) states.
 
@@ -163,7 +156,6 @@ def assemble(spec, grid, f, length, include_ito=True):
     if not np.all(np.isfinite(lc) & (lc > 0.0)):
         raise ValueError(f"length must be positive and finite, got {length}")
 
-    prod = grid.product if grid.dealias else _pointwise
     r = grid.nodes
     noise = spec.noise
     n_modes = noise.n_modes
@@ -182,10 +174,10 @@ def assemble(spec, grid, f, length, include_ito=True):
     stiff = f4  # in f4's slot: stiff_sign * f4 / l4
     stiff *= spec.stiff_sign
     stiff /= l4
-    ff = prod(f, f)
+    ff = f * f
 
     if spec.kind == WILLMORE:
-        v = -(f2 / l2 + 0.5 * prod(f, f, f))
+        v = -(f2 / l2 + 0.5 * (ff * f))
     else:
         v = -(f2 / l2)
     # f*V and every f*phi_l share one running-integral pass
@@ -201,13 +193,13 @@ def assemble(spec, grid, f, length, include_ito=True):
     transport = cums[0] + r * (det_l / lc)[..., None]
     if spec.kind == WILLMORE:
         det_f = (
-            -2.5 * prod(f, f, f2) / l2
-            - 3.0 * prod(f, f1, f1) / l2
-            - 0.5 * prod(f, f, f, f, f)
+            -2.5 * (ff * f2) / l2
+            - 3.0 * (f * f1 * f1) / l2
+            - 0.5 * (ff * f * f * f)
             + transport * f1
         )
     else:
-        det_f = -prod(f, f, f2) / l2 + transport * f1
+        det_f = -(ff * f2) / l2 + transport * f1
     del transport
 
     shortcut = spec.uses_turning_shortcut

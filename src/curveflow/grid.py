@@ -113,13 +113,9 @@ class Grid:
     n : int
         Node count; at least 8, and even for the closed topology so the
         real-valued transforms pair modes.
-    dealias : bool
-        When True, ``product`` forms nonlinear products on a 3/2-padded
-        grid.  Off by default: pointwise products are standard here and the
-        quintic terms only alias at coarse resolutions.
     """
 
-    def __init__(self, topology, n, dealias=False):
+    def __init__(self, topology, n):
         if topology not in _TOPOLOGIES:
             raise ValueError(f"topology must be one of {_TOPOLOGIES}, got {topology!r}")
         n = int(n)
@@ -129,7 +125,6 @@ class Grid:
             raise ValueError(f"closed topology needs even n, got {n}")
         self.topology = topology
         self.n = n
-        self.dealias = bool(dealias)
         if topology == CLOSED:
             self.nodes = np.arange(n) / n
             self.h = 1.0 / n
@@ -353,23 +348,3 @@ class Grid:
             out = vh[..., : m // 2 + 1].copy()
             out[..., m // 2] = 2.0 * out[..., m // 2].real
         return np.fft.irfft(out, m, axis=-1) * (m / n)
-
-    def product(self, *factors):
-        """Pointwise product of fields, optionally dealiased by 3/2 padding."""
-        if not factors:
-            raise ValueError("product needs at least one factor")
-        fields = [self._field(f) for f in factors]
-        if not self.dealias or not self.closed:
-            out = fields[0].copy()
-            for f in fields[1:]:
-                out = out * f
-            return out
-        m = self.n
-        pad = 3 * m // 2
-        if pad % 2:
-            pad += 1
-        out = self.resample(fields[0], pad)
-        fine = Grid(CLOSED, pad)
-        for f in fields[1:]:
-            out = out * self.resample(f, pad)
-        return fine.resample(out, m)

@@ -67,7 +67,6 @@ _SCHEMA = {
     "flow.kind": (str, WILLMORE, (WILLMORE, CURVE_DIFFUSION), "normal velocity driving the flow"),
     "grid.topology": (str, CLOSED, (CLOSED, OPEN), "periodic (closed curve) or interval (open)"),
     "grid.n": (int, 64, None, "number of spatial nodes"),
-    "grid.dealias": (bool, False, None, "pad pointwise products on closed grids"),
     "noise.mode": (str, "scalar", ("scalar", "spectral"), "single flat mode or decaying Fourier basis"),
     "noise.amplitude": (float, 0.0, None, "noise strength; 0 disables noise"),
     "noise.n_modes": (int, 8, None, "number of basis modes (spectral mode)"),
@@ -179,7 +178,7 @@ def resolve_workers(args):
 
 def build_grid(cfg):
     try:
-        return Grid(cfg["grid.topology"], cfg["grid.n"], dealias=cfg["grid.dealias"])
+        return Grid(cfg["grid.topology"], cfg["grid.n"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -625,10 +624,10 @@ def _study_strong(cfg, n_paths):
     f0 = np.ones(n)
     length0 = TWO_PI
 
-    gens = [
-        np.random.Generator(np.random.PCG64(substream_seed(seed, i))) for i in range(n_paths)
-    ]
-    fine = np.stack([g.standard_normal((n_fine, 1)) for g in gens], axis=1) * math.sqrt(dt_fine)
+    fine = np.stack(
+        [BrownianDriver(seed, i).increment_block(n_fine, 1, dt_fine) for i in range(n_paths)],
+        axis=1,
+    )
 
     def terminal(dt, increments):
         stepper = StepperConfig(IMEX_EM, dt, t_end, 10**9)
@@ -835,24 +834,27 @@ def _load_state_file(path):
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read state file {path}: {exc}") from None
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    if not text.strip():
         raise ConfigError(f"state file {path} is empty")
-    first = json.loads(lines[0])
+    try:
+        records = [json.loads(text)]
+    except json.JSONDecodeError:
+        # JSON Lines: a simulate run's meta record followed by its snapshots
+        records = [json.loads(line) for line in text.splitlines() if line.strip()]
+    first = records[0]
     if isinstance(first, dict) and first.get("record") == "meta":
         topology = first["config"]["grid.topology"]
         chosen = None
-        for line in lines[1:]:
-            rec = json.loads(line)
+        for rec in records[1:]:
             if rec.get("record") == "snapshot" and rec.get("full_resolution"):
                 chosen = rec
         if chosen is None:
             raise ConfigError(f"no full-resolution snapshot in {path}")
         return topology, np.asarray(chosen["f"], dtype=float), float(chosen["length"])
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or "f" not in obj or "length" not in obj:
+    if len(records) > 1 or not isinstance(first, dict) or "f" not in first or "length" not in first:
         raise ConfigError(f"state file {path} needs 'f' and 'length' fields")
-    return obj.get("topology", CLOSED), np.asarray(obj["f"], dtype=float), float(obj["length"])
+    topology = first.get("topology", CLOSED)
+    return topology, np.asarray(first["f"], dtype=float), float(first["length"])
 
 
 def cmd_reconstruct(args):

@@ -332,14 +332,19 @@ def _snapshot(grid, state, step, full=False):
     )
 
 
-def check_turning_consistency(grid, state, tol=_TURNING_TOL):
-    """Closed states must carry a total turning near a multiple of 2*pi."""
-    turning = float(state.length * grid.integrate(state.f))
-    winding = round(turning / (2.0 * math.pi))
-    defect = abs(turning - 2.0 * math.pi * winding)
-    if defect > tol:
+def check_turning_consistency(grid, f, length, tol=_TURNING_TOL):
+    """Closed states must carry a total turning near a multiple of 2*pi.
+
+    f has shape (*B, n) and length B; every row is checked at once and the
+    first offending row is reported.
+    """
+    turning = np.reshape(length * grid.integrate(f), -1)
+    defect = np.abs(turning - 2.0 * math.pi * np.round(turning / (2.0 * math.pi)))
+    bad = np.flatnonzero(defect > tol)
+    if bad.size:
+        i = bad[0]
         raise ValueError(
-            f"closed-curve total turning {turning:.8g} is {defect:.3g} away from "
+            f"closed-curve total turning {turning[i]:.8g} is {defect[i]:.3g} away from "
             f"the nearest multiple of 2*pi (tolerance {tol:g})"
         )
 
@@ -386,12 +391,11 @@ def _start(grid, stepper, f, lengths, stop, check_turning):
     grid.check_field(f)
     if not np.all(np.isfinite(lengths) & (lengths > 0)):
         raise ValueError(f"initial length must be positive and finite, got {lengths}")
-    states = [State(fi, float(li)) for fi, li in zip(f.reshape(-1, grid.n), lengths.reshape(-1))]
     if grid.closed and check_turning:
-        for state in states:
-            check_turning_consistency(grid, state)
+        check_turning_consistency(grid, f, lengths)
     if stop is None:
-        stop = StopCriteria.from_initial(states[0])
+        first = State(f.reshape(-1, grid.n)[0], float(lengths.reshape(-1)[0]))
+        stop = StopCriteria.from_initial(first)
     bound = dt_stability(stepper.scheme, grid, float(lengths.min()), float(np.max(np.abs(f))))
     if stepper.dt > bound:
         msg = (

@@ -26,6 +26,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 SCALAR = "scalar"
 SPECTRAL = "spectral"
 
+# largest summed C^4 norm accepted for a noise basis
+C4_BOUND = 1e6
+
 
 def _mix64(x):
     """One splitmix64 finalization round: full avalanche of a 64-bit word."""
@@ -122,8 +125,6 @@ class NoiseModel:
         Amplitude decay of the default spectral basis; must exceed 5.
     basis : optional sequence of BasisFunction
         Explicit basis override; length must equal n_modes.
-    c4_bound : float
-        Upper bound accepted for the summed C^4 norms of the basis.
     """
 
     def __init__(
@@ -133,7 +134,6 @@ class NoiseModel:
         n_modes=8,
         decay_exponent=6.0,
         basis=None,
-        c4_bound=1e6,
     ):
         if mode not in (SCALAR, SPECTRAL):
             raise ValueError(f"noise mode must be '{SCALAR}' or '{SPECTRAL}', got {mode!r}")
@@ -162,10 +162,10 @@ class NoiseModel:
                     )
                 self.basis = basis
         self.c4_sum = float(sum(b.c4_norm() for b in self.basis))
-        if not math.isfinite(self.c4_sum) or self.c4_sum > c4_bound:
+        if not math.isfinite(self.c4_sum) or self.c4_sum > C4_BOUND:
             raise ValueError(
                 f"summed C^4 norm of the noise basis is {self.c4_sum}, "
-                f"exceeding the configured bound {c4_bound}"
+                f"exceeding the bound {C4_BOUND:g}"
             )
 
     def __repr__(self):

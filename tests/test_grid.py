@@ -196,16 +196,6 @@ def test_resample_interpolates_modes():
     assert np.max(np.abs(fine - np.cos(TWO_PI * 2 * g2.nodes))) < 1e-13
 
 
-def test_dealias_product_drops_aliased_mode():
-    # two mode-7 factors on n=16 produce mode 14, which cannot be represented;
-    # without padding it would alias onto mode 2
-    g = Grid(CLOSED, 16, dealias=True)
-    f = np.cos(TWO_PI * 7 * g.nodes)
-    prod = g.product(f, f)
-    expected = np.full(16, 0.5)  # the resolvable half of cos^2
-    assert np.max(np.abs(prod - expected)) < 1e-13
-
-
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(CLOSED, 15)  # closed grids must be even

@@ -61,7 +61,6 @@ def test_print_config_lists_all_defaults(capsys):
     assert lines[0] == "flow.kind = willmore"
     assert "stepper.dt = 0.0001" in lines
     assert "run.check_turning = true" in lines
-    assert "grid.dealias = false" in lines
 
 
 def test_print_config_round_trips_through_load(tmp_path):
@@ -85,7 +84,6 @@ def test_config_overlay_types_and_comments(tmp_path):
             "flow.kind = curve_diffusion\n"
             "grid.n=48\n"
             "noise.amplitude =   2.5e-1\n"
-            "grid.dealias = yes\n"
             "run.check_turning = off\n"
             "init.mode = 5\n",
         )
@@ -93,7 +91,6 @@ def test_config_overlay_types_and_comments(tmp_path):
     assert cfg["flow.kind"] == "curve_diffusion"
     assert cfg["grid.n"] == 48
     assert cfg["noise.amplitude"] == 0.25
-    assert cfg["grid.dealias"] is True
     assert cfg["run.check_turning"] is False
     assert cfg["init.mode"] == 5
     assert cfg["stepper.dt"] == 1e-4  # untouched default
@@ -110,11 +107,12 @@ def test_config_unknown_key_reports_location(tmp_path):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("grid.dealias = maybe", "expected a boolean"),
+        ("run.check_turning = maybe", "expected a boolean"),
         ("grid.n = 4.5", "expected an integer"),
         ("stepper.dt = fast", "expected a number"),
         ("stepper.dt 1e-3", "expected 'key = value'"),
         ("flow.kind = mean_curvature", "must be one of"),
+        ("grid.dealias = false", "unknown config key"),
     ],
 )
 def test_config_value_errors(tmp_path, text, message):
@@ -542,11 +540,13 @@ def test_reconstruct_from_trajectory_file(tmp_path):
 
 def test_reconstruct_from_plain_state(tmp_path):
     state_path = tmp_path / "state.json"
-    state_path.write_text(json.dumps({"f": [1.0] * 64, "length": TWO_PI, "topology": "closed"}))
     csv_path = str(tmp_path / "c.csv")
-    assert main(["reconstruct", "--state", str(state_path), "--out", csv_path]) == 0
-    rows = (tmp_path / "c.csv").read_text().splitlines()
-    assert len(rows) == 1026  # default refinement of a 64-node circle
+    state = {"f": [1.0] * 64, "length": TWO_PI, "topology": "closed"}
+    for indent in (None, 2):  # compact and pretty-printed JSON
+        state_path.write_text(json.dumps(state, indent=indent))
+        assert main(["reconstruct", "--state", str(state_path), "--out", csv_path]) == 0
+        rows = (tmp_path / "c.csv").read_text().splitlines()
+        assert len(rows) == 1026  # default refinement of a 64-node circle
 
     rc = main(
         [

@@ -594,6 +594,11 @@ def test_ensemble_validation():
         run_ensemble(
             spec, grid, np.full(32, 1.01), TWO_PI, cfg, 2, seed=1, increments=inc
         )
+    # every row is checked, and the first offending one is reported
+    f0 = np.ones((2, 32))
+    f0[1] = 1.01
+    with pytest.raises(ValueError, match="turning 6.346"):
+        run_ensemble(spec, grid, f0, TWO_PI, cfg, 2, seed=1, increments=inc)
 
 
 # ---------------------------------------------------------------------------
