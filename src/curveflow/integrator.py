@@ -21,31 +21,33 @@ Three schemes advance the curvature-length system:
 
 Each scheme is written once, as a kernel on stacked arrays,
 ``(spec, grid, f, length, dt, dw) -> (new_f, new_length)`` with f of shape
-(*B, n) and length of shape B.  ``run`` calls it with B = () and
-``run_ensemble`` with B = (M,), so a batch row and a single path take
-identical arithmetic.  A kernel never raises on a bad row: a diverged row
-comes back non-finite and a collapsed one with a non-positive length.
+(*B, n) and length of shape B.  A kernel never raises on a bad row: a
+diverged row comes back non-finite and a collapsed one with a non-positive
+length.
 
 Stability: the explicitly treated variable-coefficient second-order term
 requires dt <= 0.5 * L^2 / (sup|f|^2 n^2); fully explicit schemes
 additionally require dt below the reciprocal of the fourth-order operator's
 largest eigenvalue.  ImexEM and HeunStratonovich refuse to start above their
 bound; ExplicitEM only warns, so that divergence detection itself can be
-exercised.
+exercised.  Crossing the bound mid-run warns.
 
-In ``run``, a step whose length update is non-positive is retried with a
-halved dt (and fresh Brownian increments) up to a bounded number of times
-before the run is declared to have shrunk to a point.  Runs stop early when
-the sup of |f| or the length leaves the configured window, mirroring the
-continuous flow's blow-up alternative; the terminal status records which
-predicate tripped.  Non-finite values terminate the run at once, without
-ever being written to a snapshot.
+``run`` (one trajectory, recorded as snapshots) and ``run_ensemble`` (a
+batch, recorded as length and energy rows) share one stepping loop, so with
+per-trajectory substreams row i of a batch is bit-identical to a single
+``run`` with the same (seed, i).  Rows stop one by one when the sup of |f|
+or the length leaves the configured window, mirroring the continuous flow's
+blow-up alternative, or at once on a non-finite value; the terminal status
+records which predicate tripped, and records hold only finite states.
 
-``run_ensemble`` advances many independent trajectories as one stacked
-batch.  Per-trajectory substreams make row i of a batch bit-identical to a
-single ``run`` with the same (seed, i), with one documented divergence: a
-batched path whose length update turns non-positive is frozen and marked
-immediately instead of retried with smaller steps.
+A step whose length update is non-positive is refined in place by Brownian
+bridge (Gaines & Lyons, SIAM J. Appl. Math. 57, 1997): two half steps, the
+first taking an increment drawn from N(dW/2, h/4) and the second the rest of
+dW, each split again while it fails, up to _MAX_HALVINGS levels.  Midpoints
+come from a per-path stream apart from the increment stream, so the path
+stays an honest sample and unrefined steps draw and compute exactly what
+they would without refinement.  A row whose refined step does not run on
+keeps its start-of-step state and is declared to have shrunk to a point.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ EXPLICIT_EM = "explicit_em"
 _SCHEMES = (IMEX_EM, HEUN_STRATONOVICH, EXPLICIT_EM)
 
 _MAX_HALVINGS = 10
+_DRAW_CHUNK = 64  # run_ensemble draws increments this many steps at a time
 _SNAPSHOT_VALUE_CAP = 256
 _TURNING_TOL = 1e-6
 
@@ -140,8 +143,10 @@ class Trajectory:
     snapshots: list
     terminal_status: TerminalStatus
     final_state: State
-    steps: int
+    steps: int  # steps taken, the one that stopped the run included
     stability_warning: bool = False
+    refinements: int = 0  # steps refined by Brownian bridge
+    min_h: float = math.inf  # smallest step size used
 
 
 @dataclass
@@ -157,6 +162,9 @@ class EnsembleResult:
     final_f: np.ndarray        # (M, n)
     final_lengths: np.ndarray  # (M,)
     steps: int
+    refinements: np.ndarray    # (M,) steps refined by Brownian bridge
+    min_h: np.ndarray          # (M,) smallest step size used
+    stability_warning: bool = False
 
 
 def dt_stability(scheme, grid, length, f_sup):
@@ -298,37 +306,16 @@ def _heun_stratonovich(spec, grid, f, length, dt, dw):
 # Both map a scheme to the same kernel, but they are kept as two dicts so
 # that a wrapper installed on one table entry (a benchmark's step counter)
 # is never installed twice on a shared one.
-_STEPPERS = {
-    IMEX_EM: _imex_em,
-    HEUN_STRATONOVICH: _heun_stratonovich,
-    EXPLICIT_EM: _explicit_em,
-}
+_STEPPERS = {IMEX_EM: _imex_em, HEUN_STRATONOVICH: _heun_stratonovich, EXPLICIT_EM: _explicit_em}
 _BATCH_STEPPERS = dict(_STEPPERS)
 
 
-def _decimate(values, cap=_SNAPSHOT_VALUE_CAP):
-    n = values.shape[-1]
-    if n <= cap:
-        return np.array(values, copy=True), True
-    stride = -(-n // cap)
-    return np.array(values[..., ::stride], copy=True), False
-
-
-def _snapshot(grid, state, step, full=False):
-    f = state.f
-    if full:
-        stored, is_full = np.array(f, copy=True), True
-    else:
-        stored, is_full = _decimate(f)
+def _snapshot(grid, f, length, time, step, full=False):
+    stride = 1 if full else -(-f.shape[-1] // _SNAPSHOT_VALUE_CAP)
     return Snapshot(
-        time=state.time,
-        length=state.length,
-        turning=float(state.length * grid.integrate(f)),
-        energy=float(0.5 * state.length * grid.integrate(f * f)),
-        sup_f=float(np.max(np.abs(f))),
-        f=stored,
-        step=step,
-        full_resolution=is_full,
+        time=time, length=length, turning=float(length * grid.integrate(f)),
+        energy=float(0.5 * length * grid.integrate(f * f)), sup_f=float(np.max(np.abs(f))),
+        f=np.array(f[::stride]), step=step, full_resolution=stride == 1,
     )
 
 
@@ -360,33 +347,27 @@ _VERDICTS = (
 
 
 def _classify(f, length, stop):
-    """Disjoint stop masks over the rows of a step's result, one per verdict.
-
-    f has shape (*B, n) and length B.  The masks flag, in _VERDICTS order:
-    non-finite rows, a non-positive length, sup|f| above f_max, a length
-    below l_min and a length above l_max.  A row in none of them runs on;
-    a row in either of the first two is rejected and never recorded.
-    """
-    finite = np.isfinite(f).all(axis=-1) & np.isfinite(length)
+    """The rows (f (*B, n), length B) of a step's result that run on, and the
+    disjoint stop masks in _VERDICTS order: non-finite, a non-positive length
+    (these two are rejected, never recorded), sup|f| above f_max, a length
+    below l_min and a length above l_max."""
+    sup = np.abs(f).max(axis=-1)  # NaN if any value is
+    finite = np.isfinite(sup) & np.isfinite(length)
     positive = finite & (length > 0)
-    curv = positive & (np.abs(f).max(axis=-1) > stop.f_max)
+    curv = positive & (sup > stop.f_max)
     window = positive & ~curv
-    return (
-        ~finite,
-        finite & ~positive,
-        curv,
-        window & (length < stop.l_min),
-        window & (length > stop.l_max),
-    )
+    low = window & (length < stop.l_min)
+    high = window & (length > stop.l_max)
+    return window & ~(low | high), (~finite, finite & ~positive, curv, low, high)
 
 
 def _start(grid, stepper, f, lengths, stop, check_turning):
-    """Validate initial fields f (*B, n) and lengths B and check the start.
+    """Validate initial fields f (M, n) and lengths (M,) and check the start.
 
     Closed states must pass the turning check unless check_turning is off,
     and dt must lie below the stability bound of the worst initial state
-    (ExplicitEM only warns).  Returns the stop window, by default the one
-    StopCriteria.from_initial derives from the first state.
+    (ExplicitEM only warns).  Returns the stop window, by default
+    StopCriteria.from_initial of the first state.
     """
     grid.check_field(f)
     if not np.all(np.isfinite(lengths) & (lengths > 0)):
@@ -394,8 +375,7 @@ def _start(grid, stepper, f, lengths, stop, check_turning):
     if grid.closed and check_turning:
         check_turning_consistency(grid, f, lengths)
     if stop is None:
-        first = State(f.reshape(-1, grid.n)[0], float(lengths.reshape(-1)[0]))
-        stop = StopCriteria.from_initial(first)
+        stop = StopCriteria.from_initial(State(f[0], float(lengths[0])))
     bound = dt_stability(stepper.scheme, grid, float(lengths.min()), float(np.max(np.abs(f))))
     if stepper.dt > bound:
         msg = (
@@ -409,212 +389,230 @@ def _start(grid, stepper, f, lengths, stop, check_turning):
     return stop
 
 
-def run(
-    spec,
-    grid,
-    state0,
-    stepper,
-    stop=None,
-    driver=None,
-    increments=None,
-    check_turning=True,
-):
-    """Advance one trajectory to t_end or to a stopping event.
+def _bridge_midpoint(driver, dw, h):
+    """The first half's increment of a step h whose increment is dw: N(dw/2, h/4)."""
+    return 0.5 * dw + driver.increments(len(dw), 0.25 * h)
 
-    driver supplies Brownian increments when the noise amplitude is positive;
-    increments may instead be a pre-drawn (n_steps, n_modes) array of N(0, dt)
-    samples (used by coupled-path studies; a retried, halved step scales the
-    pre-drawn increment by sqrt(h/dt) since a fresh draw would break the
-    coupling).  With amplitude 0 neither is touched.
+
+def _take(dw, rows):
+    return None if dw is None else dw[rows]
+
+
+def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, draw, key, record):
+    """The stepping loop of run and run_ensemble over rows f (M, n), lengths (M,).
+
+    schedule yields each step's size h and end time t; draw(k, h) gives step
+    k's (M, n_modes) increments (draw is None without noise).  Row r, the
+    trajectory (seed, index) = (key[0], key[1] + r), draws bridge midpoints
+    from the substream (seed, -1 - index), apart from every increment stream.
+    After each step record(k, t, f, lengths, active, halted) sees the rows,
+    halted flagging those that stopped on the state they hold.  Returns the
+    steps taken, the final f and lengths; per row the status, stopping step
+    (0 if none), refined steps and smallest h; and whether dt crossed the
+    stability bound.
     """
-    noisy = spec.noise.amplitude > 0.0
-    if noisy and driver is None and increments is None:
-        raise ValueError("noisy run needs a BrownianDriver or a pre-drawn increments array")
-    state = state0.copy()
-    stop = _start(grid, stepper, state.f, np.asarray(state.length), stop, check_turning)
+    m, k, unstable = len(lengths), -1, False
+    statuses = [TerminalStatus.REACHED_T] * m
+    stop_steps, refinements = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
+    min_h, bridges = np.full(m, stepper.dt), [None] * m
+    active, no_rows = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
 
-    step_fn = _STEPPERS[stepper.scheme]
-    n_modes = spec.noise.n_modes
-    snapshots = [_snapshot(grid, state, 0)]
-    status = TerminalStatus.REACHED_T
-    steps = 0
-    stability_flag = False
-    t_end = stepper.t_end
-    eps = 1e-12 * max(1.0, abs(t_end))
+    def refine(h, f, length, dw, rows, depth):
+        # the step of rows f, length over h as two half steps whose increments
+        # split dw at a bridge midpoint; a half step whose length update is
+        # non-positive is refined again while depth lasts
+        min_h[rows] = np.minimum(min_h[rows], 0.5 * h)
+        halves = (None, None)
+        if dw is not None:
+            for r in rows:
+                bridges[r] = bridges[r] or BrownianDriver(key[0], -1 - key[1] - r)
+            first = np.stack([_bridge_midpoint(bridges[r], w, h) for r, w in zip(rows, dw)])
+            halves = (first, dw - first)
+        live = np.arange(len(rows))
+        for half in halves:
+            new_f, new_l = step_fn(spec, grid, f[live], length[live], 0.5 * h, _take(half, live))
+            bad = np.flatnonzero(new_l <= 0.0)
+            if depth > 1 and bad.size:
+                i = live[bad]
+                new_f[bad], new_l[bad] = refine(
+                    0.5 * h, f[i], length[i], _take(half, i), rows[i], depth - 1
+                )
+            f[live], length[live] = new_f, new_l
+            live = live[np.isfinite(new_f).all(axis=-1) & np.isfinite(new_l) & (new_l > 0)]
+            if not live.size:
+                break
+        return f, length
 
     # non-finite values are the divergence detector, so IEEE overflow inside
     # a failing step is expected and must not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while state.time < t_end - eps:
-            # a remainder within eps of dt is a full step: accumulated times
-            # fall an ulp short of k * dt, and run_ensemble steps exactly dt
-            remaining = t_end - state.time
-            h = stepper.dt if remaining > stepper.dt - eps else remaining
-            for _ in range(_MAX_HALVINGS + 1):
-                if not noisy:
-                    dw = None
-                elif increments is not None:
-                    dw = increments[steps] * math.sqrt(h / stepper.dt)
-                else:
-                    dw = driver.increments(n_modes, h)
-                new_f, new_length = step_fn(spec, grid, state.f, state.length, h, dw)
-                if not new_length <= 0.0:  # NaN is left to the stop classifier
-                    break
-                h *= 0.5
+        for k, (h, t) in enumerate(schedule):
+            if h < stepper.dt:
+                min_h[active] = np.minimum(min_h[active], h)
+            dw = None if draw is None else draw(k, h)
+            # a single row steps and is classified on B = (): the same
+            # arithmetic, without the stacking overhead
+            if m == 1:
+                new_f, new_l = step_fn(spec, grid, f[0], lengths[0], h, _take(dw, 0))
             else:
-                status = TerminalStatus.BLOWUP_LENGTH_ZERO
+                new_f, new_l = step_fn(spec, grid, f, lengths, h, dw)
+            runs, masks = _classify(new_f, new_l, stop)
+            new_f, new_l = new_f.reshape(m, -1), np.array(new_l, ndmin=1)
+            halted = no_rows
+            if not (runs & active).all():
+                bad = np.flatnonzero(masks[1] & active)
+                if bad.size:
+                    sub = refine(h, f[bad], lengths[bad], _take(dw, bad), bad, _MAX_HALVINGS)
+                    # a refined step counts only if its row runs on from it;
+                    # otherwise the collapse stands
+                    ok = _classify(*sub, stop)[0]
+                    new_f[bad[ok]], new_l[bad[ok]] = sub[0][ok], sub[1][ok]
+                    refinements[bad] += 1
+                    runs, masks = _classify(new_f, new_l, stop)
+                stopped = active & ~runs
+                for mask, verdict in zip(masks, _VERDICTS):
+                    for i in np.flatnonzero(mask & stopped):
+                        statuses[i] = verdict
+                stop_steps[stopped] = k + 1
+                kept = active & ~(masks[0] | masks[1])
+                new_f = np.where(kept[:, None], new_f, f)
+                new_l = np.where(kept, new_l, lengths)
+                halted, active = stopped & kept, active & ~stopped
+            f, lengths = new_f, new_l
+            if (k + 1) % stepper.snapshot_every == 0 and not unstable and active.any():
+                sup = float(np.abs(f[active]).max())
+                bound = dt_stability(stepper.scheme, grid, float(lengths[active].min()), sup)
+                if stepper.dt > bound:
+                    unstable = True
+                    msg = "dt exceeded the stability bound mid-run; results may be inaccurate"
+                    warnings.warn(msg, stacklevel=3)
+            record(k, t, f, lengths, active, halted)
+            if halted is not no_rows and not active.any():  # the last row stopped
                 break
-            steps += 1
-            masks = _classify(new_f, new_length, stop)
-            tripped = next((v for mask, v in zip(masks, _VERDICTS) if mask), None)
-            if tripped is TerminalStatus.NUMERICAL_FAILURE:
-                status = tripped
-                break  # keep the last finite state; never snapshot this one
-            state = State(new_f, float(new_length), state.time + h)
-            if tripped is not None:
-                status = tripped
-                snapshots.append(_snapshot(grid, state, steps, full=True))
-                break
-            if steps % stepper.snapshot_every == 0:
-                snapshots.append(_snapshot(grid, state, steps))
-                if stepper.dt > dt_stability(
-                    stepper.scheme, grid, state.length, float(np.max(np.abs(state.f)))
-                ):
-                    stability_flag = True
+    return k + 1, f, lengths, statuses, stop_steps, refinements, min_h, unstable
 
-    if status is TerminalStatus.REACHED_T:
-        last = snapshots[-1]
-        if last.step != steps or not last.full_resolution:
-            snapshots.append(_snapshot(grid, state, steps, full=True))
-    if stability_flag:
-        warnings.warn(
-            "dt exceeded the stability bound mid-run; results may be inaccurate",
-            stacklevel=2,
-        )
+
+def _run_grid(t, dt, t_end):
+    eps = 1e-12 * max(1.0, abs(t_end))
+    while t < t_end - eps:
+        h = dt if t_end - t > dt - eps else t_end - t
+        t = t + h
+        yield h, t
+
+
+def run(spec, grid, state0, stepper, stop=None, driver=None, increments=None, check_turning=True):
+    """Advance one trajectory from state0.time to t_end or to a stopping event.
+
+    Steps of dt run from state0.time, the last one shortened to end at t_end
+    (a remainder within 1e-12 * max(1, t_end) of dt is a full step, since
+    accumulated times fall an ulp short of k * dt).  driver supplies Brownian
+    increments when the noise amplitude is positive; increments may instead
+    be a pre-drawn (n_steps, n_modes) array of each step's increment, N(0, h)
+    for its size h (used by coupled-path studies).  With amplitude 0 neither
+    is touched.  Refined steps draw bridge midpoints as the trajectory
+    (driver.seed, driver.trajectory_index), or as (0, 0) without a driver.
+    """
+    noisy = spec.noise.amplitude > 0.0
+    if noisy and driver is None and increments is None:
+        raise ValueError("noisy run needs a BrownianDriver or a pre-drawn increments array")
+    f, lengths = np.array(state0.f, dtype=float)[None], np.array([float(state0.length)])
+    stop = _start(grid, stepper, f, lengths, stop, check_turning)
+    draw = None
+    if noisy and increments is not None:
+        draw = lambda k, h: np.asarray(increments[k], dtype=float).reshape(1, -1)  # noqa: E731
+    elif noisy:
+        draw = lambda k, h: driver.increments(spec.noise.n_modes, h)[None]  # noqa: E731
+    key = (0, 0) if driver is None else (driver.seed, driver.trajectory_index)
+
+    clock = float(state0.time)
+    snapshots = [_snapshot(grid, f[0], float(lengths[0]), clock, 0)]
+
+    def record(k, t, f, lengths, active, halted):
+        nonlocal clock
+        if active[0] or halted[0]:
+            clock = t
+            if halted[0] or (k + 1) % stepper.snapshot_every == 0:
+                snapshots.append(_snapshot(grid, f[0], float(lengths[0]), t, k + 1, halted[0]))
+
+    steps, f, lengths, statuses, _, refinements, min_h, unstable = _advance(
+        spec, grid, stepper, stop, _STEPPERS[stepper.scheme], f, lengths,
+        _run_grid(clock, stepper.dt, stepper.t_end), draw, key, record,
+    )
+    state = State(f[0], float(lengths[0]), clock)
+    last = snapshots[-1]
+    if statuses[0] is TerminalStatus.REACHED_T and (last.step != steps or not last.full_resolution):
+        snapshots.append(_snapshot(grid, state.f, state.length, clock, steps, full=True))
     return Trajectory(
-        snapshots=snapshots,
-        terminal_status=status,
-        final_state=state,
-        steps=steps,
-        stability_warning=stability_flag,
+        snapshots, statuses[0], state, steps, stability_warning=unstable,
+        refinements=int(refinements[0]), min_h=float(min_h[0]),
     )
 
 
-# ---------------------------------------------------------------------------
-# Batched ensembles
-# ---------------------------------------------------------------------------
-
-
-_DRAW_CHUNK = 64
+def _draw_blocks(seed, first_path, m, n_steps, n_modes, dt):
+    """Each step's (M, n_modes) increments, drawn _DRAW_CHUNK steps at a time."""
+    drivers = [BrownianDriver(seed, first_path + i) for i in range(m)]
+    for k in range(0, n_steps, _DRAW_CHUNK):
+        size = min(_DRAW_CHUNK, n_steps - k)
+        yield from np.stack([d.increment_block(size, n_modes, dt) for d in drivers], axis=1)
 
 
 def run_ensemble(
-    spec,
-    grid,
-    f0,
-    length0,
-    stepper,
-    n_paths,
-    seed,
-    stop=None,
-    increments=None,
-    check_turning=True,
-    first_path=0,
+    spec, grid, f0, length0, stepper, n_paths, seed,
+    stop=None, increments=None, check_turning=True, first_path=0,
 ):
     """Advance n_paths independent trajectories as one stacked batch.
 
     f0 is one shared initial field (n,) or per-path fields (n_paths, n);
-    length0 likewise a scalar or (n_paths,).  Path i draws its increments
-    from the (seed, first_path + i) substream, identically to a single
-    ``run`` with BrownianDriver(seed, first_path + i); the offset lets a
-    worker advance a contiguous slice of a larger ensemble with exactly the
-    draws that slice would see in one process.  increments may pre-draw
-    everything as an (n_steps, n_paths, n_modes) array of N(0, dt) samples.
-
-    Paths stop individually on blow-up or numerical failure and are frozen
-    at their last valid state (no dt-halving retries in the batch); the rest
-    continue.  Lengths and energies are recorded every snapshot_every steps.
+    length0 likewise a scalar or (n_paths,).  Path i is the trajectory
+    (seed, first_path + i), bit for bit a single ``run`` with
+    BrownianDriver(seed, first_path + i); the offset lets a worker advance a
+    contiguous slice of a larger ensemble exactly as one process would.
+    increments may pre-draw everything as an (n_steps, n_paths, n_modes)
+    array of N(0, dt) samples.  Paths stop on the rules of ``run`` and stay
+    frozen at their last valid state; lengths and energies are recorded every
+    snapshot_every steps and at the last.
     """
     m = int(n_paths)
     if m < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     f0 = np.asarray(f0, dtype=float)
-    if f0.ndim == 1:
-        f = np.tile(f0, (m, 1))
-    else:
-        if f0.shape[0] != m:
-            raise ValueError(f"f0 batch {f0.shape[0]} does not match n_paths {m}")
-        f = np.array(f0, copy=True)
-    lengths = np.broadcast_to(np.asarray(length0, dtype=float), (m,)).copy()
+    if f0.ndim > 1 and f0.shape[0] != m:
+        raise ValueError(f"f0 batch {f0.shape[0]} does not match n_paths {m}")
+    f = np.array(np.broadcast_to(f0, (m, f0.shape[-1])), order="C")
+    lengths = np.array(np.broadcast_to(np.asarray(length0, dtype=float), (m,)))
     stop = _start(grid, stepper, f, lengths, stop, check_turning)
 
-    noisy = spec.noise.amplitude > 0.0
-    n_modes = spec.noise.n_modes
     dt = stepper.dt
     n_steps = int(round(stepper.t_end / dt))
     if abs(n_steps * dt - stepper.t_end) > 1e-9 * max(1.0, stepper.t_end):
-        raise ValueError(
-            f"t_end={stepper.t_end:g} is not an integer number of steps of dt={dt:g}"
-        )
-    drivers = None
-    if noisy and increments is None:
-        drivers = [BrownianDriver(seed, first_path + i) for i in range(m)]
+        raise ValueError(f"t_end={stepper.t_end:g} is not an integer number of steps of dt={dt:g}")
+    draw = None
+    if spec.noise.amplitude > 0.0 and increments is not None:
+        draw = lambda k, h: np.asarray(increments[k], dtype=float).reshape(m, -1)  # noqa: E731
+    elif spec.noise.amplitude > 0.0:
+        blocks = _draw_blocks(seed, first_path, m, n_steps, spec.noise.n_modes, dt)
+        draw = lambda k, h: next(blocks)  # noqa: E731
 
-    step_fn = _BATCH_STEPPERS[stepper.scheme]
-    active = np.ones(m, dtype=bool)
-    statuses = [TerminalStatus.REACHED_T] * m
-    stop_times = np.full(m, np.nan)
-    times = [0.0]
-    length_rows = [lengths.copy()]
+    rows = []
+
+    def record(k, t, f, lengths, active, halted):
+        if (k + 1) % stepper.snapshot_every == 0 or k + 1 == n_steps:
+            rows.append((t, lengths.copy(), 0.5 * lengths * grid.integrate(f * f), active.copy()))
+
     with np.errstate(over="ignore", invalid="ignore"):
-        energy_rows = [0.5 * lengths * grid.integrate(f * f)]
-    active_rows = [active.copy()]
-    chunk = None
-
-    for k in range(n_steps):
-        # frozen-only batches keep looping so the snapshot cadence (and hence
-        # any cross-worker row alignment) never depends on when paths stopped
-        if active.any():
-            if not noisy:
-                dw = None
-            elif increments is not None:
-                dw = np.asarray(increments[k], dtype=float)
-            else:
-                # every step with a live path draws, so chunks start at
-                # multiples of _DRAW_CHUNK
-                if k % _DRAW_CHUNK == 0:
-                    size = min(_DRAW_CHUNK, n_steps - k)
-                    chunk = np.stack(
-                        [d.increment_block(size, n_modes, dt) for d in drivers], axis=1
-                    )
-                dw = chunk[k % _DRAW_CHUNK]
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                new_f, new_l = step_fn(spec, grid, f, lengths, dt, dw)
-                masks = [mask & active for mask in _classify(new_f, new_l, stop)]
-            accept = active & ~masks[0] & ~masks[1]
-            f = np.where(accept[:, None], new_f, f)
-            lengths = np.where(accept, new_l, lengths)
-            for mask, verdict in zip(masks, _VERDICTS):
-                for i in np.flatnonzero(mask):
-                    statuses[i] = verdict
-                    stop_times[i] = (k + 1) * dt
-                active &= ~mask
-
-        if (k + 1) % stepper.snapshot_every == 0 or k == n_steps - 1:
-            times.append((k + 1) * dt)
-            length_rows.append(lengths.copy())
-            with np.errstate(over="ignore", invalid="ignore"):
-                energy_rows.append(0.5 * lengths * grid.integrate(f * f))
-            active_rows.append(active.copy())
-
+        record(-1, 0.0, f, lengths, np.ones(m, dtype=bool), None)
+        steps, f, lengths, statuses, stop_steps, refinements, min_h, unstable = _advance(
+            spec, grid, stepper, stop, _BATCH_STEPPERS[stepper.scheme], f, lengths,
+            ((dt, (k + 1) * dt) for k in range(n_steps)), draw, (seed, first_path), record,
+        )
+        # rows stay on the cadence after every path has stopped, so their
+        # times (and any cross-worker alignment) never depend on the stops
+        for k in range(steps, n_steps):
+            record(k, (k + 1) * dt, f, lengths, np.zeros(m, dtype=bool), None)
+    times, length_rows, energy_rows, active_rows = zip(*rows)
     return EnsembleResult(
-        times=np.asarray(times),
-        lengths=np.stack(length_rows),
-        energies=np.stack(energy_rows),
-        active=np.stack(active_rows),
-        statuses=statuses,
-        stop_times=stop_times,
-        final_f=f,
-        final_lengths=lengths,
-        steps=n_steps,
+        times=np.asarray(times), lengths=np.stack(length_rows), energies=np.stack(energy_rows),
+        active=np.stack(active_rows), statuses=statuses, final_f=f, final_lengths=lengths,
+        stop_times=np.where(stop_steps > 0, stop_steps * dt, np.nan), steps=n_steps,
+        refinements=refinements, min_h=min_h, stability_warning=unstable,
     )

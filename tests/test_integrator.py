@@ -248,44 +248,172 @@ def test_run_is_deterministic_given_seed():
 # retries and terminal classification
 
 
-def test_step_halving_rescues_a_survivable_increment():
-    # row 0 kills the length at full dt (1.05 * 2 pi > 2 pi) but survives one
-    # halving (1.05/sqrt(2) < 1); the run then finishes on schedule with the
-    # partial step plus full steps plus a remainder step
+def spy_kernel(monkeypatch, scheme):
+    """Record (h, dw) of every call of the scheme's kernel in run."""
+    kernel, calls = integrator._STEPPERS[scheme], []
+
+    def spy(spec, grid, f, length, h, dw):
+        calls.append((h, None if dw is None else np.array(dw)))
+        return kernel(spec, grid, f, length, h, dw)
+
+    monkeypatch.setitem(integrator._STEPPERS, scheme, spy)
+    return calls
+
+
+def test_step_halving_rescues_a_survivable_increment(monkeypatch):
+    # On a Willmore circle dL = pi (2 pi / L)^3 dt - 2 pi dW with unit noise:
+    # the length is linear in W but the drift grows without bound as L falls.
+    # A single Euler step with dW = 1.05 overshoots to a negative length; the
+    # bridge-refined step resolves the drift's growth on the way down and
+    # ends positive.  The array holds exactly one row per step
     grid = Grid(CLOSED, 32)
-    spec = FlowSpec(CURVE_DIFFUSION, CLOSED, UNIT_NOISE)
-    inc = np.zeros((8, 1))
-    inc[0, 0] = 1.05
-    traj = run(
-        spec,
-        grid,
-        circle(),
-        StepperConfig(IMEX_EM, 1e-4, 3e-4, snapshot_every=100),
-        increments=inc,
-        stop=WIDE_STOP,
-    )
+    spec = FlowSpec(WILLMORE, CLOSED, UNIT_NOISE)
+    dt = 5e-3
+    inc = np.zeros((3, 1))
+    inc[2, 0] = 1.05
+    cfg = StepperConfig(IMEX_EM, dt, 3 * dt, snapshot_every=100)
+    two_steps = StepperConfig(IMEX_EM, dt, 2 * dt)
+    before = run(spec, grid, circle(), two_steps, increments=inc, stop=WIDE_STOP)
+    assert step(IMEX_EM, spec, grid, before.final_state, dt, inc[2])[1] < 0.0
+    calls = spy_kernel(monkeypatch, IMEX_EM)
+    traj = run(spec, grid, circle(), cfg, increments=inc, stop=WIDE_STOP)
     assert traj.terminal_status is TerminalStatus.REACHED_T
-    assert traj.steps == 4  # half, full, full, remainder-half
-    assert traj.final_state.time == pytest.approx(3e-4, rel=1e-12)
-    expected_length = TWO_PI * (1.0 - 1.05 / math.sqrt(2.0))
-    assert traj.final_state.length == pytest.approx(expected_length, rel=1e-12)
+    assert traj.steps == 3
+    assert traj.refinements == 1
+    assert traj.min_h <= dt / 2
+    assert traj.final_state.time == pytest.approx(3 * dt, rel=1e-12)
+    assert 0.0 < traj.final_state.length < before.final_state.length
+    turning = traj.final_state.length * grid.integrate(traj.final_state.f)
+    assert turning == pytest.approx(TWO_PI, rel=1e-12)
+    # the two half steps of the split take increments that add back to dW
+    first, second = [dw for h, dw in calls if h == dt / 2]
+    assert abs((first + second) - inc[2]) <= np.spacing(max(abs(first), abs(second)))
 
 
 def test_exhausted_halvings_mean_vanishing_length():
+    # on a curve-diffusion circle L = 2 pi (1 - W) exactly, so no refinement
+    # of a step with dW = 50 keeps the length positive
     grid = Grid(CLOSED, 32)
     spec = FlowSpec(CURVE_DIFFUSION, CLOSED, UNIT_NOISE)
-    inc = np.full((8, 1), 50.0)  # still fatal after 10 halvings (50/32 > 1)
     traj = run(
         spec,
         grid,
         circle(),
         StepperConfig(IMEX_EM, 1e-4, 3e-4),
-        increments=inc,
+        increments=np.full((3, 1), 50.0),
         stop=WIDE_STOP,
     )
     assert traj.terminal_status is TerminalStatus.BLOWUP_LENGTH_ZERO
-    assert traj.steps == 0
+    assert traj.steps == 1  # the step that collapsed
+    assert traj.refinements == 1
+    assert traj.min_h == 1e-4 / 2**integrator._MAX_HALVINGS
+    # the start-of-step state is kept
+    assert traj.final_state.length == TWO_PI and traj.final_state.time == 0.0
+    assert np.array_equal(traj.final_state.f, np.ones(32))
     assert len(traj.snapshots) == 1  # only the initial record
+
+
+def test_exact_size_increments_collapse_alike_in_run_and_ensemble():
+    # one pre-drawn row per step: refining the fatal first step consumes no
+    # further rows, and the single run and the one-path batch (whose bridge
+    # midpoints are keyed alike) end identically
+    grid = Grid(CLOSED, 32)
+    spec = FlowSpec(CURVE_DIFFUSION, CLOSED, UNIT_NOISE)
+    cfg = StepperConfig(IMEX_EM, 1e-4, 3e-4, snapshot_every=100)
+    inc = np.zeros((3, 1))
+    inc[0, 0] = 1.05
+    traj = run(spec, grid, circle(), cfg, increments=inc, stop=WIDE_STOP)
+    ens = run_ensemble(
+        spec, grid, np.ones(32), TWO_PI, cfg, 1, seed=0, increments=inc[:, None, :], stop=WIDE_STOP
+    )
+    assert traj.terminal_status is ens.statuses[0] is TerminalStatus.BLOWUP_LENGTH_ZERO
+    assert np.array_equal(traj.final_state.f, ens.final_f[0])
+    assert traj.final_state.length == ens.final_lengths[0] == TWO_PI
+    assert traj.refinements == ens.refinements[0] == 1
+    assert traj.min_h == ens.min_h[0]
+    assert ens.stop_times[0] == 1e-4
+
+
+def _assert_rows_match(ens, i, traj):
+    assert traj.terminal_status is ens.statuses[i]
+    assert np.array_equal(traj.final_state.f, ens.final_f[i])
+    assert traj.final_state.length == ens.final_lengths[i]
+    assert traj.refinements == ens.refinements[i]
+    assert traj.min_h == ens.min_h[i]
+
+
+# amplitude 6 makes collapsing Euler steps common, and these paths cross the
+# stability bound, which is not what the test is about
+@pytest.mark.filterwarnings("ignore:dt exceeded the stability bound")
+def test_refined_batch_rows_match_single_runs(monkeypatch):
+    """Refined steps keep batch rows bitwise equal to single runs, for driver
+    noise and for pre-drawn increments, and never consume the increment
+    stream: every step of the grid takes the draw it takes unrefined."""
+    grid = Grid(CLOSED, 16)
+    spec = FlowSpec(WILLMORE, CLOSED, NoiseModel(mode="scalar", amplitude=6.0))
+    dt = 5e-3
+    cfg = StepperConfig(IMEX_EM, dt, 8 * dt, snapshot_every=2)
+    stop = StopCriteria(1e-6, 1e6, 1e6)
+    ens = run_ensemble(spec, grid, np.ones(16), TWO_PI, cfg, 8, seed=5, stop=stop)
+    assert ens.refinements.sum() >= 2
+    for i in range(8):
+        traj = run(spec, grid, circle(16), cfg, stop=stop, driver=BrownianDriver(5, i))
+        _assert_rows_match(ens, i, traj)
+        assert np.array_equal([s.length for s in traj.snapshots], ens.lengths[:, i])
+        assert np.array_equal([s.energy for s in traj.snapshots], ens.energies[:, i])
+
+    # the full steps of a refined path take the increment stream's draws in order
+    i = int(np.flatnonzero(ens.refinements)[0])
+    calls = spy_kernel(monkeypatch, IMEX_EM)
+    traj = run(spec, grid, circle(16), cfg, stop=stop, driver=BrownianDriver(5, i))
+    assert traj.refinements >= 1
+    stream = BrownianDriver(5, i).increment_block(traj.steps, 1, dt)
+    assert np.array_equal(np.stack([dw for h, dw in calls if h == dt]), stream)
+
+    # pre-drawn increments: two rows refined in the same step, one untouched;
+    # the driver keys a single run's bridge midpoints like the batch row's
+    spec = FlowSpec(WILLMORE, CLOSED, UNIT_NOISE)
+    cfg = StepperConfig(IMEX_EM, dt, 3 * dt, snapshot_every=1)
+    inc = np.zeros((3, 3, 1))
+    inc[2, :2, 0] = (1.05, 1.02)
+    ens = run_ensemble(spec, grid, np.ones(16), TWO_PI, cfg, 3, seed=9, increments=inc, stop=stop)
+    assert list(ens.refinements) == [1, 1, 0]
+    for i in range(3):
+        driver = BrownianDriver(9, i)
+        traj = run(spec, grid, circle(16), cfg, stop=stop, increments=inc[:, i], driver=driver)
+        _assert_rows_match(ens, i, traj)
+
+
+def test_bridge_midpoint_statistics():
+    """The first half of a bridge-split step is N(dw/2, h/4) per mode, and
+    the two halves add back to dw to within an ulp of the larger half."""
+    driver = BrownianDriver(2024, -1)
+    dw, h, n_draws = np.array([0.3, -0.1, 0.0]), 0.01, 20000
+    firsts = np.array([integrator._bridge_midpoint(driver, dw, h) for _ in range(n_draws)])
+    seconds = dw - firsts
+    ulp = np.spacing(np.maximum(np.abs(firsts), np.abs(seconds)))
+    assert np.all(np.abs((firsts + seconds) - dw) <= ulp)
+    # 5 standard errors of the sample mean, 5% of the variance (about 5
+    # standard errors of the sample variance at this many draws)
+    assert np.all(np.abs(firsts.mean(axis=0) - dw / 2) < 5 * math.sqrt(h / 4 / n_draws))
+    assert np.allclose(firsts.var(axis=0, ddof=1), h / 4, rtol=0.05)
+
+
+def test_stability_bound_crossed_mid_run_warns_for_batches_too():
+    # constant increments shrink a curve-diffusion circle, and with it the
+    # advective bound 0.5 L^4 / (4 pi^2 n^2), below a dt that started under it
+    grid = Grid(CLOSED, 32)
+    spec = FlowSpec(CURVE_DIFFUSION, CLOSED, UNIT_NOISE)
+    dt = 0.9 * dt_stability(IMEX_EM, grid, TWO_PI, 1.0)
+    cfg = StepperConfig(IMEX_EM, dt, 4 * dt, snapshot_every=2)
+    inc = np.full((4, 2, 1), 0.05)
+    with pytest.warns(UserWarning, match="stability bound mid-run"):
+        traj = run(spec, grid, circle(), cfg, increments=inc[:, 0], stop=WIDE_STOP)
+    with pytest.warns(UserWarning, match="stability bound mid-run"):
+        ens = run_ensemble(
+            spec, grid, np.ones(32), TWO_PI, cfg, 2, seed=1, increments=inc, stop=WIDE_STOP
+        )
+    assert traj.stability_warning and ens.stability_warning
 
 
 def test_curvature_window_stops_run():
