@@ -634,7 +634,11 @@ def _study_strong(cfg, n_paths):
         result = run_ensemble(
             spec, grid, f0, length0, stepper, n_paths, seed, increments=increments
         )
-        if any(s is not TerminalStatus.REACHED_T for s in result.statuses):
+        # a refined step splits a coarse increment at a bridge midpoint drawn
+        # apart from the fine increments, which would decouple the two paths
+        if result.refinements.any() or any(
+            s is not TerminalStatus.REACHED_T for s in result.statuses
+        ):
             raise ConfigError("strong study path stopped early; lower the amplitude")
         return result.final_lengths
 

@@ -43,11 +43,15 @@ records which predicate tripped, and records hold only finite states.
 A step whose length update is non-positive is refined in place by Brownian
 bridge (Gaines & Lyons, SIAM J. Appl. Math. 57, 1997): two half steps, the
 first taking an increment drawn from N(dW/2, h/4) and the second the rest of
-dW, each split again while it fails, up to _MAX_HALVINGS levels.  Midpoints
-come from a per-path stream apart from the increment stream, so the path
-stays an honest sample and unrefined steps draw and compute exactly what
-they would without refinement.  A row whose refined step does not run on
-keeps its start-of-step state and is declared to have shrunk to a point.
+dW, each split again while it fails or is longer than the stability bound of
+the state it starts from, up to _MAX_HALVINGS levels.  Midpoints come from a
+per-path stream apart from the increment stream, so the path stays an honest
+sample and unrefined steps draw and compute exactly what they would without
+refinement.  A refined step is a collapse, its row kept
+at the start-of-step state and declared to have shrunk to a point, when its
+refinement runs out, when it ends below l_min, and when it ends where dt
+exceeds the stability bound, so that the next step would not be
+trustworthy; any other end state is classified as an unrefined one is.
 """
 
 from __future__ import annotations
@@ -306,16 +310,25 @@ def _heun_stratonovich(spec, grid, f, length, dt, dw):
 # Both map a scheme to the same kernel, but they are kept as two dicts so
 # that a wrapper installed on one table entry (a benchmark's step counter)
 # is never installed twice on a shared one.
-_STEPPERS = {IMEX_EM: _imex_em, HEUN_STRATONOVICH: _heun_stratonovich, EXPLICIT_EM: _explicit_em}
+_STEPPERS = {
+    IMEX_EM: _imex_em,
+    HEUN_STRATONOVICH: _heun_stratonovich,
+    EXPLICIT_EM: _explicit_em,
+}
 _BATCH_STEPPERS = dict(_STEPPERS)
 
 
 def _snapshot(grid, f, length, time, step, full=False):
     stride = 1 if full else -(-f.shape[-1] // _SNAPSHOT_VALUE_CAP)
     return Snapshot(
-        time=time, length=length, turning=float(length * grid.integrate(f)),
-        energy=float(0.5 * length * grid.integrate(f * f)), sup_f=float(np.max(np.abs(f))),
-        f=np.array(f[::stride]), step=step, full_resolution=stride == 1,
+        time=time,
+        length=length,
+        turning=float(length * grid.integrate(f)),
+        energy=float(0.5 * length * grid.integrate(f * f)),
+        sup_f=float(np.max(np.abs(f))),
+        f=np.array(f[::stride]),
+        step=step,
+        full_resolution=stride == 1,
     )
 
 
@@ -347,10 +360,14 @@ _VERDICTS = (
 
 
 def _classify(f, length, stop):
-    """The rows (f (*B, n), length B) of a step's result that run on, and the
-    disjoint stop masks in _VERDICTS order: non-finite, a non-positive length
-    (these two are rejected, never recorded), sup|f| above f_max, a length
-    below l_min and a length above l_max."""
+    """The rows of a step's result that run on, and disjoint stop masks over
+    the rest, one per verdict.
+
+    f has shape (*B, n) and length B.  The masks flag, in _VERDICTS order:
+    non-finite rows, a non-positive length, sup|f| above f_max, a length
+    below l_min and a length above l_max.  A row in either of the first two
+    is rejected and never recorded.
+    """
     sup = np.abs(f).max(axis=-1)  # NaN if any value is
     finite = np.isfinite(sup) & np.isfinite(length)
     positive = finite & (length > 0)
@@ -394,6 +411,13 @@ def _bridge_midpoint(driver, dw, h):
     return 0.5 * dw + driver.increments(len(dw), 0.25 * h)
 
 
+def _exceeds_bound(scheme, grid, h, f, lengths):
+    """Per row of f (M, n) and lengths (M,), positive and finite: whether a
+    step h is longer than the row's stability bound."""
+    bounds = [dt_stability(scheme, grid, l, np.abs(g).max()) for g, l in zip(f, lengths)]
+    return h > np.array(bounds, dtype=float)
+
+
 def _take(dw, rows):
     return None if dw is None else dw[rows]
 
@@ -419,8 +443,10 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, draw, key
 
     def refine(h, f, length, dw, rows, depth):
         # the step of rows f, length over h as two half steps whose increments
-        # split dw at a bridge midpoint; a half step whose length update is
-        # non-positive is refined again while depth lasts
+        # split dw at a bridge midpoint.  A half step whose length update is
+        # non-positive, or that is longer than the stability bound of the
+        # state it starts from, is refined again while depth lasts and
+        # otherwise fails as a collapse
         min_h[rows] = np.minimum(min_h[rows], 0.5 * h)
         halves = (None, None)
         if dw is not None:
@@ -431,12 +457,15 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, draw, key
         live = np.arange(len(rows))
         for half in halves:
             new_f, new_l = step_fn(spec, grid, f[live], length[live], 0.5 * h, _take(half, live))
-            bad = np.flatnonzero(new_l <= 0.0)
+            unsafe = _exceeds_bound(stepper.scheme, grid, 0.5 * h, f[live], length[live])
+            bad = np.flatnonzero((new_l <= 0.0) | unsafe)
             if depth > 1 and bad.size:
                 i = live[bad]
                 new_f[bad], new_l[bad] = refine(
                     0.5 * h, f[i], length[i], _take(half, i), rows[i], depth - 1
                 )
+            elif bad.size:
+                new_l[bad] = 0.0
             f[live], length[live] = new_f, new_l
             live = live[np.isfinite(new_f).all(axis=-1) & np.isfinite(new_l) & (new_l > 0)]
             if not live.size:
@@ -462,11 +491,20 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, draw, key
             if not (runs & active).all():
                 bad = np.flatnonzero(masks[1] & active)
                 if bad.size:
-                    sub = refine(h, f[bad], lengths[bad], _take(dw, bad), bad, _MAX_HALVINGS)
-                    # a refined step counts only if its row runs on from it;
-                    # otherwise the collapse stands
-                    ok = _classify(*sub, stop)[0]
-                    new_f[bad[ok]], new_l[bad[ok]] = sub[0][ok], sub[1][ok]
+                    sub_f, sub_l = refine(
+                        h, f[bad], lengths[bad], _take(dw, bad), bad, _MAX_HALVINGS
+                    )
+                    # the collapse stands for a refined end state below l_min
+                    # (near L = 0 its sup|f| may read as a curvature blow-up)
+                    # and for one that dt cannot step on from stably; any
+                    # other end state is classified as an unrefined one is
+                    collapse = sub_l < stop.l_min
+                    on = _classify(sub_f, sub_l, stop)[0]
+                    collapse[on] = _exceeds_bound(
+                        stepper.scheme, grid, stepper.dt, sub_f[on], sub_l[on]
+                    )
+                    ok = ~collapse
+                    new_f[bad[ok]], new_l[bad[ok]] = sub_f[ok], sub_l[ok]
                     refinements[bad] += 1
                     runs, masks = _classify(new_f, new_l, stop)
                 stopped = active & ~runs
@@ -500,17 +538,27 @@ def _run_grid(t, dt, t_end):
         yield h, t
 
 
-def run(spec, grid, state0, stepper, stop=None, driver=None, increments=None, check_turning=True):
+def run(
+    spec,
+    grid,
+    state0,
+    stepper,
+    stop=None,
+    driver=None,
+    increments=None,
+    check_turning=True,
+):
     """Advance one trajectory from state0.time to t_end or to a stopping event.
 
     Steps of dt run from state0.time, the last one shortened to end at t_end
     (a remainder within 1e-12 * max(1, t_end) of dt is a full step, since
     accumulated times fall an ulp short of k * dt).  driver supplies Brownian
     increments when the noise amplitude is positive; increments may instead
-    be a pre-drawn (n_steps, n_modes) array of each step's increment, N(0, h)
-    for its size h (used by coupled-path studies).  With amplitude 0 neither
-    is touched.  Refined steps draw bridge midpoints as the trajectory
-    (driver.seed, driver.trajectory_index), or as (0, 0) without a driver.
+    be a pre-drawn (n_steps, n_modes) array of N(0, dt) samples, one row per
+    step, a shortened last step scaling its row by sqrt(h/dt) (used by
+    coupled-path studies).  With amplitude 0 neither is touched.  Refined
+    steps draw bridge midpoints as the trajectory (driver.seed,
+    driver.trajectory_index), or as (0, 0) without a driver.
     """
     noisy = spec.noise.amplitude > 0.0
     if noisy and driver is None and increments is None:
@@ -519,7 +567,9 @@ def run(spec, grid, state0, stepper, stop=None, driver=None, increments=None, ch
     stop = _start(grid, stepper, f, lengths, stop, check_turning)
     draw = None
     if noisy and increments is not None:
-        draw = lambda k, h: np.asarray(increments[k], dtype=float).reshape(1, -1)  # noqa: E731
+        # a shortened last step scales its N(0, dt) row to N(0, h)
+        rows = np.asarray(increments, dtype=float).reshape(len(increments), 1, -1)
+        draw = lambda k, h: rows[k] * math.sqrt(h / stepper.dt)  # noqa: E731
     elif noisy:
         draw = lambda k, h: driver.increments(spec.noise.n_modes, h)[None]  # noqa: E731
     key = (0, 0) if driver is None else (driver.seed, driver.trajectory_index)
@@ -543,8 +593,13 @@ def run(spec, grid, state0, stepper, stop=None, driver=None, increments=None, ch
     if statuses[0] is TerminalStatus.REACHED_T and (last.step != steps or not last.full_resolution):
         snapshots.append(_snapshot(grid, state.f, state.length, clock, steps, full=True))
     return Trajectory(
-        snapshots, statuses[0], state, steps, stability_warning=unstable,
-        refinements=int(refinements[0]), min_h=float(min_h[0]),
+        snapshots=snapshots,
+        terminal_status=statuses[0],
+        final_state=state,
+        steps=steps,
+        stability_warning=unstable,
+        refinements=int(refinements[0]),
+        min_h=float(min_h[0]),
     )
 
 
@@ -557,8 +612,17 @@ def _draw_blocks(seed, first_path, m, n_steps, n_modes, dt):
 
 
 def run_ensemble(
-    spec, grid, f0, length0, stepper, n_paths, seed,
-    stop=None, increments=None, check_turning=True, first_path=0,
+    spec,
+    grid,
+    f0,
+    length0,
+    stepper,
+    n_paths,
+    seed,
+    stop=None,
+    increments=None,
+    check_turning=True,
+    first_path=0,
 ):
     """Advance n_paths independent trajectories as one stacked batch.
 
@@ -585,7 +649,9 @@ def run_ensemble(
     dt = stepper.dt
     n_steps = int(round(stepper.t_end / dt))
     if abs(n_steps * dt - stepper.t_end) > 1e-9 * max(1.0, stepper.t_end):
-        raise ValueError(f"t_end={stepper.t_end:g} is not an integer number of steps of dt={dt:g}")
+        raise ValueError(
+            f"t_end={stepper.t_end:g} is not an integer number of steps of dt={dt:g}"
+        )
     draw = None
     if spec.noise.amplitude > 0.0 and increments is not None:
         draw = lambda k, h: np.asarray(increments[k], dtype=float).reshape(m, -1)  # noqa: E731
@@ -611,8 +677,16 @@ def run_ensemble(
             record(k, (k + 1) * dt, f, lengths, np.zeros(m, dtype=bool), None)
     times, length_rows, energy_rows, active_rows = zip(*rows)
     return EnsembleResult(
-        times=np.asarray(times), lengths=np.stack(length_rows), energies=np.stack(energy_rows),
-        active=np.stack(active_rows), statuses=statuses, final_f=f, final_lengths=lengths,
-        stop_times=np.where(stop_steps > 0, stop_steps * dt, np.nan), steps=n_steps,
-        refinements=refinements, min_h=min_h, stability_warning=unstable,
+        times=np.asarray(times),
+        lengths=np.stack(length_rows),
+        energies=np.stack(energy_rows),
+        active=np.stack(active_rows),
+        statuses=statuses,
+        stop_times=np.where(stop_steps > 0, stop_steps * dt, np.nan),
+        final_f=f,
+        final_lengths=lengths,
+        steps=n_steps,
+        refinements=refinements,
+        min_h=min_h,
+        stability_warning=unstable,
     )

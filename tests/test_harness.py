@@ -464,6 +464,20 @@ def test_strong_study_pathwise_order(tmp_path):
     assert report["passed"] is True
 
 
+def test_strong_study_rejects_refined_paths(monkeypatch):
+    # a refined coarse step splits its summed fine increments at a bridge
+    # midpoint drawn apart from them, so the coarse path is no longer coupled
+    # to the fine one
+    def refined(*args, **kwargs):
+        result = run_ensemble(*args, **kwargs)
+        result.refinements[0] = 1
+        return result
+
+    monkeypatch.setattr(harness, "run_ensemble", refined)
+    with pytest.raises(ConfigError, match="stopped early"):
+        harness._study_strong(default_config(), 2)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -260,34 +260,103 @@ def spy_kernel(monkeypatch, scheme):
     return calls
 
 
+def bumpy(grid):
+    """Curvature 1 + cos(4 pi r) on length 2 pi: total turning 2 pi, sup|f| 2."""
+    return State(1.0 + np.cos(2.0 * TWO_PI * grid.nodes), TWO_PI)
+
+
 def test_step_halving_rescues_a_survivable_increment(monkeypatch):
-    # On a Willmore circle dL = pi (2 pi / L)^3 dt - 2 pi dW with unit noise:
-    # the length is linear in W but the drift grows without bound as L falls.
-    # A single Euler step with dW = 1.05 overshoots to a negative length; the
-    # bridge-refined step resolves the drift's growth on the way down and
-    # ends positive.  The array holds exactly one row per step
-    grid = Grid(CLOSED, 32)
+    # On a Willmore curve the length drift grows without bound as L falls,
+    # while unit scalar noise moves L by -2 pi dW.  A single Euler step with
+    # dW = 1.02 overshoots to a negative length; the bridge-refined step
+    # resolves the drift's growth on the way down, each sub-step within the
+    # stability bound of the state it starts from, and ends where dt can go
+    # on.  The coarse n = 8 grid keeps that bound loose enough for a rescue:
+    # on finer grids the rescuing sub-steps are too stiff and the step is a
+    # collapse.  The array holds exactly one row per step
+    grid = Grid(CLOSED, 8)
     spec = FlowSpec(WILLMORE, CLOSED, UNIT_NOISE)
-    dt = 5e-3
+    dt = 1e-2
     inc = np.zeros((3, 1))
-    inc[2, 0] = 1.05
+    inc[2, 0] = 1.02
     cfg = StepperConfig(IMEX_EM, dt, 3 * dt, snapshot_every=100)
     two_steps = StepperConfig(IMEX_EM, dt, 2 * dt)
-    before = run(spec, grid, circle(), two_steps, increments=inc, stop=WIDE_STOP)
+    before = run(spec, grid, bumpy(grid), two_steps, increments=inc, stop=WIDE_STOP)
     assert step(IMEX_EM, spec, grid, before.final_state, dt, inc[2])[1] < 0.0
     calls = spy_kernel(monkeypatch, IMEX_EM)
-    traj = run(spec, grid, circle(), cfg, increments=inc, stop=WIDE_STOP)
+    traj = run(spec, grid, bumpy(grid), cfg, increments=inc, stop=WIDE_STOP)
     assert traj.terminal_status is TerminalStatus.REACHED_T
     assert traj.steps == 3
     assert traj.refinements == 1
     assert traj.min_h <= dt / 2
     assert traj.final_state.time == pytest.approx(3 * dt, rel=1e-12)
-    assert 0.0 < traj.final_state.length < before.final_state.length
-    turning = traj.final_state.length * grid.integrate(traj.final_state.f)
-    assert turning == pytest.approx(TWO_PI, rel=1e-12)
+    end = traj.final_state
+    assert dt <= dt_stability(IMEX_EM, grid, end.length, np.abs(end.f).max())
+    assert end.length * grid.integrate(end.f) == pytest.approx(TWO_PI, rel=1e-12)
     # the two half steps of the split take increments that add back to dW
     first, second = [dw for h, dw in calls if h == dt / 2]
     assert abs((first + second) - inc[2]) <= np.spacing(max(abs(first), abs(second)))
+
+
+@pytest.mark.parametrize(
+    "n,dw",
+    [
+        # the bridge path dips to where the drift is too stiff for every
+        # sub-step the refinement may take; unchecked, the step ends near
+        # L = 0.11, far past the bound of dt, and the next full step throws
+        # L to about 5e3, inside the default stop window
+        pytest.param(32, 1.0051, id="depth-runs-out"),
+        # the sub-steps stay within their bounds but end near L = 1.05,
+        # where dt is past the bound
+        pytest.param(16, 1.01, id="end-state-stiff"),
+        # a sub-step past the bound of the state it starts from would throw
+        # L from near 0 to about 36 in one step
+        pytest.param(16, 1.3, id="sub-step-stiff"),
+    ],
+)
+def test_refined_step_is_a_collapse_unless_dt_can_go_on(n, dw):
+    """On a Willmore circle at dt = 1e-2 these increments take the Euler
+    length negative, and no refinement reaches a state that dt can step on
+    from through sub-steps within their stability bounds: each is a
+    collapse, in run and run_ensemble alike, with the default stop window."""
+    grid = Grid(CLOSED, n)
+    spec = FlowSpec(WILLMORE, CLOSED, UNIT_NOISE)
+    cfg = StepperConfig(IMEX_EM, 1e-2, 2e-2, snapshot_every=1)
+    inc = np.array([[dw], [0.0]])
+    traj = run(spec, grid, circle(n), cfg, increments=inc)
+    ens = run_ensemble(spec, grid, np.ones(n), TWO_PI, cfg, 1, seed=0, increments=inc[:, None])
+    assert traj.terminal_status is ens.statuses[0] is TerminalStatus.BLOWUP_LENGTH_ZERO
+    assert traj.steps == 1 and ens.stop_times[0] == 1e-2
+    assert traj.refinements == ens.refinements[0] == 1
+    assert traj.final_state.length == ens.final_lengths[0] == TWO_PI
+    assert np.array_equal(traj.final_state.f, ens.final_f[0])
+    assert [s.length for s in traj.snapshots] == [TWO_PI]
+    assert not (traj.stability_warning or ens.stability_warning)
+
+
+def test_refined_step_is_classified_like_any_step():
+    # the rescue above ends with sup|f| = 3.67, past an f_max of 3 that the
+    # first two steps (sup|f| up to 2.09) stay under: a curvature blow-up,
+    # recorded on the refined state, in run and run_ensemble alike
+    grid = Grid(CLOSED, 8)
+    spec = FlowSpec(WILLMORE, CLOSED, UNIT_NOISE)
+    dt = 1e-2
+    cfg = StepperConfig(IMEX_EM, dt, 3 * dt, snapshot_every=100)
+    stop = StopCriteria(1e-6, 1e6, 3.0)
+    inc = np.zeros((3, 1))
+    inc[2, 0] = 1.02
+    state = bumpy(grid)
+    traj = run(spec, grid, state, cfg, increments=inc, stop=stop)
+    ens = run_ensemble(
+        spec, grid, state.f, state.length, cfg, 1, seed=0, increments=inc[:, None], stop=stop
+    )
+    assert traj.terminal_status is ens.statuses[0] is TerminalStatus.BLOWUP_CURVATURE
+    assert traj.steps == 3 and traj.refinements == ens.refinements[0] == 1
+    assert np.abs(traj.final_state.f).max() > 3.0
+    assert np.array_equal(traj.final_state.f, ens.final_f[0])
+    assert traj.final_state.length == ens.final_lengths[0]
+    last = traj.snapshots[-1]
+    assert last.step == 3 and last.full_resolution and last.length == traj.final_state.length
 
 
 def test_exhausted_halvings_mean_vanishing_length():
@@ -342,45 +411,80 @@ def _assert_rows_match(ens, i, traj):
     assert traj.min_h == ens.min_h[i]
 
 
-# amplitude 6 makes collapsing Euler steps common, and these paths cross the
-# stability bound, which is not what the test is about
+def veto_kernel(monkeypatch, scheme, vetoed):
+    """Wrap the scheme's kernel, in run and run_ensemble, so that a row whose
+    increment is in vetoed reports a non-positive length and has its step
+    refined through the real kernel.  Returns the (h, dw) of every call."""
+    kernel, calls = integrator._STEPPERS[scheme], []
+
+    def vetoing(spec, grid, f, length, h, dw):
+        calls.append((h, np.array(dw)))
+        new_f, new_l = kernel(spec, grid, f, length, h, dw)
+        return new_f, np.where(np.isin(dw[..., 0], vetoed), -1.0, new_l)
+
+    monkeypatch.setitem(integrator._STEPPERS, scheme, vetoing)
+    monkeypatch.setitem(integrator._BATCH_STEPPERS, scheme, vetoing)
+    return calls
+
+
+# amplitude 6 also drives unrefined paths past the stability bound mid-run,
+# which only warns and is not what the test is about
 @pytest.mark.filterwarnings("ignore:dt exceeded the stability bound")
 def test_refined_batch_rows_match_single_runs(monkeypatch):
     """Refined steps keep batch rows bitwise equal to single runs, for driver
     noise and for pre-drawn increments, and never consume the increment
     stream: every step of the grid takes the draw it takes unrefined."""
     grid = Grid(CLOSED, 16)
-    spec = FlowSpec(WILLMORE, CLOSED, NoiseModel(mode="scalar", amplitude=6.0))
     dt = 5e-3
+    # amplitude 6 makes collapsing Euler steps common; here their
+    # refinements end in collapses
+    spec = FlowSpec(WILLMORE, CLOSED, NoiseModel(mode="scalar", amplitude=6.0))
     cfg = StepperConfig(IMEX_EM, dt, 8 * dt, snapshot_every=2)
     stop = StopCriteria(1e-6, 1e6, 1e6)
     ens = run_ensemble(spec, grid, np.ones(16), TWO_PI, cfg, 8, seed=5, stop=stop)
     assert ens.refinements.sum() >= 2
+    for i in np.flatnonzero(ens.refinements):
+        assert ens.statuses[i] is TerminalStatus.BLOWUP_LENGTH_ZERO
     for i in range(8):
+        traj = run(spec, grid, circle(16), cfg, stop=stop, driver=BrownianDriver(5, i))
+        _assert_rows_match(ens, i, traj)
+
+    # steps 3 of path 1 and 5 of path 2 made to report a collapse: they are
+    # refined and run on, and every full step, those after them included,
+    # takes the increment stream's next draw
+    spec = FlowSpec(WILLMORE, CLOSED, NoiseModel(mode="scalar", amplitude=0.5))
+    streams = [BrownianDriver(5, i).increment_block(8, 1, dt) for i in range(3)]
+    calls = veto_kernel(monkeypatch, IMEX_EM, [streams[1][2, 0], streams[2][4, 0]])
+    ens = run_ensemble(spec, grid, np.ones(16), TWO_PI, cfg, 3, seed=5, stop=stop)
+    assert list(ens.refinements) == [0, 1, 1]
+    assert all(s is TerminalStatus.REACHED_T for s in ens.statuses)
+    for i in range(3):
+        del calls[:]
         traj = run(spec, grid, circle(16), cfg, stop=stop, driver=BrownianDriver(5, i))
         _assert_rows_match(ens, i, traj)
         assert np.array_equal([s.length for s in traj.snapshots], ens.lengths[:, i])
         assert np.array_equal([s.energy for s in traj.snapshots], ens.energies[:, i])
+        assert np.array_equal(np.stack([dw for h, dw in calls if h == dt]), streams[i])
+    monkeypatch.undo()
 
-    # the full steps of a refined path take the increment stream's draws in order
-    i = int(np.flatnonzero(ens.refinements)[0])
-    calls = spy_kernel(monkeypatch, IMEX_EM)
-    traj = run(spec, grid, circle(16), cfg, stop=stop, driver=BrownianDriver(5, i))
-    assert traj.refinements >= 1
-    stream = BrownianDriver(5, i).increment_block(traj.steps, 1, dt)
-    assert np.array_equal(np.stack([dw for h, dw in calls if h == dt]), stream)
-
-    # pre-drawn increments: two rows refined in the same step, one untouched;
-    # the driver keys a single run's bridge midpoints like the batch row's
+    # pre-drawn increments: two rows refined in the same step, one rescued
+    # (see test_step_halving_rescues_a_survivable_increment) and one that
+    # collapses, and a row untouched; the driver keys a single run's bridge
+    # midpoints like the batch row's
+    grid = Grid(CLOSED, 8)
     spec = FlowSpec(WILLMORE, CLOSED, UNIT_NOISE)
-    cfg = StepperConfig(IMEX_EM, dt, 3 * dt, snapshot_every=1)
+    cfg = StepperConfig(IMEX_EM, 1e-2, 3e-2, snapshot_every=1)
     inc = np.zeros((3, 3, 1))
-    inc[2, :2, 0] = (1.05, 1.02)
-    ens = run_ensemble(spec, grid, np.ones(16), TWO_PI, cfg, 3, seed=9, increments=inc, stop=stop)
+    inc[2, :2, 0] = (1.02, 1.06)
+    state = bumpy(grid)
+    ens = run_ensemble(
+        spec, grid, state.f, state.length, cfg, 3, seed=0, increments=inc, stop=stop
+    )
     assert list(ens.refinements) == [1, 1, 0]
+    assert [s.value for s in ens.statuses] == ["reached_t", "blowup_length_zero", "reached_t"]
     for i in range(3):
-        driver = BrownianDriver(9, i)
-        traj = run(spec, grid, circle(16), cfg, stop=stop, increments=inc[:, i], driver=driver)
+        driver = BrownianDriver(0, i)
+        traj = run(spec, grid, state, cfg, stop=stop, increments=inc[:, i], driver=driver)
         _assert_rows_match(ens, i, traj)
 
 
@@ -464,6 +568,19 @@ def test_shrinking_length_stops_run():
     assert traj.terminal_status is TerminalStatus.BLOWUP_LENGTH_ZERO
     assert traj.steps == 2
     assert traj.final_state.length == pytest.approx(TWO_PI - 2 * TWO_PI * 0.05, rel=1e-12)
+
+
+def test_predrawn_rows_scale_to_a_shortened_last_step():
+    # rows are N(0, dt) samples: the last step, shortened to dt/2, takes its
+    # row times sqrt(1/2); on a curve-diffusion circle L = 2 pi (1 - W)
+    grid = Grid(CLOSED, 32)
+    spec = FlowSpec(CURVE_DIFFUSION, CLOSED, UNIT_NOISE)
+    inc = np.full((3, 1), 0.01)
+    cfg = StepperConfig(IMEX_EM, 1e-4, 2.5e-4)
+    traj = run(spec, grid, circle(), cfg, increments=inc, stop=WIDE_STOP)
+    assert traj.steps == 3 and traj.min_h == pytest.approx(0.5e-4, rel=1e-9)
+    expected = TWO_PI * (1.0 - 0.02 - 0.01 * math.sqrt(0.5))
+    assert traj.final_state.length == pytest.approx(expected, rel=1e-12)
 
 
 def test_numerical_failure_keeps_last_finite_state():
