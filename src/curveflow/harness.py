@@ -8,7 +8,9 @@ Subcommands:
                   aggregated summary JSON plus CSV tables.
 * convergence   - time-order, spatial-resolution, or strong (pathwise)
                   convergence study with a JSON report.
-* invariants    - run the invariant catalog and report pass/fail.
+* invariants    - run the acceptance checks of ``checks`` (c01-c06, c08,
+                  c09, c11) at their gated settings and report pass/fail;
+                  no config key or --seed changes them.
 * reconstruct   - state or trajectory file -> curve CSV.
 * print-config  - show the effective configuration.
 
@@ -35,12 +37,11 @@ import json
 import math
 import os
 import sys
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import flows, geometry
+from . import geometry
 from .flows import CURVE_DIFFUSION, WILLMORE, FlowSpec, State
 from .grid import CLOSED, OPEN, Grid
 from .integrator import (
@@ -53,7 +54,7 @@ from .integrator import (
     run,
     run_ensemble,
 )
-from .noise import BrownianDriver, NoiseModel, substream_seed
+from .noise import BrownianDriver, NoiseModel
 
 TWO_PI = 2.0 * math.pi
 
@@ -331,18 +332,15 @@ def cmd_simulate(args):
     state = build_state(cfg, grid)
     stop = build_stop(cfg, state)
     driver = BrownianDriver(cfg["run.seed"], 0) if spec.noise.amplitude > 0 else None
-    try:
-        traj = run(
-            spec,
-            grid,
-            state,
-            stepper,
-            stop=stop,
-            driver=driver,
-            check_turning=cfg["run.check_turning"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    traj = run(
+        spec,
+        grid,
+        state,
+        stepper,
+        stop=stop,
+        driver=driver,
+        check_turning=cfg["run.check_turning"],
+    )
 
     out = args.out or "trajectory.jsonl"
     lines = [_dumps(_meta_record("simulate", cfg))]
@@ -413,14 +411,11 @@ def cmd_ensemble(args):
     build_spec(cfg)
 
     payloads = [(cfg, start, count) for start, count in _split_indices(n_paths, workers)]
-    try:
-        if workers == 1:
-            results = [_ensemble_worker(payloads[0])]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_ensemble_worker, payloads))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if workers == 1:
+        results = [_ensemble_worker(payloads[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_ensemble_worker, payloads))
 
     times = results[0].times
     lengths = np.concatenate([r.lengths for r in results], axis=1)
@@ -689,138 +684,21 @@ def cmd_convergence(args):
 # ---------------------------------------------------------------------------
 
 
-def _energy_series(spec, grid, state, stepper):
-    traj = run(spec, grid, state, stepper, check_turning=False)
-    return [snap.energy for snap in traj.snapshots]
-
-
-def _check_turning_number(seed):
-    grid = Grid(CLOSED, 64)
-    spec = FlowSpec(WILLMORE, CLOSED, NoiseModel())
-    stepper = StepperConfig(IMEX_EM, 1e-4, 0.02, 10)
-    traj = run(spec, grid, State(np.ones(64), TWO_PI), stepper)
-    value = max(abs(s.turning - TWO_PI) for s in traj.snapshots)
-    return {"name": "turning_number", "value": value, "bound": 1e-5, "passed": value <= 1e-5}
-
-
-def _check_energy_dissipation(seed, flipped):
-    if flipped:
-        # deliberately anti-dissipative configuration: the fourth-order term
-        # enters with the wrong sign, so high modes grow out of round-off and
-        # the monotonicity check below must trip
-        grid = Grid(CLOSED, 64)
-        spec = FlowSpec(WILLMORE, CLOSED, NoiseModel(), stiff_sign=1.0)
-        state = State(1.0 + 0.1 * np.cos(2 * TWO_PI * grid.nodes), TWO_PI)
-        stepper = StepperConfig(EXPLICIT_EM, 1e-5, 6e-4, 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            energies = _energy_series(spec, grid, state, stepper)
-    else:
-        grid = Grid(CLOSED, 128)
-        spec = FlowSpec(WILLMORE, CLOSED, NoiseModel())
-        state = State(1.0 + 0.1 * np.cos(2 * TWO_PI * grid.nodes), TWO_PI)
-        stepper = StepperConfig(IMEX_EM, 1e-5, 0.02, 100)
-        energies = _energy_series(spec, grid, state, stepper)
-    increases = [b - a for a, b in zip(energies, energies[1:])]
-    worst = max(increases) if increases else 0.0
-    decrease = energies[0] - energies[-1]
-    passed = worst <= 1e-8 and decrease > 0
-    return {
-        "name": "energy_dissipation",
-        "value": worst,
-        "bound": 1e-8,
-        "total_decrease": decrease,
-        "passed": bool(passed),
-    }
-
-
-def _check_area_and_length(seed):
-    grid = Grid(CLOSED, 128)
-    spec = FlowSpec(CURVE_DIFFUSION, CLOSED, NoiseModel())
-    state = State(1.0 + 0.1 * np.cos(2 * TWO_PI * grid.nodes), TWO_PI)
-    stepper = StepperConfig(IMEX_EM, 1e-5, 0.2, 2000)
-    traj = run(spec, grid, state, stepper)
-    area0 = geometry.enclosed_area(geometry.reconstruct(grid, state), advisory_warning=False)
-    area1 = geometry.enclosed_area(
-        geometry.reconstruct(grid, traj.final_state), advisory_warning=False
-    )
-    drift = abs(area1 - area0) / abs(area0)
-    lengths = [s.length for s in traj.snapshots]
-    growth = max((b - a for a, b in zip(lengths, lengths[1:])), default=0.0)
-    return [
-        {
-            "name": "area_conservation",
-            "value": drift,
-            "bound": 1e-3,
-            "passed": bool(drift <= 1e-3),
-        },
-        {
-            "name": "length_monotonicity",
-            "value": growth,
-            "bound": 1e-8,
-            "passed": bool(growth <= 1e-8),
-        },
-    ]
-
-
-def _check_diffusion_coefficient(seed):
-    grid = Grid(CLOSED, 64)
-    spec = FlowSpec(WILLMORE, CLOSED, NoiseModel(mode="scalar", amplitude=0.05))
-    gen = np.random.Generator(np.random.PCG64(substream_seed(seed, 10001)))
-    worst = 0.0
-    for _ in range(100):
-        f = gen.standard_normal(64)
-        length = 0.3 + 3.0 * gen.random()
-        lam = flows.assemble(spec, grid, f, length).rows_lam[0]
-        worst = max(worst, abs(float(lam) + TWO_PI))
-    return {
-        "name": "diffusion_coefficient",
-        "value": worst,
-        "bound": 1e-12,
-        "passed": bool(worst <= 1e-12),
-    }
-
-
-def _check_equivariance(seed):
-    grid = Grid(CLOSED, 128)
-    state = State(np.ones(128), TWO_PI)
-    gen = np.random.Generator(np.random.PCG64(substream_seed(seed, 10002)))
-    base = geometry.reconstruct(grid, state)
-    worst = 0.0
-    for _ in range(5):
-        anchor = tuple(gen.standard_normal(2))
-        angle = float(TWO_PI * gen.random())
-        moved = geometry.reconstruct(grid, state, anchor=anchor, theta0=angle)
-        c, s = math.cos(angle), math.sin(angle)
-        rot = np.array([[c, -s], [s, c]])
-        mapped = (base.points - base.points[0]) @ rot.T + np.asarray(anchor)
-        worst = max(worst, float(np.max(np.abs(mapped - moved.points))))
-    return {
-        "name": "reconstruction_equivariance",
-        "value": worst,
-        "bound": 1e-10,
-        "passed": bool(worst <= 1e-10),
-    }
-
-
 def cmd_invariants(args):
-    cfg = effective_config(args)
-    seed = cfg["run.seed"]
+    from . import checks  # only this command needs them; other commands start without
+
     flipped = bool(args.flip_stiff_sign)
-    checks = [_check_turning_number(seed), _check_energy_dissipation(seed, flipped)]
-    checks.extend(_check_area_and_length(seed))
-    checks.append(_check_diffusion_coefficient(seed))
-    checks.append(_check_equivariance(seed))
-    all_passed = all(c["passed"] for c in checks)
+    records = checks.catalog(flipped)
+    all_passed = all(c["passed"] for c in records)
     report = {
         "record": "invariants",
         "flipped_stiff_sign": flipped,
-        "checks": checks,
+        "checks": records,
         "all_passed": all_passed,
     }
     out = args.out or "invariants.json"
     _write_text(out, _dumps(report) + "\n")
-    for c in checks:
+    for c in records:
         verdict = "PASS" if c["passed"] else "FAIL"
         print(f"{verdict}  {c['name']}: {c['value']:.3g} (bound {c['bound']:.3g})")
     print(f"wrote {out}")
@@ -863,20 +741,17 @@ def _load_state_file(path):
 
 def cmd_reconstruct(args):
     topology, f, length = _load_state_file(args.state)
-    try:
-        grid = Grid(topology, f.shape[0])
-        state = State(f, length)
-        anchor = (0.0, 0.0)
-        if args.anchor:
-            parts = _parse_floats(args.anchor)
-            if len(parts) != 2:
-                raise ConfigError(f"--anchor needs 'x,y', got {args.anchor!r}")
-            anchor = (parts[0], parts[1])
-        sample = geometry.reconstruct(
-            grid, state, anchor=anchor, theta0=args.theta0, samples=args.samples
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    grid = Grid(topology, f.shape[0])
+    state = State(f, length)
+    anchor = (0.0, 0.0)
+    if args.anchor:
+        parts = _parse_floats(args.anchor)
+        if len(parts) != 2:
+            raise ConfigError(f"--anchor needs 'x,y', got {args.anchor!r}")
+        anchor = (parts[0], parts[1])
+    sample = geometry.reconstruct(
+        grid, state, anchor=anchor, theta0=args.theta0, samples=args.samples
+    )
     out = args.out or "curve.csv"
     geometry.write_csv(sample, out)
     defect = geometry.closure_defect(sample)
@@ -958,10 +833,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:  # the library rejects bad values with ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

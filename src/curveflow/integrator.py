@@ -530,6 +530,17 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, draw, key
     return k + 1, f, lengths, statuses, stop_steps, refinements, min_h, unstable
 
 
+def _check_increments(increments, n_steps, row_shape):
+    """Pre-drawn increments as a float array of at least n_steps rows of row_shape."""
+    rows = np.asarray(increments, dtype=float)
+    if rows.shape[1:] != row_shape or rows.shape[0] < n_steps:
+        raise ValueError(
+            f"increments must have shape (n_steps, {', '.join(map(str, row_shape))}) "
+            f"with n_steps >= {n_steps}, got {rows.shape}"
+        )
+    return rows
+
+
 def _run_grid(t, dt, t_end):
     eps = 1e-12 * max(1.0, abs(t_end))
     while t < t_end - eps:
@@ -555,8 +566,10 @@ def run(
     accumulated times fall an ulp short of k * dt).  driver supplies Brownian
     increments when the noise amplitude is positive; increments may instead
     be a pre-drawn (n_steps, n_modes) array of N(0, dt) samples, one row per
-    step, a shortened last step scaling its row by sqrt(h/dt) (used by
-    coupled-path studies).  With amplitude 0 neither is touched.  Refined
+    step (extra rows are ignored), a shortened last step scaling its row by
+    sqrt(h/dt) (used by coupled-path studies); a shape that does not fit
+    raises ValueError before the first step.  With amplitude 0 neither is
+    touched.  Refined
     steps draw bridge midpoints as the trajectory (driver.seed,
     driver.trajectory_index), or as (0, 0) without a driver.
     """
@@ -567,8 +580,9 @@ def run(
     stop = _start(grid, stepper, f, lengths, stop, check_turning)
     draw = None
     if noisy and increments is not None:
+        n_steps = sum(1 for _ in _run_grid(float(state0.time), stepper.dt, stepper.t_end))
+        rows = _check_increments(increments, n_steps, (spec.noise.n_modes,))[:, None]
         # a shortened last step scales its N(0, dt) row to N(0, h)
-        rows = np.asarray(increments, dtype=float).reshape(len(increments), 1, -1)
         draw = lambda k, h: rows[k] * math.sqrt(h / stepper.dt)  # noqa: E731
     elif noisy:
         draw = lambda k, h: driver.increments(spec.noise.n_modes, h)[None]  # noqa: E731
@@ -632,7 +646,7 @@ def run_ensemble(
     BrownianDriver(seed, first_path + i); the offset lets a worker advance a
     contiguous slice of a larger ensemble exactly as one process would.
     increments may pre-draw everything as an (n_steps, n_paths, n_modes)
-    array of N(0, dt) samples.  Paths stop on the rules of ``run`` and stay
+    array of N(0, dt) samples, checked as in ``run``.  Paths stop on the rules of ``run`` and stay
     frozen at their last valid state; lengths and energies are recorded every
     snapshot_every steps and at the last.
     """
@@ -654,7 +668,8 @@ def run_ensemble(
         )
     draw = None
     if spec.noise.amplitude > 0.0 and increments is not None:
-        draw = lambda k, h: np.asarray(increments[k], dtype=float).reshape(m, -1)  # noqa: E731
+        drawn = _check_increments(increments, n_steps, (m, spec.noise.n_modes))
+        draw = lambda k, h: drawn[k]  # noqa: E731
     elif spec.noise.amplitude > 0.0:
         blocks = _draw_blocks(seed, first_path, m, n_steps, spec.noise.n_modes, dt)
         draw = lambda k, h: next(blocks)  # noqa: E731

@@ -496,21 +496,39 @@ def test_convergence_rejects_bad_levels(tmp_path, capsys, argv):
 # ---------------------------------------------------------------------------
 
 CHECK_NAMES = [
-    "turning_number",
-    "energy_dissipation",
+    "circle_law_length",
+    "circle_law_curvature",
+    "circle_stationary_curvature",
+    "circle_stationary_length",
     "area_conservation",
     "length_monotonicity",
+    "energy_dissipation",
+    "turning_number[circle/bending]",
+    "turning_number[circle/diffusion]",
+    "turning_number[perturbed/diffusion]",
+    "turning_number[perturbed/bending]",
     "diffusion_coefficient",
+    "spectral_degeneracy",
+    "closure_defect",
+    "circle_area",
     "reconstruction_equivariance",
+    "stop_statuses",
+    "nonfinite_snapshots",
+    "flipped_sign_energy_dissipation",
 ]
 
 
 def test_invariant_catalog_passes(tmp_path, capsys):
-    out = str(tmp_path / "inv.json")
-    assert main(["invariants", "--out", out]) == 0
+    blobs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"inv{seed}.json"
+        assert main(["invariants", "--seed", seed, "--out", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    # every check has fixed settings and generators: the seed changes nothing
+    assert blobs[0] == blobs[1]
     stdout = capsys.readouterr().out.splitlines()
-    assert sum(line.startswith("PASS") for line in stdout) == 6
-    report = json.loads((tmp_path / "inv.json").read_text())
+    assert sum(line.startswith("PASS") for line in stdout) == 2 * len(CHECK_NAMES)
+    report = json.loads(blobs[0])
     assert report["record"] == "invariants"
     assert report["flipped_stiff_sign"] is False
     assert report["all_passed"] is True
@@ -521,10 +539,14 @@ def test_invariant_catalog_passes(tmp_path, capsys):
 def test_flipped_sign_trips_energy_check(tmp_path, capsys):
     out = str(tmp_path / "invflip.json")
     assert main(["invariants", "--flip-stiff-sign", "--out", out]) == 1
-    assert any(line.startswith("FAIL  energy_dissipation") for line in capsys.readouterr().out.splitlines())
+    stdout = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in stdout if line.startswith("FAIL")] == [
+        "FAIL  energy_dissipation"
+    ]
     report = json.loads((tmp_path / "invflip.json").read_text())
     assert report["flipped_stiff_sign"] is True
     assert report["all_passed"] is False
+    assert [c["name"] for c in report["checks"]] == CHECK_NAMES
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     assert failed == ["energy_dissipation"]
 

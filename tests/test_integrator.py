@@ -11,6 +11,7 @@ arithmetic facts rather than statistics.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -844,6 +845,30 @@ def test_ensemble_validation():
     f0[1] = 1.01
     with pytest.raises(ValueError, match="turning 6.346"):
         run_ensemble(spec, grid, f0, TWO_PI, cfg, 2, seed=1, increments=inc)
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["run", "run_ensemble"])
+@pytest.mark.parametrize(
+    "noise,n_rows",
+    [
+        # two rows for a three-step grid used to fail mid-run with IndexError
+        pytest.param(UNIT_NOISE, 2, id="too-few-rows"),
+        # one increment per row used to drive all eight modes, ending reached_t
+        pytest.param(NoiseModel(mode="spectral", amplitude=0.1, n_modes=8), 3, id="one-of-8-modes"),
+    ],
+)
+def test_pre_drawn_increments_are_checked_up_front(batched, noise, n_rows):
+    grid = Grid(CLOSED, 32)
+    spec = FlowSpec(CURVE_DIFFUSION, CLOSED, noise)
+    cfg = StepperConfig(IMEX_EM, 1e-4, 3e-4)
+    row = (1, noise.n_modes) if batched else (noise.n_modes,)
+    inc = np.zeros((n_rows,) + row[:-1] + (1,))
+    expected = f"({', '.join(map(str, ('n_steps',) + row))}) with n_steps >= 3, got {inc.shape}"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        if batched:
+            run_ensemble(spec, grid, np.ones(32), TWO_PI, cfg, 1, seed=0, increments=inc)
+        else:
+            run(spec, grid, circle(), cfg, increments=inc)
 
 
 # ---------------------------------------------------------------------------
