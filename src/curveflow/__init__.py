@@ -1,7 +1,8 @@
 """Stochastic curvature flows of planar curves in the curvature-length frame.
 
-A closed or open planar curve is evolved through the pair (f, L): its
-curvature as a function of normalized arclength, plus its total length.
+A closed planar curve is evolved through the pair (f, L): its curvature
+as a function of normalized arclength, plus its total length.  Open curves
+are not supported.
 The package provides the spatial discretization (``grid``), the drift and
 noise assembly for Willmore and curve diffusion flow (``flows``, ``noise``),
 time stepping with blow-up detection (``integrator``), curve reconstruction
@@ -22,7 +23,7 @@ from .geometry import (
     polyline_arclength,
     reconstruct,
 )
-from .grid import CLOSED, OPEN, Grid, cumulative_quadrature
+from .grid import Grid, cumulative_quadrature
 from .integrator import (
     EXPLICIT_EM,
     HEUN_STRATONOVICH,
@@ -44,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisFunction",
     "BrownianDriver",
-    "CLOSED",
     "CURVE_DIFFUSION",
     "CurveSample",
     "EXPLICIT_EM",
@@ -54,7 +54,6 @@ __all__ = [
     "HEUN_STRATONOVICH",
     "IMEX_EM",
     "NoiseModel",
-    "OPEN",
     "Snapshot",
     "State",
     "StepperConfig",

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import geometry
 from .flows import CURVE_DIFFUSION, WILLMORE, FlowSpec, State, assemble
-from .grid import CLOSED, OPEN, Grid
+from .grid import Grid
 from .integrator import (
     EXPLICIT_EM,
     HEUN_STRATONOVICH,
@@ -64,9 +64,9 @@ _RUNS = {
 @functools.cache
 def _deterministic_run(label):
     kind, n, initial, (dt, t_end, every) = _RUNS[label]
-    grid = Grid(CLOSED, n)
+    grid = Grid(n)
     stepper = StepperConfig(IMEX_EM, dt, t_end, every)
-    return run(FlowSpec(kind, CLOSED, NO_NOISE), grid, initial(grid), stepper)
+    return run(FlowSpec(kind, NO_NOISE), grid, initial(grid), stepper)
 
 
 @functools.cache
@@ -74,8 +74,8 @@ def _flipped_energies():
     # deliberately anti-dissipative configuration: the fourth-order term
     # enters with the wrong sign, so high modes grow out of round-off and
     # the energy check must trip
-    grid = Grid(CLOSED, 64)
-    spec = FlowSpec(WILLMORE, CLOSED, NO_NOISE, stiff_sign=1.0)
+    grid = Grid(64)
+    spec = FlowSpec(WILLMORE, NO_NOISE, stiff_sign=1.0)
     stepper = StepperConfig(EXPLICIT_EM, 1e-5, 6e-4, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -111,7 +111,7 @@ def circle_stationary():
 def area_conservation():
     """c03: curve diffusion keeps the enclosed area and never grows the length."""
     traj = _deterministic_run("perturbed/diffusion")
-    grid = Grid(CLOSED, 128)
+    grid = Grid(128)
     area0, area1 = (
         geometry.enclosed_area(geometry.reconstruct(grid, state), advisory_warning=False)
         for state in (_perturbed(grid), traj.final_state)
@@ -157,8 +157,8 @@ def turning_number():
 
 def diffusion_coefficient():
     """c06: closed scalar noise couples to the length with weight exactly -2*pi."""
-    grid = Grid(CLOSED, 64)
-    spec = FlowSpec(WILLMORE, CLOSED, NoiseModel(mode="scalar", amplitude=0.05))
+    grid = Grid(64)
+    spec = FlowSpec(WILLMORE, NoiseModel(mode="scalar", amplitude=0.05))
     rng = np.random.Generator(np.random.PCG64(321))
     worst = 0.0
     for _ in range(100):
@@ -169,20 +169,31 @@ def diffusion_coefficient():
 
 
 def spectral_degeneracy():
-    """c08: a flat first mode plus zero modes reproduces scalar noise exactly."""
+    """c08: a flat first mode plus zero modes reproduces scalar noise exactly.
+
+    The states are band-limited closed curves, curvature 2*pi/L times one
+    plus modes 1 and 2 of size about 0.1, so their total turning is 2*pi and
+    the scalar length row -2*pi equals the integral the spectral row takes.
+    Rough random states miss that identity by O(1).
+    """
     amplitude = 0.3
-    scalar = FlowSpec(WILLMORE, OPEN, NoiseModel(mode="scalar", amplitude=amplitude))
+    scalar = FlowSpec(WILLMORE, NoiseModel(mode="scalar", amplitude=amplitude))
     basis = (BasisFunction("const", 0, 1.0),) + tuple(BasisFunction("zero") for _ in range(7))
     degenerate = FlowSpec(
         WILLMORE,
-        OPEN,
         NoiseModel(mode="spectral", amplitude=amplitude, n_modes=8, basis=basis),
     )
-    grid = Grid(OPEN, 33)
+    grid = Grid(32)
+    r = grid.nodes
     rng = np.random.Generator(np.random.PCG64(7))
     worst = 0.0
     for _ in range(100):
-        f, length = rng.standard_normal(grid.n), 0.3 + 3.0 * rng.random()
+        length = 0.3 + 3.0 * rng.random()
+        f = np.ones(grid.n)
+        for k in (1, 2):
+            a, b = rng.standard_normal(2)
+            f = f + 0.1 * (a * np.cos(TWO_PI * k * r) + b * np.sin(TWO_PI * k * r))
+        f = TWO_PI / length * f
         a_s = assemble(scalar, grid, f, length)
         a_d = assemble(degenerate, grid, f, length)
         worst = max(
@@ -200,7 +211,7 @@ def spectral_degeneracy():
 
 def reconstruction():
     """c09: the unit circle closes, encloses pi, and moves rigidly with its anchor."""
-    grid = Grid(CLOSED, 128)
+    grid = Grid(128)
     state = _circle(grid)
     sample = geometry.reconstruct(grid, state)
     rng = np.random.Generator(np.random.PCG64(17))
@@ -227,13 +238,13 @@ def stop_statuses():
 
     The last record passes when the flipped energy check fails.
     """
-    grid, small = Grid(CLOSED, 64), Grid(CLOSED, 16)
-    noisy = FlowSpec(CURVE_DIFFUSION, CLOSED, NoiseModel(mode="scalar", amplitude=1.0))
+    grid, small = Grid(64), Grid(16)
+    noisy = FlowSpec(CURVE_DIFFUSION, NoiseModel(mode="scalar", amplitude=1.0))
     noisy_stepper = StepperConfig(IMEX_EM, 1e-3, 1.0, 10)
     # expected status -> (spec, grid, stepper, stop window, driver)
     cases = {
         TerminalStatus.BLOWUP_LENGTH_INFINITE: (
-            FlowSpec(WILLMORE, CLOSED, NO_NOISE),
+            FlowSpec(WILLMORE, NO_NOISE),
             grid,
             StepperConfig(IMEX_EM, 1e-4, 0.5, 10),
             (1e-6, 1.01 * TWO_PI, 1e6),
@@ -246,7 +257,7 @@ def stop_statuses():
             noisy, small, noisy_stepper, (1e-6, 1e6, 1.05), BrownianDriver(0, 0)
         ),
         TerminalStatus.NUMERICAL_FAILURE: (
-            FlowSpec(CURVE_DIFFUSION, CLOSED, NoiseModel(mode="scalar", amplitude=0.8)),
+            FlowSpec(CURVE_DIFFUSION, NoiseModel(mode="scalar", amplitude=0.8)),
             small,
             StepperConfig(HEUN_STRATONOVICH, 2e-4, 2.0, 1000),
             (1e-6 * TWO_PI, 1e6 * TWO_PI, 1e300),

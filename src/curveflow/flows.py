@@ -20,8 +20,8 @@ conserved along every noise mode exactly (each mode's f-row integrates to
 not just in expectation.
 
 Noise rows have unit amplitude, one per basis mode: b_L is exactly -2*pi
-for closed curves under scalar noise (the total turning of a simple closed
-curve), and -L*integral(f*phi_l) otherwise.  The global amplitude
+under scalar noise (the total turning of a simple closed curve), and
+-L*integral(f*phi_l) under spectral noise.  The global amplitude
 multiplies the Brownian increments in the stepper, and enters the
 Stratonovich-to-Ito correction quadratically.  The correction is the exact
 directional derivative of each diffusion row along itself,
@@ -48,7 +48,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CLOSED
 from .noise import SCALAR, NoiseModel, basis_eval
 
 WILLMORE = "willmore"
@@ -61,7 +60,7 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """Which flow, on which topology, driven by which noise.
+    """Which flow of a closed curve, driven by which noise.
 
     stiff_sign is a diagnostic knob: -1.0 is the dissipative fourth-order
     operator, +1.0 flips it so regression tests can confirm that the
@@ -69,24 +68,21 @@ class FlowSpec:
     """
 
     kind: str
-    topology: str
     noise: NoiseModel
     stiff_sign: float = -1.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"flow kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.topology not in (CLOSED, "open"):
-            raise ValueError(f"topology must be 'closed' or 'open', got {self.topology!r}")
         if self.stiff_sign not in (-1.0, 1.0):
             raise ValueError(f"stiff_sign must be -1.0 or +1.0, got {self.stiff_sign!r}")
 
     @property
     def uses_turning_shortcut(self):
-        """Closed curves with scalar noise: integral(f phi) dr * L is the total
-        turning, which is 2*pi for a simple closed curve; the length row is
-        the constant -2*pi rather than a state-dependent integral."""
-        return self.topology == CLOSED and self.noise.mode == SCALAR
+        """Scalar noise: integral(f phi) dr * L is the total turning, which is
+        2*pi for a simple closed curve; the length row is the constant -2*pi
+        rather than a state-dependent integral."""
+        return self.noise.mode == SCALAR
 
 
 @dataclass
@@ -144,10 +140,6 @@ def assemble(spec, grid, f, length, include_ito=True):
 
     Returns an _Assembly whose fields broadcast over the batch shape.
     """
-    if spec.topology != grid.topology:
-        raise ValueError(
-            f"flow topology {spec.topology!r} does not match grid topology {grid.topology!r}"
-        )
     f = grid.check_field(f)
     batch = f.shape[:-1]
     lc = np.asarray(length, dtype=float)

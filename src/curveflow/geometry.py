@@ -3,9 +3,9 @@
 A state determines its curve up to a rigid motion: the tangent angle is the
 running integral of curvature, theta(s) = theta0 + integral_0^s k, and the
 position is the running integral of the unit tangent, gamma(s) = anchor +
-integral_0^s (cos theta, sin theta).  On a closed grid the state is resampled
-(trigonometric interpolation) to the requested density first; the angle uses
-the grid's periodic running integral, which is exact for the sampled modes,
+integral_0^s (cos theta, sin theta).  The state is resampled (trigonometric
+interpolation) to the requested density first; the angle uses the grid's
+periodic running integral, which is exact for the sampled modes,
 while positions use the plain composite fourth-order cumulative rule on the
 extended, non-wrapped angle array.  The distinction matters: a state whose
 total turning is not a multiple of 2*pi describes a curve that genuinely
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import State
-from .grid import CLOSED, Grid, cumulative_quadrature
+from .grid import Grid, cumulative_quadrature
 
 _DEFAULT_MIN_SAMPLES = 1024
 _ADVISORY_DEFECT = 1e-3
@@ -47,7 +47,6 @@ class CurveSample:
     points: np.ndarray  # (m+1, 2)
     theta: np.ndarray   # (m+1,)
     length: float
-    closed: bool
     anchor: tuple
     theta0: float
 
@@ -55,10 +54,9 @@ class CurveSample:
 def reconstruct(grid, state, anchor=(0.0, 0.0), theta0=0.0, samples=None):
     """Integrate the state into a polyline of ``samples`` segments.
 
-    On closed grids ``samples`` defaults to max(n, 1024) so that polygon-area
-    and spacing diagnostics are limited by the state, not by chord error; it
-    must be an even number >= 8.  Open grids do not support resampling, so
-    ``samples`` must be omitted or equal n-1 there.
+    ``samples`` defaults to max(n, 1024) so that polygon-area and spacing
+    diagnostics are limited by the state, not by chord error; it must be an
+    even number >= 8.
     """
     f = grid.check_field(np.asarray(state.f, dtype=float))
     if f.ndim != 1:
@@ -67,29 +65,21 @@ def reconstruct(grid, state, anchor=(0.0, 0.0), theta0=0.0, samples=None):
     if not (length > 0 and math.isfinite(length)):
         raise ValueError(f"length must be positive and finite, got {state.length}")
 
-    if grid.closed:
-        m = int(samples) if samples is not None else max(grid.n, _DEFAULT_MIN_SAMPLES)
-        if m < 8 or m % 2:
-            raise ValueError(f"samples must be an even number >= 8, got {samples}")
-        work = Grid(CLOSED, m)
-        fm = grid.resample(f, m) if m != grid.n else f
-        theta = np.empty(m + 1)
-        theta[:m] = theta0 + length * work.cumint(fm)
-        theta[m] = theta0 + length * work.integrate(fm)
-        h = 1.0 / m
-    else:
-        if samples is not None and int(samples) != grid.n - 1:
-            raise ValueError("open-grid reconstruction cannot resample; omit samples")
-        theta = theta0 + length * grid.cumint(f)
-        h = grid.h
+    m = int(samples) if samples is not None else max(grid.n, _DEFAULT_MIN_SAMPLES)
+    if m < 8 or m % 2:
+        raise ValueError(f"samples must be an even number >= 8, got {samples}")
+    work = Grid(m)
+    fm = grid.resample(f, m) if m != grid.n else f
+    theta = np.empty(m + 1)
+    theta[:m] = theta0 + length * work.cumint(fm)
+    theta[m] = theta0 + length * work.integrate(fm)
 
     tangent = np.stack([np.cos(theta), np.sin(theta)])
-    points = cumulative_quadrature(length * tangent, h).T + np.asarray(anchor, dtype=float)
+    points = cumulative_quadrature(length * tangent, 1.0 / m).T + np.asarray(anchor, dtype=float)
     return CurveSample(
         points=points,
         theta=theta,
         length=length,
-        closed=grid.closed,
         anchor=(float(anchor[0]), float(anchor[1])),
         theta0=float(theta0),
     )
@@ -116,8 +106,7 @@ def enclosed_area(sample, advisory_warning=True):
                 "length; enclosed area is advisory",
                 stacklevel=2,
             )
-    p = sample.points[:-1] if sample.closed else sample.points
-    x, y = p[:, 0], p[:, 1]
+    x, y = sample.points[:-1, 0], sample.points[:-1, 1]
     return float(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 

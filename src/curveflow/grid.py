@@ -1,12 +1,9 @@
-"""Discrete calculus on the unit parameter interval.
+"""Discrete calculus on the periodic parameter interval of a closed curve.
 
-Fields live on uniform nodes in ``r``: on ``[0, 1)`` with periodic wrap-around
-(closed curves) or on ``[0, 1]`` including both endpoints (open curves).
-Closed-topology derivatives are pseudospectral (real FFT with the Nyquist mode
-zeroed for odd derivative orders); open-topology derivatives use fourth-order
-finite differences, centered in the interior with one-sided stencils of the
-same order at the ends.  Quadrature follows the same split: the exact mean on
-the torus, an end-corrected composite rule of fourth order on the interval.
+Fields live on the uniform nodes j/n, j = 0..n-1, of [0, 1) with periodic
+wrap-around.  Derivatives are pseudospectral (real FFT with the Nyquist mode
+zeroed for odd derivative orders), quadrature is the exact mean on the torus,
+and the stiff fourth-order solve is a per-mode division.
 
 All operations accept arrays of shape ``(..., n)`` and act along the last
 axis, so stacked batches of fields go through the same code path as single
@@ -19,51 +16,6 @@ at the API boundary with ``check_field``.
 from __future__ import annotations
 
 import numpy as np
-
-CLOSED = "closed"
-OPEN = "open"
-
-_TOPOLOGIES = (CLOSED, OPEN)
-
-# Widths of the centered stencils that reach fourth-order accuracy for each
-# derivative order, and of the (possibly offset) stencils used near the ends.
-_CENTERED_WIDTH = {1: 5, 2: 5, 3: 7, 4: 7}
-_EDGE_WIDTH = {1: 5, 2: 6, 3: 7, 4: 8}
-
-# Composite quadrature weights on the interval: trapezoid plus the first two
-# end corrections, which is exact on cubics (error O(h^4) f'''').
-_END_WEIGHTS = (3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0)
-
-
-def _fd_weights(z, x, m):
-    """Finite-difference weights for the m-th derivative at z from nodes x.
-
-    Standard recursive construction (Fornberg); works for arbitrary node
-    placement, which is what lets the same code produce centered, offset
-    and fully one-sided stencils.
-    """
-    n = len(x)
-    w = np.zeros((n, m + 1))
-    c1 = 1.0
-    c4 = x[0] - z
-    w[0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - z
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    w[i, k] = c1 * (k * w[i - 1, k - 1] - c5 * w[i - 1, k]) / c2
-                w[i, 0] = -c1 * c5 * w[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                w[j, k] = (c4 * w[j, k] - k * w[j, k - 1]) / c3
-            w[j, 0] = c4 * w[j, 0] / c3
-        c1 = c2
-    return w[:, m]
 
 
 def cumulative_quadrature(values, h):
@@ -103,44 +55,27 @@ def cumulative_quadrature(values, h):
 
 
 class Grid:
-    """Uniform nodes on the rescaled domain, with discrete calculus.
+    """Uniform periodic nodes j/n, j = 0..n-1, on [0, 1), with discrete calculus.
 
     Parameters
     ----------
-    topology : str
-        "closed" (periodic, nodes j/n for j = 0..n-1) or "open"
-        (nodes j/(n-1) for j = 0..n-1, both endpoints included).
     n : int
-        Node count; at least 8, and even for the closed topology so the
-        real-valued transforms pair modes.
+        Node count; even and at least 8, so the real-valued transforms pair
+        modes.
     """
 
-    def __init__(self, topology, n):
-        if topology not in _TOPOLOGIES:
-            raise ValueError(f"topology must be one of {_TOPOLOGIES}, got {topology!r}")
+    def __init__(self, n):
         n = int(n)
-        if n < 8:
-            raise ValueError(f"grid needs n >= 8, got {n}")
-        if topology == CLOSED and n % 2 != 0:
-            raise ValueError(f"closed topology needs even n, got {n}")
-        self.topology = topology
+        if n < 8 or n % 2 != 0:
+            raise ValueError(f"grid needs an even n >= 8, got {n}")
         self.n = n
-        if topology == CLOSED:
-            self.nodes = np.arange(n) / n
-            self.h = 1.0 / n
-        else:
-            self.nodes = np.arange(n) / (n - 1)
-            self.h = 1.0 / (n - 1)
+        self.nodes = np.arange(n) / n
         self._cache = {}
 
     def __repr__(self):
-        return f"Grid(topology={self.topology!r}, n={self.n})"
+        return f"Grid(n={self.n})"
 
     # -- helpers ---------------------------------------------------------
-
-    @property
-    def closed(self):
-        return self.topology == CLOSED
 
     def check_field(self, values):
         """Validate a field at an API boundary: n values per row, all finite.
@@ -184,50 +119,19 @@ class Grid:
             sym[-1] = 0.0
         return sym
 
-    def _fd_matrix(self, order):
-        return self.cached(("fd", order), lambda: self._build_fd_matrix(order))
-
-    def _build_fd_matrix(self, order):
-        n = self.n
-        width_c = _CENTERED_WIDTH[order]
-        width_e = _EDGE_WIDTH[order]
-        if n < order + 4:
-            raise ValueError(f"open-topology derivative of order {order} needs n >= {order + 4}")
-        d = np.zeros((n, n))
-        half = width_c // 2
-        for i in range(n):
-            if half <= i <= n - 1 - half:
-                lo = i - half
-                width = width_c
-            elif i < half:
-                lo = 0
-                width = min(width_e, n)
-            else:
-                width = min(width_e, n)
-                lo = n - width
-            idx = np.arange(lo, lo + width)
-            d[i, idx] = _fd_weights(self.nodes[i], self.nodes[idx], order)
-        return d
-
     # -- derivatives -----------------------------------------------------
 
     def derivs(self, values, orders):
         """Derivatives of several orders (each 1..4) along the last axis.
 
-        Returns shape (len(orders), ..., n).  Closed grids take one forward
-        transform and apply the stacked multipliers in one inverse transform.
+        Returns shape (len(orders), ..., n): one forward transform, and the
+        stacked multipliers applied in one inverse transform.
         """
         orders = tuple(orders)
         for order in orders:
             if order not in (1, 2, 3, 4):
                 raise ValueError(f"derivative order must be in 1..4, got {order}")
         v = self._field(values)
-        if not self.closed:
-            # a row-wise contraction: a matrix product would round one field
-            # differently from the same field inside a stack
-            return np.stack(
-                [np.einsum("...j,ij->...i", v, self._fd_matrix(order)) for order in orders]
-            )
         sym = self.cached(("symbols", orders), lambda: np.stack([self._symbol(o) for o in orders]))
         vh = np.fft.rfft(v, axis=-1)
         vh = vh * sym.reshape((len(orders),) + (1,) * (v.ndim - 1) + sym.shape[-1:])
@@ -240,32 +144,18 @@ class Grid:
     # -- quadrature ------------------------------------------------------
 
     def integrate(self, values):
-        """Integral over the parameter interval [0, 1]."""
-        v = self._field(values)
-        if self.closed:
-            return v.mean(axis=-1)
-        # a row-wise sum rather than a matrix product, whose rounding would
-        # depend on how many fields are stacked
-        return (v * self.cached("quad_weights", self._quad_weights)).sum(axis=-1)
-
-    def _quad_weights(self):
-        w = np.ones(self.n)
-        for i, c in enumerate(_END_WEIGHTS):
-            w[i] = c
-            w[-1 - i] = c
-        return w * self.h
+        """Integral over the parameter interval [0, 1]: the mean."""
+        return self._field(values).mean(axis=-1)
 
     def cumint(self, values):
         """Running integral r -> integral of the field from 0 to r.
 
-        Closed topology: the mean (the zero mode) contributes linearly and
-        the zero-mean remainder is integrated spectrally, so periodic
-        integrands are handled without seam error; a stack of fields shares
-        one transform pair.  Open topology: fourth-order composite rule.
+        The mean (the zero mode) contributes linearly and the zero-mean
+        remainder is integrated spectrally, so periodic integrands are
+        handled without seam error; a stack of fields shares one transform
+        pair.
         """
         v = self._field(values)
-        if not self.closed:
-            return cumulative_quadrature(v, self.h)
         anti = np.fft.rfft(v, axis=-1)
         out = (anti[..., :1].real / self.n) * self.nodes  # the mean, integrated linearly
         anti *= self.cached("antiderivative", self._antiderivative_symbol)
@@ -285,20 +175,6 @@ class Grid:
 
     # -- stiff fourth-order operator --------------------------------------
 
-    def stiff_symbol(self, length):
-        """Representation of (1/L^4) d^4/dr^4.
-
-        Closed: the per-mode Fourier multipliers (2 pi m)^4 / L^4.
-        Open: the dense finite-difference matrix of the same operator.
-        """
-        if not np.ndim(length) == 0:
-            raise ValueError("stiff_symbol takes a scalar length")
-        if not (length > 0):
-            raise ValueError(f"length must be positive, got {length}")
-        if self.closed:
-            return self._wavenumbers() ** 4 / float(length) ** 4
-        return self._fd_matrix(4) / float(length) ** 4
-
     def solve_stiff(self, rhs, length, dt):
         """Solve (I + dt*(1/L^4) d^4/dr^4) x = rhs along the last axis.
 
@@ -311,27 +187,14 @@ class Grid:
         L = np.asarray(length, dtype=float)
         if not np.all(L > 0):
             raise ValueError("length must be positive")
-        if self.closed:
-            sym = self._wavenumbers() ** 4  # (modes,)
-            denom = 1.0 + dt * sym / L[..., None] ** 4 if L.ndim else 1.0 + dt * sym / L**4
-            return np.fft.irfft(np.fft.rfft(v, axis=-1) / denom, self.n, axis=-1)
-        d4 = self._fd_matrix(4)
-        eye = np.eye(self.n)
-        if L.ndim == 0:
-            a = eye + (dt / float(L) ** 4) * d4
-            return np.linalg.solve(a, v[..., None])[..., 0] if v.ndim > 1 else np.linalg.solve(a, v)
-        out = np.empty_like(v)
-        for idx in np.ndindex(*v.shape[:-1]):
-            a = eye + (dt / float(L[idx]) ** 4) * d4
-            out[idx] = np.linalg.solve(a, v[idx])
-        return out
+        sym = self._wavenumbers() ** 4  # (modes,)
+        denom = 1.0 + dt * sym / L[..., None] ** 4 if L.ndim else 1.0 + dt * sym / L**4
+        return np.fft.irfft(np.fft.rfft(v, axis=-1) / denom, self.n, axis=-1)
 
     # -- spectral utilities ------------------------------------------------
 
     def resample(self, values, m):
-        """Trigonometric interpolation of a closed field onto m nodes."""
-        if not self.closed:
-            raise ValueError("resample is only defined on the closed topology")
+        """Trigonometric interpolation of the field onto m nodes."""
         m = int(m)
         if m < 8 or m % 2 != 0:
             raise ValueError(f"resample target must be even and >= 8, got {m}")

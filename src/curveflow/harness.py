@@ -10,13 +10,17 @@ Subcommands:
                   convergence study with a JSON report.
 * invariants    - run the acceptance checks of ``checks`` (c01-c06, c08,
                   c09, c11) at their gated settings and report pass/fail;
-                  no config key or --seed changes them.
-* reconstruct   - state or trajectory file -> curve CSV.
+                  it reads no config and takes only --out and
+                  --flip-stiff-sign.
+* reconstruct   - closed-curve state or trajectory file -> curve CSV; it
+                  reads no config either.
 * print-config  - show the effective configuration.
 
 Configuration is a flat text file of dotted keys, ``key = value`` per line
 (``#`` starts a comment line); every key has a default, so an empty or
-missing config is valid.  ``print-config`` lists them all.  CLI flags
+missing config is valid.  ``print-config`` lists them all.  Only closed
+curves are supported: ``grid.topology`` is kept in the schema, and in every
+meta record, with ``closed`` as its only legal value.  CLI flags
 --seed, --dt, --tend override single keys; --workers (or the environment
 variable CURVEFLOW_WORKERS) sets parallelism and is deliberately NOT part of
 the config: outputs are byte-identical for any worker count, because
@@ -43,7 +47,7 @@ import numpy as np
 
 from . import geometry
 from .flows import CURVE_DIFFUSION, WILLMORE, FlowSpec, State
-from .grid import CLOSED, OPEN, Grid
+from .grid import Grid
 from .integrator import (
     EXPLICIT_EM,
     HEUN_STRATONOVICH,
@@ -57,6 +61,7 @@ from .integrator import (
 from .noise import BrownianDriver, NoiseModel
 
 TWO_PI = 2.0 * math.pi
+CLOSED = "closed"
 
 
 class ConfigError(Exception):
@@ -66,7 +71,7 @@ class ConfigError(Exception):
 # key -> (type, default, choices, help)
 _SCHEMA = {
     "flow.kind": (str, WILLMORE, (WILLMORE, CURVE_DIFFUSION), "normal velocity driving the flow"),
-    "grid.topology": (str, CLOSED, (CLOSED, OPEN), "periodic (closed curve) or interval (open)"),
+    "grid.topology": (str, CLOSED, (CLOSED,), "curve topology; only closed curves are supported"),
     "grid.n": (int, 64, None, "number of spatial nodes"),
     "noise.mode": (str, "scalar", ("scalar", "spectral"), "single flat mode or decaying Fourier basis"),
     "noise.amplitude": (float, 0.0, None, "noise strength; 0 disables noise"),
@@ -116,7 +121,8 @@ def _parse_value(key, raw):
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
     if choices is not None and raw not in choices:
-        raise ConfigError(f"{key}: must be one of {choices}, got {raw!r}")
+        hint = "; open curves were removed" if key == "grid.topology" else ""
+        raise ConfigError(f"{key}: must be one of {choices}, got {raw!r}{hint}")
     return raw
 
 
@@ -179,7 +185,7 @@ def resolve_workers(args):
 
 def build_grid(cfg):
     try:
-        return Grid(cfg["grid.topology"], cfg["grid.n"])
+        return Grid(cfg["grid.n"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -192,7 +198,7 @@ def build_spec(cfg):
             n_modes=cfg["noise.n_modes"],
             decay_exponent=cfg["noise.decay_exponent"],
         )
-        return FlowSpec(cfg["flow.kind"], cfg["grid.topology"], noise)
+        return FlowSpec(cfg["flow.kind"], noise)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -310,7 +316,7 @@ def _snapshot_record(grid, snap):
         "full_resolution": snap.full_resolution,
         "f": snap.f,
     }
-    if grid.closed and snap.f.shape[-1] == grid.n:
+    if snap.f.shape[-1] == grid.n:
         sample = geometry.reconstruct(grid, State(snap.f, snap.length, snap.time))
         defect = geometry.closure_defect(sample)
         rec["area"] = geometry.enclosed_area(sample, advisory_warning=False)
@@ -576,11 +582,11 @@ def _study_space(cfg, ns):
             raise ConfigError(f"grid level {n} must divide the reference size {n_ref}")
     dt, t_end = 1e-5, 2e-3
     kind = cfg["flow.kind"]
-    spec = FlowSpec(kind, CLOSED, NoiseModel())
+    spec = FlowSpec(kind, NoiseModel())
     stepper = StepperConfig(IMEX_EM, dt, t_end, 10**9)
 
     def evolve(n):
-        grid = Grid(CLOSED, n)
+        grid = Grid(n)
         state = State(_poisson_profile(grid.nodes), TWO_PI)
         return run(spec, grid, state, stepper, check_turning=False).final_state.f
 
@@ -611,8 +617,8 @@ def _study_strong(cfg, n_paths):
     amplitude = cfg["noise.amplitude"] if cfg["noise.amplitude"] > 0 else 0.05
     seed = cfg["run.seed"]
     n = 16
-    grid = Grid(CLOSED, n)
-    spec = FlowSpec(WILLMORE, CLOSED, NoiseModel(mode="scalar", amplitude=amplitude))
+    grid = Grid(n)
+    spec = FlowSpec(WILLMORE, NoiseModel(mode="scalar", amplitude=amplitude))
     dt_fine = 1e-4
     n_fine = 512
     t_end = n_fine * dt_fine
@@ -732,16 +738,21 @@ def _load_state_file(path):
                 chosen = rec
         if chosen is None:
             raise ConfigError(f"no full-resolution snapshot in {path}")
-        return topology, np.asarray(chosen["f"], dtype=float), float(chosen["length"])
-    if len(records) > 1 or not isinstance(first, dict) or "f" not in first or "length" not in first:
+    elif len(records) > 1 or not isinstance(first, dict) or "f" not in first or "length" not in first:
         raise ConfigError(f"state file {path} needs 'f' and 'length' fields")
-    topology = first.get("topology", CLOSED)
-    return topology, np.asarray(first["f"], dtype=float), float(first["length"])
+    else:
+        topology, chosen = first.get("topology", CLOSED), first
+    if topology != CLOSED:
+        raise ConfigError(
+            f"state file {path} has topology {topology!r}; open curves were removed, "
+            "only closed states can be reconstructed"
+        )
+    return np.asarray(chosen["f"], dtype=float), float(chosen["length"])
 
 
 def cmd_reconstruct(args):
-    topology, f, length = _load_state_file(args.state)
-    grid = Grid(topology, f.shape[0])
+    f, length = _load_state_file(args.state)
+    grid = Grid(f.shape[0])
     state = State(f, length)
     anchor = (0.0, 0.0)
     if args.anchor:
@@ -756,10 +767,9 @@ def cmd_reconstruct(args):
     geometry.write_csv(sample, out)
     defect = geometry.closure_defect(sample)
     print(f"closure defect: {defect:.6g}")
-    if grid.closed:
-        area = geometry.enclosed_area(sample, advisory_warning=False)
-        note = " (advisory)" if defect > 1e-3 * sample.length else ""
-        print(f"enclosed area: {area:.6g}{note}")
+    area = geometry.enclosed_area(sample, advisory_warning=False)
+    note = " (advisory)" if defect > 1e-3 * sample.length else ""
+    print(f"enclosed area: {area:.6g}{note}")
     print(f"wrote {out}")
     return 0
 
@@ -781,10 +791,12 @@ def cmd_print_config(args):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="output path")
+    # invariants and reconstruct read no config, so only output is theirs
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--config", help="path to a dotted-key config file")
     common.add_argument("--seed", type=int, help="override run.seed")
-    common.add_argument("--out", help="output path")
     common.add_argument("--workers", type=int, help="parallel workers (ensemble)")
     common.add_argument("--dt", type=float, help="override stepper.dt")
     common.add_argument("--tend", type=float, help="override stepper.t_end")
@@ -808,7 +820,7 @@ def build_parser():
     p.add_argument("--paths", type=int, default=32, help="strong study ensemble size")
     p.set_defaults(func=cmd_convergence)
 
-    p = sub.add_parser("invariants", parents=[common], help="run the invariant catalog")
+    p = sub.add_parser("invariants", parents=[output], help="run the invariant catalog")
     p.add_argument(
         "--flip-stiff-sign",
         action="store_true",
@@ -816,9 +828,9 @@ def build_parser():
     )
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("reconstruct", parents=[common], help="state/trajectory file -> curve CSV")
+    p = sub.add_parser("reconstruct", parents=[output], help="state/trajectory file -> curve CSV")
     p.add_argument("--state", required=True, help="JSON state or simulate JSONL file")
-    p.add_argument("--samples", type=int, help="polyline segments (closed grids)")
+    p.add_argument("--samples", type=int, help="polyline segments")
     p.add_argument("--anchor", help="start point 'x,y'")
     p.add_argument("--theta0", type=float, default=0.0, help="initial tangent angle")
     p.set_defaults(func=cmd_reconstruct)

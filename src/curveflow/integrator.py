@@ -3,14 +3,13 @@
 Three schemes advance the curvature-length system:
 
 * ImexEM - semi-implicit Euler-Maruyama on the Ito form.  Only the
-  constant-coefficient fourth-order term is implicit (a per-mode division on
-  closed grids, a dense solve on open ones, with the length frozen at its
-  start-of-step value); every other drift term and the noise are explicit.
-  On closed grids the step ends by shifting the zero mode of f so that the
-  total turning L * mean(f), a pathwise invariant of the flow, keeps its
-  start-of-step value; the unprojected update drifts it by the O(dt)
-  product of the length and mean updates (a projection method: Hairer,
-  Lubich & Wanner, Geometric Numerical Integration, IV.4).
+  constant-coefficient fourth-order term is implicit (a per-mode division,
+  with the length frozen at its start-of-step value); every other drift
+  term and the noise are explicit.  The step ends by shifting the zero mode
+  of f so that the total turning L * mean(f), a pathwise invariant of the
+  flow, keeps its start-of-step value; the unprojected update drifts it by
+  the O(dt) product of the length and mean updates (a projection method:
+  Hairer, Lubich & Wanner, Geometric Numerical Integration, IV.4).
 * HeunStratonovich - explicit predictor-corrector on the Stratonovich form
   (drift without the Ito correction, noise averaged between the endpoint
   evaluations).  Its pathwise limit is the Stratonovich solution, so
@@ -177,8 +176,7 @@ def dt_stability(scheme, grid, length, f_sup):
     The variable-coefficient second-order term bounds every scheme by
     0.5 * L^2 / (sup|f|^2 n^2).  Fully explicit schemes are additionally
     bounded by the fourth-order operator: 1 / lambda_max with
-    lambda_max = (pi n)^4 / L^4 on closed grids and the max row sum of the
-    difference matrix on open ones.
+    lambda_max = (pi n)^4 / L^4, its largest Fourier multiplier.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
@@ -190,10 +188,7 @@ def dt_stability(scheme, grid, length, f_sup):
         bound = math.inf
     if scheme == IMEX_EM:
         return bound
-    if grid.closed:
-        lam = (math.pi * grid.n) ** 4 / length**4
-    else:
-        lam = float(np.abs(grid.stiff_symbol(length)).sum(axis=1).max())
+    lam = (math.pi * grid.n) ** 4 / length**4
     return min(bound, 1.0 / lam)
 
 
@@ -248,10 +243,9 @@ def _imex_em(spec, grid, f, length, dt, dw):
     new_f = grid.solve_stiff(rhs, length, dt * (-spec.stiff_sign))
     if any_bad:
         new_f = np.where(bad[..., None], np.nan, new_f)
-    if grid.closed:
-        # a row whose length update is non-positive has shrunk; dividing by
-        # its length could make it look non-finite instead
-        new_f = _project_turning(new_f, f, length, np.where(new_l > 0, new_l, length))
+    # a row whose length update is non-positive has shrunk; dividing by its
+    # length could make it look non-finite instead
+    new_f = _project_turning(new_f, f, length, np.where(new_l > 0, new_l, length))
     return new_f, new_l
 
 
@@ -333,7 +327,7 @@ def _snapshot(grid, f, length, time, step, full=False):
 
 
 def check_turning_consistency(grid, f, length, tol=_TURNING_TOL):
-    """Closed states must carry a total turning near a multiple of 2*pi.
+    """States must carry a total turning near a multiple of 2*pi.
 
     f has shape (*B, n) and length B; every row is checked at once and the
     first offending row is reported.
@@ -381,7 +375,7 @@ def _classify(f, length, stop):
 def _start(grid, stepper, f, lengths, stop, check_turning):
     """Validate initial fields f (M, n) and lengths (M,) and check the start.
 
-    Closed states must pass the turning check unless check_turning is off,
+    The states must pass the turning check unless check_turning is off,
     and dt must lie below the stability bound of the worst initial state
     (ExplicitEM only warns).  Returns the stop window, by default
     StopCriteria.from_initial of the first state.
@@ -389,7 +383,7 @@ def _start(grid, stepper, f, lengths, stop, check_turning):
     grid.check_field(f)
     if not np.all(np.isfinite(lengths) & (lengths > 0)):
         raise ValueError(f"initial length must be positive and finite, got {lengths}")
-    if grid.closed and check_turning:
+    if check_turning:
         check_turning_consistency(grid, f, lengths)
     if stop is None:
         stop = StopCriteria.from_initial(State(f[0], float(lengths[0])))

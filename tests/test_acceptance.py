@@ -17,7 +17,7 @@ import numpy as np
 
 from curveflow import checks, harness
 from curveflow.flows import WILLMORE, FlowSpec
-from curveflow.grid import CLOSED, Grid
+from curveflow.grid import Grid
 from curveflow.harness import main
 from curveflow.integrator import (
     HEUN_STRATONOVICH,
@@ -102,8 +102,8 @@ def test_c06_length_noise_coefficient_exact(criterion_log):
 def test_c07_scheme_agreement_under_shared_noise(criterion_log):
     """Semi-implicit and Heun means agree on coupled scalar-noise ensembles."""
     n, n_paths, dt, t_end = 16, 2000, 1e-4, 0.1
-    grid = Grid(CLOSED, n)
-    spec = FlowSpec(WILLMORE, CLOSED, NoiseModel(mode="scalar", amplitude=0.05))
+    grid = Grid(n)
+    spec = FlowSpec(WILLMORE, NoiseModel(mode="scalar", amplitude=0.05))
     f0 = np.ones(n)
     start = time.perf_counter()
     results = {
@@ -135,7 +135,10 @@ def test_c07_scheme_agreement_under_shared_noise(criterion_log):
 def test_c08_spectral_basis_degenerates_to_scalar(criterion_log):
     """A flat first mode plus zero modes reproduces scalar noise exactly."""
     records, (worst,), _ = _timed(checks.spectral_degeneracy)
-    detail = f"worst drift/diffusion gap {worst:.3g} over 100 random open states (bound 1e-12)"
+    detail = (
+        f"worst drift/diffusion gap {worst:.3g} over 100 band-limited closed states "
+        "(bound 1e-12)"
+    )
     label = "08 spectral basis degenerates to scalar noise"
     _gate(criterion_log, label, records, [1e-12], detail, records[0]["modes"] == 8)
 

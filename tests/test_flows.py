@@ -21,7 +21,7 @@ from curveflow.flows import (
     State,
     assemble,
 )
-from curveflow.grid import CLOSED, OPEN, Grid
+from curveflow.grid import Grid
 from curveflow.noise import NoiseModel, basis_eval
 
 TWO_PI = 2.0 * np.pi
@@ -44,9 +44,9 @@ def _band_limited(rng, grid, n_low=6, scale=0.3):
 def test_willmore_constant_state_drift():
     # f == c: all derivatives vanish, V = -c^3/2, so the length drifts by
     # L * c^4 / 2 and f by -c^5/2 plus the correction c^3 (amplitude 1).
-    grid = Grid(CLOSED, 64)
+    grid = Grid(64)
     c, length = 0.7, 3.1
-    spec = FlowSpec(WILLMORE, CLOSED, NoiseModel(mode="scalar", amplitude=1.0))
+    spec = FlowSpec(WILLMORE, NoiseModel(mode="scalar", amplitude=1.0))
     a = assemble(spec, grid, np.full(64, c), length)
     assert np.all(a.stiff == 0.0)
     assert np.all(a.det_f + a.corr_f == -0.5 * c**5 + c**3)
@@ -54,9 +54,9 @@ def test_willmore_constant_state_drift():
 
 
 def test_willmore_constant_state_noise_row():
-    grid = Grid(CLOSED, 64)
+    grid = Grid(64)
     c = 0.7
-    spec = FlowSpec(WILLMORE, CLOSED, NoiseModel(mode="scalar", amplitude=1.0))
+    spec = FlowSpec(WILLMORE, NoiseModel(mode="scalar", amplitude=1.0))
     a = assemble(spec, grid, np.full(64, c), 3.1)
     assert a.rows_beta.shape == (1, 64) and a.rows_lam.shape == (1,)
     assert np.all(a.rows_beta[0] == c * c)
@@ -66,9 +66,9 @@ def test_willmore_constant_state_noise_row():
 def test_curve_diffusion_constant_state():
     # No fourth or second derivative: the deterministic drift vanishes and
     # only the Ito correction (a^2 c^3 on f, zero on L) survives.
-    grid = Grid(CLOSED, 64)
+    grid = Grid(64)
     c, amp = 1.3, 0.5
-    spec = FlowSpec(CURVE_DIFFUSION, CLOSED, NoiseModel(mode="scalar", amplitude=amp))
+    spec = FlowSpec(CURVE_DIFFUSION, NoiseModel(mode="scalar", amplitude=amp))
     a = assemble(spec, grid, np.full(64, c), 2.0)
     assert np.all(a.stiff == 0.0)
     assert np.abs(a.corr_f - amp * amp * c**3).max() < 1e-15
@@ -77,34 +77,26 @@ def test_curve_diffusion_constant_state():
     assert a.det_L + a.corr_L == 0.0
 
 
-def test_curve_diffusion_constant_state_open():
-    grid = Grid(OPEN, 65)
-    c, amp = 1.3, 0.5
-    spec = FlowSpec(CURVE_DIFFUSION, OPEN, NoiseModel(mode="scalar", amplitude=amp))
-    a = assemble(spec, grid, np.full(65, c), 2.0)
-    assert np.abs(a.corr_f - amp * amp * c**3).max() < 1e-12
-    assert abs(a.corr_L) < 1e-12
-
-
 def test_flat_state_is_stationary():
-    """A straight segment (f == 0) produces no drift and no noise response."""
-    grid = Grid(OPEN, 65)
-    spec = FlowSpec(WILLMORE, OPEN, NoiseModel(mode="scalar", amplitude=1.0))
-    a = assemble(spec, grid, np.zeros(65), 2.0)
+    """Zero curvature produces no drift and no curvature noise response; the
+    scalar length row stays the closed-curve constant -2 pi."""
+    grid = Grid(64)
+    spec = FlowSpec(WILLMORE, NoiseModel(mode="scalar", amplitude=1.0))
+    a = assemble(spec, grid, np.zeros(64), 2.0)
     assert np.all(a.stiff == 0.0)
     assert np.all(a.det_f + a.corr_f == 0.0)
     assert a.det_L + a.corr_L == 0.0
     assert np.all(a.rows_beta[0] == 0.0)
-    assert a.rows_lam[0] == 0.0
+    assert a.rows_lam[0] == -TWO_PI
 
 
 def test_spectral_rows_at_zero_curvature():
     # f == 0, L == 1: each row reduces to the bare second derivative of its
     # basis function, the length rows vanish, and the L correction takes the
     # closed form a^2 * sum c_l^2 (2 pi m_l)^2 / 4.
-    grid = Grid(CLOSED, 64)
+    grid = Grid(64)
     noise = NoiseModel(mode="spectral", amplitude=0.3, n_modes=4, decay_exponent=6.0)
-    spec = FlowSpec(WILLMORE, CLOSED, noise)
+    spec = FlowSpec(WILLMORE, noise)
     a = assemble(spec, grid, np.zeros(64), 1.0)
     for l, (b_f, b_L) in enumerate(zip(a.rows_beta, a.rows_lam), start=1):
         assert np.array_equal(b_f, basis_eval(noise, grid, l, 2))
@@ -122,21 +114,21 @@ def test_spectral_rows_at_zero_curvature():
 
 def test_ito_correction_scales_quadratically():
     rng = np.random.default_rng(11)
-    grid = Grid(CLOSED, 64)
+    grid = Grid(64)
     f = _band_limited(rng, grid)
     low = NoiseModel(mode="spectral", amplitude=0.3, n_modes=4, decay_exponent=6.0)
     high = NoiseModel(mode="spectral", amplitude=0.6, n_modes=4, decay_exponent=6.0)
-    a1 = assemble(FlowSpec(WILLMORE, CLOSED, low), grid, f, 2.0)
-    a2 = assemble(FlowSpec(WILLMORE, CLOSED, high), grid, f, 2.0)
+    a1 = assemble(FlowSpec(WILLMORE, low), grid, f, 2.0)
+    a2 = assemble(FlowSpec(WILLMORE, high), grid, f, 2.0)
     assert np.array_equal(a2.corr_f, 4.0 * a1.corr_f)
     assert a2.corr_L == 4.0 * a1.corr_L
 
 
 def test_zero_amplitude_has_no_correction():
     rng = np.random.default_rng(3)
-    grid = Grid(CLOSED, 64)
+    grid = Grid(64)
     noise = NoiseModel(mode="spectral", amplitude=0.0, n_modes=6, decay_exponent=6.0)
-    spec = FlowSpec(CURVE_DIFFUSION, CLOSED, noise)
+    spec = FlowSpec(CURVE_DIFFUSION, noise)
     f = _band_limited(rng, grid)
     with_corr = assemble(spec, grid, f, 1.5, include_ito=True)
     assert np.all(with_corr.corr_f == 0.0)
@@ -150,10 +142,10 @@ def test_zero_amplitude_has_no_correction():
 def test_stratonovich_drift_plus_correction_is_ito_drift():
     """include_ito toggles exactly the correction term, bitwise."""
     rng = np.random.default_rng(5)
-    grid = Grid(CLOSED, 64)
+    grid = Grid(64)
     noise = NoiseModel(mode="spectral", amplitude=0.4, n_modes=6, decay_exponent=6.0)
     for kind in (WILLMORE, CURVE_DIFFUSION):
-        spec = FlowSpec(kind, CLOSED, noise)
+        spec = FlowSpec(kind, noise)
         f, length = _band_limited(rng, grid), 0.9 + rng.random()
         strat = assemble(spec, grid, f, length, include_ito=False)
         ito = assemble(spec, grid, f, length, include_ito=True)
@@ -173,9 +165,9 @@ def test_stratonovich_drift_plus_correction_is_ito_drift():
 @pytest.mark.parametrize("kind", [WILLMORE, CURVE_DIFFUSION])
 def test_turning_conserved_per_noise_mode(kind):
     rng = np.random.default_rng(17)
-    grid = Grid(CLOSED, 64)
+    grid = Grid(64)
     noise = NoiseModel(mode="spectral", amplitude=0.4, n_modes=6, decay_exponent=6.0)
-    spec = FlowSpec(kind, CLOSED, noise)
+    spec = FlowSpec(kind, noise)
     for _ in range(25):
         f = _band_limited(rng, grid)
         length = 0.5 + 3.0 * rng.random()
@@ -189,8 +181,8 @@ def test_turning_conserved_per_noise_mode(kind):
 @pytest.mark.parametrize("kind", [WILLMORE, CURVE_DIFFUSION])
 def test_turning_conserved_by_deterministic_drift(kind):
     rng = np.random.default_rng(23)
-    grid = Grid(CLOSED, 64)
-    spec = FlowSpec(kind, CLOSED, NoiseModel(mode="scalar", amplitude=0.0))
+    grid = Grid(64)
+    spec = FlowSpec(kind, NoiseModel(mode="scalar", amplitude=0.0))
     for _ in range(25):
         f = _band_limited(rng, grid)
         length = 0.5 + 3.0 * rng.random()
@@ -207,9 +199,9 @@ def test_ito_correction_conserves_expected_turning(kind):
     # variation of the turning functional: L*mean(corr_f) + mean(f)*corr_L
     # + a^2 sum_l b_L,l * mean(b_f,l) == 0.
     rng = np.random.default_rng(29)
-    grid = Grid(CLOSED, 64)
+    grid = Grid(64)
     noise = NoiseModel(mode="spectral", amplitude=0.4, n_modes=6, decay_exponent=6.0)
-    spec = FlowSpec(kind, CLOSED, noise)
+    spec = FlowSpec(kind, noise)
     for _ in range(25):
         f = _band_limited(rng, grid)
         length = 0.5 + 3.0 * rng.random()
@@ -224,10 +216,10 @@ def test_ito_correction_conserves_expected_turning(kind):
 
 
 def test_scalar_noise_length_row_is_constant():
-    """Closed + scalar noise short-circuits b_L to -2 pi regardless of state."""
+    """Scalar noise short-circuits b_L to -2 pi regardless of state."""
     rng = np.random.default_rng(31)
-    grid = Grid(CLOSED, 64)
-    spec = FlowSpec(WILLMORE, CLOSED, NoiseModel(mode="scalar", amplitude=0.7))
+    grid = Grid(64)
+    spec = FlowSpec(WILLMORE, NoiseModel(mode="scalar", amplitude=0.7))
     assert spec.uses_turning_shortcut
     for _ in range(10):
         a = assemble(spec, grid, rng.standard_normal(64), 0.3 + 3.0 * rng.random())
@@ -242,19 +234,17 @@ def test_scalar_noise_length_row_is_constant():
     assert abs(defect) < 1e-12
 
 
-def test_open_topology_has_no_shortcut():
-    spec = FlowSpec(WILLMORE, OPEN, NoiseModel(mode="scalar", amplitude=0.7))
-    assert not spec.uses_turning_shortcut
-    spectral = NoiseModel(mode="spectral", amplitude=0.7, n_modes=4, decay_exponent=6.0)
-    assert not FlowSpec(WILLMORE, CLOSED, spectral).uses_turning_shortcut
-    # open length row is the state-dependent integral, not a constant
-    grid = Grid(OPEN, 65)
+def test_spectral_noise_has_no_shortcut():
+    """Spectral noise takes the state-dependent length row -L * integral(f phi_l)."""
     rng = np.random.default_rng(37)
-    f = 1.0 + 0.2 * np.sin(np.pi * grid.nodes) * rng.random()
-    length = 2.0
-    lam = assemble(spec, grid, f, length).rows_lam[0]
-    expected = -length * grid.integrate(f * np.ones(grid.n))
-    assert lam == pytest.approx(expected, rel=1e-14)
+    grid = Grid(64)
+    noise = NoiseModel(mode="spectral", amplitude=0.7, n_modes=4, decay_exponent=6.0)
+    spec = FlowSpec(WILLMORE, noise)
+    assert not spec.uses_turning_shortcut
+    f, length = _band_limited(rng, grid), 2.0
+    phi = np.array([basis_eval(noise, grid, l, 0) for l in range(1, 5)])
+    lam = assemble(spec, grid, f, length).rows_lam
+    assert lam == pytest.approx(-length * grid.integrate(f * phi), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +254,9 @@ def test_open_topology_has_no_shortcut():
 def test_batched_assembly_matches_loop():
     """Stacked states assemble to bitwise the same values as one-at-a-time."""
     rng = np.random.default_rng(41)
-    grid = Grid(CLOSED, 32)
+    grid = Grid(32)
     noise = NoiseModel(mode="spectral", amplitude=0.4, n_modes=4, decay_exponent=6.0)
-    spec = FlowSpec(WILLMORE, CLOSED, noise)
+    spec = FlowSpec(WILLMORE, noise)
     batch_f = np.stack([_band_limited(rng, grid, n_low=4) for _ in range(5)])
     batch_l = 0.5 + 3.0 * rng.random(5)
     batched = assemble(spec, grid, batch_f, batch_l)
@@ -302,9 +292,9 @@ def test_assembly_operation_counts(monkeypatch):
     rng = np.random.default_rng(47)
     fft_calls = []
     for n_modes in (1, 8):
-        grid = Grid(CLOSED, 64)
+        grid = Grid(64)
         noise = NoiseModel(mode="spectral", amplitude=0.4, n_modes=n_modes, decay_exponent=6.0)
-        spec = FlowSpec(WILLMORE, CLOSED, noise)
+        spec = FlowSpec(WILLMORE, noise)
         f = _band_limited(rng, grid)
         for first in (True, False):
             counts.clear()
@@ -318,12 +308,12 @@ def test_assembly_operation_counts(monkeypatch):
 
 def test_stiff_sign_flip_only_touches_stiff_part():
     rng = np.random.default_rng(43)
-    grid = Grid(CLOSED, 64)
+    grid = Grid(64)
     noise = NoiseModel(mode="scalar", amplitude=0.3)
-    spec = FlowSpec(WILLMORE, CLOSED, noise)
+    spec = FlowSpec(WILLMORE, noise)
     f = _band_limited(rng, grid)
     normal = assemble(spec, grid, f, 1.7)
-    flipped_spec = FlowSpec(WILLMORE, CLOSED, noise, stiff_sign=+1.0)
+    flipped_spec = FlowSpec(WILLMORE, noise, stiff_sign=+1.0)
     flipped = assemble(flipped_spec, grid, f, 1.7)
     assert np.array_equal(flipped.stiff, -normal.stiff)
     assert np.array_equal(flipped.det_f + flipped.corr_f, normal.det_f + normal.corr_f)
@@ -333,18 +323,15 @@ def test_stiff_sign_flip_only_touches_stiff_part():
 def test_spec_validation():
     noise = NoiseModel(mode="scalar", amplitude=0.1)
     with pytest.raises(ValueError):
-        FlowSpec("mean_curvature", CLOSED, noise)
+        FlowSpec("mean_curvature", noise)
     with pytest.raises(ValueError):
-        FlowSpec(WILLMORE, "moebius", noise)
+        FlowSpec(WILLMORE, noise, stiff_sign=0.5)
 
 
 def test_state_validation():
-    grid = Grid(CLOSED, 64)
+    grid = Grid(64)
     noise = NoiseModel(mode="scalar", amplitude=0.1)
-    spec_open = FlowSpec(WILLMORE, OPEN, noise)
-    with pytest.raises(ValueError):
-        assemble(spec_open, grid, np.ones(64), 1.0)
-    spec = FlowSpec(WILLMORE, CLOSED, noise)
+    spec = FlowSpec(WILLMORE, noise)
     with pytest.raises(ValueError):
         assemble(spec, grid, np.ones((2, 64)), 1.0)
     with pytest.raises(ValueError):

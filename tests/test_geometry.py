@@ -22,7 +22,7 @@ from curveflow.geometry import (
     reconstruct,
     write_csv,
 )
-from curveflow.grid import CLOSED, OPEN, Grid
+from curveflow.grid import Grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -32,7 +32,7 @@ def unit_circle_state(n=128):
 
 
 def test_unit_circle_roundness():
-    grid = Grid(CLOSED, 128)
+    grid = Grid(128)
     sample = reconstruct(grid, unit_circle_state())
     assert sample.points.shape == (1025, 2)  # default sampling is 1024 segments
     center = sample.points[:-1].mean(axis=0)
@@ -43,13 +43,13 @@ def test_unit_circle_roundness():
 
 
 def test_unit_circle_area():
-    grid = Grid(CLOSED, 128)
+    grid = Grid(128)
     sample = reconstruct(grid, unit_circle_state())
     assert abs(enclosed_area(sample) - np.pi) < 1e-4
 
 
 def test_clockwise_circle_has_negative_area():
-    grid = Grid(CLOSED, 128)
+    grid = Grid(128)
     sample = reconstruct(grid, State(-np.ones(128), TWO_PI))
     assert abs(enclosed_area(sample) + np.pi) < 1e-4
 
@@ -57,7 +57,7 @@ def test_clockwise_circle_has_negative_area():
 def test_circle_spacing_and_arclength():
     # dense sampling: the polyline must be uniformly spaced at L/m and its
     # chord-sum length must reproduce L (both limited only by chord error)
-    grid = Grid(CLOSED, 128)
+    grid = Grid(128)
     sample = reconstruct(grid, unit_circle_state(), samples=16384)
     segments = np.hypot(*np.diff(sample.points, axis=0).T)
     target = TWO_PI / 16384
@@ -65,32 +65,31 @@ def test_circle_spacing_and_arclength():
     assert abs(polyline_arclength(sample) - TWO_PI) / TWO_PI < 1e-8
 
 
-def test_flat_open_state_is_a_straight_segment():
-    grid = Grid(OPEN, 65)
-    sample = reconstruct(grid, State(np.zeros(65), 1.0))
-    assert np.array_equal(sample.points[:, 1], np.zeros(65))
-    assert np.allclose(sample.points[:, 0], grid.nodes, rtol=0, atol=1e-15)
-    assert sample.points[-1, 0] == 1.0
-    assert not sample.closed
-
-
 def test_quarter_circle_endpoint():
-    # kappa == 1 over length pi/2 starting flat: endpoint (sin, 1-cos) = (1, 1)
-    grid = Grid(OPEN, 65)
-    sample = reconstruct(grid, State(np.ones(65), np.pi / 2.0))
+    # kappa == 1 over length pi/2 starting flat: endpoint (sin, 1-cos) = (1, 1);
+    # a turning of pi/2 does not close, and the polyline keeps the gap
+    grid = Grid(64)
+    sample = reconstruct(grid, State(np.ones(64), np.pi / 2.0))
     assert np.abs(sample.points[-1] - np.array([1.0, 1.0])).max() < 1e-6
 
 
 def test_half_circle_diameter_gap():
     # half turn of curvature 1: endpoints sit a diameter (= 2) apart
-    grid = Grid(OPEN, 129)
-    sample = reconstruct(grid, State(np.ones(129), np.pi))
+    grid = Grid(128)
+    sample = reconstruct(grid, State(np.ones(128), np.pi))
     assert abs(closure_defect(sample) - 2.0) < 1e-6
+
+
+def test_flat_state_is_a_straight_segment():
+    grid = Grid(64)
+    sample = reconstruct(grid, State(np.zeros(64), 5.0))
+    assert np.array_equal(sample.points[:, 1], np.zeros(1025))
+    assert np.allclose(sample.points[:, 0], 5.0 * np.arange(1025) / 1024, rtol=0, atol=1e-14)
 
 
 def test_flat_closed_state_measures_its_own_defect():
     """Zero curvature on a closed grid is an honest non-closing polyline."""
-    grid = Grid(CLOSED, 64)
+    grid = Grid(64)
     sample = reconstruct(grid, State(np.zeros(64), 5.0))
     assert closure_defect(sample) == 5.0
     with pytest.warns(UserWarning, match="advisory"):
@@ -107,7 +106,7 @@ def test_flat_closed_state_measures_its_own_defect():
 def test_doubly_wound_circle():
     # f = 4 pi on unit length turns twice around a circle of radius 1/(4 pi);
     # the shoelace sum then counts the disc twice
-    grid = Grid(CLOSED, 64)
+    grid = Grid(64)
     sample = reconstruct(grid, State(np.full(64, 4.0 * np.pi), 1.0))
     assert closure_defect(sample) < 1e-9
     assert sample.theta[-1] - sample.theta[0] == pytest.approx(4.0 * np.pi, abs=1e-12)
@@ -123,7 +122,7 @@ def test_ellipse_area():
         [[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(phi))]
     )
     length = s[-1]
-    grid = Grid(CLOSED, 256)
+    grid = Grid(256)
     phi_nodes = np.interp(grid.nodes * length, s, phi)
     kappa = a * b / np.hypot(a * np.sin(phi_nodes), b * np.cos(phi_nodes)) ** 3
     state = State(kappa, length)
@@ -135,7 +134,7 @@ def test_ellipse_area():
 
 def test_reconstruction_equivariance():
     """anchor/theta0 act exactly as a rigid motion of the base reconstruction."""
-    grid = Grid(CLOSED, 64)
+    grid = Grid(64)
     state = State(1.0 + 0.2 * np.cos(TWO_PI * grid.nodes), TWO_PI)
     base = reconstruct(grid, state)
     rng = np.random.default_rng(2)
@@ -151,7 +150,7 @@ def test_reconstruction_equivariance():
 
 
 def test_functionals_on_perturbed_circle():
-    grid = Grid(CLOSED, 64)
+    grid = Grid(64)
     f = 1.0 + 0.1 * np.cos(TWO_PI * grid.nodes)
     vals = functionals(grid, State(f, TWO_PI))
     assert vals["length"] == TWO_PI
@@ -162,7 +161,7 @@ def test_functionals_on_perturbed_circle():
 
 
 def test_write_csv_round_trip(tmp_path):
-    grid = Grid(CLOSED, 64)
+    grid = Grid(64)
     sample = reconstruct(grid, unit_circle_state(64), samples=64)
     path = tmp_path / "curve.csv"
     write_csv(sample, path)
@@ -175,7 +174,7 @@ def test_write_csv_round_trip(tmp_path):
 
 
 def test_reconstruct_validation():
-    grid = Grid(CLOSED, 64)
+    grid = Grid(64)
     state = unit_circle_state(64)
     with pytest.raises(ValueError):
         reconstruct(grid, state, samples=7)  # too few
@@ -185,9 +184,3 @@ def test_reconstruct_validation():
         reconstruct(grid, State(np.ones((2, 64)), TWO_PI))
     with pytest.raises(ValueError):
         reconstruct(grid, State(np.ones(64), -1.0))
-    open_grid = Grid(OPEN, 65)
-    with pytest.raises(ValueError):
-        reconstruct(open_grid, State(np.zeros(65), 1.0), samples=128)
-    # the degenerate spelling samples == n-1 is allowed on open grids
-    sample = reconstruct(open_grid, State(np.zeros(65), 1.0), samples=64)
-    assert sample.points.shape == (65, 2)

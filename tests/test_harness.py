@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,9 +58,10 @@ def _records(path):
 def test_print_config_lists_all_defaults(capsys):
     assert main(["print-config"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(harness._SCHEMA)
+    assert len(lines) == len(harness._SCHEMA) == 23
     assert [line.split(" = ")[0] for line in lines] == list(harness._SCHEMA)
     assert lines[0] == "flow.kind = willmore"
+    assert "grid.topology = closed" in lines
     assert "stepper.dt = 0.0001" in lines
     assert "run.check_turning = true" in lines
 
@@ -113,6 +116,7 @@ def test_config_unknown_key_reports_location(tmp_path):
         ("stepper.dt 1e-3", "expected 'key = value'"),
         ("flow.kind = mean_curvature", "must be one of"),
         ("grid.dealias = false", "unknown config key"),
+        ("grid.topology = open", "open curves were removed"),
     ],
 )
 def test_config_value_errors(tmp_path, text, message):
@@ -520,11 +524,11 @@ CHECK_NAMES = [
 
 def test_invariant_catalog_passes(tmp_path, capsys):
     blobs = []
-    for seed in ("1", "2"):
-        out = tmp_path / f"inv{seed}.json"
-        assert main(["invariants", "--seed", seed, "--out", str(out)]) == 0
+    for name in ("inv1", "inv2"):
+        out = tmp_path / f"{name}.json"
+        assert main(["invariants", "--out", str(out)]) == 0
         blobs.append(out.read_bytes())
-    # every check has fixed settings and generators: the seed changes nothing
+    # every check has fixed settings and generators
     assert blobs[0] == blobs[1]
     stdout = capsys.readouterr().out.splitlines()
     assert sum(line.startswith("PASS") for line in stdout) == 2 * len(CHECK_NAMES)
@@ -534,6 +538,11 @@ def test_invariant_catalog_passes(tmp_path, capsys):
     assert report["all_passed"] is True
     assert [c["name"] for c in report["checks"]] == CHECK_NAMES
     assert all(c["passed"] for c in report["checks"])
+    # the catalog reads no config, so config flags are usage errors
+    for flag in ("--seed", "--dt", "--workers", "--config"):
+        with pytest.raises(SystemExit) as exc:
+            main(["invariants", flag, "1"])
+        assert exc.value.code == 2
 
 
 def test_flipped_sign_trips_energy_check(tmp_path, capsys):
@@ -626,6 +635,35 @@ def test_reconstruct_error_paths(tmp_path, capsys):
     state_path.write_text(json.dumps({"f": [1.0] * 16, "length": TWO_PI}))
     assert main(["reconstruct", "--state", str(state_path), "--anchor", "1.0"]) == 2
 
+    # reconstruct reads no config: the shared config flags are usage errors
+    for flags in (
+        ["--config", "absent.cfg"],
+        ["--dt", "5"],
+        ["--workers", "3"],
+        ["--seed", "9"],
+        ["--tend", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct", "--state", str(state_path), *flags])
+        assert exc.value.code == 2
+
+
+def test_reconstruct_rejects_open_states(tmp_path, capsys):
+    plain = tmp_path / "open.json"
+    plain.write_text(json.dumps({"f": [0.5] * 16, "length": 2.0, "topology": "open"}))
+    trajectory = tmp_path / "open.jsonl"
+    trajectory.write_text(
+        '{"record":"meta","version":"x","command":"simulate",'
+        '"config":{"grid.topology":"open"}}\n'
+        '{"record":"snapshot","step":0,"t":0,"length":2,"turning":1,'
+        '"energy":0.25,"sup_curvature":0.5,"full_resolution":true,"f":' + json.dumps([0.5] * 16)
+        + "}\n"
+    )
+    for path in (plain, trajectory):
+        assert main(["reconstruct", "--state", str(path), "--out", str(tmp_path / "c.csv")]) == 2
+        assert "open curves were removed" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
 
 # ---------------------------------------------------------------------------
 # builders
@@ -683,6 +721,22 @@ def test_builder_validation():
     cfg["stepper.dt"] = -1.0
     with pytest.raises(ConfigError):
         harness.build_stepper(cfg)
+
+
+def test_benchmark_workload_configs_build(tmp_path):
+    """Every benchmark workload's config loads and builds, so a schema change
+    that would break the benchmark fails here first."""
+    # run_path compiles the source without writing bytecode next to it; the
+    # module imports only the standard library
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    workloads = runpy.run_path(str(source))
+    for name, workload in workloads["WORKLOADS"].items():
+        path = _cfg_file(tmp_path, workloads["config_text"](workload, 201), name=f"{name}.cfg")
+        cfg = load_config(path)
+        grid = harness.build_grid(cfg)
+        harness.build_spec(cfg)
+        harness.build_stepper(cfg)
+        harness.build_stop(cfg, harness.build_state(cfg, grid))
 
 
 def test_missing_subcommand_exits():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from curveflow.grid import CLOSED, Grid
+from curveflow.grid import Grid
 from curveflow.noise import (
     BasisFunction,
     BrownianDriver,
@@ -62,7 +62,7 @@ def test_scalar_model_is_single_flat_mode():
     model = NoiseModel(mode="scalar", amplitude=0.3)
     assert model.n_modes == 1
     assert model.basis[0].kind == "const"
-    g = Grid(CLOSED, 16)
+    g = Grid(16)
     assert np.max(np.abs(basis_eval(model, g, 1) - 1.0)) == 0.0
 
 
