@@ -3,14 +3,17 @@
 A state determines its curve up to a rigid motion: the tangent angle is the
 running integral of curvature, theta(s) = theta0 + integral_0^s k, and the
 position is the running integral of the unit tangent, gamma(s) = anchor +
-integral_0^s (cos theta, sin theta).  The state is resampled (trigonometric
-interpolation) to the requested density first; the angle uses the grid's
-periodic running integral, which is exact for the sampled modes,
-while positions use the plain composite fourth-order cumulative rule on the
-extended, non-wrapped angle array.  The distinction matters: a state whose
-total turning is not a multiple of 2*pi describes a curve that genuinely
-fails to close, and a periodic quadrature would silently fold that defect
-away instead of measuring it.
+integral_0^s (cos theta, sin theta).  The angle takes one transform pair:
+the n-node spectrum of f, times the running-integral multiplier (m/n)/(ik)
+of its nonzero modes, goes through one zero-padded (or truncated) inverse
+transform onto the m requested samples, and the mean is integrated
+linearly.  That is the trigonometric interpolant of f integrated exactly,
+the same as resampling f to m nodes and taking that grid's periodic running
+integral, in half the transforms.  Positions use the plain composite
+fourth-order cumulative rule on the extended, non-wrapped angle array.  The
+distinction matters: a state whose total turning is not a multiple of 2*pi
+describes a curve that genuinely fails to close, and a periodic quadrature
+would silently fold that defect away instead of measuring it.
 
 Closure is never enforced, only measured: ``closure_defect`` is the gap
 |gamma(L) - gamma(0)| of the reconstructed polyline.  ``enclosed_area`` is
@@ -21,15 +24,15 @@ via a warning.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._doubles import format_doubles
 from .flows import State
-from .grid import Grid, cumulative_quadrature
+from .grid import cumulative_quadrature
 
 _DEFAULT_MIN_SAMPLES = 1024
 _ADVISORY_DEFECT = 1e-3
@@ -68,14 +71,17 @@ def reconstruct(grid, state, anchor=(0.0, 0.0), theta0=0.0, samples=None):
     m = int(samples) if samples is not None else max(grid.n, _DEFAULT_MIN_SAMPLES)
     if m < 8 or m % 2:
         raise ValueError(f"samples must be an even number >= 8, got {samples}")
-    work = Grid(m)
-    fm = grid.resample(f, m) if m != grid.n else f
-    theta = np.empty(m + 1)
-    theta[:m] = theta0 + length * work.cumint(fm)
-    theta[m] = theta0 + length * work.integrate(fm)
+    spectrum = np.fft.rfft(f)
+    symbol = grid.cached(("theta", m), lambda: _theta_symbol(grid.n, m))
+    periodic = np.fft.irfft(spectrum[: symbol.shape[0]] * symbol, m)
+    ramp = (spectrum[0].real / grid.n) * (np.arange(m + 1) / m)  # the mean, integrated
+    # the periodic part closes up at s = 1; the ramp carries the total turning
+    theta = theta0 + length * (ramp + np.append(periodic, periodic[0]) - periodic[0])
 
-    tangent = np.stack([np.cos(theta), np.sin(theta)])
-    points = cumulative_quadrature(length * tangent, 1.0 / m).T + np.asarray(anchor, dtype=float)
+    tangent = np.empty((2, m + 1))
+    np.cos(theta, out=tangent[0])
+    np.sin(theta, out=tangent[1])
+    points = cumulative_quadrature(tangent, length / m).T + np.asarray(anchor, dtype=float)
     return CurveSample(
         points=points,
         theta=theta,
@@ -83,6 +89,22 @@ def reconstruct(grid, state, anchor=(0.0, 0.0), theta0=0.0, samples=None):
         anchor=(float(anchor[0]), float(anchor[1])),
         theta0=float(theta0),
     )
+
+
+def _theta_symbol(n, m):
+    """Running-integral multiplier from n-node spectra to m nodes: (m/n)/(ik).
+
+    It covers the modes both grids share.  Past n the spectrum is
+    zero-padded (``irfft`` pads), and the self-conjugate mode of n nodes
+    becomes an interior pair of half the weight; when m <= n the Nyquist mode
+    of m nodes is dropped, since its running integral vanishes at the nodes.
+    The mean is zero here and is integrated linearly by the caller.
+    """
+    k = 2.0 * np.pi * np.arange(min(n, m) // 2 + 1)
+    symbol = np.zeros(k.shape, dtype=complex)
+    symbol[1:] = (m / n) / (1j * k[1:])
+    symbol[-1] *= 0.5 if m > n else 0.0
+    return symbol
 
 
 def closure_defect(sample):
@@ -107,7 +129,11 @@ def enclosed_area(sample, advisory_warning=True):
                 stacklevel=2,
             )
     x, y = sample.points[:-1, 0], sample.points[:-1, 1]
-    return float(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    # the shoelace sum in trapezoid form, sum (x_i + x_i+1)(y_i+1 - y_i),
+    # which keeps the short chords' differences exact instead of cancelling
+    # products of whole coordinates
+    closing = (x[-1] + x[0]) * (y[0] - y[-1])
+    return float(0.5 * (np.dot(x[:-1] + x[1:], np.diff(y)) + closing))
 
 
 def polyline_arclength(sample):
@@ -128,9 +154,6 @@ def functionals(grid, state):
 
 
 def write_csv(sample, path):
-    """Export the polyline as x,y rows (one header line)."""
+    """Export the polyline as x,y rows (one header line, CRLF line ends)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for x, y in sample.points:
-            writer.writerow([f"{x:.17g}", f"{y:.17g}"])
+        fh.write("x,y\r\n" + format_doubles(sample.points, newline="\r\n") + "\r\n")

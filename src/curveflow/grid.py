@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# 24 times the one-sided cubic's weights for an end interval, nearest sample first
+_END_WEIGHTS = np.array([9.0, 19.0, -5.0, 1.0])
+
 
 def cumulative_quadrature(values, h):
     """Running integral of uniformly spaced samples, fourth order.
@@ -39,18 +42,19 @@ def cumulative_quadrature(values, h):
     m = v.shape[-1]
     if m < 4:
         raise ValueError(f"cumulative quadrature needs at least 4 samples, got {m}")
-    inc = np.empty(v.shape[:-1] + (m - 1,), dtype=float)
-    inc[..., 0] = (9.0 * v[..., 0] + 19.0 * v[..., 1] - 5.0 * v[..., 2] + v[..., 3]) / 24.0
-    inc[..., -1] = (9.0 * v[..., -1] + 19.0 * v[..., -2] - 5.0 * v[..., -3] + v[..., -4]) / 24.0
-    inc[..., 1 : m - 2] = (
-        -v[..., 0 : m - 3]
-        + 13.0 * v[..., 1 : m - 2]
-        + 13.0 * v[..., 2 : m - 1]
-        - v[..., 3:m]
-    ) / 24.0
     out = np.empty_like(v)
     out[..., 0] = 0.0
-    out[..., 1:] = np.cumsum(inc, axis=-1) * h
+    # 24 times each interval's increment, summed in place and scaled once
+    inc = out[..., 1:]
+    inc[..., 0] = v[..., :4] @ _END_WEIGHTS
+    inc[..., -1] = v[..., :-5:-1] @ _END_WEIGHTS
+    mid = inc[..., 1:-1]
+    np.add(v[..., 1 : m - 2], v[..., 2 : m - 1], out=mid)
+    mid *= 13.0
+    mid -= v[..., 0 : m - 3]
+    mid -= v[..., 3:m]
+    np.cumsum(inc, axis=-1, out=inc)
+    inc *= h / 24.0
     return out
 
 

@@ -22,10 +22,11 @@ missing config is valid.  ``print-config`` lists them all.  Only closed
 curves are supported: ``grid.topology`` is kept in the schema, and in every
 meta record, with ``closed`` as its only legal value.  CLI flags
 --seed, --dt, --tend override single keys; --workers (or the environment
-variable CURVEFLOW_WORKERS) sets parallelism and is deliberately NOT part of
-the config: outputs are byte-identical for any worker count, because
-trajectory i always draws from the (seed, i) substream and aggregation is in
-index order.
+variable CURVEFLOW_WORKERS) sets the parallelism of ``ensemble`` and is
+deliberately NOT part of the config: outputs are byte-identical for any
+worker count, because trajectory i always draws from the (seed, i) substream
+and aggregation is in index order.  ``simulate`` accepts only --workers 1;
+the other commands have no --workers flag.
 
 Outputs use JSON Lines / JSON / CSV with doubles printed to 17 significant
 digits, which round-trips exactly.
@@ -46,6 +47,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import geometry
+from ._doubles import format_doubles
 from .flows import CURVE_DIFFUSION, WILLMORE, FlowSpec, State
 from .grid import Grid
 from .integrator import (
@@ -271,6 +273,8 @@ def _dumps(obj):
         return json.dumps(obj)
     if isinstance(obj, dict):
         return "{" + ",".join(json.dumps(str(k)) + ":" + _dumps(v) for k, v in obj.items()) + "}"
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
+        return "[" + format_doubles(obj, null="null") + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ",".join(_dumps(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -331,6 +335,8 @@ def _snapshot_record(grid, snap):
 
 
 def cmd_simulate(args):
+    if args.workers not in (None, 1):
+        raise ConfigError(f"--workers {args.workers}: a single trajectory runs on one worker")
     cfg = effective_config(args)
     grid = build_grid(cfg)
     spec = build_spec(cfg)
@@ -467,26 +473,20 @@ def cmd_ensemble(args):
     )
     _write_text(out, _dumps(summary) + "\n")
 
-    table = ["t,mean_length,var_length,stderr_length,mean_energy,n_active"]
-    for k in range(times.shape[0]):
-        table.append(
-            ",".join(
-                [
-                    _fmt(times[k]),
-                    _fmt(mean_l[k]),
-                    _fmt(var_l[k]),
-                    _fmt(stderr_l[k]),
-                    _fmt(mean_e[k]),
-                    str(int(n_active[k])),
-                ]
-            )
-        )
-    _write_text(stem + ".csv", "\n".join(table) + "\n")
+    # n_active counts paths; integers below 2**53 print as integers at 17 digits
+    table = np.column_stack([times, mean_l, var_l, stderr_l, mean_e, n_active])
+    _write_text(
+        stem + ".csv",
+        "t,mean_length,var_length,stderr_length,mean_energy,n_active\n"
+        + format_doubles(table)
+        + "\n",
+    )
 
+    # a path that reached t_end has a NaN stop time and an empty cell; final
+    # lengths are always finite, frozen at the last valid state
+    ends = format_doubles(np.column_stack([stop_times, final_lengths]), null="").split("\n")
     rows = ["path,status,stop_time,final_length"]
-    for i in range(n_paths):
-        stop_t = "" if math.isnan(stop_times[i]) else _fmt(stop_times[i])
-        rows.append(f"{i},{statuses[i].value},{stop_t},{_fmt(final_lengths[i])}")
+    rows += [f"{i},{statuses[i].value},{ends[i]}" for i in range(n_paths)]
     _write_text(stem + "_paths.csv", "\n".join(rows) + "\n")
 
     print(
@@ -731,14 +731,20 @@ def _load_state_file(path):
         records = [json.loads(line) for line in text.splitlines() if line.strip()]
     first = records[0]
     if isinstance(first, dict) and first.get("record") == "meta":
-        topology = first["config"]["grid.topology"]
+        config = first.get("config")
+        if not isinstance(config, dict) or "grid.topology" not in config:
+            raise ConfigError(f"meta record of {path} has no config.grid.topology")
+        topology = config["grid.topology"]
         chosen = None
         for rec in records[1:]:
-            if rec.get("record") == "snapshot" and rec.get("full_resolution"):
-                chosen = rec
+            if isinstance(rec, dict) and rec.get("record") == "snapshot":
+                if rec.get("full_resolution"):
+                    chosen = rec
         if chosen is None:
             raise ConfigError(f"no full-resolution snapshot in {path}")
-    elif len(records) > 1 or not isinstance(first, dict) or "f" not in first or "length" not in first:
+        if "f" not in chosen or "length" not in chosen:
+            raise ConfigError(f"snapshot in {path} needs 'f' and 'length' fields")
+    elif len(records) > 1 or not (isinstance(first, dict) and "f" in first and "length" in first):
         raise ConfigError(f"state file {path} needs 'f' and 'length' fields")
     else:
         topology, chosen = first.get("topology", CLOSED), first
@@ -747,7 +753,13 @@ def _load_state_file(path):
             f"state file {path} has topology {topology!r}; open curves were removed, "
             "only closed states can be reconstructed"
         )
-    return np.asarray(chosen["f"], dtype=float), float(chosen["length"])
+    try:
+        f, length = np.asarray(chosen["f"], dtype=float), float(chosen["length"])
+    except (TypeError, ValueError):
+        raise ConfigError(f"state file {path}: 'f' and 'length' must be numbers") from None
+    if f.ndim != 1:
+        raise ConfigError(f"state file {path}: 'f' must be a flat list of numbers")
+    return f, length
 
 
 def cmd_reconstruct(args):
@@ -797,9 +809,11 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--config", help="path to a dotted-key config file")
     common.add_argument("--seed", type=int, help="override run.seed")
-    common.add_argument("--workers", type=int, help="parallel workers (ensemble)")
     common.add_argument("--dt", type=float, help="override stepper.dt")
     common.add_argument("--tend", type=float, help="override stepper.t_end")
+    # only ensemble runs in parallel; simulate takes --workers 1 for a uniform CLI
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument("--workers", type=int, help="parallel workers (ensemble)")
 
     parser = argparse.ArgumentParser(
         prog="curveflow",
@@ -807,10 +821,14 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common], help="run one trajectory to JSON Lines")
+    p = sub.add_parser(
+        "simulate", parents=[common, workers], help="run one trajectory to JSON Lines"
+    )
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("ensemble", parents=[common], help="run many trajectories, aggregate")
+    p = sub.add_parser(
+        "ensemble", parents=[common, workers], help="run many trajectories, aggregate"
+    )
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("convergence", parents=[common], help="order-of-accuracy studies")

@@ -171,6 +171,35 @@ def test_write_csv_round_trip(tmp_path):
     data = np.array([[float(v) for v in row] for row in rows[1:]])
     assert data.shape == sample.points.shape
     assert np.array_equal(data, sample.points)  # 17 digits is lossless
+    # the same bytes as the per-cell csv.writer export, CRLF line ends included
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y"])
+        for x, y in sample.points:
+            writer.writerow([f"{x:.17g}", f"{y:.17g}"])
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def _theta_by_resample_and_cumint(grid, f, length, theta0, m):
+    """Tangent angle by the two-grid route: resample f to m nodes, then the
+    m-node grid's running integral and mean."""
+    work = Grid(m)
+    fm = grid.resample(f, m) if m != grid.n else f
+    theta = np.empty(m + 1)
+    theta[:m] = theta0 + length * work.cumint(fm)
+    theta[m] = theta0 + length * work.integrate(fm)
+    return theta
+
+
+@pytest.mark.parametrize("m", [1024, 256, 64, 16])
+def test_theta_matches_resample_then_cumint(m):
+    grid = Grid(64)
+    rng = np.random.default_rng(5)
+    f = 1.0 + 0.3 * rng.standard_normal(64)  # every mode, the Nyquist one included
+    sample = reconstruct(grid, State(f, 2.5), theta0=0.7, samples=m)
+    reference = _theta_by_resample_and_cumint(grid, f, 2.5, 0.7, m)
+    assert np.max(np.abs(sample.theta - reference)) < 1e-13
 
 
 def test_reconstruct_validation():

@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 from curveflow import harness
+from curveflow._doubles import format_doubles
 from curveflow.harness import ConfigError, default_config, load_config, main
-from curveflow.integrator import run_ensemble
+from curveflow.integrator import run, run_ensemble
+from curveflow.noise import BrownianDriver
 
 TWO_PI = 2.0 * math.pi
 
@@ -188,6 +190,37 @@ def test_json_formatting_round_trips():
         harness._dumps(object())
 
 
+def _per_element(values, null=None):
+    return ",".join(
+        null if null is not None and not math.isfinite(x) else format(x, ".17g")
+        for x in values
+    )
+
+
+def test_format_doubles_matches_per_element_format():
+    rng = np.random.default_rng(3)
+    rows = [
+        rng.standard_normal(256),
+        rng.standard_normal(64) * 10.0 ** rng.integers(-300, 300, 64),
+        np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310]),
+        np.array([1.7976931348623157e308, -1e300, 1e22, 2.0**53, 123456789.0, 0.1]),
+        np.array([1.0, math.nan, -0.0, math.inf, -math.inf]),
+        np.array([]),
+    ]
+    for row in rows:
+        values = row.tolist()
+        assert format_doubles(row) == _per_element(values)
+        assert format_doubles(row, null="null") == _per_element(values, "null")
+        assert harness._dumps(row) == "[" + _per_element(values, "null") + "]"
+    table = np.stack([rows[0][:6], rows[1][:6], rows[4].tolist() + [2.5]], axis=1)
+    assert format_doubles(table, newline="\r\n") == "\r\n".join(
+        _per_element(line) for line in table.tolist()
+    )
+    assert format_doubles(table, null="") == "\n".join(
+        _per_element(line, "") for line in table.tolist()
+    )
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -252,6 +285,46 @@ def test_simulate_writes_trajectory_records(tmp_path, capsys):
         "steps": 100,
         "stability_warning": False,
     }
+
+
+def test_simulate_state_fields_are_per_element_17_digits(tmp_path):
+    # every field of a snapshot record up to area and closure_defect reads as
+    # format(x, ".17g") of each double of the in-process run
+    cfg_path = _cfg_file(
+        tmp_path,
+        "grid.n = 32\n"
+        "noise.mode = spectral\n"
+        "noise.amplitude = 0.1\n"
+        "stepper.dt = 1e-4\n"
+        "stepper.t_end = 0.005\n"
+        "stepper.snapshot_every = 10\n"
+        "init.kind = perturbed_circle\n"
+        "run.seed = 9\n",
+    )
+    out = tmp_path / "traj.jsonl"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    cfg = load_config(cfg_path)
+    grid = harness.build_grid(cfg)
+    state = harness.build_state(cfg, grid)
+    traj = run(
+        harness.build_spec(cfg),
+        grid,
+        state,
+        harness.build_stepper(cfg),
+        stop=harness.build_stop(cfg, state),
+        driver=BrownianDriver(9, 0),
+    )
+    lines = out.read_text().splitlines()[1:-1]
+    assert len(lines) == len(traj.snapshots) == 6
+    for line, snap in zip(lines, traj.snapshots):
+        scalars = (snap.time, snap.length, snap.turning, snap.energy, snap.sup_f)
+        t, length, turning, energy, sup = (format(x, ".17g") for x in scalars)
+        expected = (
+            f'{{"record":"snapshot","step":{snap.step},"t":{t},"length":{length},'
+            f'"turning":{turning},"energy":{energy},"sup_curvature":{sup},'
+            f'"full_resolution":true,"f":[{_per_element(snap.f.tolist())}],"area":'
+        )
+        assert line.startswith(expected)
 
 
 def test_simulate_seed_override_and_rerun_identical(tmp_path):
@@ -395,6 +468,54 @@ def test_ensemble_outputs_and_aggregation(tmp_path, capsys):
         assert float(final_length) == result.final_lengths[i]
 
 
+def test_ensemble_tables_are_per_cell_17_digits(tmp_path):
+    # strong noise and a narrow length window stop some paths early, so both
+    # stop_time spellings and a falling n_active column appear
+    cfg_path = _cfg_file(
+        tmp_path,
+        ENSEMBLE_CFG.replace("noise.amplitude = 0.2", "noise.amplitude = 3.0").replace(
+            "run.trajectories = 4", "run.trajectories = 24"
+        )
+        + "stop.l_min_factor = 0.7\nstop.l_max_factor = 1.3\n",
+    )
+    out = str(tmp_path / "ens.json")
+    assert main(["ensemble", "--config", cfg_path, "--out", out]) == 0
+    cfg = load_config(cfg_path)
+    grid = harness.build_grid(cfg)
+    state = harness.build_state(cfg, grid)
+    result = run_ensemble(
+        harness.build_spec(cfg),
+        grid,
+        state.f,
+        state.length,
+        harness.build_stepper(cfg),
+        24,
+        42,
+        stop=harness.build_stop(cfg, state),
+    )
+    stopped = ~np.isnan(result.stop_times)
+    assert 0 < stopped.sum() < 24
+
+    lengths, energies = result.lengths, result.energies
+    columns = zip(
+        result.times,
+        lengths.mean(axis=1),
+        lengths.var(axis=1, ddof=1),
+        np.sqrt(lengths.var(axis=1, ddof=1) / 24),
+        energies.mean(axis=1),
+    )
+    table = ["t,mean_length,var_length,stderr_length,mean_energy,n_active"]
+    for row, active in zip(columns, result.active.sum(axis=1)):
+        table.append(",".join(format(x, ".17g") for x in row) + f",{int(active)}")
+    assert (tmp_path / "ens.csv").read_text() == "\n".join(table) + "\n"
+
+    rows = ["path,status,stop_time,final_length"]
+    for i, status in enumerate(result.statuses):
+        stop = format(result.stop_times[i], ".17g") if stopped[i] else ""
+        rows.append(f"{i},{status.value},{stop},{format(result.final_lengths[i], '.17g')}")
+    assert (tmp_path / "ens_paths.csv").read_text() == "\n".join(rows) + "\n"
+
+
 def test_ensemble_identical_across_worker_counts(tmp_path):
     cfg_path = _cfg_file(tmp_path, ENSEMBLE_CFG)
     blobs = []
@@ -422,6 +543,21 @@ def test_ensemble_rejects_zero_workers(tmp_path, capsys):
     rc = main(["ensemble", "--config", cfg_path, "--out", str(tmp_path / "x.json"), "--workers", "0"])
     assert rc == 2
     assert "--workers must be >= 1" in capsys.readouterr().err
+
+
+def test_workers_flag_only_where_it_applies(tmp_path, capsys):
+    cfg_path = _cfg_file(tmp_path, "stepper.t_end = 0.001\n")
+    out = str(tmp_path / "t.jsonl")
+    rc = main(["simulate", "--config", cfg_path, "--out", out, "--workers", "5"])
+    assert rc == 2
+    assert "a single trajectory runs on one worker" in capsys.readouterr().err
+    assert not (tmp_path / "t.jsonl").exists()
+    assert main(["simulate", "--config", cfg_path, "--out", out, "--workers", "1"]) == 0
+    # convergence and print-config run nothing in parallel: a usage error
+    for command in ("convergence", "print-config"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--workers", "1"])
+        assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +782,38 @@ def test_reconstruct_error_paths(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["reconstruct", "--state", str(state_path), *flags])
         assert exc.value.code == 2
+
+
+_SNAPSHOT = (
+    '{"record":"snapshot","step":0,"t":0,"length":6.28,"turning":6.28,'
+    '"energy":3.14,"sup_curvature":1,"full_resolution":true,"f":' + json.dumps([1.0] * 16) + "}"
+)
+
+
+@pytest.mark.parametrize(
+    "meta, snapshot, message",
+    [
+        ('{"record":"meta","config":{}}', _SNAPSHOT, "no config.grid.topology"),
+        ('{"record":"meta"}', _SNAPSHOT, "no config.grid.topology"),
+        (
+            '{"record":"meta","config":{"grid.topology":"closed"}}',
+            _SNAPSHOT.replace('"f":', '"g":'),
+            "needs 'f' and 'length'",
+        ),
+        (
+            '{"record":"meta","config":{"grid.topology":"closed"}}',
+            _SNAPSHOT.replace('"length":', '"size":'),
+            "needs 'f' and 'length'",
+        ),
+    ],
+    ids=["empty-config", "no-config", "snapshot-without-f", "snapshot-without-length"],
+)
+def test_reconstruct_rejects_incomplete_records(tmp_path, capsys, meta, snapshot, message):
+    path = tmp_path / "traj.jsonl"
+    path.write_text(meta + "\n" + snapshot + "\n")
+    assert main(["reconstruct", "--state", str(path), "--out", str(tmp_path / "c.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_reconstruct_rejects_open_states(tmp_path, capsys):
