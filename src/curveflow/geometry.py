@@ -17,9 +17,9 @@ would silently fold that defect away instead of measuring it.
 
 Closure is never enforced, only measured: ``closure_defect`` is the gap
 |gamma(L) - gamma(0)| of the reconstructed polyline.  ``enclosed_area`` is
-the signed shoelace area, counterclockwise positive; when the closure defect
-exceeds 1e-3 of the length the value is still returned but flagged advisory
-via a warning.
+the signed area, counterclockwise positive, by the trapezoid rule in
+arclength; when the closure defect exceeds 1e-3 of the length the value is
+still returned but flagged advisory via a warning.
 """
 
 from __future__ import annotations
@@ -44,11 +44,12 @@ class CurveSample:
 
     points has samples+1 rows; on a consistent closed state the last row
     lands back on the first up to quadrature error.  theta holds the tangent
-    angle at the same parameter values.
+    angle at the same parameter values, and tangent its cosine and sine.
     """
 
-    points: np.ndarray  # (m+1, 2)
-    theta: np.ndarray   # (m+1,)
+    points: np.ndarray   # (m+1, 2)
+    theta: np.ndarray    # (m+1,)
+    tangent: np.ndarray  # (2, m+1)
     length: float
     anchor: tuple
     theta0: float
@@ -85,6 +86,7 @@ def reconstruct(grid, state, anchor=(0.0, 0.0), theta0=0.0, samples=None):
     return CurveSample(
         points=points,
         theta=theta,
+        tangent=tangent,
         length=length,
         anchor=(float(anchor[0]), float(anchor[1])),
         theta0=float(theta0),
@@ -114,11 +116,15 @@ def closure_defect(sample):
 
 
 def enclosed_area(sample, advisory_warning=True):
-    """Signed shoelace area, counterclockwise positive.
+    """Signed enclosed area, counterclockwise positive.
 
-    The duplicate endpoint is dropped and the polygon closed cyclically; for
-    a poorly closing sample (defect above 1e-3 of the length) the value is
-    still returned but a warning marks it advisory.
+    The area 1/2 * integral (x dy - y dx) is 1/2 * integral of
+    x sin(theta) - y cos(theta) over arclength, taken by the trapezoid rule
+    over the m samples, the duplicate endpoint dropped: spectrally accurate
+    on a closed smooth curve, where the inscribed polygon's shoelace area
+    falls short by O(m^-2).  For a poorly closing sample (defect above 1e-3
+    of the length) the value is still returned but a warning marks it
+    advisory.
     """
     if advisory_warning:
         defect = closure_defect(sample)
@@ -128,12 +134,9 @@ def enclosed_area(sample, advisory_warning=True):
                 "length; enclosed area is advisory",
                 stacklevel=2,
             )
-    x, y = sample.points[:-1, 0], sample.points[:-1, 1]
-    # the shoelace sum in trapezoid form, sum (x_i + x_i+1)(y_i+1 - y_i),
-    # which keeps the short chords' differences exact instead of cancelling
-    # products of whole coordinates
-    closing = (x[-1] + x[0]) * (y[0] - y[-1])
-    return float(0.5 * (np.dot(x[:-1] + x[1:], np.diff(y)) + closing))
+    (x, y), (cos, sin) = sample.points[:-1].T, sample.tangent[:, :-1]
+    ds = sample.length / len(x)
+    return float(0.5 * ds * (np.dot(x, sin) - np.dot(y, cos)))
 
 
 def polyline_arclength(sample):

@@ -289,8 +289,11 @@ def _fmt(value):
 
 
 def _write_text(path, text):
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def _version():
@@ -543,25 +546,17 @@ def _study_time(cfg, dts):
         traj = run(spec, grid, state0, stepper, check_turning=False)
         errors.append(abs(traj.final_state.length - reference))
 
-    if max(errors) < 1e-12:
-        return {
-            "study": "time",
-            "dts": dts,
-            "errors": errors,
-            "reference": reference_kind,
-            "slope": None,
-            "converged_to_roundoff": True,
-            "passed": True,
-        }
-    slope = float(np.polyfit(np.log(dts), np.log(np.maximum(errors, 1e-300)), 1)[0])
+    roundoff = bool(max(errors) < 1e-12)
+    log_errors = np.log(np.maximum(errors, 1e-300))
+    slope = None if roundoff else float(np.polyfit(np.log(dts), log_errors, 1)[0])
     return {
         "study": "time",
         "dts": dts,
         "errors": errors,
         "reference": reference_kind,
         "slope": slope,
-        "converged_to_roundoff": False,
-        "passed": bool(0.9 <= slope <= 1.5),
+        "converged_to_roundoff": roundoff,
+        "passed": roundoff or bool(0.9 <= slope <= 1.5),
     }
 
 
@@ -728,7 +723,12 @@ def _load_state_file(path):
         records = [json.loads(text)]
     except json.JSONDecodeError:
         # JSON Lines: a simulate run's meta record followed by its snapshots
-        records = [json.loads(line) for line in text.splitlines() if line.strip()]
+        records = []
+        for lineno, line in enumerate(text.splitlines(), 1):
+            try:
+                records += [json.loads(line)] if line.strip() else []
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}:{lineno}: malformed JSON: {exc}") from None
     first = records[0]
     if isinstance(first, dict) and first.get("record") == "meta":
         config = first.get("config")
@@ -776,7 +776,10 @@ def cmd_reconstruct(args):
         grid, state, anchor=anchor, theta0=args.theta0, samples=args.samples
     )
     out = args.out or "curve.csv"
-    geometry.write_csv(sample, out)
+    try:
+        geometry.write_csv(sample, out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from None
     defect = geometry.closure_defect(sample)
     print(f"closure defect: {defect:.6g}")
     area = geometry.enclosed_area(sample, advisory_warning=False)

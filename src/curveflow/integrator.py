@@ -32,12 +32,13 @@ bound; ExplicitEM only warns, so that divergence detection itself can be
 exercised.  Crossing the bound mid-run warns.
 
 ``run`` (one trajectory, recorded as snapshots) and ``run_ensemble`` (a
-batch, recorded as length and energy rows) share one stepping loop, so with
-per-trajectory substreams row i of a batch is bit-identical to a single
-``run`` with the same (seed, i).  Rows stop one by one when the sup of |f|
-or the length leaves the configured window, mirroring the continuous flow's
-blow-up alternative, or at once on a non-finite value; the terminal status
-records which predicate tripped, and records hold only finite states.
+batch, recorded as length and energy rows) share one step schedule, one
+increment source and one stepping loop, so with per-trajectory substreams
+row i of a batch is bit-identical to a single ``run`` with the same (seed, i).
+Rows stop one by one when the sup of |f| or the length leaves the configured
+window, mirroring the continuous flow's blow-up alternative, or at once on a
+non-finite value; the terminal status records which predicate tripped, and
+records hold only finite states.
 
 A step whose length update is non-positive is refined in place by Brownian
 bridge (Gaines & Lyons, SIAM J. Appl. Math. 57, 1997): two half steps, the
@@ -73,7 +74,7 @@ EXPLICIT_EM = "explicit_em"
 _SCHEMES = (IMEX_EM, HEUN_STRATONOVICH, EXPLICIT_EM)
 
 _MAX_HALVINGS = 10
-_DRAW_CHUNK = 64  # run_ensemble draws increments this many steps at a time
+_DRAW_CHUNK = 64  # drivers draw increments this many steps at a time
 _SNAPSHOT_VALUE_CAP = 256
 _TURNING_TOL = 1e-6
 
@@ -174,22 +175,21 @@ def dt_stability(scheme, grid, length, f_sup):
     """Largest stable dt for the explicitly treated terms, with safety 0.5.
 
     The variable-coefficient second-order term bounds every scheme by
-    0.5 * L^2 / (sup|f|^2 n^2).  Fully explicit schemes are additionally
-    bounded by the fourth-order operator: 1 / lambda_max with
-    lambda_max = (pi n)^4 / L^4, its largest Fourier multiplier.
+    0.5 * L^2 / (sup|f|^2 n^2), no bound at all where sup|f| is 0.  Fully
+    explicit schemes are additionally bounded by the fourth-order operator:
+    1 / lambda_max with lambda_max = (pi n)^4 / L^4, its largest Fourier
+    multiplier.  length and f_sup are scalars or arrays of one value per row,
+    and the bound has their shape.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
-    length = float(length)
-    f_sup = float(f_sup)
-    if f_sup > 0:
+    length, f_sup = np.asarray(length, dtype=float), np.asarray(f_sup, dtype=float)
+    with np.errstate(divide="ignore"):
         bound = 0.5 * length**2 / (f_sup**2 * grid.n**2)
-    else:
-        bound = math.inf
     if scheme == IMEX_EM:
         return bound
     lam = (math.pi * grid.n) ** 4 / length**4
-    return min(bound, 1.0 / lam)
+    return np.minimum(bound, 1.0 / lam)
 
 
 def _noise_sums(rows_beta, rows_lam, dw, amplitude):
@@ -376,7 +376,7 @@ def _start(grid, stepper, f, lengths, stop, check_turning):
     """Validate initial fields f (M, n) and lengths (M,) and check the start.
 
     The states must pass the turning check unless check_turning is off,
-    and dt must lie below the stability bound of the worst initial state
+    and dt must lie below the stability bound of every initial state
     (ExplicitEM only warns).  Returns the stop window, by default
     StopCriteria.from_initial of the first state.
     """
@@ -387,7 +387,7 @@ def _start(grid, stepper, f, lengths, stop, check_turning):
         check_turning_consistency(grid, f, lengths)
     if stop is None:
         stop = StopCriteria.from_initial(State(f[0], float(lengths[0])))
-    bound = dt_stability(stepper.scheme, grid, float(lengths.min()), float(np.max(np.abs(f))))
+    bound = dt_stability(stepper.scheme, grid, lengths, np.abs(f).max(axis=-1)).min()
     if stepper.dt > bound:
         msg = (
             f"dt={stepper.dt:g} exceeds the stability bound {bound:.3g} for "
@@ -405,33 +405,26 @@ def _bridge_midpoint(driver, dw, h):
     return 0.5 * dw + driver.increments(len(dw), 0.25 * h)
 
 
-def _exceeds_bound(scheme, grid, h, f, lengths):
-    """Per row of f (M, n) and lengths (M,), positive and finite: whether a
-    step h is longer than the row's stability bound."""
-    bounds = [dt_stability(scheme, grid, l, np.abs(g).max()) for g, l in zip(f, lengths)]
-    return h > np.array(bounds, dtype=float)
-
-
 def _take(dw, rows):
     return None if dw is None else dw[rows]
 
 
-def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, draw, key, record):
+def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, key, record):
     """The stepping loop of run and run_ensemble over rows f (M, n), lengths (M,).
 
-    schedule yields each step's size h and end time t; draw(k, h) gives step
-    k's (M, n_modes) increments (draw is None without noise).  Row r, the
-    trajectory (seed, index) = (key[0], key[1] + r), draws bridge midpoints
-    from the substream (seed, -1 - index), apart from every increment stream.
-    After each step record(k, t, f, lengths, active, halted) sees the rows,
-    halted flagging those that stopped on the state they hold.  Returns the
-    steps taken, the final f and lengths; per row the status, stopping step
-    (0 if none), refined steps and smallest h; and whether dt crossed the
-    stability bound.
+    schedule is _schedule's (n_steps, step) pair; rows yields each step's
+    (M, n_modes) N(0, dt) increments (rows is None without noise), scaled by
+    sqrt(h/dt) for a step of size h.  Row r, the trajectory (seed, index) =
+    (key[0], key[1] + r), draws bridge midpoints from the substream
+    (seed, -1 - index), apart from every increment stream.  After each step
+    record(k, t, f, lengths, active, halted) sees the rows, halted flagging
+    those that stopped on the state they hold.  Returns the steps taken, the
+    final f and lengths; per row the status, stop time (NaN if none), refined
+    steps and smallest h; and whether dt crossed the stability bound.
     """
-    m, k, unstable = len(lengths), -1, False
+    (n_steps, step), m, k, unstable = schedule, len(lengths), -1, False
     statuses = [TerminalStatus.REACHED_T] * m
-    stop_steps, refinements = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
+    stop_times, refinements = np.full(m, np.nan), np.zeros(m, dtype=int)
     min_h, bridges = np.full(m, stepper.dt), [None] * m
     active, no_rows = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
 
@@ -451,8 +444,8 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, draw, key
         live = np.arange(len(rows))
         for half in halves:
             new_f, new_l = step_fn(spec, grid, f[live], length[live], 0.5 * h, _take(half, live))
-            unsafe = _exceeds_bound(stepper.scheme, grid, 0.5 * h, f[live], length[live])
-            bad = np.flatnonzero((new_l <= 0.0) | unsafe)
+            bound = dt_stability(stepper.scheme, grid, length[live], np.abs(f[live]).max(axis=-1))
+            bad = np.flatnonzero((new_l <= 0.0) | (0.5 * h > bound))
             if depth > 1 and bad.size:
                 i = live[bad]
                 new_f[bad], new_l[bad] = refine(
@@ -469,10 +462,11 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, draw, key
     # non-finite values are the divergence detector, so IEEE overflow inside
     # a failing step is expected and must not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k, (h, t) in enumerate(schedule):
+        for k in range(n_steps):
+            h, t = step(k)
             if h < stepper.dt:
                 min_h[active] = np.minimum(min_h[active], h)
-            dw = None if draw is None else draw(k, h)
+            dw = None if rows is None else next(rows) * math.sqrt(h / stepper.dt)
             # a single row steps and is classified on B = (): the same
             # arithmetic, without the stacking overhead
             if m == 1:
@@ -494,8 +488,8 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, draw, key
                     # other end state is classified as an unrefined one is
                     collapse = sub_l < stop.l_min
                     on = _classify(sub_f, sub_l, stop)[0]
-                    collapse[on] = _exceeds_bound(
-                        stepper.scheme, grid, stepper.dt, sub_f[on], sub_l[on]
+                    collapse[on] = stepper.dt > dt_stability(
+                        stepper.scheme, grid, sub_l[on], np.abs(sub_f[on]).max(axis=-1)
                     )
                     ok = ~collapse
                     new_f[bad[ok]], new_l[bad[ok]] = sub_f[ok], sub_l[ok]
@@ -505,42 +499,62 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, draw, key
                 for mask, verdict in zip(masks, _VERDICTS):
                     for i in np.flatnonzero(mask & stopped):
                         statuses[i] = verdict
-                stop_steps[stopped] = k + 1
+                stop_times[stopped] = t
                 kept = active & ~(masks[0] | masks[1])
                 new_f = np.where(kept[:, None], new_f, f)
                 new_l = np.where(kept, new_l, lengths)
                 halted, active = stopped & kept, active & ~stopped
             f, lengths = new_f, new_l
             if (k + 1) % stepper.snapshot_every == 0 and not unstable and active.any():
-                sup = float(np.abs(f[active]).max())
-                bound = dt_stability(stepper.scheme, grid, float(lengths[active].min()), sup)
-                if stepper.dt > bound:
+                sup = np.abs(f[active]).max(axis=-1)
+                if stepper.dt > dt_stability(stepper.scheme, grid, lengths[active], sup).min():
                     unstable = True
                     msg = "dt exceeded the stability bound mid-run; results may be inaccurate"
                     warnings.warn(msg, stacklevel=3)
             record(k, t, f, lengths, active, halted)
             if halted is not no_rows and not active.any():  # the last row stopped
                 break
-    return k + 1, f, lengths, statuses, stop_steps, refinements, min_h, unstable
+    return k + 1, f, lengths, statuses, stop_times, refinements, min_h, unstable
 
 
-def _check_increments(increments, n_steps, row_shape):
-    """Pre-drawn increments as a float array of at least n_steps rows of row_shape."""
+def _schedule(t0, dt, t_end):
+    """(n_steps, step), step(k) the size and end time of step k: t0 + (k + 1) * dt,
+    a product rather than a running sum, or t_end for a last, shortened step.
+    A remainder within 1e-12 * max(1, t_end) of dt counts as a full step."""
+    eps = 1e-12 * max(1.0, abs(t_end))
+    full = max(0, int((t_end - t0 + eps) // dt))
+    last = t0 + full * dt
+
+    def step(k):
+        return (dt, t0 + (k + 1) * dt) if k < full else (t_end - last, t_end)
+
+    return full + int(t_end - last > eps), step
+
+
+def _draw_blocks(drivers, n_steps, n_modes, dt):
+    """Each step's (M, n_modes) increments, one row per driver, drawn
+    _DRAW_CHUNK steps at a time; drivers is read at the first draw."""
+    drivers = list(drivers)
+    for k in range(0, n_steps, _DRAW_CHUNK):
+        size = min(_DRAW_CHUNK, n_steps - k)
+        yield from np.stack([d.increment_block(size, n_modes, dt) for d in drivers], axis=1)
+
+
+def _increment_rows(spec, dt, n_steps, drivers, increments, row_shape):
+    """Each step's (M, n_modes) N(0, dt) increments from drivers, one per row,
+    or pre-drawn as increments, at least n_steps rows of row_shape (extra rows
+    are ignored, any other shape raises ValueError); None without noise."""
+    if spec.noise.amplitude == 0.0:
+        return None
+    if increments is None:
+        return _draw_blocks(drivers, n_steps, spec.noise.n_modes, dt)
     rows = np.asarray(increments, dtype=float)
     if rows.shape[1:] != row_shape or rows.shape[0] < n_steps:
         raise ValueError(
             f"increments must have shape (n_steps, {', '.join(map(str, row_shape))}) "
             f"with n_steps >= {n_steps}, got {rows.shape}"
         )
-    return rows
-
-
-def _run_grid(t, dt, t_end):
-    eps = 1e-12 * max(1.0, abs(t_end))
-    while t < t_end - eps:
-        h = dt if t_end - t > dt - eps else t_end - t
-        t = t + h
-        yield h, t
+    return iter(rows if rows.ndim == 3 else rows[:, None])
 
 
 def run(
@@ -555,51 +569,43 @@ def run(
 ):
     """Advance one trajectory from state0.time to t_end or to a stopping event.
 
-    Steps of dt run from state0.time, the last one shortened to end at t_end
-    (a remainder within 1e-12 * max(1, t_end) of dt is a full step, since
-    accumulated times fall an ulp short of k * dt).  driver supplies Brownian
-    increments when the noise amplitude is positive; increments may instead
-    be a pre-drawn (n_steps, n_modes) array of N(0, dt) samples, one row per
-    step (extra rows are ignored), a shortened last step scaling its row by
-    sqrt(h/dt) (used by coupled-path studies); a shape that does not fit
-    raises ValueError before the first step.  With amplitude 0 neither is
-    touched.  Refined
-    steps draw bridge midpoints as the trajectory (driver.seed,
+    Step k ends at exactly state0.time + (k + 1) * dt, and a last step is
+    shortened to end at t_end (see ``_schedule``).  Under noise, driver
+    supplies N(0, dt) increments in blocks of _DRAW_CHUNK steps, so a run
+    that stops early leaves it up to _DRAW_CHUNK - 1 rows further along;
+    increments may instead pre-draw them as an (n_steps, n_modes) array, one
+    row per step (used by coupled-path studies).  A shortened last step
+    scales its row by sqrt(h/dt).  With amplitude 0 neither is touched.
+    Refined steps draw bridge midpoints as the trajectory (driver.seed,
     driver.trajectory_index), or as (0, 0) without a driver.
     """
-    noisy = spec.noise.amplitude > 0.0
-    if noisy and driver is None and increments is None:
+    if spec.noise.amplitude > 0.0 and driver is None and increments is None:
         raise ValueError("noisy run needs a BrownianDriver or a pre-drawn increments array")
     f, lengths = np.array(state0.f, dtype=float)[None], np.array([float(state0.length)])
     stop = _start(grid, stepper, f, lengths, stop, check_turning)
-    draw = None
-    if noisy and increments is not None:
-        n_steps = sum(1 for _ in _run_grid(float(state0.time), stepper.dt, stepper.t_end))
-        rows = _check_increments(increments, n_steps, (spec.noise.n_modes,))[:, None]
-        # a shortened last step scales its N(0, dt) row to N(0, h)
-        draw = lambda k, h: rows[k] * math.sqrt(h / stepper.dt)  # noqa: E731
-    elif noisy:
-        draw = lambda k, h: driver.increments(spec.noise.n_modes, h)[None]  # noqa: E731
+    schedule = _schedule(float(state0.time), stepper.dt, stepper.t_end)
+    n_modes = spec.noise.n_modes
+    rows = _increment_rows(spec, stepper.dt, schedule[0], [driver], increments, (n_modes,))
     key = (0, 0) if driver is None else (driver.seed, driver.trajectory_index)
 
-    clock = float(state0.time)
-    snapshots = [_snapshot(grid, f[0], float(lengths[0]), clock, 0)]
+    t_last = float(state0.time)  # the time of the state the row holds
+    snapshots = [_snapshot(grid, f[0], float(lengths[0]), t_last, 0)]
 
     def record(k, t, f, lengths, active, halted):
-        nonlocal clock
+        nonlocal t_last
         if active[0] or halted[0]:
-            clock = t
+            t_last = t
             if halted[0] or (k + 1) % stepper.snapshot_every == 0:
                 snapshots.append(_snapshot(grid, f[0], float(lengths[0]), t, k + 1, halted[0]))
 
     steps, f, lengths, statuses, _, refinements, min_h, unstable = _advance(
         spec, grid, stepper, stop, _STEPPERS[stepper.scheme], f, lengths,
-        _run_grid(clock, stepper.dt, stepper.t_end), draw, key, record,
+        schedule, rows, key, record,
     )
-    state = State(f[0], float(lengths[0]), clock)
+    state = State(f[0], float(lengths[0]), t_last)
     last = snapshots[-1]
     if statuses[0] is TerminalStatus.REACHED_T and (last.step != steps or not last.full_resolution):
-        snapshots.append(_snapshot(grid, state.f, state.length, clock, steps, full=True))
+        snapshots.append(_snapshot(grid, state.f, state.length, t_last, steps, full=True))
     return Trajectory(
         snapshots=snapshots,
         terminal_status=statuses[0],
@@ -609,14 +615,6 @@ def run(
         refinements=int(refinements[0]),
         min_h=float(min_h[0]),
     )
-
-
-def _draw_blocks(seed, first_path, m, n_steps, n_modes, dt):
-    """Each step's (M, n_modes) increments, drawn _DRAW_CHUNK steps at a time."""
-    drivers = [BrownianDriver(seed, first_path + i) for i in range(m)]
-    for k in range(0, n_steps, _DRAW_CHUNK):
-        size = min(_DRAW_CHUNK, n_steps - k)
-        yield from np.stack([d.increment_block(size, n_modes, dt) for d in drivers], axis=1)
 
 
 def run_ensemble(
@@ -636,13 +634,15 @@ def run_ensemble(
 
     f0 is one shared initial field (n,) or per-path fields (n_paths, n);
     length0 likewise a scalar or (n_paths,).  Path i is the trajectory
-    (seed, first_path + i), bit for bit a single ``run`` with
+    (seed, first_path + i), bit for bit a single ``run`` from time 0 with
     BrownianDriver(seed, first_path + i); the offset lets a worker advance a
-    contiguous slice of a larger ensemble exactly as one process would.
-    increments may pre-draw everything as an (n_steps, n_paths, n_modes)
-    array of N(0, dt) samples, checked as in ``run``.  Paths stop on the rules of ``run`` and stay
-    frozen at their last valid state; lengths and energies are recorded every
-    snapshot_every steps and at the last.
+    contiguous slice of a larger ensemble exactly as one process would.  The
+    steps are those of ``run``, a shortened last step included, so any t_end
+    is accepted.  increments may pre-draw everything as an
+    (n_steps, n_paths, n_modes) array of N(0, dt) samples, checked as in
+    ``run``.  Paths stop on the rules of ``run`` and stay frozen at their
+    last valid state; lengths and energies are recorded every snapshot_every
+    steps and at the last, at the steps' exact end times.
     """
     m = int(n_paths)
     if m < 1:
@@ -653,45 +653,35 @@ def run_ensemble(
     f = np.array(np.broadcast_to(f0, (m, f0.shape[-1])), order="C")
     lengths = np.array(np.broadcast_to(np.asarray(length0, dtype=float), (m,)))
     stop = _start(grid, stepper, f, lengths, stop, check_turning)
-
-    dt = stepper.dt
-    n_steps = int(round(stepper.t_end / dt))
-    if abs(n_steps * dt - stepper.t_end) > 1e-9 * max(1.0, stepper.t_end):
-        raise ValueError(
-            f"t_end={stepper.t_end:g} is not an integer number of steps of dt={dt:g}"
-        )
-    draw = None
-    if spec.noise.amplitude > 0.0 and increments is not None:
-        drawn = _check_increments(increments, n_steps, (m, spec.noise.n_modes))
-        draw = lambda k, h: drawn[k]  # noqa: E731
-    elif spec.noise.amplitude > 0.0:
-        blocks = _draw_blocks(seed, first_path, m, n_steps, spec.noise.n_modes, dt)
-        draw = lambda k, h: next(blocks)  # noqa: E731
-
-    rows = []
+    n_steps, step = schedule = _schedule(0.0, stepper.dt, stepper.t_end)
+    # a generator, so that the drivers are only made when they draw
+    drivers = (BrownianDriver(seed, first_path + i) for i in range(m))
+    rows = _increment_rows(spec, stepper.dt, n_steps, drivers, increments, (m, spec.noise.n_modes))
+    records = []
 
     def record(k, t, f, lengths, active, halted):
         if (k + 1) % stepper.snapshot_every == 0 or k + 1 == n_steps:
-            rows.append((t, lengths.copy(), 0.5 * lengths * grid.integrate(f * f), active.copy()))
+            energy = 0.5 * lengths * grid.integrate(f * f)
+            records.append((t, lengths.copy(), energy, active.copy()))
 
     with np.errstate(over="ignore", invalid="ignore"):
         record(-1, 0.0, f, lengths, np.ones(m, dtype=bool), None)
-        steps, f, lengths, statuses, stop_steps, refinements, min_h, unstable = _advance(
+        steps, f, lengths, statuses, stop_times, refinements, min_h, unstable = _advance(
             spec, grid, stepper, stop, _BATCH_STEPPERS[stepper.scheme], f, lengths,
-            ((dt, (k + 1) * dt) for k in range(n_steps)), draw, (seed, first_path), record,
+            schedule, rows, (seed, first_path), record,
         )
         # rows stay on the cadence after every path has stopped, so their
         # times (and any cross-worker alignment) never depend on the stops
         for k in range(steps, n_steps):
-            record(k, (k + 1) * dt, f, lengths, np.zeros(m, dtype=bool), None)
-    times, length_rows, energy_rows, active_rows = zip(*rows)
+            record(k, step(k)[1], f, lengths, np.zeros(m, dtype=bool), None)
+    times, length_rows, energy_rows, active_rows = zip(*records)
     return EnsembleResult(
         times=np.asarray(times),
         lengths=np.stack(length_rows),
         energies=np.stack(energy_rows),
         active=np.stack(active_rows),
         statuses=statuses,
-        stop_times=np.where(stop_steps > 0, stop_steps * dt, np.nan),
+        stop_times=stop_times,
         final_f=f,
         final_lengths=lengths,
         steps=n_steps,

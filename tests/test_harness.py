@@ -816,6 +816,14 @@ def test_reconstruct_rejects_incomplete_records(tmp_path, capsys, meta, snapshot
     assert not (tmp_path / "c.csv").exists()
 
 
+def test_reconstruct_names_the_malformed_line(tmp_path, capsys):
+    path = tmp_path / "traj.jsonl"
+    meta = '{"record":"meta","config":{"grid.topology":"closed"}}'
+    path.write_text(meta + "\n" + _SNAPSHOT[:40] + "\n")  # a truncated snapshot
+    assert main(["reconstruct", "--state", str(path), "--out", str(tmp_path / "c.csv")]) == 2
+    assert f"{path}:2: malformed JSON" in capsys.readouterr().err
+
+
 def test_reconstruct_rejects_open_states(tmp_path, capsys):
     plain = tmp_path / "open.json"
     plain.write_text(json.dumps({"f": [0.5] * 16, "length": 2.0, "topology": "open"}))
@@ -905,6 +913,45 @@ def test_benchmark_workload_configs_build(tmp_path):
         harness.build_spec(cfg)
         harness.build_stepper(cfg)
         harness.build_stop(cfg, harness.build_state(cfg, grid))
+
+
+@pytest.mark.parametrize("command", ["simulate", "ensemble", "reconstruct", "print-config"])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, command):
+    # an output path in a directory that does not exist: exit 2 with the
+    # path named, not an uncaught FileNotFoundError
+    cfg_path = _cfg_file(tmp_path, "grid.n = 16\nstepper.t_end = 5e-4\nrun.trajectories = 2\n")
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"f": [1.0] * 16, "length": TWO_PI}))
+    out = str(tmp_path / "absent" / "out")
+    inputs = ["--state", str(state)] if command == "reconstruct" else ["--config", cfg_path]
+    assert main([command, *inputs, "--out", out]) == 2
+    assert f"config error: cannot write {out}" in capsys.readouterr().err
+
+
+def test_benchmark_tracer_counts_and_restores(tmp_path):
+    """The benchmark's tracer, installed around a tiny simulate and ensemble,
+    counts kernel steps and transforms, and uninstalling puts every wrapped
+    original back; a kernel bound at import time or a renamed entry point
+    fails here rather than only under traced benchmark runs."""
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tracing = runpy.run_path(str(source))
+    targets = tracing["_targets"]()
+    originals = [tracing["_get"](owner, key) for owner, key, _ in targets]
+    tracer = tracing["Tracer"]()
+    cfg_path = _cfg_file(
+        tmp_path, "grid.n = 16\nnoise.amplitude = 0.1\nstepper.t_end = 5e-4\nrun.trajectories = 2\n"
+    )
+    tracer.install()
+    try:
+        assert harness.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "t")]) == 0
+        steps = tracer.calls("integrator.step")
+        assert steps > 0 and tracer.calls("grid.fft") > 0
+        assert harness.main(["ensemble", "--config", cfg_path, "--out", str(tmp_path / "e")]) == 0
+        assert tracer.calls("integrator.step") > steps
+    finally:
+        tracer.uninstall()
+    for (owner, key, _), original in zip(targets, originals):
+        assert tracing["_get"](owner, key) is original, key
 
 
 def test_missing_subcommand_exits():

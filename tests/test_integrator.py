@@ -71,6 +71,26 @@ def test_dt_stability_closed_formulas():
     assert dt_stability(EXPLICIT_EM, grid, length, 0.0) == fourth
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_dt_stability_on_arrays_matches_scalar_calls(scheme):
+    # one length and one sup per row: a flat row (sup 0) leaves ImexEM
+    # unbounded, and a long row lets the fourth-order cap bind the explicit
+    # schemes where the advective bound alone would be looser
+    grid = Grid(64)
+    lengths = np.array([TWO_PI, 0.5, 3.0, 40.0])
+    sups = np.array([1.0, 0.0, 7.5, 0.1])
+    bounds = dt_stability(scheme, grid, lengths, sups)
+    assert bounds.shape == (4,)
+    for length, sup, bound in zip(lengths, sups, bounds):
+        assert bound == dt_stability(scheme, grid, float(length), float(sup))
+    fourth = 1.0 / ((math.pi * 64) ** 4 / lengths**4)
+    if scheme == IMEX_EM:
+        assert bounds[1] == math.inf
+    else:
+        assert np.array_equal(bounds[[1, 3]], fourth[[1, 3]])
+        assert bounds[3] < 0.5 * 40.0**2 / (0.1**2 * 64**2)
+
+
 def test_dt_stability_rejects_unknown_scheme():
     with pytest.raises(ValueError):
         dt_stability("leapfrog", Grid(64), TWO_PI, 1.0)
@@ -191,7 +211,7 @@ def test_run_snapshot_cadence():
     traj = run(spec, grid, circle(), StepperConfig(IMEX_EM, 1e-4, 0.1, snapshot_every=100))
     assert [s.step for s in traj.snapshots] == list(range(0, 1001, 100))
     for i, snap in enumerate(traj.snapshots):
-        assert snap.time == pytest.approx(0.01 * i, abs=1e-12)
+        assert snap.time == snap.step * 1e-4  # k * dt exactly, not a running sum
         assert snap.full_resolution  # 32 values fit under the storage cap
     first = traj.snapshots[0]
     assert first.turning == pytest.approx(TWO_PI, rel=1e-14)
@@ -499,6 +519,23 @@ def test_bridge_midpoint_statistics():
     assert np.allclose(firsts.var(axis=0, ddof=1), h / 4, rtol=0.05)
 
 
+def test_ensemble_start_bound_is_per_row():
+    # a short circle (L = 1, sup 2 pi) and a bumpy unit-turning curve
+    # (L = 2 pi, sup 21) each start under dt = 1e-5, alone and in one batch;
+    # the short length with the other row's sup would put the bound at 1.1e-6
+    grid = Grid(32)
+    spec = FlowSpec(WILLMORE, NO_NOISE)
+    f0 = np.stack([np.full(32, TWO_PI), 1.0 + 20.0 * np.cos(2.0 * TWO_PI * grid.nodes)])
+    lengths = np.array([1.0, TWO_PI])
+    assert np.all(dt_stability(IMEX_EM, grid, lengths, np.abs(f0).max(axis=-1)) > 1e-5)
+    cfg = StepperConfig(IMEX_EM, 1e-5, 2e-5, snapshot_every=1)
+    ens = run_ensemble(spec, grid, f0, lengths, cfg, 2, seed=0, stop=WIDE_STOP)
+    for i in range(2):
+        traj = run(spec, grid, State(f0[i], lengths[i]), cfg, stop=WIDE_STOP)
+        _assert_rows_match(ens, i, traj)
+    assert not ens.stability_warning
+
+
 def test_stability_bound_crossed_mid_run_warns_for_batches_too():
     # constant increments shrink a curve-diffusion circle, and with it the
     # advective bound 0.5 L^4 / (4 pi^2 n^2), below a dt that started under it
@@ -685,6 +722,27 @@ def test_ensemble_rows_match_single_runs_every_scheme(scheme, dt, kind, noise):
         assert traj.final_state.length == ens.final_lengths[i]
 
 
+def test_ensemble_shortened_last_step_matches_single_runs():
+    """t_end = 2.5 dt: batch and single runs take the same shortened third
+    step, its N(0, dt) row scaled to the half step, and rows stay bitwise
+    equal to single runs through it."""
+    grid = Grid(16)
+    spec = FlowSpec(WILLMORE, NoiseModel(mode="scalar", amplitude=0.2))
+    cfg = StepperConfig(IMEX_EM, 1e-4, 2.5e-4, snapshot_every=1)
+    stop = StopCriteria(1e-3, 1e3, 1e3)
+    ens = run_ensemble(spec, grid, np.ones(16), TWO_PI, cfg, 3, seed=99, stop=stop)
+    assert ens.steps == 3
+    assert list(ens.times) == [0.0, 1e-4, 2e-4, 2.5e-4]
+    assert np.all(ens.min_h == 2.5e-4 - 2 * 1e-4)
+    for i in range(3):
+        traj = run(spec, grid, circle(16), cfg, stop=stop, driver=BrownianDriver(99, i))
+        assert traj.steps == 3 and traj.final_state.time == 2.5e-4
+        assert [s.time for s in traj.snapshots] == list(ens.times)
+        assert np.array_equal([s.length for s in traj.snapshots], ens.lengths[:, i])
+        assert np.array_equal([s.energy for s in traj.snapshots], ens.energies[:, i])
+        _assert_rows_match(ens, i, traj)
+
+
 def test_ensemble_slicing_by_first_path():
     """A worker owning paths [1, 3) reproduces those rows bit for bit."""
     grid = Grid(16)
@@ -809,7 +867,8 @@ def test_ensemble_validation():
         run_ensemble(spec, grid, np.ones((3, 32)), TWO_PI, cfg, 2, seed=1, increments=inc)
     with pytest.raises(ValueError, match="positive"):
         run_ensemble(spec, grid, np.ones(32), -1.0, cfg, 2, seed=1, increments=inc)
-    with pytest.raises(ValueError, match="integer number of steps"):
+    # t_end = 10.5 dt ends on a shortened eleventh step, which takes a row too
+    with pytest.raises(ValueError, match=re.escape("n_steps >= 11, got (10, 2, 1)")):
         run_ensemble(
             spec,
             grid,
