@@ -37,6 +37,16 @@ and every f*phi_l share one running-integral pass, and every b_f,l*phi_l of
 the correction one more.  The basis samples and their derivatives are
 tabulated once per grid.
 
+Under scalar noise the pass does no basis arithmetic.  With phi = 1, f*phi
+is f, phi', phi'' and phi''' vanish, and lam is the constant -2*pi with
+derivative 0, so those products and the (n_modes, ...) stacks of the noise
+row and the correction are never formed.  The deterministic drift and the
+transport are one code path for both noise kinds.  Every field is bitwise
+the general formulas evaluated with phi = 1, at every length whose square is
+a normal double: each remaining operation keeps its operand order, and the
+one vanishing term kept, -2 phi'' lam / L^3 = +0.0 per row, turns -0.0
+partial sums into +0.0 as the general code's zero terms do.
+
 The fourth-order term -(1/L^4) drrrr f is returned separately (stiff) so the
 stepper can treat it implicitly; everything else, corrections included, is
 in the explicit part.
@@ -136,7 +146,9 @@ def assemble(spec, grid, f, length, include_ito=True):
     length has shape B.  All noise modes are assembled together on a leading
     axis: one transform pair gives the running integrals of f*V and of every
     f*phi_l, and one more those of every beta_l*phi_l for the Ito
-    correction.  The inputs are validated here; nothing below re-checks them.
+    correction.  Under scalar noise the same values come from the scalar
+    pass (see the module docstring).  The inputs are validated here; nothing
+    below re-checks them.
 
     Returns an _Assembly whose fields broadcast over the batch shape.
     """
@@ -152,13 +164,11 @@ def assemble(spec, grid, f, length, include_ito=True):
     noise = spec.noise
     n_modes = noise.n_modes
     amp = noise.amplitude
-    # basis samples broadcast against the (n_modes, *B, n) stacks
-    phi, phi1, phi2, phi3 = _basis_table(noise, grid).reshape(
-        (4, n_modes) + (1,) * len(batch) + (grid.n,)
-    )
+    scalar = spec.uses_turning_shortcut
 
-    # Full-size temporaries are freed as soon as they are used and updated in
-    # place where possible: at M ~ 2000 paths every (M, n) array is a MiB.
+    # Full-size temporaries are updated in place and freed as soon as they
+    # are used: at M ~ 2000 paths every (M, n) array is a MiB.  Each in-place
+    # form keeps the operand order of the formula it computes.
     f1, f2, f4 = grid.derivs(f, (1, 2, 4))
     lcol = lc[..., None]
     l2 = lcol * lcol
@@ -167,79 +177,138 @@ def assemble(spec, grid, f, length, include_ito=True):
     stiff *= spec.stiff_sign
     stiff /= l4
     ff = f * f
+    tmp = np.empty_like(f)
 
-    if spec.kind == WILLMORE:
-        v = -(f2 / l2 + 0.5 * (ff * f))
-    else:
-        v = -(f2 / l2)
-    # f*V and every f*phi_l share one running-integral pass
+    # f*V and every f*phi_l share one running-integral pass; V is
+    # -(f''/L^2 + f^3/2) for Willmore and -f''/L^2 for curve diffusion
     fv_fphi = np.empty((n_modes + 1,) + f.shape)
-    np.multiply(f, v, out=fv_fphi[0])
-    del v
-    np.multiply(f, phi, out=fv_fphi[1:])
+    fv = fv_fphi[0]
+    np.divide(f2, l2, out=fv)
+    if spec.kind == WILLMORE:
+        np.multiply(ff, f, out=tmp)
+        tmp *= 0.5
+        fv += tmp
+    np.negative(fv, out=fv)
+    fv *= f
+    if scalar:
+        fv_fphi[1] = f  # f * phi with phi = 1
+    else:
+        phi, phi1, phi2, phi3 = _basis_table(noise, grid).reshape(
+            (4, n_modes) + (1,) * len(batch) + (grid.n,)
+        )
+        np.multiply(f, phi, out=fv_fphi[1:])
     ints = grid.integrate(fv_fphi)
     cums = grid.cumint(fv_fphi)
-    del fv_fphi
+    del fv_fphi, fv
 
+    # deterministic drift: the flow's own terms plus the transport
+    # (cumint(f V) + r Ldot/L) f'
     det_l = -lc * ints[0]
-    transport = cums[0] + r * (det_l / lc)[..., None]
+    transport = cums[0]
+    np.multiply(r, (det_l / lc)[..., None], out=tmp)
+    transport += tmp
+    transport *= f1
+    det_f = np.multiply(ff, f2)
     if spec.kind == WILLMORE:
-        det_f = (
-            -2.5 * (ff * f2) / l2
-            - 3.0 * (f * f1 * f1) / l2
-            - 0.5 * (ff * f * f * f)
-            + transport * f1
-        )
+        det_f *= -2.5
+        det_f /= l2
+        np.multiply(f, f1, out=tmp)
+        tmp *= f1
+        tmp *= 3.0
+        tmp /= l2
+        det_f -= tmp
+        np.multiply(ff, f, out=tmp)
+        tmp *= f
+        tmp *= f
+        tmp *= 0.5
+        det_f -= tmp
     else:
-        det_f = -(ff * f2) / l2 + transport * f1
+        np.negative(det_f, out=det_f)
+        det_f /= l2
+    det_f += transport
     del transport
 
-    shortcut = spec.uses_turning_shortcut
-    if shortcut:
-        lam = np.full((n_modes,) + batch, -TWO_PI)
+    # noise rows: beta_l = phi_l''/L^2 + f^2 phi_l + coef_l f' with the
+    # transport coefficient coef_l = cumint(f phi_l) + r lam_l / L
+    if scalar:
+        lam = np.full((1,) + batch, -TWO_PI)
+        lam_l = (lam[0] / lc)[..., None]
+        coef = cums[1]
+        np.multiply(r, lam_l, out=tmp)
+        coef += tmp
+        # phi''/L^2 + f^2 is exactly f^2, never -0.0
+        beta = np.multiply(coef, f1)
+        beta += ff
     else:
         lam = -lc * ints[1:]
-    lam_l = (lam / lc)[..., None]
-    coef = cums[1:]
-    coef += r * lam_l
-    beta = phi2 / l2
-    beta += ff * phi
-    beta += coef * f1
+        lam_l = (lam / lc)[..., None]
+        coef = cums[1:]
+        coef += r * lam_l
+        beta = phi2 / l2
+        beta += ff * phi
+        beta += coef * f1
 
-    corr_f = np.zeros_like(f)
     corr_L = np.zeros_like(det_l)
-    if include_ito and amp > 0.0:
+    if not include_ito or amp == 0.0:
+        corr_f = np.zeros_like(f)
+    else:
         # D(beta_l)[(beta_l, lam_l)] for every mode at once:
         #   dbeta = -2 phi'' lam / L^3 + 2 f phi beta + rate * f' + coef * beta'
         # with beta' by the chain rule, since the basis derivatives are
         # analytic and the r-linear transport coefficient differentiates
         # exactly
-        bphi = beta * phi
-        if shortcut:
-            dlam = np.zeros_like(lam)
+        if scalar:
+            # phi = 1 and dlam = 0: bphi is beta, and the phi', phi'',
+            # phi''' and r * dlam / L terms are zeros, which can only set the
+            # sign of a zero result.  One is kept: -2 phi'' lam / L^3, +0.0
+            # per row (NaN where L^3 underflows), which keeps every partial
+            # sum of dbeta from -0.0, as the general code's zero terms and
+            # zero-started mode sum do
+            rate = grid.cumint(beta)
+            np.multiply(r, (lam[0] * lam[0] / (lc * lc))[..., None], out=tmp)
+            rate -= tmp
+            rate *= f1
+            two_f = 2.0 * f
+            dbeta = np.multiply(two_f, beta)
+            dbeta += 0.0 / (l2 * lcol)
+            dbeta += rate
+            del rate
+            beta1 = np.multiply(two_f, f1)
+            del two_f
+            np.add(f, lam_l, out=tmp)
+            tmp *= f1
+            beta1 += tmp
+            np.multiply(coef, f2, out=tmp)
+            beta1 += tmp
+            beta1 *= coef
+            dbeta += beta1
+            del beta1
+            corr_f = dbeta
         else:
+            bphi = beta * phi
             dlam = -lam * ints[1:] - lc * grid.integrate(bphi)
-        rate = grid.cumint(bphi)
-        del bphi
-        rate += r * (dlam / lc)[..., None]
-        rate -= r * (lam * lam / (lc * lc))[..., None]
-        rate *= f1
-        dbeta = -2.0 * phi2 * lam[..., None] / (l2 * lcol)
-        dbeta += (2.0 * f) * phi * beta
-        dbeta += rate
-        del rate
-        beta1 = phi3 / l2
-        beta1 += (2.0 * f * f1) * phi
-        beta1 += ff * phi1
-        beta1 += (f * phi + lam_l) * f1
-        beta1 += coef * f2
-        beta1 *= coef
-        dbeta += beta1
-        del beta1
-        # sum over modes in mode order, then scale once
-        for d, dl in zip(dbeta, dlam):
-            corr_f += d
-            corr_L = corr_L + dl
+            rate = grid.cumint(bphi)
+            del bphi
+            rate += r * (dlam / lc)[..., None]
+            rate -= r * (lam * lam / (lc * lc))[..., None]
+            rate *= f1
+            dbeta = -2.0 * phi2 * lam[..., None] / (l2 * lcol)
+            dbeta += (2.0 * f) * phi * beta
+            dbeta += rate
+            del rate
+            beta1 = phi3 / l2
+            beta1 += (2.0 * f * f1) * phi
+            beta1 += ff * phi1
+            beta1 += (f * phi + lam_l) * f1
+            beta1 += coef * f2
+            beta1 *= coef
+            dbeta += beta1
+            del beta1
+            # sum over modes in mode order, then scale once
+            corr_f = np.zeros_like(f)
+            for d, dl in zip(dbeta, dlam):
+                corr_f += d
+                corr_L = corr_L + dl
         half_var = 0.5 * amp * amp
         corr_f *= half_var
         corr_L = half_var * corr_L
@@ -250,6 +319,6 @@ def assemble(spec, grid, f, length, include_ito=True):
         det_L=det_l,
         corr_f=corr_f,
         corr_L=corr_L,
-        rows_beta=beta,
+        rows_beta=beta[None] if scalar else beta,
         rows_lam=lam,
     )

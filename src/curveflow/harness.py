@@ -296,6 +296,25 @@ def _write_text(path, text):
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
+def _check_writable(*paths):
+    """Raise the ConfigError that writing would, before any work is done.
+
+    Each path must name a file, existing and writable or not yet there, in
+    a writable directory; nothing is created.
+    """
+    for path in paths:
+        folder = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            reason = "it is a directory"
+        elif not os.path.isdir(folder):
+            reason = f"no directory {folder}"
+        elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            reason = "permission denied"
+        else:
+            continue
+        raise ConfigError(f"cannot write {path}: {reason}")
+
+
 def _version():
     from . import __version__
 
@@ -346,6 +365,8 @@ def cmd_simulate(args):
     stepper = build_stepper(cfg)
     state = build_state(cfg, grid)
     stop = build_stop(cfg, state)
+    out = args.out or "trajectory.jsonl"
+    _check_writable(out)
     driver = BrownianDriver(cfg["run.seed"], 0) if spec.noise.amplitude > 0 else None
     traj = run(
         spec,
@@ -357,7 +378,6 @@ def cmd_simulate(args):
         check_turning=cfg["run.check_turning"],
     )
 
-    out = args.out or "trajectory.jsonl"
     lines = [_dumps(_meta_record("simulate", cfg))]
     for snap in traj.snapshots:
         lines.append(_dumps(_snapshot_record(grid, snap)))
@@ -424,6 +444,9 @@ def cmd_ensemble(args):
     build_stepper(cfg)
     build_stop(cfg, build_state(cfg, build_grid(cfg)))
     build_spec(cfg)
+    out = args.out or "ensemble.json"
+    stem = out[:-5] if out.endswith(".json") else out
+    _check_writable(out, stem + ".csv", stem + "_paths.csv")
 
     payloads = [(cfg, start, count) for start, count in _split_indices(n_paths, workers)]
     if workers == 1:
@@ -457,8 +480,6 @@ def cmd_ensemble(args):
         )
     )
 
-    out = args.out or "ensemble.json"
-    stem = out[:-5] if out.endswith(".json") else out
     summary = _meta_record("ensemble", cfg)
     summary.update(
         {

@@ -24,6 +24,16 @@ Each scheme is written once, as a kernel on stacked arrays,
 diverged row comes back non-finite and a collapsed one with a non-positive
 length.
 
+A batch steps in row blocks.  Each entry of the kernel tables advances an
+(M, n) batch in blocks of _BLOCK_VALUES // n rows, 128 KiB per block array,
+and writes them into preallocated outputs; the stepping loop, the step
+refinement and anything wrapping a table entry still see one kernel call
+per step.  An assembly keeps about sixteen arrays of the batch's size alive,
+so whole-batch temporaries of a MiB each (M = 2048, n = 64) stream through
+main memory, while a block's working set stays near a 2 MiB L2 cache; the
+block length follows n so that its arrays keep that size at every grid.
+Rows are independent, so blocked rows are bitwise the whole-batch ones.
+
 Stability: the explicitly treated variable-coefficient second-order term
 requires dt <= 0.5 * L^2 / (sup|f|^2 n^2); fully explicit schemes
 additionally require dt below the reciprocal of the fourth-order operator's
@@ -57,6 +67,7 @@ trustworthy; any other end state is classified as an unrefined one is.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -74,6 +85,7 @@ EXPLICIT_EM = "explicit_em"
 _SCHEMES = (IMEX_EM, HEUN_STRATONOVICH, EXPLICIT_EM)
 
 _MAX_HALVINGS = 10
+_BLOCK_VALUES = 2**14  # values per (rows, n) array of a batch's row block: 128 KiB
 _DRAW_CHUNK = 64  # drivers draw increments this many steps at a time
 _SNAPSHOT_VALUE_CAP = 256
 _TURNING_TOL = 1e-6
@@ -211,14 +223,15 @@ def _noise_sums(rows_beta, rows_lam, dw, amplitude):
 
 
 def _project_turning(new_f, f, length, new_length):
-    """Shift the zero mode of new_f so that new_length * mean(new_f) equals
-    length * mean(f).
+    """Shift the zero mode of new_f, in place, so that new_length * mean(new_f)
+    equals length * mean(f).
 
     Works row-wise on batches.  Means are taken directly rather than through
     ``grid.integrate`` because a batch may carry NaN placeholder rows here.
     """
     shift = length * f.mean(axis=-1) / new_length - new_f.mean(axis=-1)
-    return new_f + shift[..., None]
+    new_f += shift[..., None]
+    return new_f
 
 
 def _imex_em(spec, grid, f, length, dt, dw):
@@ -228,11 +241,14 @@ def _imex_em(spec, grid, f, length, dt, dw):
     the noise amplitude; None means no noise term (deterministic step).
     """
     a = flows.assemble(spec, grid, f, length)
-    rhs = f + dt * (a.det_f + a.corr_f)
+    rhs = a.det_f  # f + dt * (det_f + corr_f), in det_f's slot
+    rhs += a.corr_f
+    rhs *= dt
+    rhs += f
     new_l = length + dt * (a.det_L + a.corr_L)
     if dw is not None:
         g_f, g_l = _noise_sums(a.rows_beta, a.rows_lam, dw, spec.noise.amplitude)
-        rhs = rhs + g_f
+        rhs += g_f
         new_l = new_l + g_l
     # diverged rows would poison the implicit solve; solve a clean
     # placeholder instead and hand them back as non-finite
@@ -300,14 +316,39 @@ def _heun_stratonovich(spec, grid, f, length, dt, dw):
     return new_f, new_l
 
 
+def _in_row_blocks(kernel):
+    """The kernel advancing an (M, n) batch in blocks of _BLOCK_VALUES // n rows.
+
+    Every row's arithmetic is independent of the others, so each block's
+    rows come out bitwise as from one call on the whole batch; they are
+    written into preallocated outputs.  A single state, or a batch of at
+    most one block, goes to the kernel as it is.
+    """
+
+    @functools.wraps(kernel)
+    def step(spec, grid, f, length, dt, dw):
+        rows = _BLOCK_VALUES // grid.n
+        if f.ndim == 1 or len(f) <= rows:
+            return kernel(spec, grid, f, length, dt, dw)
+        new_f, new_l = np.empty_like(f), np.empty_like(length)
+        for i in range(0, len(f), rows):
+            block = slice(i, i + rows)
+            new_f[block], new_l[block] = kernel(
+                spec, grid, f[block], length[block], dt, _take(dw, block)
+            )
+        return new_f, new_l
+
+    return step
+
+
 # run looks its kernel up in _STEPPERS and run_ensemble in _BATCH_STEPPERS.
 # Both map a scheme to the same kernel, but they are kept as two dicts so
 # that a wrapper installed on one table entry (a benchmark's step counter)
 # is never installed twice on a shared one.
 _STEPPERS = {
-    IMEX_EM: _imex_em,
-    HEUN_STRATONOVICH: _heun_stratonovich,
-    EXPLICIT_EM: _explicit_em,
+    IMEX_EM: _in_row_blocks(_imex_em),
+    HEUN_STRATONOVICH: _in_row_blocks(_heun_stratonovich),
+    EXPLICIT_EM: _in_row_blocks(_explicit_em),
 }
 _BATCH_STEPPERS = dict(_STEPPERS)
 
@@ -671,9 +712,15 @@ def run_ensemble(
             schedule, rows, (seed, first_path), record,
         )
         # rows stay on the cadence after every path has stopped, so their
-        # times (and any cross-worker alignment) never depend on the stops
-        for k in range(steps, n_steps):
-            record(k, step(k)[1], f, lengths, np.zeros(m, dtype=bool), None)
+        # times (and any cross-worker alignment) never depend on the stops;
+        # only the steps that record are visited
+        every, idle = stepper.snapshot_every, np.zeros(m, dtype=bool)
+        first = -(-(steps + 1) // every) * every - 1  # the first cadence step >= steps
+        tail = range(first, n_steps, every)
+        if n_steps % every and n_steps > steps:
+            tail = [*tail, n_steps - 1]
+        for k in tail:
+            record(k, step(k)[1], f, lengths, idle, None)
     times, length_rows, energy_rows, active_rows = zip(*records)
     return EnsembleResult(
         times=np.asarray(times),

@@ -234,6 +234,94 @@ def test_scalar_noise_length_row_is_constant():
     assert abs(defect) < 1e-12
 
 
+def _unit_basis_assembly(spec, grid, f, length, include_ito):
+    """The general assembly formulas, modes on a leading axis, with the
+    scalar basis written out: phi = 1, phi' = phi'' = phi''' = 0, the length
+    row -2 pi and its derivative 0."""
+    batch = f.shape[:-1]
+    lc = np.asarray(length, dtype=float)
+    r = grid.nodes
+    ones = (1,) * len(batch) + (grid.n,)
+    phi, phi1, phi2, phi3 = np.ones((1,) + ones), *np.zeros((3, 1) + ones)
+    f1, f2, f4 = grid.derivs(f, (1, 2, 4))
+    lcol = lc[..., None]
+    l2 = lcol * lcol
+    l4 = l2 * l2
+    stiff = f4 * spec.stiff_sign / l4
+    ff = f * f
+    v = -(f2 / l2 + 0.5 * (ff * f)) if spec.kind == WILLMORE else -(f2 / l2)
+    fv_fphi = np.concatenate([(f * v)[None], f * phi])
+    ints, cums = grid.integrate(fv_fphi), grid.cumint(fv_fphi)
+    det_l = -lc * ints[0]
+    transport = cums[0] + r * (det_l / lc)[..., None]
+    if spec.kind == WILLMORE:
+        det_f = (
+            -2.5 * (ff * f2) / l2
+            - 3.0 * (f * f1 * f1) / l2
+            - 0.5 * (ff * f * f * f)
+            + transport * f1
+        )
+    else:
+        det_f = -(ff * f2) / l2 + transport * f1
+    lam = np.full((1,) + batch, -TWO_PI)
+    lam_l = (lam / lc)[..., None]
+    coef = cums[1:] + r * lam_l
+    beta = phi2 / l2 + ff * phi + coef * f1
+    corr_f, corr_L = np.zeros_like(f), np.zeros_like(det_l)
+    amp = spec.noise.amplitude
+    if include_ito and amp > 0.0:
+        bphi = beta * phi
+        dlam = np.zeros_like(lam)
+        rate = grid.cumint(bphi) + r * (dlam / lc)[..., None]
+        rate = (rate - r * (lam * lam / (lc * lc))[..., None]) * f1
+        dbeta = -2.0 * phi2 * lam[..., None] / (l2 * lcol) + (2.0 * f) * phi * beta + rate
+        beta1 = phi3 / l2 + (2.0 * f * f1) * phi + ff * phi1 + (f * phi + lam_l) * f1
+        beta1 = (beta1 + coef * f2) * coef
+        dbeta = dbeta + beta1
+        for d, dl in zip(dbeta, dlam):
+            corr_f = corr_f + d
+            corr_L = corr_L + dl
+        half_var = 0.5 * amp * amp
+        corr_f, corr_L = corr_f * half_var, half_var * corr_L
+    return {
+        "stiff": stiff,
+        "det_f": det_f,
+        "det_L": det_l,
+        "corr_f": corr_f,
+        "corr_L": corr_L,
+        "rows_beta": beta,
+        "rows_lam": lam,
+    }
+
+
+@pytest.mark.parametrize("kind", [WILLMORE, CURVE_DIFFUSION])
+@pytest.mark.parametrize("include_ito", [True, False])
+@pytest.mark.parametrize("batch", [(), (5,)])
+def test_scalar_pass_matches_general_formulas_bitwise(kind, include_ito, batch):
+    """Under scalar noise every assembly field is bitwise the general
+    formulas with phi = 1, shape and signed zeros included: on the -0.0
+    state the correction is a sum of -0.0 terms, which the general code's
+    +0.0 terms make +0.0."""
+    rng = np.random.default_rng(53)
+    grid = Grid(32)
+    spec = FlowSpec(kind, NoiseModel(mode="scalar", amplitude=0.7))
+    states = [
+        np.stack([_band_limited(rng, grid) for _ in range(5)]),
+        -np.stack([_band_limited(rng, grid) for _ in range(5)]),
+        np.full((5, grid.n), -0.0),
+        np.full((5, grid.n), -0.5),
+        3.0 * rng.standard_normal((5, grid.n)),
+    ]
+    for f in states:
+        f = f[0] if batch == () else f
+        length = 0.3 + 3.0 * rng.random(batch)
+        got = assemble(spec, grid, f, length, include_ito=include_ito)
+        for name, want in _unit_basis_assembly(spec, grid, f, length, include_ito).items():
+            have, want = np.asarray(getattr(got, name)), np.asarray(want)
+            assert have.shape == want.shape, name
+            assert have.tobytes() == want.tobytes(), name
+
+
 def test_spectral_noise_has_no_shortcut():
     """Spectral noise takes the state-dependent length row -L * integral(f phi_l)."""
     rng = np.random.default_rng(37)

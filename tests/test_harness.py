@@ -916,16 +916,28 @@ def test_benchmark_workload_configs_build(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["simulate", "ensemble", "reconstruct", "print-config"])
-def test_unwritable_output_is_a_config_error(tmp_path, capsys, command):
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch, command):
     # an output path in a directory that does not exist: exit 2 with the
-    # path named, not an uncaught FileNotFoundError
+    # path named, not an uncaught FileNotFoundError; simulate and ensemble
+    # find out before they step, and nothing is created
     cfg_path = _cfg_file(tmp_path, "grid.n = 16\nstepper.t_end = 5e-4\nrun.trajectories = 2\n")
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"f": [1.0] * 16, "length": TWO_PI}))
     out = str(tmp_path / "absent" / "out")
     inputs = ["--state", str(state)] if command == "reconstruct" else ["--config", cfg_path]
+
+    def must_not_step(*args, **kwargs):
+        raise AssertionError("stepped before checking the output path")
+
+    monkeypatch.setattr(harness, "run", must_not_step)
+    monkeypatch.setattr(harness, "run_ensemble", must_not_step)
     assert main([command, *inputs, "--out", out]) == 2
     assert f"config error: cannot write {out}" in capsys.readouterr().err
+    assert not (tmp_path / "absent").exists()
+    # an existing directory is no output file either
+    if command in ("simulate", "ensemble"):
+        assert main([command, *inputs, "--out", str(tmp_path)]) == 2
+        assert f"config error: cannot write {tmp_path}: " in capsys.readouterr().err
 
 
 def test_benchmark_tracer_counts_and_restores(tmp_path):

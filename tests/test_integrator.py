@@ -686,6 +686,19 @@ def test_ensemble_rows_match_single_runs_bitwise():
             assert traj.final_state.length == ens.final_lengths[i]
             assert ens.statuses[i] is TerminalStatus.REACHED_T
         assert np.all(ens.active)
+    # a batch just over one row block at n = 64: the rows on either side of
+    # the block edge and the last row equal single runs too
+    grid = Grid(64)
+    rows = integrator._BLOCK_VALUES // grid.n
+    n_paths = rows + 3
+    cfg = StepperConfig(IMEX_EM, 1e-4, 3e-4, snapshot_every=1)
+    ens = run_ensemble(spec, grid, np.ones(64), TWO_PI, cfg, n_paths, seed=99, stop=stop)
+    assert ens.steps == 3
+    for i in (0, rows - 1, rows, n_paths - 1):
+        traj = run(spec, grid, circle(64), cfg, stop=stop, driver=BrownianDriver(99, i))
+        assert np.array_equal([s.length for s in traj.snapshots], ens.lengths[:, i])
+        assert np.array_equal([s.energy for s in traj.snapshots], ens.energies[:, i])
+        _assert_rows_match(ens, i, traj)
 
 
 @pytest.mark.parametrize(
@@ -805,6 +818,56 @@ def test_ensemble_rows_full_even_when_all_paths_stop():
     assert np.array_equal(ens.times, np.arange(6) * 2e-4)
     assert np.all(np.ptp(ens.lengths, axis=0) == 0.0)
     assert not ens.active[-1].any()
+
+
+def test_ensemble_records_only_cadence_steps_after_every_path_stops(monkeypatch):
+    """Once every path has stopped, the rows left on the cadence are written
+    without walking the steps between them: the recorder and the step
+    schedule each run once per recorded row."""
+    grid = Grid(16)
+    spec = FlowSpec(CURVE_DIFFUSION, UNIT_NOISE)
+    every, n_steps, dt = 10**4, 10**5 + 5, 1e-4
+    cfg = StepperConfig(IMEX_EM, dt, n_steps * dt, snapshot_every=every)
+    inc = np.zeros((n_steps, 2, 1))
+    inc[1, :, 0] = 5.0  # collapses both paths at the second step
+    counts = {"integrate": 0, "step": 0}
+    integrate, schedule, advance = grid.integrate, integrator._schedule, integrator._advance
+
+    def counted_integrate(values):
+        counts["integrate"] += 1
+        return integrate(values)
+
+    def counted_schedule(*args):
+        n, step = schedule(*args)
+
+        def counted_step(k):
+            counts["step"] += 1
+            return step(k)
+
+        return n, counted_step
+
+    def advance_then_count(*args):
+        out = advance(*args)
+        counts.update(integrate=0, step=0)
+        return out
+
+    monkeypatch.setattr(grid, "integrate", counted_integrate)
+    monkeypatch.setattr(integrator, "_schedule", counted_schedule)
+    monkeypatch.setattr(integrator, "_advance", advance_then_count)
+    ens = run_ensemble(
+        spec, grid, np.ones(16), TWO_PI, cfg, 2, seed=1, increments=inc, stop=WIDE_STOP
+    )
+    assert all(s is TerminalStatus.BLOWUP_LENGTH_ZERO for s in ens.statuses)
+    assert list(ens.stop_times) == [2 * dt, 2 * dt]
+    # the initial row, then every cadence step and the shortened-cadence last one
+    ends = [*range(every, n_steps, every), n_steps]
+    assert counts == {"integrate": len(ends), "step": len(ends)}
+    assert list(ens.times) == [0.0] + [k * dt for k in ends]
+    assert np.array_equal(ens.lengths[0], [TWO_PI, TWO_PI])
+    assert np.all(ens.lengths[1:] == ens.final_lengths)
+    energy = 0.5 * ens.final_lengths * integrate(ens.final_f * ens.final_f)
+    assert np.all(ens.energies[1:] == energy)
+    assert ens.active[0].all() and not ens.active[1:].any()
 
 
 def test_ensemble_exact_zero_length_is_a_collapse():
