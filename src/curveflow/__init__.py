@@ -17,6 +17,7 @@ from .flows import (
 )
 from .geometry import (
     CurveSample,
+    area_advisory,
     closure_defect,
     enclosed_area,
     functionals,
@@ -61,6 +62,7 @@ __all__ = [
     "TerminalStatus",
     "Trajectory",
     "WILLMORE",
+    "area_advisory",
     "basis_eval",
     "closure_defect",
     "cumulative_quadrature",

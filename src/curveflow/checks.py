@@ -113,7 +113,7 @@ def area_conservation():
     traj = _deterministic_run("perturbed/diffusion")
     grid = Grid(128)
     area0, area1 = (
-        geometry.enclosed_area(geometry.reconstruct(grid, state), advisory_warning=False)
+        geometry.enclosed_area(geometry.reconstruct(grid, state))
         for state in (_perturbed(grid), traj.final_state)
     )
     growth = _worst_increase([snap.length for snap in traj.snapshots])
@@ -224,7 +224,7 @@ def reconstruction():
         rotation = np.array([[c, -s], [s, c]])
         mapped = (sample.points - sample.points[0]) @ rotation.T + np.asarray(anchor)
         equivariance = max(equivariance, float(np.max(np.abs(mapped - moved.points))))
-    area_err = abs(geometry.enclosed_area(sample, advisory_warning=False) - math.pi)
+    area_err = abs(geometry.enclosed_area(sample) - math.pi)
     return [
         _record("closure_defect", geometry.closure_defect(sample), 1e-6),
         _record("circle_area", area_err, 1e-4),

@@ -139,18 +139,11 @@ def _basis_table(noise, grid):
     return grid.cached(("noise_basis", noise.basis), build)
 
 
-def assemble(spec, grid, f, length, include_ito=True):
-    """Assemble drift pieces and diffusion rows for (possibly stacked) states.
+def check_state(grid, f, length):
+    """The state rule, checked where states enter: f of shape (*B, n) with n
+    finite values per row and length of shape B, finite and positive.
 
-    f has shape (*B, n) for a batch shape B (empty for a single state) and
-    length has shape B.  All noise modes are assembled together on a leading
-    axis: one transform pair gives the running integrals of f*V and of every
-    f*phi_l, and one more those of every beta_l*phi_l for the Ito
-    correction.  Under scalar noise the same values come from the scalar
-    pass (see the module docstring).  The inputs are validated here; nothing
-    below re-checks them.
-
-    Returns an _Assembly whose fields broadcast over the batch shape.
+    Returns f and length as float arrays; raises ValueError otherwise.
     """
     f = grid.check_field(f)
     batch = f.shape[:-1]
@@ -159,7 +152,24 @@ def assemble(spec, grid, f, length, include_ito=True):
         raise ValueError(f"length batch shape {lc.shape} does not match field batch {batch}")
     if not np.all(np.isfinite(lc) & (lc > 0.0)):
         raise ValueError(f"length must be positive and finite, got {length}")
+    return f, lc
 
+
+def assemble(spec, grid, f, length, include_ito=True):
+    """Assemble drift pieces and diffusion rows for (possibly stacked) states.
+
+    f has shape (*B, n) for a batch shape B (empty for a single state) and
+    length has shape B.  All noise modes are assembled together on a leading
+    axis: one transform pair gives the running integrals of f*V and of every
+    f*phi_l, and one more those of every beta_l*phi_l for the Ito
+    correction.  Under scalar noise the same values come from the scalar
+    pass (see the module docstring).  Nothing is validated: the states pass
+    ``check_state`` where they enter, and a bad row spoils only its own row.
+
+    Returns an _Assembly whose fields broadcast over the batch shape.
+    """
+    batch = f.shape[:-1]
+    lc = np.asarray(length, dtype=float)
     r = grid.nodes
     noise = spec.noise
     n_modes = noise.n_modes

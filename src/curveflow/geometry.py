@@ -18,20 +18,18 @@ would silently fold that defect away instead of measuring it.
 Closure is never enforced, only measured: ``closure_defect`` is the gap
 |gamma(L) - gamma(0)| of the reconstructed polyline.  ``enclosed_area`` is
 the signed area, counterclockwise positive, by the trapezoid rule in
-arclength; when the closure defect exceeds 1e-3 of the length the value is
-still returned but flagged advisory via a warning.
+arclength; ``area_advisory`` flags it as advisory when the closure defect
+exceeds 1e-3 of the length.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._doubles import format_doubles
-from .flows import State
+from .flows import State, check_state
 from .grid import cumulative_quadrature
 
 _DEFAULT_MIN_SAMPLES = 1024
@@ -62,12 +60,10 @@ def reconstruct(grid, state, anchor=(0.0, 0.0), theta0=0.0, samples=None):
     diagnostics are limited by the state, not by chord error; it must be an
     even number >= 8.
     """
-    f = grid.check_field(np.asarray(state.f, dtype=float))
+    f, length = check_state(grid, state.f, state.length)
     if f.ndim != 1:
         raise ValueError("reconstruct expects a single state, not a batch")
-    length = float(state.length)
-    if not (length > 0 and math.isfinite(length)):
-        raise ValueError(f"length must be positive and finite, got {state.length}")
+    length = float(length)
 
     m = int(samples) if samples is not None else max(grid.n, _DEFAULT_MIN_SAMPLES)
     if m < 8 or m % 2:
@@ -115,25 +111,22 @@ def closure_defect(sample):
     return float(np.hypot(gap[0], gap[1]))
 
 
-def enclosed_area(sample, advisory_warning=True):
+def area_advisory(sample):
+    """Whether the sample closes too poorly for its area to be more than
+    advisory: a closure defect above 1e-3 of the length."""
+    return closure_defect(sample) > _ADVISORY_DEFECT * sample.length
+
+
+def enclosed_area(sample):
     """Signed enclosed area, counterclockwise positive.
 
     The area 1/2 * integral (x dy - y dx) is 1/2 * integral of
     x sin(theta) - y cos(theta) over arclength, taken by the trapezoid rule
     over the m samples, the duplicate endpoint dropped: spectrally accurate
     on a closed smooth curve, where the inscribed polygon's shoelace area
-    falls short by O(m^-2).  For a poorly closing sample (defect above 1e-3
-    of the length) the value is still returned but a warning marks it
-    advisory.
+    falls short by O(m^-2).  On a poorly closing sample (see
+    ``area_advisory``) the value is still returned.
     """
-    if advisory_warning:
-        defect = closure_defect(sample)
-        if defect > _ADVISORY_DEFECT * sample.length:
-            warnings.warn(
-                f"closure defect {defect:.3g} exceeds {_ADVISORY_DEFECT:g} of the "
-                "length; enclosed area is advisory",
-                stacklevel=2,
-            )
     (x, y), (cos, sin) = sample.points[:-1].T, sample.tangent[:, :-1]
     ds = sample.length / len(x)
     return float(0.5 * ds * (np.dot(x, sin) - np.dot(y, cos)))
@@ -146,8 +139,8 @@ def polyline_arclength(sample):
 
 def functionals(grid, state):
     """Scalar diagnostics of a state: length, bending energy, turning, sup."""
-    f = grid.check_field(state.f)
-    length = float(state.length)
+    f, length = check_state(grid, state.f, state.length)
+    length = float(length)
     return {
         "length": length,
         "bending_energy": float(0.5 * length * grid.integrate(f * f)),

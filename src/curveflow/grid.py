@@ -9,8 +9,8 @@ All operations accept arrays of shape ``(..., n)`` and act along the last
 axis, so stacked batches of fields go through the same code path as single
 fields, and a stack of several fields shares one transform pair (``derivs``
 for several derivative orders, ``cumint`` for several integrands).  They
-check the node count but not finiteness: callers validate their inputs once
-at the API boundary with ``check_field``.
+check the node count but not finiteness: states are validated once, where
+they enter, by ``flows.check_state``, which calls ``check_field``.
 """
 
 from __future__ import annotations
@@ -84,9 +84,9 @@ class Grid:
     def check_field(self, values):
         """Validate a field at an API boundary: n values per row, all finite.
 
-        The calculus methods below check only the node count; public entry
-        points (flow assembly, ``run``, ``run_ensemble``, reconstruction)
-        validate their inputs once here instead of on every derivative.
+        The calculus methods below check only the node count; the entry
+        points (``run``, ``run_ensemble``, reconstruction, functionals)
+        validate their states once through ``flows.check_state`` instead.
         """
         v = self._field(values)
         if not np.all(np.isfinite(v)):

@@ -345,9 +345,9 @@ def _snapshot_record(grid, snap):
     if snap.f.shape[-1] == grid.n:
         sample = geometry.reconstruct(grid, State(snap.f, snap.length, snap.time))
         defect = geometry.closure_defect(sample)
-        rec["area"] = geometry.enclosed_area(sample, advisory_warning=False)
+        rec["area"] = geometry.enclosed_area(sample)
         rec["closure_defect"] = defect
-        rec["area_advisory"] = bool(defect > 1e-3 * snap.length)
+        rec["area_advisory"] = geometry.area_advisory(sample)
     return rec
 
 
@@ -803,8 +803,8 @@ def cmd_reconstruct(args):
         raise ConfigError(f"cannot write {out}: {exc}") from None
     defect = geometry.closure_defect(sample)
     print(f"closure defect: {defect:.6g}")
-    area = geometry.enclosed_area(sample, advisory_warning=False)
-    note = " (advisory)" if defect > 1e-3 * sample.length else ""
+    area = geometry.enclosed_area(sample)
+    note = " (advisory)" if geometry.area_advisory(sample) else ""
     print(f"enclosed area: {area:.6g}{note}")
     print(f"wrote {out}")
     return 0

@@ -226,8 +226,8 @@ def _project_turning(new_f, f, length, new_length):
     """Shift the zero mode of new_f, in place, so that new_length * mean(new_f)
     equals length * mean(f).
 
-    Works row-wise on batches.  Means are taken directly rather than through
-    ``grid.integrate`` because a batch may carry NaN placeholder rows here.
+    Works row-wise on batches: a non-finite row stays non-finite and leaves
+    the other rows unchanged.
     """
     shift = length * f.mean(axis=-1) / new_length - new_f.mean(axis=-1)
     new_f += shift[..., None]
@@ -250,15 +250,9 @@ def _imex_em(spec, grid, f, length, dt, dw):
         g_f, g_l = _noise_sums(a.rows_beta, a.rows_lam, dw, spec.noise.amplitude)
         rhs += g_f
         new_l = new_l + g_l
-    # diverged rows would poison the implicit solve; solve a clean
-    # placeholder instead and hand them back as non-finite
-    bad = ~np.isfinite(rhs).all(axis=-1)
-    any_bad = bad.any()
-    if any_bad:
-        rhs = np.where(bad[..., None], 0.0, rhs)
+    # the solve transforms row by row: a diverged row comes back non-finite
+    # and leaves the others as they are
     new_f = grid.solve_stiff(rhs, length, dt * (-spec.stiff_sign))
-    if any_bad:
-        new_f = np.where(bad[..., None], np.nan, new_f)
     # a row whose length update is non-positive has shrunk; dividing by its
     # length could make it look non-finite instead
     new_f = _project_turning(new_f, f, length, np.where(new_l > 0, new_l, length))
@@ -282,9 +276,10 @@ def _heun_stratonovich(spec, grid, f, length, dt, dw):
 
     Drift excludes the Ito correction; drift and noise are both averaged
     between the start point and an Euler predictor, which is what makes the
-    noise integral Stratonovich-consistent.  A row whose predictor is
-    non-finite or has a non-positive length returns the predictor itself, so
-    the caller sees the divergence or the collapse.
+    noise integral Stratonovich-consistent.  The corrector evaluates every
+    row at its predictor; a row whose predictor is non-finite or has a
+    non-positive length returns the predictor itself, so the caller sees the
+    divergence or the collapse rather than what the corrector made of it.
     """
     amplitude = spec.noise.amplitude
     a0 = flows.assemble(spec, grid, f, length, include_ito=False)
@@ -295,22 +290,15 @@ def _heun_stratonovich(spec, grid, f, length, dt, dw):
         g_f0, g_l0 = _noise_sums(a0.rows_beta, a0.rows_lam, dw, amplitude)
     pred_f = f + dt * a_f0 + g_f0
     pred_l = length + dt * a_l0 + g_l0
-    # the corrector evaluates such rows at the start point instead; their
-    # result is replaced by the predictor below
-    bad = ~(np.isfinite(pred_f).all(axis=-1) & np.isfinite(pred_l) & (pred_l > 0))
-    any_bad = bad.any()
-    eval_f, eval_l = pred_f, pred_l
-    if any_bad:
-        eval_f = np.where(bad[..., None], f, pred_f)
-        eval_l = np.where(bad, length, pred_l)
-    a1 = flows.assemble(spec, grid, eval_f, eval_l, include_ito=False)
+    a1 = flows.assemble(spec, grid, pred_f, pred_l, include_ito=False)
     new_f = f + 0.5 * dt * (a_f0 + (a1.stiff + a1.det_f))
     new_l = length + 0.5 * dt * (a_l0 + a1.det_L)
     if dw is not None:
         g_f1, g_l1 = _noise_sums(a1.rows_beta, a1.rows_lam, dw, amplitude)
         new_f = new_f + 0.5 * (g_f0 + g_f1)
         new_l = new_l + 0.5 * (g_l0 + g_l1)
-    if any_bad:
+    bad = ~(np.isfinite(pred_f).all(axis=-1) & np.isfinite(pred_l) & (pred_l > 0))
+    if bad.any():
         new_f = np.where(bad[..., None], pred_f, new_f)
         new_l = np.where(bad, pred_l, new_l)
     return new_f, new_l
@@ -367,7 +355,7 @@ def _snapshot(grid, f, length, time, step, full=False):
     )
 
 
-def check_turning_consistency(grid, f, length, tol=_TURNING_TOL):
+def check_turning_consistency(grid, f, length):
     """States must carry a total turning near a multiple of 2*pi.
 
     f has shape (*B, n) and length B; every row is checked at once and the
@@ -375,12 +363,12 @@ def check_turning_consistency(grid, f, length, tol=_TURNING_TOL):
     """
     turning = np.reshape(length * grid.integrate(f), -1)
     defect = np.abs(turning - 2.0 * math.pi * np.round(turning / (2.0 * math.pi)))
-    bad = np.flatnonzero(defect > tol)
+    bad = np.flatnonzero(defect > _TURNING_TOL)
     if bad.size:
         i = bad[0]
         raise ValueError(
             f"closed-curve total turning {turning[i]:.8g} is {defect[i]:.3g} away from "
-            f"the nearest multiple of 2*pi (tolerance {tol:g})"
+            f"the nearest multiple of 2*pi (tolerance {_TURNING_TOL:g})"
         )
 
 
@@ -416,14 +404,14 @@ def _classify(f, length, stop):
 def _start(grid, stepper, f, lengths, stop, check_turning):
     """Validate initial fields f (M, n) and lengths (M,) and check the start.
 
-    The states must pass the turning check unless check_turning is off,
-    and dt must lie below the stability bound of every initial state
-    (ExplicitEM only warns).  Returns the stop window, by default
+    The states must pass ``flows.check_state``, the only check they get:
+    the stepping loop keeps only finite rows of positive length (see
+    _classify).  They must also pass the turning check unless check_turning
+    is off, and dt must lie below the stability bound of every initial
+    state (ExplicitEM only warns).  Returns the stop window, by default
     StopCriteria.from_initial of the first state.
     """
-    grid.check_field(f)
-    if not np.all(np.isfinite(lengths) & (lengths > 0)):
-        raise ValueError(f"initial length must be positive and finite, got {lengths}")
+    flows.check_state(grid, f, lengths)
     if check_turning:
         check_turning_consistency(grid, f, lengths)
     if stop is None:

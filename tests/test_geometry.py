@@ -15,6 +15,7 @@ import pytest
 
 from curveflow.flows import State
 from curveflow.geometry import (
+    area_advisory,
     closure_defect,
     enclosed_area,
     functionals,
@@ -91,19 +92,14 @@ def test_flat_state_is_a_straight_segment():
 
 
 def test_flat_closed_state_measures_its_own_defect():
-    """Zero curvature on a closed grid is an honest non-closing polyline."""
+    """Zero curvature on a closed grid is an honest non-closing polyline,
+    whose area is returned but advisory; a closed circle's is not."""
     grid = Grid(64)
     sample = reconstruct(grid, State(np.zeros(64), 5.0))
     assert closure_defect(sample) == 5.0
-    with pytest.warns(UserWarning, match="advisory"):
-        area = enclosed_area(sample)
-    assert area == 0.0
-    # the advisory flag can be turned off for bulk diagnostics
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        enclosed_area(sample, advisory_warning=False)
+    assert enclosed_area(sample) == 0.0
+    assert area_advisory(sample)
+    assert not area_advisory(reconstruct(Grid(128), unit_circle_state()))
 
 
 def test_doubly_wound_circle():
@@ -161,6 +157,17 @@ def test_functionals_on_perturbed_circle():
     assert abs(vals["bending_energy"] - np.pi * 1.005) < 1e-10
     assert abs(vals["total_turning"] - TWO_PI) < 1e-10
     assert vals["sup_curvature"] == 1.1
+
+
+@pytest.mark.parametrize("length", [-1.0, 0.0, np.nan, np.inf])
+def test_functionals_and_reconstruct_refuse_bad_lengths(length):
+    # unchecked, a length of -1 gives a bending energy of -0.5
+    grid = Grid(8)
+    state = State(np.ones(8), length)
+    with pytest.raises(ValueError, match="positive and finite"):
+        functionals(grid, state)
+    with pytest.raises(ValueError, match="positive and finite"):
+        reconstruct(grid, state)
 
 
 def test_write_csv_round_trip(tmp_path):

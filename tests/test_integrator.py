@@ -184,6 +184,27 @@ def test_heun_hands_divergence_to_caller():
     assert not (np.all(np.isfinite(new_f)) and math.isfinite(new_length))
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_bad_rows_stay_in_their_rows(scheme):
+    # a kernel steps a batch without checking it: a row driven non-finite
+    # or to a non-positive length comes back so, and a clean row beside
+    # them comes back bitwise as stepped alone.  The non-finite row is a
+    # circle of radius 1e-80, whose noise row f^2 = 1e160 times an increment
+    # of -1e150 overflows; the collapsing one is the unit circle under +5
+    grid = Grid(32)
+    spec = FlowSpec(CURVE_DIFFUSION, UNIT_NOISE)
+    f = np.stack([non_circle(grid).f, np.full(32, 1e80), np.ones(32)])
+    length = np.array([TWO_PI, TWO_PI * 1e-80, TWO_PI])
+    dw = np.array([[0.01], [-1e150], [5.0]])
+    kernel = integrator._STEPPERS[scheme]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        new_f, new_length = kernel(spec, grid, f, length, 1e-4, dw)
+    alone_f, alone_length = kernel(spec, grid, f[0], length[0], 1e-4, dw[0])
+    assert np.array_equal(new_f[0], alone_f) and new_length[0] == alone_length
+    assert not (np.all(np.isfinite(new_f[1])) and math.isfinite(new_length[1]))
+    assert new_length[2] <= 0.0
+
+
 # ---------------------------------------------------------------------------
 # full runs: accuracy and recording
 
