@@ -32,7 +32,8 @@ so the Ito drift equals the Stratonovich drift plus C by construction.
 
 One pass assembles everything, with the noise modes on a leading array axis
 (Trefethen, Spectral Methods in MATLAB, ch. 3): one transform of f gives
-its first, second and fourth derivatives through stacked multipliers; f*V
+its first and second derivatives, and for the explicit schemes its fourth,
+through stacked multipliers; f*V
 and every f*phi_l share one running-integral pass, and every b_f,l*phi_l of
 the correction one more.  The basis samples and their derivatives are
 tabulated once per grid.
@@ -47,9 +48,11 @@ a normal double: each remaining operation keeps its operand order, and the
 one vanishing term kept, -2 phi'' lam / L^3 = +0.0 per row, turns -0.0
 partial sums into +0.0 as the general code's zero terms do.
 
-The fourth-order term -(1/L^4) drrrr f is returned separately (stiff) so the
-stepper can treat it implicitly; everything else, corrections included, is
-in the explicit part.
+The fourth-order term -(1/L^4) drrrr f is returned separately (stiff), and
+is formed only for the explicit schemes, which add it to the drift.  The
+semi-implicit scheme solves for it instead and never reads it, so its
+assembly transforms back only f' and f''.  Everything else, corrections
+included, is in the explicit part.
 """
 
 from __future__ import annotations
@@ -111,12 +114,13 @@ class State:
 class _Assembly:
     """Everything one assembly pass produces, for a batch shape B.
 
-    The drift pieces have shape (*B, n) on f and B on L.  The noise rows are
+    The drift pieces have shape (*B, n) on f and B on L; stiff is formed only
+    for the explicit schemes and is None otherwise.  The noise rows are
     stacked with the modes on the leading axis: rows_beta has shape
     (n_modes, *B, n) and rows_lam (n_modes, *B).
     """
 
-    stiff: np.ndarray
+    stiff: np.ndarray | None
     det_f: np.ndarray
     det_L: np.ndarray
     corr_f: np.ndarray
@@ -139,6 +143,19 @@ def _basis_table(noise, grid):
     return grid.cached(("noise_basis", noise.basis), build)
 
 
+def mode_sum(terms, start):
+    """start + terms[0] + terms[1] + ..., added in mode order.
+
+    terms has the modes on its leading axis, (n_modes, *B, n).  One reduction
+    over that axis adds whole rows in order, so a single path and a batch row
+    take identical arithmetic.  (A 1-D reduction would add pairwise, which
+    is why the per-mode length terms are summed in a loop instead.)  A start
+    of -0.0, the exact identity of IEEE addition, gives the sum started from
+    the first term; +0.0 turns an all -0.0 sum into +0.0.
+    """
+    return np.add.reduce(terms, axis=0, initial=start)
+
+
 def check_state(grid, f, length):
     """The state rule, checked where states enter: f of shape (*B, n) with n
     finite values per row and length of shape B, finite and positive.
@@ -155,7 +172,7 @@ def check_state(grid, f, length):
     return f, lc
 
 
-def assemble(spec, grid, f, length, include_ito=True):
+def assemble(spec, grid, f, length, include_ito=True, include_stiff=True):
     """Assemble drift pieces and diffusion rows for (possibly stacked) states.
 
     f has shape (*B, n) for a batch shape B (empty for a single state) and
@@ -165,6 +182,8 @@ def assemble(spec, grid, f, length, include_ito=True):
     correction.  Under scalar noise the same values come from the scalar
     pass (see the module docstring).  Nothing is validated: the states pass
     ``check_state`` where they enter, and a bad row spoils only its own row.
+    Without include_stiff the fourth-order term is not formed (stiff is
+    None), and the inverse transform of f's derivatives has no f'''' row.
 
     Returns an _Assembly whose fields broadcast over the batch shape.
     """
@@ -179,13 +198,15 @@ def assemble(spec, grid, f, length, include_ito=True):
     # Full-size temporaries are updated in place and freed as soon as they
     # are used: at M ~ 2000 paths every (M, n) array is a MiB.  Each in-place
     # form keeps the operand order of the formula it computes.
-    f1, f2, f4 = grid.derivs(f, (1, 2, 4))
     lcol = lc[..., None]
     l2 = lcol * lcol
-    l4 = l2 * l2
-    stiff = f4  # in f4's slot: stiff_sign * f4 / l4
-    stiff *= spec.stiff_sign
-    stiff /= l4
+    if include_stiff:
+        f1, f2, stiff = grid.derivs(f, (1, 2, 4))
+        stiff *= spec.stiff_sign  # in f4's slot: stiff_sign * f4 / L^4
+        stiff /= l2 * l2
+    else:
+        f1, f2 = grid.derivs(f, (1, 2))
+        stiff = None
     ff = f * f
     tmp = np.empty_like(f)
 
@@ -206,7 +227,8 @@ def assemble(spec, grid, f, length, include_ito=True):
         phi, phi1, phi2, phi3 = _basis_table(noise, grid).reshape(
             (4, n_modes) + (1,) * len(batch) + (grid.n,)
         )
-        np.multiply(f, phi, out=fv_fphi[1:])
+        fphi = fv_fphi[1:]
+        np.multiply(f, phi, out=fphi)
     ints = grid.integrate(fv_fphi)
     cums = grid.cumint(fv_fphi)
     del fv_fphi, fv
@@ -258,7 +280,7 @@ def assemble(spec, grid, f, length, include_ito=True):
         beta += ff * phi
         beta += coef * f1
 
-    corr_L = np.zeros_like(det_l)
+    corr_L = np.zeros(batch)
     if not include_ito or amp == 0.0:
         corr_f = np.zeros_like(f)
     else:
@@ -309,15 +331,14 @@ def assemble(spec, grid, f, length, include_ito=True):
             beta1 = phi3 / l2
             beta1 += (2.0 * f * f1) * phi
             beta1 += ff * phi1
-            beta1 += (f * phi + lam_l) * f1
+            beta1 += (fphi + lam_l) * f1
             beta1 += coef * f2
             beta1 *= coef
             dbeta += beta1
             del beta1
-            # sum over modes in mode order, then scale once
-            corr_f = np.zeros_like(f)
-            for d, dl in zip(dbeta, dlam):
-                corr_f += d
+            # sum over modes in mode order from +0.0, then scale once
+            corr_f = mode_sum(dbeta, 0.0)
+            for dl in dlam:
                 corr_L = corr_L + dl
         half_var = 0.5 * amp * amp
         corr_f *= half_var

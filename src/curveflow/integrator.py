@@ -69,6 +69,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -210,26 +211,26 @@ def _noise_sums(rows_beta, rows_lam, dw, amplitude):
     The rows are stacked with the modes leading, (n_modes, n) and (n_modes,)
     for one path, (n_modes, M, n) and (n_modes, M) for a batch; dw has shape
     (n_modes,) or (M, n_modes).  The mode terms are added in mode order, so a
-    single path and a batch row take identical arithmetic.
+    single path and a batch row take identical arithmetic (see
+    ``flows.mode_sum``).
     """
     w = amplitude * np.asarray(dw, dtype=float).T
-    terms_f = w[..., None] * rows_beta
+    g_f = flows.mode_sum(w[..., None] * rows_beta, -0.0)
     terms_l = w * rows_lam
-    g_f, g_l = terms_f[0], terms_l[0]
-    for term_f, term_l in zip(terms_f[1:], terms_l[1:]):
-        g_f += term_f
+    g_l = terms_l[0]
+    for term_l in terms_l[1:]:
         g_l = g_l + term_l
     return g_f, g_l
 
 
-def _project_turning(new_f, f, length, new_length):
+def _project_turning(grid, new_f, f, length, new_length):
     """Shift the zero mode of new_f, in place, so that new_length * mean(new_f)
     equals length * mean(f).
 
     Works row-wise on batches: a non-finite row stays non-finite and leaves
     the other rows unchanged.
     """
-    shift = length * f.mean(axis=-1) / new_length - new_f.mean(axis=-1)
+    shift = length * grid.integrate(f) / new_length - grid.integrate(new_f)
     new_f += shift[..., None]
     return new_f
 
@@ -240,7 +241,7 @@ def _imex_em(spec, grid, f, length, dt, dw):
     dw holds raw N(0, dt) increments, one per noise mode, not yet scaled by
     the noise amplitude; None means no noise term (deterministic step).
     """
-    a = flows.assemble(spec, grid, f, length)
+    a = flows.assemble(spec, grid, f, length, include_stiff=False)
     rhs = a.det_f  # f + dt * (det_f + corr_f), in det_f's slot
     rhs += a.corr_f
     rhs *= dt
@@ -255,7 +256,7 @@ def _imex_em(spec, grid, f, length, dt, dw):
     new_f = grid.solve_stiff(rhs, length, dt * (-spec.stiff_sign))
     # a row whose length update is non-positive has shrunk; dividing by its
     # length could make it look non-finite instead
-    new_f = _project_turning(new_f, f, length, np.where(new_l > 0, new_l, length))
+    new_f = _project_turning(grid, new_f, f, length, np.where(new_l > 0, new_l, length))
     return new_f, new_l
 
 
@@ -372,7 +373,7 @@ def check_turning_consistency(grid, f, length):
         )
 
 
-# Stop verdicts in priority order, one per mask that _classify returns.
+# Stop verdicts in priority order, one per mask that _stop_masks returns.
 _VERDICTS = (
     TerminalStatus.NUMERICAL_FAILURE,
     TerminalStatus.BLOWUP_LENGTH_ZERO,  # shrunk: the length update was non-positive
@@ -383,22 +384,35 @@ _VERDICTS = (
 
 
 def _classify(f, length, stop):
-    """The rows of a step's result that run on, and disjoint stop masks over
-    the rest, one per verdict.
+    """sup|f| per row of a step's result, and the rows that run on: finite,
+    of positive length and inside every window.
 
-    f has shape (*B, n) and length B.  The masks flag, in _VERDICTS order:
-    non-finite rows, a non-positive length, sup|f| above f_max, a length
-    below l_min and a length above l_max.  A row in either of the first two
-    is rejected and never recorded.
+    f has shape (*B, n) and length B.  Comparisons with NaN are false, and
+    the upper bounds are capped at the largest double, so that infinities
+    fail them too: three comparisons decide every row, and _stop_masks says
+    why the others stopped.
     """
-    sup = np.abs(f).max(axis=-1)  # NaN if any value is
+    sup = np.maximum.reduce(np.abs(f), axis=-1)  # NaN if any value is
+    runs = sup <= min(stop.f_max, sys.float_info.max)
+    runs &= length >= stop.l_min  # l_min > 0
+    runs &= length <= min(stop.l_max, sys.float_info.max)
+    return sup, runs
+
+
+def _stop_masks(sup, length, stop):
+    """Disjoint masks over the rows that do not run, one per verdict.
+
+    In _VERDICTS order they flag non-finite rows, a non-positive length,
+    sup|f| above f_max, a length below l_min and a length above l_max.  A row
+    in either of the first two is rejected and never recorded.
+    """
     finite = np.isfinite(sup) & np.isfinite(length)
     positive = finite & (length > 0)
     curv = positive & (sup > stop.f_max)
     window = positive & ~curv
     low = window & (length < stop.l_min)
     high = window & (length > stop.l_max)
-    return window & ~(low | high), (~finite, finite & ~positive, curv, low, high)
+    return ~finite, finite & ~positive, curv, low, high
 
 
 def _start(grid, stepper, f, lengths, stop, check_turning):
@@ -447,7 +461,8 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, key
     (key[0], key[1] + r), draws bridge midpoints from the substream
     (seed, -1 - index), apart from every increment stream.  After each step
     record(k, t, f, lengths, active, halted) sees the rows, halted flagging
-    those that stopped on the state they hold.  Returns the steps taken, the
+    those that stopped on the state they hold.  Once a row has stopped, only
+    the active rows are stepped.  Returns the steps taken, the
     final f and lengths; per row the status, stop time (NaN if none), refined
     steps and smallest h; and whether dt crossed the stability bound.
     """
@@ -456,6 +471,7 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, key
     stop_times, refinements = np.full(m, np.nan), np.zeros(m, dtype=int)
     min_h, bridges = np.full(m, stepper.dt), [None] * m
     active, no_rows = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
+    every = True  # every row is active: the batch steps whole, with no gather
 
     def refine(h, f, length, dw, rows, depth):
         # the step of rows f, length over h as two half steps whose increments
@@ -493,19 +509,33 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, key
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(n_steps):
             h, t = step(k)
-            if h < stepper.dt:
+            dw = None if rows is None else next(rows)
+            if h != stepper.dt:  # a shortened last step
                 min_h[active] = np.minimum(min_h[active], h)
-            dw = None if rows is None else next(rows) * math.sqrt(h / stepper.dt)
-            # a single row steps and is classified on B = (): the same
-            # arithmetic, without the stacking overhead
+                dw = None if dw is None else dw * math.sqrt(h / stepper.dt)
             if m == 1:
+                # a single row steps and is classified on B = (): the same
+                # arithmetic, on NumPy scalars where it reduces to one value
                 new_f, new_l = step_fn(spec, grid, f[0], lengths[0], h, _take(dw, 0))
+                sup, runs = _classify(new_f, new_l, stop)
+                all_run = bool(runs)
+                new_f, new_l = new_f[None], new_l[None]
             else:
-                new_f, new_l = step_fn(spec, grid, f, lengths, h, dw)
-            runs, masks = _classify(new_f, new_l, stop)
-            new_f, new_l = new_f.reshape(m, -1), np.array(new_l, ndmin=1)
+                if every:
+                    new_f, new_l = step_fn(spec, grid, f, lengths, h, dw)
+                else:
+                    # stopped rows are not stepped; their increments were
+                    # drawn all the same, so every row's stream stays aligned
+                    on = np.flatnonzero(active)
+                    new_f, new_l = f.copy(), lengths.copy()
+                    new_f[on], new_l[on] = step_fn(
+                        spec, grid, f[on], lengths[on], h, _take(dw, on)
+                    )
+                sup, runs = _classify(new_f, new_l, stop)
+                all_run = (runs if every else runs[active]).all()
             halted = no_rows
-            if not (runs & active).all():
+            if not all_run:
+                masks = _stop_masks(sup, new_l, stop)
                 bad = np.flatnonzero(masks[1] & active)
                 if bad.size:
                     sub_f, sub_l = refine(
@@ -516,27 +546,30 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, key
                     # and for one that dt cannot step on from stably; any
                     # other end state is classified as an unrefined one is
                     collapse = sub_l < stop.l_min
-                    on = _classify(sub_f, sub_l, stop)[0]
+                    sub_sup, on = _classify(sub_f, sub_l, stop)
                     collapse[on] = stepper.dt > dt_stability(
-                        stepper.scheme, grid, sub_l[on], np.abs(sub_f[on]).max(axis=-1)
+                        stepper.scheme, grid, sub_l[on], sub_sup[on]
                     )
                     ok = ~collapse
                     new_f[bad[ok]], new_l[bad[ok]] = sub_f[ok], sub_l[ok]
                     refinements[bad] += 1
-                    runs, masks = _classify(new_f, new_l, stop)
+                    sup, runs = _classify(new_f, new_l, stop)
+                    masks = _stop_masks(sup, new_l, stop)
                 stopped = active & ~runs
                 for mask, verdict in zip(masks, _VERDICTS):
                     for i in np.flatnonzero(mask & stopped):
                         statuses[i] = verdict
                 stop_times[stopped] = t
-                kept = active & ~(masks[0] | masks[1])
-                new_f = np.where(kept[:, None], new_f, f)
-                new_l = np.where(kept, new_l, lengths)
-                halted, active = stopped & kept, active & ~stopped
+                # a rejected row keeps its start-of-step state
+                rejected = stopped & (masks[0] | masks[1])
+                new_f[rejected], new_l[rejected] = f[rejected], lengths[rejected]
+                halted, active = stopped & ~rejected, active & ~stopped
+                every = bool(active.all())
             f, lengths = new_f, new_l
             if (k + 1) % stepper.snapshot_every == 0 and not unstable and active.any():
-                sup = np.abs(f[active]).max(axis=-1)
-                if stepper.dt > dt_stability(stepper.scheme, grid, lengths[active], sup).min():
+                sup = np.reshape(sup, m)[active]
+                bound = dt_stability(stepper.scheme, grid, lengths[active], sup)
+                if stepper.dt > bound.min():
                     unstable = True
                     msg = "dt exceeded the stability bound mid-run; results may be inaccurate"
                     warnings.warn(msg, stacklevel=3)

@@ -323,6 +323,49 @@ def test_scalar_pass_matches_general_formulas_bitwise(kind, include_ito, batch):
             assert have.tobytes() == want.tobytes(), name
 
 
+@pytest.mark.parametrize(
+    "noise",
+    [
+        NoiseModel(mode="scalar", amplitude=0.7),
+        NoiseModel(mode="spectral", amplitude=0.7, n_modes=8, decay_exponent=6.0),
+    ],
+    ids=["scalar", "spectral8"],
+)
+@pytest.mark.parametrize("batch", [(), (5,)])
+def test_assembly_without_stiff_matches_full_assembly_bitwise(noise, batch):
+    """Leaving out the fourth-order term changes no other field by a bit."""
+    rng = np.random.default_rng(61)
+    grid = Grid(32)
+    spec = FlowSpec(WILLMORE, noise)
+    f = np.stack([_band_limited(rng, grid) for _ in range(5)])
+    f = f[0] if batch == () else f
+    length = 0.3 + 3.0 * rng.random(batch)
+    full = assemble(spec, grid, f, length)
+    thin = assemble(spec, grid, f, length, include_stiff=False)
+    assert full.stiff is not None and thin.stiff is None
+    for name in ("det_f", "det_L", "corr_f", "corr_L", "rows_beta", "rows_lam"):
+        have, want = np.asarray(getattr(thin, name)), np.asarray(getattr(full, name))
+        assert have.tobytes() == want.tobytes(), name
+
+
+def test_mode_sum_adds_modes_in_order():
+    """mode_sum is bitwise the in-order loop from its start value, for one
+    path and for batches; from +0.0 an all -0.0 stack sums to +0.0, and from
+    -0.0 it stays -0.0 as a sum started from the first term does."""
+    rng = np.random.default_rng(67)
+    for shape in ((8, 64), (8, 5, 64), (8, 256, 64), (1, 64), (9, 3, 16)):
+        terms = rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
+        terms[rng.random(shape) < 0.1] = -0.0
+        for start in (0.0, -0.0):
+            want = np.full(shape[1:], start)
+            for term in terms:
+                want = want + term
+            assert flows.mode_sum(terms, start).tobytes() == want.tobytes()
+    negative_zeros = np.full((8, 5, 64), -0.0)
+    assert not np.signbit(flows.mode_sum(negative_zeros, 0.0)).any()
+    assert np.signbit(flows.mode_sum(negative_zeros, -0.0)).all()
+
+
 def test_spectral_noise_has_no_shortcut():
     """Spectral noise takes the state-dependent length row -L * integral(f phi_l)."""
     rng = np.random.default_rng(37)

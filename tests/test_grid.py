@@ -47,6 +47,19 @@ def test_integrate_closed_is_mean():
     assert abs(g.integrate(f) - 2.5) < 1e-14
 
 
+@pytest.mark.parametrize("n", [64, 256])
+def test_integrate_is_mean_bitwise(n):
+    """The sum over n is what np.mean computes, bit for bit, for single
+    fields and stacks alike."""
+    rng = np.random.default_rng(59)
+    g = Grid(n)
+    for shape in ((n,), (5, n), (300, n)):
+        v = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+        got, want = np.asarray(g.integrate(v)), np.asarray(np.mean(v, axis=-1))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_cumint_closed():
     g = Grid(64)
     r = g.nodes

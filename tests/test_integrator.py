@@ -826,6 +826,85 @@ def test_ensemble_freezes_failed_paths_and_keeps_going():
     assert np.all(ens.active[:, 1])
 
 
+def test_stopped_rows_are_not_stepped(monkeypatch):
+    """Once rows have stopped, the kernel steps only the active ones, and
+    every row, stopped or not, still equals its single run bit for bit.
+    Odd rows start at f = 2 (a circle of radius 1/2) past an f_max of 1.5
+    and stop at step 1."""
+    grid = Grid(64)
+    spec = FlowSpec(WILLMORE, NoiseModel(mode="scalar", amplitude=0.1))
+    cfg = StepperConfig(IMEX_EM, 1e-5, 4e-5, snapshot_every=2)
+    stop = StopCriteria(1e-3, 1e3, 1.5)
+    n_paths = 512
+    f0 = np.ones((n_paths, grid.n))
+    f0[1::2] = 2.0
+    length0 = np.where(np.arange(n_paths) % 2, np.pi, TWO_PI)
+    kernel, seen = integrator._BATCH_STEPPERS[IMEX_EM], []
+
+    def counting(spec, grid, f, length, dt, dw):
+        seen.append(len(f))
+        return kernel(spec, grid, f, length, dt, dw)
+
+    monkeypatch.setitem(integrator._BATCH_STEPPERS, IMEX_EM, counting)
+    ens = run_ensemble(spec, grid, f0, length0, cfg, n_paths, seed=83, stop=stop)
+    assert seen == [512, 256, 256, 256]
+    assert ens.statuses[1] is TerminalStatus.BLOWUP_CURVATURE
+    assert ens.statuses[0] is TerminalStatus.REACHED_T
+    for i in (0, 1, 254, 255, 510, 511):
+        state = State(f0[i], float(length0[i]))
+        traj = run(spec, grid, state, cfg, stop=stop, driver=BrownianDriver(83, i))
+        _assert_rows_match(ens, i, traj)
+        lengths = [s.length for s in traj.snapshots]
+        assert np.array_equal(lengths, ens.lengths[: len(lengths), i])
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [
+        NoiseModel(mode="scalar", amplitude=0.3),
+        NoiseModel(mode="spectral", amplitude=0.3, n_modes=8, decay_exponent=6.0),
+    ],
+    ids=["scalar", "spectral8"],
+)
+def test_only_explicit_kernels_form_the_stiff_term(monkeypatch, noise):
+    """An IMEX step transforms back two derivative rows (f', f''), not three,
+    and assembles no stiff term; the explicit kernels still receive it."""
+    grid = Grid(64)
+    spec = FlowSpec(WILLMORE, noise)
+    state = non_circle(grid)
+    dw = np.full(noise.n_modes, 1e-3)
+    derivs, irfft, assemble = Grid.derivs, np.fft.irfft, integrator.flows.assemble
+    inside, rows, stiff = [False], [], []
+
+    def counting_derivs(self, values, orders):
+        inside[0] = True
+        try:
+            return derivs(self, values, orders)
+        finally:
+            inside[0] = False
+
+    def counting_irfft(a, *args, **kwargs):
+        if inside[0]:
+            rows.append(a.shape[0])
+        return irfft(a, *args, **kwargs)
+
+    def recording_assemble(*args, **kwargs):
+        a = assemble(*args, **kwargs)
+        stiff.append(a.stiff is not None)
+        return a
+
+    monkeypatch.setattr(Grid, "derivs", counting_derivs)
+    monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+    monkeypatch.setattr(integrator.flows, "assemble", recording_assemble)
+    expected = {IMEX_EM: ([2], [False]), HEUN_STRATONOVICH: ([3, 3], [True, True])}
+    expected[EXPLICIT_EM] = ([3], [True])
+    for scheme, (want_rows, want_stiff) in expected.items():
+        rows.clear()
+        stiff.clear()
+        integrator._STEPPERS[scheme](spec, grid, state.f, state.length, 1e-7, dw)
+        assert (rows, stiff) == (want_rows, want_stiff), scheme
+
+
 def test_ensemble_rows_full_even_when_all_paths_stop():
     grid = Grid(32)
     spec = FlowSpec(CURVE_DIFFUSION, UNIT_NOISE)
