@@ -896,8 +896,11 @@ def test_only_explicit_kernels_form_the_stiff_term(monkeypatch, noise):
     monkeypatch.setattr(Grid, "derivs", counting_derivs)
     monkeypatch.setattr(np.fft, "irfft", counting_irfft)
     monkeypatch.setattr(integrator.flows, "assemble", recording_assemble)
-    expected = {IMEX_EM: ([2], [False]), HEUN_STRATONOVICH: ([3, 3], [True, True])}
-    expected[EXPLICIT_EM] = ([3], [True])
+    expected = {
+        IMEX_EM: ([2], [False]),
+        HEUN_STRATONOVICH: ([3, 3], [True, True]),
+        EXPLICIT_EM: ([3], [True]),
+    }
     for scheme, (want_rows, want_stiff) in expected.items():
         rows.clear()
         stiff.clear()
