@@ -21,7 +21,10 @@ not just in expectation.
 
 Noise rows have unit amplitude, one per basis mode: b_L is exactly -2*pi
 under scalar noise (the total turning of a simple closed curve), and
--L*integral(f*phi_l) under spectral noise.  The global amplitude
+-L*integral(f*phi_l) under spectral noise.  The scalar row is right only
+for states that turn by exactly 2*pi, so ``run`` and ``run_ensemble``
+refuse to start a scalar-noise run anywhere else; the flow conserves the
+turning, so the row stays right along the run.  The global amplitude
 multiplies the Brownian increments in the stepper, and enters the
 Stratonovich-to-Ito correction quadratically.  The correction is the exact
 directional derivative of each diffusion row along itself,

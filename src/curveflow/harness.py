@@ -10,8 +10,7 @@ Subcommands:
                   convergence study with a JSON report.
 * invariants    - run the acceptance checks of ``checks`` (c01-c06, c08,
                   c09, c11) at their gated settings and report pass/fail;
-                  it reads no config and takes only --out and
-                  --flip-stiff-sign.
+                  it reads no config and takes only --out.
 * reconstruct   - closed-curve state or trajectory file -> curve CSV; it
                   reads no config either.
 * print-config  - show the effective configuration.
@@ -21,12 +20,11 @@ Configuration is a flat text file of dotted keys, ``key = value`` per line
 missing config is valid.  ``print-config`` lists them all.  Only closed
 curves are supported: ``grid.topology`` is kept in the schema, and in every
 meta record, with ``closed`` as its only legal value.  CLI flags
---seed, --dt, --tend override single keys; --workers (or the environment
-variable CURVEFLOW_WORKERS) sets the parallelism of ``ensemble`` and is
-deliberately NOT part of the config: outputs are byte-identical for any
-worker count, because trajectory i always draws from the (seed, i) substream
-and aggregation is in index order.  ``simulate`` accepts only --workers 1;
-the other commands have no --workers flag.
+--seed, --dt, --tend override single keys; --workers sets the parallelism
+of ``ensemble`` and is deliberately NOT part of the config: outputs are
+byte-identical for any worker count, because trajectory i always draws from
+the (seed, i) substream and aggregation is in index order.  ``simulate``
+accepts only --workers 1; the other commands have no --workers flag.
 
 Outputs use JSON Lines / JSON / CSV with doubles printed to 17 significant
 digits, which round-trips exactly.
@@ -94,7 +92,6 @@ _SCHEMA = {
     "init.length": (float, TWO_PI, None, "initial length (constant)"),
     "run.seed": (int, 12345, None, "master seed; trajectory i uses substream (seed, i)"),
     "run.trajectories": (int, 16, None, "ensemble size M"),
-    "run.check_turning": (bool, True, None, "require closed initial turning near a 2*pi multiple"),
 }
 
 
@@ -105,13 +102,6 @@ def default_config():
 def _parse_value(key, raw):
     typ, _, choices, _ = _SCHEMA[key]
     raw = raw.strip()
-    if typ is bool:
-        low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     if typ is int:
         try:
             return int(raw)
@@ -164,20 +154,10 @@ def effective_config(args):
 
 
 def resolve_workers(args):
-    if getattr(args, "workers", None) is not None:
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-        return args.workers
-    env = os.environ.get("CURVEFLOW_WORKERS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"CURVEFLOW_WORKERS must be an integer, got {env!r}") from None
-        if value < 1:
-            raise ConfigError(f"CURVEFLOW_WORKERS must be >= 1, got {value}")
-        return value
-    return 1
+    workers = 1 if args.workers is None else args.workers
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +232,15 @@ def build_stop(cfg, state):
         raise ConfigError(str(exc)) from None
 
 
+def _setup(cfg):
+    """The run cfg describes: (grid, spec, stepper, initial state, stop window)."""
+    grid = build_grid(cfg)
+    spec = build_spec(cfg)
+    stepper = build_stepper(cfg)
+    state = build_state(cfg, grid)
+    return grid, spec, stepper, state, build_stop(cfg, state)
+
+
 # ---------------------------------------------------------------------------
 # Serialization: doubles at 17 significant digits, fixed key order
 # ---------------------------------------------------------------------------
@@ -281,8 +270,6 @@ def _dumps(obj):
 
 
 def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     return str(value)
@@ -360,23 +347,11 @@ def cmd_simulate(args):
     if args.workers not in (None, 1):
         raise ConfigError(f"--workers {args.workers}: a single trajectory runs on one worker")
     cfg = effective_config(args)
-    grid = build_grid(cfg)
-    spec = build_spec(cfg)
-    stepper = build_stepper(cfg)
-    state = build_state(cfg, grid)
-    stop = build_stop(cfg, state)
+    grid, spec, stepper, state, stop = _setup(cfg)
     out = args.out or "trajectory.jsonl"
     _check_writable(out)
     driver = BrownianDriver(cfg["run.seed"], 0) if spec.noise.amplitude > 0 else None
-    traj = run(
-        spec,
-        grid,
-        state,
-        stepper,
-        stop=stop,
-        driver=driver,
-        check_turning=cfg["run.check_turning"],
-    )
+    traj = run(spec, grid, state, stepper, stop=stop, driver=driver)
 
     lines = [_dumps(_meta_record("simulate", cfg))]
     for snap in traj.snapshots:
@@ -408,22 +383,10 @@ def cmd_simulate(args):
 
 def _ensemble_worker(payload):
     cfg, start, count = payload
-    grid = build_grid(cfg)
-    spec = build_spec(cfg)
-    stepper = build_stepper(cfg)
-    state = build_state(cfg, grid)
-    stop = build_stop(cfg, state)
+    grid, spec, stepper, state, stop = _setup(cfg)
     return run_ensemble(
-        spec,
-        grid,
-        state.f,
-        state.length,
-        stepper,
-        count,
-        cfg["run.seed"],
-        stop=stop,
-        check_turning=cfg["run.check_turning"],
-        first_path=start,
+        spec, grid, state.f, state.length, stepper, count, cfg["run.seed"],
+        stop=stop, first_path=start,
     )
 
 
@@ -440,10 +403,7 @@ def cmd_ensemble(args):
     if n_paths < 2:
         raise ConfigError(f"run.trajectories must be >= 2 for an ensemble, got {n_paths}")
     workers = min(resolve_workers(args), n_paths)
-    # validate before spawning anything
-    build_stepper(cfg)
-    build_stop(cfg, build_state(cfg, build_grid(cfg)))
-    build_spec(cfg)
+    _setup(cfg)  # validate before spawning anything
     out = args.out or "ensemble.json"
     stem = out[:-5] if out.endswith(".json") else out
     _check_writable(out, stem + ".csv", stem + "_paths.csv")
@@ -543,6 +503,8 @@ def _parse_ints(raw):
 def _study_time(cfg, dts):
     if len(dts) < 3:
         raise ConfigError(f"time study needs at least 3 dt levels, got {len(dts)}")
+    if len(set(dts)) < len(dts):
+        raise ConfigError(f"time study dt levels must be distinct, got {dts}")
     dts = sorted(dts, reverse=True)
     quiet = dict(cfg)
     quiet["noise.amplitude"] = 0.0
@@ -558,13 +520,13 @@ def _study_time(cfg, dts):
         reference_kind = "analytic_circle"
     else:
         fine = StepperConfig(quiet["stepper.scheme"], dts[-1] / 4.0, t_end, 10**9)
-        reference = run(spec, grid, state0, fine, check_turning=False).final_state.length
+        reference = run(spec, grid, state0, fine).final_state.length
         reference_kind = "fine_dt"
 
     errors = []
     for dt in dts:
         stepper = StepperConfig(quiet["stepper.scheme"], dt, t_end, 10**9)
-        traj = run(spec, grid, state0, stepper, check_turning=False)
+        traj = run(spec, grid, state0, stepper)
         errors.append(abs(traj.final_state.length - reference))
 
     roundoff = bool(max(errors) < 1e-12)
@@ -591,6 +553,8 @@ def _poisson_profile(r, pole=0.6, amp=0.1):
 def _study_space(cfg, ns):
     if len(ns) < 3:
         raise ConfigError(f"space study needs at least 3 grid levels, got {len(ns)}")
+    if len(set(ns)) < len(ns):
+        raise ConfigError(f"space study grid levels must be distinct, got {ns}")
     ns = sorted(ns)
     n_ref = 2 * ns[-1]
     for n in ns:
@@ -604,6 +568,8 @@ def _study_space(cfg, ns):
     def evolve(n):
         grid = Grid(n)
         state = State(_poisson_profile(grid.nodes), TWO_PI)
+        # the profile's modes alias on coarse grids: at n = 16 its discrete
+        # turning misses 2*pi by 3.5e-4, and the study compares fields only
         return run(spec, grid, state, stepper, check_turning=False).final_state.f
 
     f_ref = evolve(n_ref)
@@ -709,15 +675,9 @@ def cmd_convergence(args):
 def cmd_invariants(args):
     from . import checks  # only this command needs them; other commands start without
 
-    flipped = bool(args.flip_stiff_sign)
-    records = checks.catalog(flipped)
+    records = checks.catalog()
     all_passed = all(c["passed"] for c in records)
-    report = {
-        "record": "invariants",
-        "flipped_stiff_sign": flipped,
-        "checks": records,
-        "all_passed": all_passed,
-    }
+    report = {"record": "invariants", "checks": records, "all_passed": all_passed}
     out = args.out or "invariants.json"
     _write_text(out, _dumps(report) + "\n")
     for c in records:
@@ -863,11 +823,6 @@ def build_parser():
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("invariants", parents=[output], help="run the invariant catalog")
-    p.add_argument(
-        "--flip-stiff-sign",
-        action="store_true",
-        help="diagnostic: run the energy check with the fourth-order sign flipped",
-    )
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("reconstruct", parents=[output], help="state/trajectory file -> curve CSV")

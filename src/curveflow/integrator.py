@@ -356,20 +356,23 @@ def _snapshot(grid, f, length, time, step, full=False):
     )
 
 
-def check_turning_consistency(grid, f, length):
-    """States must carry a total turning near a multiple of 2*pi.
+def check_turning_consistency(grid, f, length, exact=False):
+    """States must carry a total turning near a multiple of 2*pi, or near
+    2*pi itself if exact.
 
     f has shape (*B, n) and length B; every row is checked at once and the
     first offending row is reported.
     """
     turning = np.reshape(length * grid.integrate(f), -1)
-    defect = np.abs(turning - 2.0 * math.pi * np.round(turning / (2.0 * math.pi)))
+    target = 2.0 * math.pi * (1.0 if exact else np.round(turning / (2.0 * math.pi)))
+    defect = np.abs(turning - target)
     bad = np.flatnonzero(defect > _TURNING_TOL)
     if bad.size:
         i = bad[0]
+        goal = "2*pi, which scalar noise requires" if exact else "the nearest multiple of 2*pi"
         raise ValueError(
             f"closed-curve total turning {turning[i]:.8g} is {defect[i]:.3g} away from "
-            f"the nearest multiple of 2*pi (tolerance {_TURNING_TOL:g})"
+            f"{goal} (tolerance {_TURNING_TOL:g})"
         )
 
 
@@ -415,19 +418,22 @@ def _stop_masks(sup, length, stop):
     return ~finite, finite & ~positive, curv, low, high
 
 
-def _start(grid, stepper, f, lengths, stop, check_turning):
+def _start(spec, grid, stepper, f, lengths, stop, check_turning):
     """Validate initial fields f (M, n) and lengths (M,) and check the start.
 
     The states must pass ``flows.check_state``, the only check they get:
     the stepping loop keeps only finite rows of positive length (see
     _classify).  They must also pass the turning check unless check_turning
-    is off, and dt must lie below the stability bound of every initial
-    state (ExplicitEM only warns).  Returns the stop window, by default
-    StopCriteria.from_initial of the first state.
+    is off.  Under scalar noise every state must turn by 2*pi, whatever
+    check_turning says: its length row is the constant -2*pi, minus the
+    turning of exactly those states.  dt must lie below the stability bound
+    of every initial state (ExplicitEM only warns).  Returns the stop
+    window, by default StopCriteria.from_initial of the first state.
     """
     flows.check_state(grid, f, lengths)
-    if check_turning:
-        check_turning_consistency(grid, f, lengths)
+    exact = spec.uses_turning_shortcut and spec.noise.amplitude > 0.0
+    if check_turning or exact:
+        check_turning_consistency(grid, f, lengths, exact)
     if stop is None:
         stop = StopCriteria.from_initial(State(f[0], float(lengths[0])))
     bound = dt_stability(stepper.scheme, grid, lengths, np.abs(f).max(axis=-1)).min()
@@ -582,8 +588,9 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, key
 def _schedule(t0, dt, t_end):
     """(n_steps, step), step(k) the size and end time of step k: t0 + (k + 1) * dt,
     a product rather than a running sum, or t_end for a last, shortened step.
-    A remainder within 1e-12 * max(1, t_end) of dt counts as a full step."""
-    eps = 1e-12 * max(1.0, abs(t_end))
+    A remainder within 1e-12 * max(|t0|, |t_end|) of dt counts as a full step;
+    the tolerance is relative, so that it stays far below a tiny dt."""
+    eps = 1e-12 * max(abs(t0), abs(t_end))
     full = max(0, int((t_end - t0 + eps) // dt))
     last = t0 + full * dt
 
@@ -636,7 +643,8 @@ def run(
     supplies N(0, dt) increments in blocks of _DRAW_CHUNK steps, so a run
     that stops early leaves it up to _DRAW_CHUNK - 1 rows further along;
     increments may instead pre-draw them as an (n_steps, n_modes) array, one
-    row per step (used by coupled-path studies).  A shortened last step
+    row per step (``run_ensemble`` takes them likewise; the strong
+    convergence study couples its paths that way).  A shortened last step
     scales its row by sqrt(h/dt).  With amplitude 0 neither is touched.
     Refined steps draw bridge midpoints as the trajectory (driver.seed,
     driver.trajectory_index), or as (0, 0) without a driver.
@@ -644,7 +652,7 @@ def run(
     if spec.noise.amplitude > 0.0 and driver is None and increments is None:
         raise ValueError("noisy run needs a BrownianDriver or a pre-drawn increments array")
     f, lengths = np.array(state0.f, dtype=float)[None], np.array([float(state0.length)])
-    stop = _start(grid, stepper, f, lengths, stop, check_turning)
+    stop = _start(spec, grid, stepper, f, lengths, stop, check_turning)
     schedule = _schedule(float(state0.time), stepper.dt, stepper.t_end)
     n_modes = spec.noise.n_modes
     rows = _increment_rows(spec, stepper.dt, schedule[0], [driver], increments, (n_modes,))
@@ -714,7 +722,7 @@ def run_ensemble(
         raise ValueError(f"f0 batch {f0.shape[0]} does not match n_paths {m}")
     f = np.array(np.broadcast_to(f0, (m, f0.shape[-1])), order="C")
     lengths = np.array(np.broadcast_to(np.asarray(length0, dtype=float), (m,)))
-    stop = _start(grid, stepper, f, lengths, stop, check_turning)
+    stop = _start(spec, grid, stepper, f, lengths, stop, check_turning)
     n_steps, step = schedule = _schedule(0.0, stepper.dt, stepper.t_end)
     # a generator, so that the drivers are only made when they draw
     drivers = (BrownianDriver(seed, first_path + i) for i in range(m))

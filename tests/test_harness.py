@@ -60,12 +60,11 @@ def _records(path):
 def test_print_config_lists_all_defaults(capsys):
     assert main(["print-config"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(harness._SCHEMA) == 23
+    assert len(lines) == len(harness._SCHEMA) == 22
     assert [line.split(" = ")[0] for line in lines] == list(harness._SCHEMA)
     assert lines[0] == "flow.kind = willmore"
     assert "grid.topology = closed" in lines
     assert "stepper.dt = 0.0001" in lines
-    assert "run.check_turning = true" in lines
 
 
 def test_print_config_round_trips_through_load(tmp_path):
@@ -89,14 +88,12 @@ def test_config_overlay_types_and_comments(tmp_path):
             "flow.kind = curve_diffusion\n"
             "grid.n=48\n"
             "noise.amplitude =   2.5e-1\n"
-            "run.check_turning = off\n"
             "init.mode = 5\n",
         )
     )
     assert cfg["flow.kind"] == "curve_diffusion"
     assert cfg["grid.n"] == 48
     assert cfg["noise.amplitude"] == 0.25
-    assert cfg["run.check_turning"] is False
     assert cfg["init.mode"] == 5
     assert cfg["stepper.dt"] == 1e-4  # untouched default
 
@@ -112,7 +109,7 @@ def test_config_unknown_key_reports_location(tmp_path):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("run.check_turning = maybe", "expected a boolean"),
+        ("run.check_turning = true", "unknown config key"),
         ("grid.n = 4.5", "expected an integer"),
         ("stepper.dt = fast", "expected a number"),
         ("stepper.dt 1e-3", "expected 'key = value'"),
@@ -147,19 +144,10 @@ def test_cli_overrides_take_precedence(tmp_path):
     assert (cfg["run.seed"], cfg["stepper.dt"], cfg["stepper.t_end"]) == (1, 1e-3, 1.0)
 
 
-def test_workers_resolution_order(monkeypatch):
+def test_workers_resolution_order():
     parser = harness.build_parser()
-    monkeypatch.setenv("CURVEFLOW_WORKERS", "5")
     assert harness.resolve_workers(parser.parse_args(["ensemble", "--workers", "3"])) == 3
-    assert harness.resolve_workers(parser.parse_args(["ensemble"])) == 5
-    monkeypatch.delenv("CURVEFLOW_WORKERS")
     assert harness.resolve_workers(parser.parse_args(["ensemble"])) == 1
-    monkeypatch.setenv("CURVEFLOW_WORKERS", "two")
-    with pytest.raises(ConfigError, match="must be an integer"):
-        harness.resolve_workers(parser.parse_args(["ensemble"]))
-    monkeypatch.setenv("CURVEFLOW_WORKERS", "0")
-    with pytest.raises(ConfigError, match=">= 1"):
-        harness.resolve_workers(parser.parse_args(["ensemble"]))
     with pytest.raises(ConfigError, match=">= 1"):
         harness.resolve_workers(parser.parse_args(["ensemble", "--workers", "0"]))
 
@@ -390,6 +378,18 @@ def test_simulate_rejects_unstable_dt(tmp_path, capsys):
     assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "x.jsonl")]) == 2
     assert "stability bound" in capsys.readouterr().err
     assert not (tmp_path / "x.jsonl").exists()
+
+
+@pytest.mark.parametrize("value", ["2", "-1", "0"])
+def test_scalar_noise_rejects_turning_other_than_two_pi(tmp_path, capsys, value):
+    # a constant curvature v on a length-2*pi curve turns by 2*pi*v
+    cfg_path = _cfg_file(
+        tmp_path, f"init.kind = constant\ninit.value = {value}\nnoise.amplitude = 0.3\n"
+    )
+    for command, out in (("simulate", "x.jsonl"), ("ensemble", "x.json")):
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / out)]) == 2
+        assert "scalar noise requires" in capsys.readouterr().err
+        assert not (tmp_path / out).exists()
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +624,9 @@ def test_strong_study_rejects_refined_paths(monkeypatch):
         ["convergence", "--study", "time", "--dts", "4e-4,2e-4"],
         ["convergence", "--study", "time", "--dts", "a,b,c"],
         ["convergence", "--study", "space", "--ns", "32,48,128"],
+        # repeated levels would give a degenerate fit or a ratio of 1
+        ["convergence", "--study", "time", "--dts", "1e-4,1e-4,1e-4"],
+        ["convergence", "--study", "space", "--ns", "32,32,64"],
     ],
 )
 def test_convergence_rejects_bad_levels(tmp_path, capsys, argv):
@@ -670,7 +673,6 @@ def test_invariant_catalog_passes(tmp_path, capsys):
     assert sum(line.startswith("PASS") for line in stdout) == 2 * len(CHECK_NAMES)
     report = json.loads(blobs[0])
     assert report["record"] == "invariants"
-    assert report["flipped_stiff_sign"] is False
     assert report["all_passed"] is True
     assert [c["name"] for c in report["checks"]] == CHECK_NAMES
     assert all(c["passed"] for c in report["checks"])
@@ -681,19 +683,23 @@ def test_invariant_catalog_passes(tmp_path, capsys):
         assert exc.value.code == 2
 
 
-def test_flipped_sign_trips_energy_check(tmp_path, capsys):
-    out = str(tmp_path / "invflip.json")
-    assert main(["invariants", "--flip-stiff-sign", "--out", out]) == 1
+def test_invariants_reports_a_failing_check(tmp_path, capsys, monkeypatch):
+    from curveflow import checks
+
+    failing = {"name": "energy_dissipation", "value": 0.5, "bound": 1e-8, "passed": False}
+    monkeypatch.setattr(checks, "catalog", lambda: [failing])
+    out = tmp_path / "invfail.json"
+    assert main(["invariants", "--out", str(out)]) == 1
     stdout = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in stdout if line.startswith("FAIL")] == [
-        "FAIL  energy_dissipation"
+    assert [line for line in stdout if line.startswith("FAIL")] == [
+        "FAIL  energy_dissipation: 0.5 (bound 1e-08)"
     ]
-    report = json.loads((tmp_path / "invflip.json").read_text())
-    assert report["flipped_stiff_sign"] is True
-    assert report["all_passed"] is False
-    assert [c["name"] for c in report["checks"]] == CHECK_NAMES
-    failed = [c["name"] for c in report["checks"] if not c["passed"]]
-    assert failed == ["energy_dissipation"]
+    report = json.loads(out.read_text())
+    assert report == {"record": "invariants", "checks": [failing], "all_passed": False}
+    # the flag that flipped the fourth-order sign is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", "--flip-stiff-sign"])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

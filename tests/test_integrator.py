@@ -673,11 +673,49 @@ def test_turning_precondition():
     assert traj.terminal_status is TerminalStatus.REACHED_T
 
 
+def test_scalar_noise_requires_turning_two_pi():
+    # the scalar length row is the constant -2*pi, minus the total turning
+    # only of states that turn by exactly 2*pi; other multiples of 2*pi are
+    # closed curves, but the row would be wrong for them
+    grid = Grid(32)
+    stepper = StepperConfig(IMEX_EM, 1e-4, 1e-3)
+    scalar = FlowSpec(WILLMORE, NoiseModel(mode="scalar", amplitude=0.3))
+    for value in (2.0, -1.0, 0.0, 1.0 + 2e-6 / TWO_PI):
+        state = State(np.full(32, value), TWO_PI)
+        for check_turning in (True, False):
+            with pytest.raises(ValueError, match="scalar noise requires"):
+                run(scalar, grid, state, stepper, driver=BrownianDriver(1, 0),
+                    check_turning=check_turning)
+            with pytest.raises(ValueError, match="scalar noise requires"):
+                run_ensemble(scalar, grid, np.stack([circle().f, state.f]), TWO_PI,
+                             stepper, 2, 1, check_turning=check_turning)
+    # without noise, or under spectral noise, a turning of 4*pi runs
+    state = State(np.full(32, 2.0), TWO_PI)
+    spectral = FlowSpec(WILLMORE, NoiseModel(mode="spectral", amplitude=0.3))
+    quiet = FlowSpec(WILLMORE, NoiseModel(mode="scalar", amplitude=0.0))
+    for spec in (spectral, quiet):
+        traj = run(spec, grid, state, stepper, driver=BrownianDriver(1, 0))
+        assert traj.terminal_status is TerminalStatus.REACHED_T
+
+
 def test_noisy_run_requires_increment_source():
     grid = Grid(32)
     spec = FlowSpec(CURVE_DIFFUSION, UNIT_NOISE)
     with pytest.raises(ValueError, match="BrownianDriver"):
         run(spec, grid, circle(), StepperConfig(IMEX_EM, 1e-4, 1e-3))
+
+
+def test_tiny_dt_schedule_ends_at_t_end():
+    # the full-step tolerance is relative to the times, never an absolute
+    # 1e-12 that could exceed dt and add phantom steps past t_end
+    traj = run(
+        FlowSpec(WILLMORE, NO_NOISE), Grid(16), circle(16), StepperConfig(IMEX_EM, 1e-13, 1e-12)
+    )
+    assert traj.steps == 10
+    assert traj.final_state.time == 1e-12
+    n_steps, step = integrator._schedule(0.0, 1e-300, 1e-299)
+    assert n_steps == 10
+    assert step(n_steps - 1)[1] == 1e-299
 
 
 # ---------------------------------------------------------------------------
