@@ -80,7 +80,8 @@ class FlowSpec:
 
     stiff_sign is a diagnostic knob: -1.0 is the dissipative fourth-order
     operator, +1.0 flips it so regression tests can confirm that the
-    energy-dissipation check catches the backward-parabolic variant.
+    energy-dissipation check catches the backward-parabolic variant.  The
+    flipped sign runs only under the explicit schemes.
     """
 
     kind: str

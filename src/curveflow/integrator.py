@@ -46,9 +46,12 @@ batch, recorded as length and energy rows) share one step schedule, one
 increment source and one stepping loop, so with per-trajectory substreams
 row i of a batch is bit-identical to a single ``run`` with the same (seed, i).
 Rows stop one by one when the sup of |f| or the length leaves the configured
-window, mirroring the continuous flow's blow-up alternative, or at once on a
+window, mirroring the continuous flow's blow-up alternative (a length below
+l_min first: a curve shrinking to a point trips both), or at once on a
 non-finite value; the terminal status records which predicate tripped, and
-records hold only finite states.
+records hold only finite states.  Both admit a start by one rule, ``_start``:
+closed curves, turning by 2*pi under scalar noise, and stiff_sign = +1 only
+under the explicit schemes.
 
 A step whose length update is non-positive is refined in place by Brownian
 bridge (Gaines & Lyons, SIAM J. Appl. Math. 57, 1997): two half steps, the
@@ -253,7 +256,7 @@ def _imex_em(spec, grid, f, length, dt, dw):
         new_l = new_l + g_l
     # the solve transforms row by row: a diverged row comes back non-finite
     # and leaves the others as they are
-    new_f = grid.solve_stiff(rhs, length, dt * (-spec.stiff_sign))
+    new_f = grid.solve_stiff(rhs, length, dt)
     # a row whose length update is non-positive has shrunk; dividing by its
     # length could make it look non-finite instead
     new_f = _project_turning(grid, new_f, f, length, np.where(new_l > 0, new_l, length))
@@ -356,32 +359,12 @@ def _snapshot(grid, f, length, time, step, full=False):
     )
 
 
-def check_turning_consistency(grid, f, length, exact=False):
-    """States must carry a total turning near a multiple of 2*pi, or near
-    2*pi itself if exact.
-
-    f has shape (*B, n) and length B; every row is checked at once and the
-    first offending row is reported.
-    """
-    turning = np.reshape(length * grid.integrate(f), -1)
-    target = 2.0 * math.pi * (1.0 if exact else np.round(turning / (2.0 * math.pi)))
-    defect = np.abs(turning - target)
-    bad = np.flatnonzero(defect > _TURNING_TOL)
-    if bad.size:
-        i = bad[0]
-        goal = "2*pi, which scalar noise requires" if exact else "the nearest multiple of 2*pi"
-        raise ValueError(
-            f"closed-curve total turning {turning[i]:.8g} is {defect[i]:.3g} away from "
-            f"{goal} (tolerance {_TURNING_TOL:g})"
-        )
-
-
 # Stop verdicts in priority order, one per mask that _stop_masks returns.
 _VERDICTS = (
     TerminalStatus.NUMERICAL_FAILURE,
     TerminalStatus.BLOWUP_LENGTH_ZERO,  # shrunk: the length update was non-positive
-    TerminalStatus.BLOWUP_CURVATURE,
     TerminalStatus.BLOWUP_LENGTH_ZERO,
+    TerminalStatus.BLOWUP_CURVATURE,
     TerminalStatus.BLOWUP_LENGTH_INFINITE,
 )
 
@@ -405,35 +388,47 @@ def _classify(f, length, stop):
 def _stop_masks(sup, length, stop):
     """Disjoint masks over the rows that do not run, one per verdict.
 
-    In _VERDICTS order they flag non-finite rows, a non-positive length,
-    sup|f| above f_max, a length below l_min and a length above l_max.  A row
-    in either of the first two is rejected and never recorded.
+    In _VERDICTS order they flag non-finite rows, a non-positive length, a
+    length below l_min, sup|f| above f_max and a length above l_max.  A row
+    in either of the first two is rejected and never recorded.  The length
+    comes first: a turning of 2*pi gives sup|f| >= 2*pi / L.
     """
     finite = np.isfinite(sup) & np.isfinite(length)
     positive = finite & (length > 0)
-    curv = positive & (sup > stop.f_max)
-    window = positive & ~curv
-    low = window & (length < stop.l_min)
-    high = window & (length > stop.l_max)
-    return ~finite, finite & ~positive, curv, low, high
+    low = positive & (length < stop.l_min)
+    curv = positive & ~low & (sup > stop.f_max)
+    high = positive & ~curv & (length > stop.l_max)
+    return ~finite, finite & ~positive, low, curv, high
 
 
-def _start(spec, grid, stepper, f, lengths, stop, check_turning):
-    """Validate initial fields f (M, n) and lengths (M,) and check the start.
-
-    The states must pass ``flows.check_state``, the only check they get:
-    the stepping loop keeps only finite rows of positive length (see
-    _classify).  They must also pass the turning check unless check_turning
-    is off.  Under scalar noise every state must turn by 2*pi, whatever
-    check_turning says: its length row is the constant -2*pi, minus the
-    turning of exactly those states.  dt must lie below the stability bound
-    of every initial state (ExplicitEM only warns).  Returns the stop
-    window, by default StopCriteria.from_initial of the first state.
+def _start(spec, grid, stepper, f, lengths, stop):
+    """The one entry rule of run and run_ensemble, for initial fields f (M, n)
+    and lengths (M,).  Every state passes ``flows.check_state``, the only
+    check it gets (the stepping loop keeps only finite rows of positive
+    length, see _classify), and is a closed curve: its turning L * mean(f)
+    lies within _TURNING_TOL of a multiple of 2*pi, or of 2*pi itself under
+    scalar noise of amplitude > 0, whose length row is the constant -2*pi,
+    minus the turning of exactly those states.  stiff_sign = +1 runs only
+    under the explicit schemes, since the implicit solve only damps, and dt
+    must lie below the stability bound of every initial state (ExplicitEM
+    only warns).  Returns the stop window, by default
+    StopCriteria.from_initial of the first state.
     """
+    if spec.stiff_sign > 0 and stepper.scheme == IMEX_EM:
+        raise ValueError(f"stiff_sign = +1 needs an explicit scheme, not {IMEX_EM}")
     flows.check_state(grid, f, lengths)
+    turning = lengths * grid.integrate(f)
     exact = spec.uses_turning_shortcut and spec.noise.amplitude > 0.0
-    if check_turning or exact:
-        check_turning_consistency(grid, f, lengths, exact)
+    target = 2.0 * math.pi * (1.0 if exact else np.round(turning / (2.0 * math.pi)))
+    defect = np.abs(turning - target)
+    bad = np.flatnonzero(defect > _TURNING_TOL)
+    if bad.size:
+        i = bad[0]
+        goal = "2*pi, which scalar noise requires" if exact else "the nearest multiple of 2*pi"
+        raise ValueError(
+            f"closed-curve total turning {turning[i]:.8g} is {defect[i]:.3g} away from "
+            f"{goal} (tolerance {_TURNING_TOL:g})"
+        )
     if stop is None:
         stop = StopCriteria.from_initial(State(f[0], float(lengths[0])))
     bound = dt_stability(stepper.scheme, grid, lengths, np.abs(f).max(axis=-1)).min()
@@ -547,10 +542,10 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, key
                     sub_f, sub_l = refine(
                         h, f[bad], lengths[bad], _take(dw, bad), bad, _MAX_HALVINGS
                     )
-                    # the collapse stands for a refined end state below l_min
-                    # (near L = 0 its sup|f| may read as a curvature blow-up)
-                    # and for one that dt cannot step on from stably; any
-                    # other end state is classified as an unrefined one is
+                    # the collapse, a row kept at its start-of-step state,
+                    # stands for a refined end state below l_min and for one
+                    # that dt cannot step on from stably; any other end state
+                    # is classified as an unrefined one is
                     collapse = sub_l < stop.l_min
                     sub_sup, on = _classify(sub_f, sub_l, stop)
                     collapse[on] = stepper.dt > dt_stability(
@@ -634,7 +629,6 @@ def run(
     stop=None,
     driver=None,
     increments=None,
-    check_turning=True,
 ):
     """Advance one trajectory from state0.time to t_end or to a stopping event.
 
@@ -652,7 +646,7 @@ def run(
     if spec.noise.amplitude > 0.0 and driver is None and increments is None:
         raise ValueError("noisy run needs a BrownianDriver or a pre-drawn increments array")
     f, lengths = np.array(state0.f, dtype=float)[None], np.array([float(state0.length)])
-    stop = _start(spec, grid, stepper, f, lengths, stop, check_turning)
+    stop = _start(spec, grid, stepper, f, lengths, stop)
     schedule = _schedule(float(state0.time), stepper.dt, stepper.t_end)
     n_modes = spec.noise.n_modes
     rows = _increment_rows(spec, stepper.dt, schedule[0], [driver], increments, (n_modes,))
@@ -697,7 +691,6 @@ def run_ensemble(
     seed,
     stop=None,
     increments=None,
-    check_turning=True,
     first_path=0,
 ):
     """Advance n_paths independent trajectories as one stacked batch.
@@ -722,7 +715,7 @@ def run_ensemble(
         raise ValueError(f"f0 batch {f0.shape[0]} does not match n_paths {m}")
     f = np.array(np.broadcast_to(f0, (m, f0.shape[-1])), order="C")
     lengths = np.array(np.broadcast_to(np.asarray(length0, dtype=float), (m,)))
-    stop = _start(spec, grid, stepper, f, lengths, stop, check_turning)
+    stop = _start(spec, grid, stepper, f, lengths, stop)
     n_steps, step = schedule = _schedule(0.0, stepper.dt, stepper.t_end)
     # a generator, so that the drivers are only made when they draw
     drivers = (BrownianDriver(seed, first_path + i) for i in range(m))

@@ -440,7 +440,6 @@ def test_ensemble_outputs_and_aggregation(tmp_path, capsys):
         4,
         42,
         stop=harness.build_stop(cfg, state),
-        check_turning=True,
     )
     assert np.array_equal(summary["mean_length"], result.lengths.mean(axis=1))
     assert np.array_equal(summary["var_length"], result.lengths.var(axis=1, ddof=1))
@@ -627,6 +626,9 @@ def test_strong_study_rejects_refined_paths(monkeypatch):
         # repeated levels would give a degenerate fit or a ratio of 1
         ["convergence", "--study", "time", "--dts", "1e-4,1e-4,1e-4"],
         ["convergence", "--study", "space", "--ns", "32,32,64"],
+        # levels are grid sizes before they are divisors of the reference
+        ["convergence", "--study", "space", "--ns", "0,32,64"],
+        ["convergence", "--study", "space", "--ns", "6,32,64"],
     ],
 )
 def test_convergence_rejects_bad_levels(tmp_path, capsys, argv):

@@ -20,6 +20,7 @@ import pytest
 from curveflow import integrator
 from curveflow.flows import CURVE_DIFFUSION, WILLMORE, FlowSpec, State
 from curveflow.grid import Grid
+from curveflow.harness import _poisson_state
 from curveflow.integrator import (
     EXPLICIT_EM,
     HEUN_STRATONOVICH,
@@ -624,6 +625,39 @@ def test_shrinking_length_stops_run():
     assert traj.final_state.length == pytest.approx(TWO_PI - 2 * TWO_PI * 0.05, rel=1e-12)
 
 
+def test_shrinking_below_l_min_is_a_length_stop_not_a_curvature_one():
+    # a curve-diffusion circle has L = 2 pi (1 - W): one unrefined step lands
+    # at L = pi * 1e-3 = l_min / 2, where sup|f| = 2 pi / L = 2000 also
+    # exceeds f_max = 1000.  The curve shrinks to a point, and the verdict
+    # must say so in run and run_ensemble alike
+    grid = Grid(16)
+    spec = FlowSpec(CURVE_DIFFUSION, UNIT_NOISE)
+    cfg = StepperConfig(IMEX_EM, 1e-2, 2e-2)
+    traj = run(spec, grid, circle(16), cfg, increments=[[0.9995], [0.0]])
+    assert traj.terminal_status is TerminalStatus.BLOWUP_LENGTH_ZERO
+    assert traj.steps == 1 and traj.refinements == 0
+    assert traj.final_state.length == pytest.approx(math.pi * 1e-3, rel=1e-9)
+    inc = [[[0.9995], [0.0]], [[0.0], [0.0]]]
+    ens = run_ensemble(spec, grid, np.ones(16), TWO_PI, cfg, 2, seed=1, increments=inc)
+    assert ens.statuses == [TerminalStatus.BLOWUP_LENGTH_ZERO, TerminalStatus.REACHED_T]
+    assert ens.final_lengths[0] == traj.final_state.length
+
+
+def test_flipped_stiff_sign_needs_an_explicit_scheme():
+    # the implicit solve of imex_em only damps; the flipped, anti-dissipative
+    # operator runs under the explicit schemes alone
+    grid = Grid(64)
+    spec = FlowSpec(WILLMORE, NO_NOISE, stiff_sign=+1.0)
+    with pytest.raises(ValueError, match="stiff_sign"):
+        run(spec, grid, circle(64), StepperConfig(IMEX_EM, 1e-5, 1e-4))
+    with pytest.raises(ValueError, match="stiff_sign"):
+        run_ensemble(spec, grid, np.ones(64), TWO_PI, StepperConfig(IMEX_EM, 1e-5, 1e-4), 2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # explicit_em warns above its bound
+        traj = run(spec, grid, circle(64), StepperConfig(EXPLICIT_EM, 1e-5, 1e-4))
+    assert traj.steps == 10
+
+
 def test_predrawn_rows_scale_to_a_shortened_last_step():
     # rows are N(0, dt) samples: the last step, shortened to dt/2, takes its
     # row times sqrt(1/2); on a curve-diffusion circle L = 2 pi (1 - W)
@@ -662,6 +696,27 @@ def test_numerical_failure_keeps_last_finite_state():
         assert np.all(np.isfinite(snap.f)) and math.isfinite(snap.length)
 
 
+@pytest.mark.parametrize("kind", (WILLMORE, CURVE_DIFFUSION))
+@pytest.mark.parametrize("amplitude", (0.1, 0.5))
+def test_spectral_noise_converges_pathwise_in_n(kind, amplitude):
+    # one Brownian path drives every grid; the start is a smooth curve with
+    # all modes, closed on every grid, so f at the shared nodes converges
+    # spectrally to the n = 256 path
+    spec = FlowSpec(kind, NoiseModel(mode="spectral", amplitude=amplitude, n_modes=8))
+    stepper = StepperConfig(IMEX_EM, 1e-5, 2e-4)
+    inc = BrownianDriver(7, 0).increment_block(20, 8, 1e-5)
+
+    def final_f(n):
+        grid = Grid(n)
+        return run(spec, grid, _poisson_state(grid), stepper, increments=inc).final_state.f
+
+    f_ref = final_f(256)
+    errors = {n: np.abs(final_f(n) - f_ref[:: 256 // n]).max() for n in (32, 64, 128)}
+    assert errors[32] < 1e-4
+    assert errors[64] < 1e-10
+    assert errors[128] < 1e-13
+
+
 def test_turning_precondition():
     grid = Grid(32)
     spec = FlowSpec(WILLMORE, NO_NOISE)
@@ -669,8 +724,6 @@ def test_turning_precondition():
     bad = State(np.full(32, 1.0 + 0.02 / TWO_PI), TWO_PI)
     with pytest.raises(ValueError, match="turning"):
         run(spec, grid, bad, StepperConfig(IMEX_EM, 1e-4, 1e-3))
-    traj = run(spec, grid, bad, StepperConfig(IMEX_EM, 1e-4, 1e-3), check_turning=False)
-    assert traj.terminal_status is TerminalStatus.REACHED_T
 
 
 def test_scalar_noise_requires_turning_two_pi():
@@ -682,13 +735,10 @@ def test_scalar_noise_requires_turning_two_pi():
     scalar = FlowSpec(WILLMORE, NoiseModel(mode="scalar", amplitude=0.3))
     for value in (2.0, -1.0, 0.0, 1.0 + 2e-6 / TWO_PI):
         state = State(np.full(32, value), TWO_PI)
-        for check_turning in (True, False):
-            with pytest.raises(ValueError, match="scalar noise requires"):
-                run(scalar, grid, state, stepper, driver=BrownianDriver(1, 0),
-                    check_turning=check_turning)
-            with pytest.raises(ValueError, match="scalar noise requires"):
-                run_ensemble(scalar, grid, np.stack([circle().f, state.f]), TWO_PI,
-                             stepper, 2, 1, check_turning=check_turning)
+        with pytest.raises(ValueError, match="scalar noise requires"):
+            run(scalar, grid, state, stepper, driver=BrownianDriver(1, 0))
+        with pytest.raises(ValueError, match="scalar noise requires"):
+            run_ensemble(scalar, grid, np.stack([circle().f, state.f]), TWO_PI, stepper, 2, 1)
     # without noise, or under spectral noise, a turning of 4*pi runs
     state = State(np.full(32, 2.0), TWO_PI)
     spectral = FlowSpec(WILLMORE, NoiseModel(mode="spectral", amplitude=0.3))
