@@ -136,15 +136,18 @@ class _Assembly:
 def _basis_table(noise, grid):
     """phi_l and its first three derivatives at the nodes, shape (4, n_modes, n).
 
-    Sampled once per (grid, noise basis) through basis_eval, so every value
-    is bitwise the closed form; later assemblies read the cached table.
+    Sampled once per (grid, noise model) through basis_eval, so every value
+    is bitwise the closed form; later assemblies read the cached table.  The
+    key is the model itself, hashed by identity: the cache holds it, so its
+    identity never passes to another model, and a model's basis is fixed at
+    construction.
     """
 
     def build():
         modes = range(1, noise.n_modes + 1)
         return np.array([[basis_eval(noise, grid, l, order) for l in modes] for order in range(4)])
 
-    return grid.cached(("noise_basis", noise.basis), build)
+    return grid.cached(("noise_basis", noise), build)
 
 
 def mode_sum(terms, start):

@@ -608,10 +608,8 @@ def _study_strong(cfg, n_paths):
     f0 = np.ones(n)
     length0 = TWO_PI
 
-    fine = np.stack(
-        [BrownianDriver(seed, i).increment_block(n_fine, 1, dt_fine) for i in range(n_paths)],
-        axis=1,
-    )
+    drivers = BrownianDriver.for_paths(seed, range(n_paths))
+    fine = np.stack([d.increment_block(n_fine, 1, dt_fine) for d in drivers], axis=1)
 
     def terminal(dt, increments):
         stepper = StepperConfig(IMEX_EM, dt, t_end, 10**9)

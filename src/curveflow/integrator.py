@@ -31,8 +31,11 @@ refinement and anything wrapping a table entry still see one kernel call
 per step.  An assembly keeps about sixteen arrays of the batch's size alive,
 so whole-batch temporaries of a MiB each (M = 2048, n = 64) stream through
 main memory, while a block's working set stays near a 2 MiB L2 cache; the
-block length follows n so that its arrays keep that size at every grid.
-Rows are independent, so blocked rows are bitwise the whole-batch ones.
+block length follows n so that its arrays keep that size at every grid.  A
+spectral assembly also keeps about eight (n_modes, rows, n) mode stacks
+alive, so its blocks are 1 + n_modes // 2 times shorter (51 rows for 8 modes
+at n = 64).  Rows are independent, so blocked rows are bitwise the
+whole-batch ones.
 
 Stability: the explicitly treated variable-coefficient second-order term
 requires dt <= 0.5 * L^2 / (sup|f|^2 n^2); fully explicit schemes
@@ -308,8 +311,17 @@ def _heun_stratonovich(spec, grid, f, length, dt, dw):
     return new_f, new_l
 
 
+def _block_rows(spec, n):
+    """Rows per block: _BLOCK_VALUES // n, divided by 1 + n_modes // 2 under
+    spectral noise, whose eight or so (n_modes, rows, n) stacks weigh about
+    n_modes / 2 times the sixteen (rows, n) arrays of the rest of the
+    assembly."""
+    stacks = 1 if spec.uses_turning_shortcut else 1 + spec.noise.n_modes // 2
+    return max(1, _BLOCK_VALUES // (n * stacks))
+
+
 def _in_row_blocks(kernel):
-    """The kernel advancing an (M, n) batch in blocks of _BLOCK_VALUES // n rows.
+    """The kernel advancing an (M, n) batch in blocks of _block_rows rows.
 
     Every row's arithmetic is independent of the others, so each block's
     rows come out bitwise as from one call on the whole batch; they are
@@ -319,7 +331,7 @@ def _in_row_blocks(kernel):
 
     @functools.wraps(kernel)
     def step(spec, grid, f, length, dt, dw):
-        rows = _BLOCK_VALUES // grid.n
+        rows = _block_rows(spec, grid.n)
         if f.ndim == 1 or len(f) <= rows:
             return kernel(spec, grid, f, length, dt, dw)
         new_f, new_l = np.empty_like(f), np.empty_like(length)
@@ -597,21 +609,21 @@ def _schedule(t0, dt, t_end):
 
 def _draw_blocks(drivers, n_steps, n_modes, dt):
     """Each step's (M, n_modes) increments, one row per driver, drawn
-    _DRAW_CHUNK steps at a time; drivers is read at the first draw."""
-    drivers = list(drivers)
+    _DRAW_CHUNK steps at a time."""
     for k in range(0, n_steps, _DRAW_CHUNK):
         size = min(_DRAW_CHUNK, n_steps - k)
         yield from np.stack([d.increment_block(size, n_modes, dt) for d in drivers], axis=1)
 
 
-def _increment_rows(spec, dt, n_steps, drivers, increments, row_shape):
-    """Each step's (M, n_modes) N(0, dt) increments from drivers, one per row,
-    or pre-drawn as increments, at least n_steps rows of row_shape (extra rows
-    are ignored, any other shape raises ValueError); None without noise."""
+def _increment_rows(spec, dt, n_steps, make_drivers, increments, row_shape):
+    """Each step's (M, n_modes) N(0, dt) increments from make_drivers(), one
+    driver per row and made only when they draw, or pre-drawn as increments,
+    at least n_steps rows of row_shape (extra rows are ignored, any other
+    shape raises ValueError); None without noise."""
     if spec.noise.amplitude == 0.0:
         return None
     if increments is None:
-        return _draw_blocks(drivers, n_steps, spec.noise.n_modes, dt)
+        return _draw_blocks(make_drivers(), n_steps, spec.noise.n_modes, dt)
     rows = np.asarray(increments, dtype=float)
     if rows.shape[1:] != row_shape or rows.shape[0] < n_steps:
         raise ValueError(
@@ -649,7 +661,7 @@ def run(
     stop = _start(spec, grid, stepper, f, lengths, stop)
     schedule = _schedule(float(state0.time), stepper.dt, stepper.t_end)
     n_modes = spec.noise.n_modes
-    rows = _increment_rows(spec, stepper.dt, schedule[0], [driver], increments, (n_modes,))
+    rows = _increment_rows(spec, stepper.dt, schedule[0], lambda: [driver], increments, (n_modes,))
     key = (0, 0) if driver is None else (driver.seed, driver.trajectory_index)
 
     t_last = float(state0.time)  # the time of the state the row holds
@@ -700,6 +712,9 @@ def run_ensemble(
     (seed, first_path + i), bit for bit a single ``run`` from time 0 with
     BrownianDriver(seed, first_path + i); the offset lets a worker advance a
     contiguous slice of a larger ensemble exactly as one process would.  The
+    paths' generators are seeded together in one vectorised pass
+    (``BrownianDriver.for_paths``), each stream still bitwise
+    PCG64(SeedSequence(substream_seed(seed, first_path + i))).  The
     steps are those of ``run``, a shortened last step included, so any t_end
     is accepted.  increments may pre-draw everything as an
     (n_steps, n_paths, n_modes) array of N(0, dt) samples, checked as in
@@ -717,9 +732,11 @@ def run_ensemble(
     lengths = np.array(np.broadcast_to(np.asarray(length0, dtype=float), (m,)))
     stop = _start(spec, grid, stepper, f, lengths, stop)
     n_steps, step = schedule = _schedule(0.0, stepper.dt, stepper.t_end)
-    # a generator, so that the drivers are only made when they draw
-    drivers = (BrownianDriver(seed, first_path + i) for i in range(m))
-    rows = _increment_rows(spec, stepper.dt, n_steps, drivers, increments, (m, spec.noise.n_modes))
+    rows = _increment_rows(
+        spec, stepper.dt, n_steps,
+        lambda: BrownianDriver.for_paths(seed, range(first_path, first_path + m)),
+        increments, (m, spec.noise.n_modes),
+    )
     records = []
 
     def record(k, t, f, lengths, active, halted):

@@ -10,11 +10,22 @@ so the series must remain summable at that order.
 
 Reproducibility contract: a (seed, trajectory_index) pair determines the
 increment stream bit-for-bit.  Sub-seeds are derived with a splitmix64-style
-mix so that ensembles parallelize without any stream coordination.
+mix so that ensembles parallelize without any stream coordination, and
+trajectory i draws from Generator(PCG64(SeedSequence(substream_seed(seed, i)))).
+
+A batch seeds its generators in one vectorised pass
+(``BrownianDriver.for_paths``): the splitmix64 mix runs over all trajectory
+indices as uint64 words, NumPy's SeedSequence hash (a fixed sequence of
+uint32 operations over a pool of four words) runs over all sub-seeds as
+uint32 words, and each PCG64 takes its four hashed words as they are.  The
+streams are bitwise those of seeding each PCG64 from its integer sub-seed;
+only the Python-level work per path shrinks.  A single driver takes the same
+route with one index.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +33,13 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+# numpy.random.SeedSequence's hash constants (pool size 4, 16-bit xorshift)
+_MASK32 = (1 << 32) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
 
 SCALAR = "scalar"
 SPECTRAL = "spectral"
@@ -31,7 +49,10 @@ C4_BOUND = 1e6
 
 
 def _mix64(x):
-    """One splitmix64 finalization round: full avalanche of a 64-bit word."""
+    """One splitmix64 finalization round: full avalanche of a 64-bit word.
+
+    x is a Python int or a uint64 array, whose arithmetic wraps mod 2^64.
+    """
     x &= _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -47,6 +68,89 @@ def substream_seed(seed, trajectory_index):
     """
     base = _mix64(int(seed) & _MASK64)
     return _mix64((base + _GAMMA * (int(trajectory_index) + 1)) & _MASK64)
+
+
+def substream_seeds(seed, trajectory_indices):
+    """substream_seed(seed, i) for every index of an integer array, as uint64.
+
+    Indices are taken mod 2^64 (int64 indices wrap as two's complement), as
+    the scalar form's Python arithmetic does, so negative indices work too.
+    """
+    steps = np.asarray(trajectory_indices).astype(np.uint64) + np.uint64(1)
+    return _mix64(_mix64(int(seed) & _MASK64) + _GAMMA * steps)
+
+
+def _hasher(init, mult):
+    """SeedSequence's multiply-xorshift hash of uint32 words, whose multiplier
+    advances by mult on every call, as NumPy's runs over a fixed call order."""
+    const = init
+
+    def hash_words(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * mult) & _MASK32
+        value *= np.uint32(const)
+        value ^= value >> np.uint32(16)
+        return value
+
+    return hash_words
+
+
+def _seed_words(seeds):
+    """SeedSequence(s).generate_state(4, np.uint64) for every uint64 seed s.
+
+    Returns an (M, 4) uint64 array.  The entropy of s is its low and high
+    uint32 words; a seed below 2^32 is one word, which hashes alike because
+    the pool pads its entropy with zero words.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    low = (seeds & np.uint64(_MASK32)).astype(np.uint32)
+    high = (seeds >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros_like(low)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in (low, high, zero, zero)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                mixed = np.uint32(_MIX_MULT_L) * pool[dst]
+                mixed -= np.uint32(_MIX_MULT_R) * hashmix(pool[src])
+                mixed ^= mixed >> np.uint32(16)
+                pool[dst] = mixed
+    out = _hasher(_INIT_B, _MULT_B)
+    state = [out(pool[j % _POOL]).astype(np.uint64) for j in range(8)]
+    # eight uint32 words read as four little-endian uint64 words
+    return np.stack([state[j] | state[j + 1] << np.uint64(32) for j in range(0, 8, 2)], axis=-1)
+
+
+@functools.cache
+def _hashed_rows_type():
+    """The seed sequence that hands each PCG64 made from it the next row of
+    words already hashed by _seed_words.
+
+    One object serves a whole batch, so no per-path seed object outlives the
+    seeding.  The type is made on first use, so that importing this module
+    does not import numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HashedRows(ISeedSequence):
+        def __init__(self, words):
+            self._rows = iter(words)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("hashed seed words serve only PCG64's four uint64 words")
+            return next(self._rows)
+
+    return HashedRows
+
+
+def _generators(seed, trajectory_indices):
+    """One np.random.Generator per trajectory index, seeded in one vectorised
+    pass; generator i is bitwise Generator(PCG64(substream_seed(seed, i)))."""
+    words = _seed_words(substream_seeds(seed, trajectory_indices))
+    rows = _hashed_rows_type()(words)
+    return [np.random.Generator(np.random.PCG64(rows)) for _ in range(len(words))]
 
 
 @dataclass(frozen=True)
@@ -125,6 +229,8 @@ class NoiseModel:
         Amplitude decay of the default spectral basis; must exceed 5.
     basis : optional sequence of BasisFunction
         Explicit basis override; length must equal n_modes.
+
+    A model is fixed once made: assemblies cache its basis samples per grid.
     """
 
     def __init__(
@@ -187,17 +293,30 @@ def basis_eval(model, grid, l, order=0):
 
 
 class BrownianDriver:
-    """Seeded source of Brownian increments for one trajectory."""
+    """Seeded source of Brownian increments for one trajectory.
+
+    Its generator is the one ``_generators`` makes for (seed, trajectory_index);
+    ``for_paths`` makes the drivers of many trajectories in one pass.
+    """
 
     def __init__(self, seed, trajectory_index=0):
         self.seed = int(seed)
         self.trajectory_index = int(trajectory_index)
         self.reset()
 
+    @classmethod
+    def for_paths(cls, seed, trajectory_indices):
+        """One driver per trajectory index, bitwise BrownianDriver(seed, i) each,
+        with every generator seeded in one vectorised pass."""
+        indices = np.asarray(trajectory_indices, dtype=np.int64)
+        drivers = [cls.__new__(cls) for _ in range(len(indices))]
+        for driver, index, gen in zip(drivers, indices.tolist(), _generators(seed, indices)):
+            driver.seed, driver.trajectory_index, driver._gen = int(seed), index, gen
+        return drivers
+
     def reset(self):
-        self._gen = np.random.Generator(
-            np.random.PCG64(substream_seed(self.seed, self.trajectory_index))
-        )
+        """Rewind the stream to its start."""
+        (self._gen,) = _generators(self.seed, [self.trajectory_index & _MASK64])
 
     def increments(self, n_modes, dt):
         """n_modes independent N(0, dt) samples; advances the stream."""

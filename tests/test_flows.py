@@ -479,3 +479,17 @@ def test_state_copy_is_independent():
     clone.f[0] = 99.0
     clone.length = 7.0
     assert state.f[0] == 1.0 and state.length == 1.0 and clone.time == 0.5
+
+
+def test_basis_table_is_cached_per_noise_model():
+    grid = Grid(32)
+    model = NoiseModel(mode="spectral", amplitude=0.3, n_modes=4)
+    table = flows._basis_table(model, grid)
+    assert flows._basis_table(model, grid) is table
+    for order in range(4):
+        for l in range(1, 5):
+            assert np.array_equal(table[order, l - 1], basis_eval(model, grid, l, order))
+    # another model on the same grid gets its own table, from its own basis
+    other = NoiseModel(mode="spectral", amplitude=0.3, n_modes=4, decay_exponent=7.0)
+    assert np.array_equal(flows._basis_table(other, grid)[0, 3], basis_eval(other, grid, 4))
+    assert not np.array_equal(flows._basis_table(other, grid), table)

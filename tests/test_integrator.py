@@ -880,6 +880,49 @@ def test_ensemble_slicing_by_first_path():
     assert np.array_equal(whole.final_f[1:], part.final_f)
 
 
+def test_ensemble_rows_match_single_runs_across_the_draw_chunk():
+    """70 steps cross the 64-step draw chunk: with first_path > 0 every row
+    still equals a single run with BrownianDriver(seed, first_path + i)."""
+    grid = Grid(16)
+    spec = FlowSpec(WILLMORE, NoiseModel(mode="scalar", amplitude=0.2))
+    n_steps = integrator._DRAW_CHUNK + 6
+    cfg = StepperConfig(IMEX_EM, 1e-4, n_steps * 1e-4, snapshot_every=10)
+    stop = StopCriteria(1e-3, 1e3, 1e3)
+    ens = run_ensemble(
+        spec, grid, np.ones(16), TWO_PI, cfg, n_paths=3, seed=99, stop=stop, first_path=5
+    )
+    assert ens.steps == n_steps
+    for i in range(3):
+        traj = run(spec, grid, circle(16), cfg, stop=stop, driver=BrownianDriver(99, 5 + i))
+        assert traj.steps == n_steps
+        assert np.array_equal([s.length for s in traj.snapshots], ens.lengths[:, i])
+        assert np.array_equal([s.energy for s in traj.snapshots], ens.energies[:, i])
+        _assert_rows_match(ens, i, traj)
+
+
+def test_spectral_batch_rows_match_single_runs_across_a_block_edge():
+    """An 8-mode spectral batch steps in blocks shortened by its mode stacks
+    (scalar blocks keep _BLOCK_VALUES // n rows); the rows on either side of
+    the block edge and the last row equal single runs bitwise."""
+    grid = Grid(64)
+    scalar = FlowSpec(WILLMORE, NoiseModel(mode="scalar", amplitude=0.2))
+    spec = FlowSpec(WILLMORE, NoiseModel(mode="spectral", amplitude=0.5, n_modes=8))
+    assert integrator._block_rows(scalar, grid.n) == integrator._BLOCK_VALUES // grid.n
+    rows = integrator._block_rows(spec, grid.n)
+    assert rows == integrator._BLOCK_VALUES // (grid.n * 5)
+    state = non_circle(grid)
+    cfg = StepperConfig(IMEX_EM, 1e-5, 3e-5, snapshot_every=1)
+    stop = StopCriteria.from_initial(state)
+    n_paths = rows + 3
+    ens = run_ensemble(spec, grid, state.f, state.length, cfg, n_paths, seed=41, stop=stop)
+    assert ens.steps == 3
+    for i in (0, rows - 1, rows, n_paths - 1):
+        traj = run(spec, grid, state, cfg, stop=stop, driver=BrownianDriver(41, i))
+        assert np.array_equal([s.length for s in traj.snapshots], ens.lengths[:, i])
+        assert np.array_equal([s.energy for s in traj.snapshots], ens.energies[:, i])
+        _assert_rows_match(ens, i, traj)
+
+
 def test_ensemble_predrawn_increments_match_single_runs():
     grid = Grid(32)
     spec = FlowSpec(CURVE_DIFFUSION, NoiseModel(mode="scalar", amplitude=0.3))

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from curveflow import noise
 from curveflow.grid import Grid
 from curveflow.noise import (
     BasisFunction,
@@ -15,6 +16,7 @@ from curveflow.noise import (
     basis_eval,
     default_spectral_basis,
     substream_seed,
+    substream_seeds,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -25,6 +27,49 @@ def test_substream_seed_deterministic_and_distinct():
     assert seeds == [substream_seed(42, i) for i in range(64)]
     assert len(set(seeds)) == 64
     assert substream_seed(42, 0) != substream_seed(43, 0)
+
+
+def test_vectorised_substream_seeds_match_the_scalar_form():
+    indices = np.arange(-2048, 2048)
+    for seed in (0, 201, 2**64 - 1, -7):
+        words = substream_seeds(seed, indices)
+        assert words.dtype == np.uint64
+        assert words.tolist() == [substream_seed(seed, int(i)) for i in indices]
+    # the bridge substreams (seed, -1 - i), and indices beyond int64, wrap mod 2^64
+    beyond = np.array([2**64 - 1], dtype=np.uint64)
+    assert substream_seeds(3, beyond)[0] == substream_seed(3, -1)
+
+
+def test_seed_words_match_numpy_seed_sequence():
+    """The vectorised hash pins NumPy's SeedSequence: a NumPy release that
+    changed it fails here instead of silently changing every stream."""
+
+    def reference(seeds):
+        return np.stack([np.random.SeedSequence(int(s)).generate_state(4, np.uint64)
+                         for s in seeds])
+
+    edges = np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
+    assert np.array_equal(noise._seed_words(edges), reference(edges))
+    for seed in (201, 7, 2**63 + 5):
+        seeds = substream_seeds(seed, np.arange(2048))
+        assert np.array_equal(noise._seed_words(seeds), reference(seeds))
+    seeds = substream_seeds(201, -1 - np.arange(64))
+    assert np.array_equal(noise._seed_words(seeds), reference(seeds))
+
+
+def test_batched_generators_and_drivers_draw_the_single_streams():
+    indices = [0, 1, 63, -1, -64]
+    for index, gen in zip(indices, noise._generators(201, indices)):
+        ref = np.random.Generator(np.random.PCG64(substream_seed(201, index)))
+        assert np.array_equal(gen.standard_normal(200), ref.standard_normal(200))
+    drivers = BrownianDriver.for_paths(201, range(3, 7))
+    for index, driver in zip(range(3, 7), drivers):
+        assert (driver.seed, driver.trajectory_index) == (201, index)
+        single = BrownianDriver(201, index)
+        block = driver.increment_block(70, 2, 1e-3)
+        assert np.array_equal(block, single.increment_block(70, 2, 1e-3))
+        driver.reset()
+        assert np.array_equal(driver.increment_block(70, 2, 1e-3), block)
 
 
 def test_basis_function_derivatives():
