@@ -20,8 +20,6 @@ from .geometry import (
     area_advisory,
     closure_defect,
     enclosed_area,
-    functionals,
-    polyline_arclength,
     reconstruct,
 )
 from .grid import Grid, cumulative_quadrature
@@ -68,8 +66,6 @@ __all__ = [
     "cumulative_quadrature",
     "dt_stability",
     "enclosed_area",
-    "functionals",
-    "polyline_arclength",
     "reconstruct",
     "run",
     "run_ensemble",

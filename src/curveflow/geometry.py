@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._doubles import format_doubles
 from .flows import State, check_state
 from .grid import cumulative_quadrature
 
@@ -49,8 +48,6 @@ class CurveSample:
     theta: np.ndarray    # (m+1,)
     tangent: np.ndarray  # (2, m+1)
     length: float
-    anchor: tuple
-    theta0: float
 
 
 def reconstruct(grid, state, anchor=(0.0, 0.0), theta0=0.0, samples=None):
@@ -79,14 +76,7 @@ def reconstruct(grid, state, anchor=(0.0, 0.0), theta0=0.0, samples=None):
     np.cos(theta, out=tangent[0])
     np.sin(theta, out=tangent[1])
     points = cumulative_quadrature(tangent, length / m).T + np.asarray(anchor, dtype=float)
-    return CurveSample(
-        points=points,
-        theta=theta,
-        tangent=tangent,
-        length=length,
-        anchor=(float(anchor[0]), float(anchor[1])),
-        theta0=float(theta0),
-    )
+    return CurveSample(points=points, theta=theta, tangent=tangent, length=length)
 
 
 def _theta_symbol(n, m):
@@ -130,26 +120,3 @@ def enclosed_area(sample):
     (x, y), (cos, sin) = sample.points[:-1].T, sample.tangent[:, :-1]
     ds = sample.length / len(x)
     return float(0.5 * ds * (np.dot(x, sin) - np.dot(y, cos)))
-
-
-def polyline_arclength(sample):
-    """Chord-sum length of the polyline (approaches L as sampling densifies)."""
-    return float(np.sum(np.hypot(*np.diff(sample.points, axis=0).T)))
-
-
-def functionals(grid, state):
-    """Scalar diagnostics of a state: length, bending energy, turning, sup."""
-    f, length = check_state(grid, state.f, state.length)
-    length = float(length)
-    return {
-        "length": length,
-        "bending_energy": float(0.5 * length * grid.integrate(f * f)),
-        "total_turning": float(length * grid.integrate(f)),
-        "sup_curvature": float(np.max(np.abs(f))),
-    }
-
-
-def write_csv(sample, path):
-    """Export the polyline as x,y rows (one header line, CRLF line ends)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y\r\n" + format_doubles(sample.points, newline="\r\n") + "\r\n")

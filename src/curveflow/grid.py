@@ -85,8 +85,8 @@ class Grid:
         """Validate a field at an API boundary: n values per row, all finite.
 
         The calculus methods below check only the node count; the entry
-        points (``run``, ``run_ensemble``, reconstruction, functionals)
-        validate their states once through ``flows.check_state`` instead.
+        points (``run``, ``run_ensemble``, reconstruction) validate their
+        states once through ``flows.check_state`` instead.
         """
         v = self._field(values)
         if not np.all(np.isfinite(v)):
@@ -199,7 +199,7 @@ class Grid:
         if not (L > 0).all():
             raise ValueError("length must be positive")
         sym = self.cached("wavenumbers4", lambda: self._wavenumbers() ** 4)  # (modes,)
-        denom = 1.0 + dt * sym / L[..., None] ** 4 if L.ndim else 1.0 + dt * sym / L**4
+        denom = 1.0 + dt * sym / L[..., None] ** 4
         return np.fft.irfft(np.fft.rfft(v, axis=-1) / denom, self.n, axis=-1)
 
     # -- spectral utilities ------------------------------------------------

