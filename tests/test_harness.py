@@ -979,6 +979,32 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch, comm
         assert f"config error: cannot write {tmp_path}: " in capsys.readouterr().err
 
 
+def test_benchmark_tracer_counts_and_restores(tmp_path):
+    """The benchmark's tracer, installed around a tiny simulate and ensemble,
+    counts kernel steps and transforms, and uninstalling puts every wrapped
+    original back; a kernel bound at import time or a renamed entry point
+    fails here rather than only under traced benchmark runs."""
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tracing = runpy.run_path(str(source))
+    targets = tracing["_targets"]()
+    originals = [tracing["_get"](owner, key) for owner, key, _ in targets]
+    tracer = tracing["Tracer"]()
+    cfg_path = _cfg_file(
+        tmp_path, "grid.n = 16\nnoise.amplitude = 0.1\nstepper.t_end = 5e-4\nrun.trajectories = 2\n"
+    )
+    tracer.install()
+    try:
+        assert harness.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "t")]) == 0
+        steps = tracer.calls("integrator.step")
+        assert steps > 0 and tracer.calls("grid.fft") > 0
+        assert harness.main(["ensemble", "--config", cfg_path, "--out", str(tmp_path / "e")]) == 0
+        assert tracer.calls("integrator.step") > steps
+    finally:
+        tracer.uninstall()
+    for (owner, key, _), original in zip(targets, originals):
+        assert tracing["_get"](owner, key) is original, key
+
+
 def test_missing_subcommand_exits():
     with pytest.raises(SystemExit):
         main([])
