@@ -19,8 +19,10 @@ Configuration is a flat text file of dotted keys, ``key = value`` per line
 (``#`` starts a comment line); every key has a default, so an empty or
 missing config is valid.  ``print-config`` lists them all.  Only closed
 curves are supported: ``grid.topology`` is kept in the schema, and in every
-meta record, with ``closed`` as its only legal value.  CLI flags
---seed, --dt, --tend override single keys; --workers sets the parallelism
+meta record, with ``closed`` as its only legal value.  CLI flags --seed and
+--tend override single keys, and so does --dt, which only ``simulate``,
+``ensemble`` and ``print-config`` take: no convergence study reads
+``stepper.dt``, each steps at its own sizes.  --workers sets the parallelism
 of ``ensemble`` and is deliberately NOT part of the config: outputs are
 byte-identical for any worker count, because trajectory i always draws from
 the (seed, i) substream and aggregation is in index order.  ``simulate``
@@ -58,7 +60,7 @@ from .integrator import (
     run,
     run_ensemble,
 )
-from .noise import BrownianDriver, NoiseModel
+from .noise import BrownianDriver, NoiseModel, _generators
 
 TWO_PI = 2.0 * math.pi
 CLOSED = "closed"
@@ -68,30 +70,30 @@ class ConfigError(Exception):
     """Invalid configuration; reported with the offending key and exit code 2."""
 
 
-# key -> (type, default, choices, help)
+# key -> (type, default, choices); the README's table of config keys says what each means
 _SCHEMA = {
-    "flow.kind": (str, WILLMORE, (WILLMORE, CURVE_DIFFUSION), "normal velocity driving the flow"),
-    "grid.topology": (str, CLOSED, (CLOSED,), "curve topology; only closed curves are supported"),
-    "grid.n": (int, 64, None, "number of spatial nodes"),
-    "noise.mode": (str, "scalar", ("scalar", "spectral"), "single flat mode or decaying Fourier basis"),
-    "noise.amplitude": (float, 0.0, None, "noise strength; 0 disables noise"),
-    "noise.n_modes": (int, 8, None, "number of basis modes (spectral mode)"),
-    "noise.decay_exponent": (float, 6.0, None, "spectral coefficient decay (> 5)"),
-    "stepper.scheme": (str, IMEX_EM, (IMEX_EM, HEUN_STRATONOVICH, EXPLICIT_EM), "time scheme"),
-    "stepper.dt": (float, 1e-4, None, "time step"),
-    "stepper.t_end": (float, 0.1, None, "final time"),
-    "stepper.snapshot_every": (int, 50, None, "steps between recorded snapshots"),
-    "stop.l_min_factor": (float, 1e-3, None, "stop when length < factor * initial length"),
-    "stop.l_max_factor": (float, 1e3, None, "stop when length > factor * initial length"),
-    "stop.f_max_factor": (float, 1e3, None, "stop when sup|f| > factor * max(1, initial sup)"),
-    "init.kind": (str, "circle", ("circle", "perturbed_circle", "constant"), "initial state family"),
-    "init.radius": (float, 1.0, None, "circle / perturbed_circle radius"),
-    "init.epsilon": (float, 0.1, None, "perturbation amplitude (perturbed_circle)"),
-    "init.mode": (int, 2, None, "perturbation wavenumber (perturbed_circle)"),
-    "init.value": (float, 1.0, None, "constant curvature value (constant)"),
-    "init.length": (float, TWO_PI, None, "initial length (constant)"),
-    "run.seed": (int, 12345, None, "master seed; trajectory i uses substream (seed, i)"),
-    "run.trajectories": (int, 16, None, "ensemble size M"),
+    "flow.kind": (str, WILLMORE, (WILLMORE, CURVE_DIFFUSION)),
+    "grid.topology": (str, CLOSED, (CLOSED,)),
+    "grid.n": (int, 64, None),
+    "noise.mode": (str, "scalar", ("scalar", "spectral")),
+    "noise.amplitude": (float, 0.0, None),
+    "noise.n_modes": (int, 8, None),
+    "noise.decay_exponent": (float, 6.0, None),
+    "stepper.scheme": (str, IMEX_EM, (IMEX_EM, HEUN_STRATONOVICH, EXPLICIT_EM)),
+    "stepper.dt": (float, 1e-4, None),
+    "stepper.t_end": (float, 0.1, None),
+    "stepper.snapshot_every": (int, 50, None),
+    "stop.l_min_factor": (float, 1e-3, None),
+    "stop.l_max_factor": (float, 1e3, None),
+    "stop.f_max_factor": (float, 1e3, None),
+    "init.kind": (str, "circle", ("circle", "perturbed_circle", "constant")),
+    "init.radius": (float, 1.0, None),
+    "init.epsilon": (float, 0.1, None),
+    "init.mode": (int, 2, None),
+    "init.value": (float, 1.0, None),
+    "init.length": (float, TWO_PI, None),
+    "run.seed": (int, 12345, None),
+    "run.trajectories": (int, 16, None),
 }
 
 
@@ -100,7 +102,7 @@ def default_config():
 
 
 def _parse_value(key, raw):
-    typ, _, choices, _ = _SCHEMA[key]
+    typ, _, choices = _SCHEMA[key]
     raw = raw.strip()
     if typ is int:
         try:
@@ -214,6 +216,9 @@ def build_state(cfg, grid):
             # a mode-1 perturbation does not close: at epsilon 0.1 the ends
             # of the unit-radius curve lie 0.31 apart
             raise ConfigError(f"init.mode must be >= 2 for a closed curve, got {mode}")
+        if 2 * mode >= grid.n:
+            # the nodes sample it as a lower mode; mode n samples as a constant
+            raise ConfigError(f"init.mode must be below grid.n / 2 = {grid.n // 2}, got {mode}")
         f = 1.0 / radius + cfg["init.epsilon"] * np.cos(TWO_PI * mode * r)
         return State(f, TWO_PI * radius)
     length = cfg["init.length"]
@@ -638,8 +643,8 @@ def _study_strong(cfg, n_paths):
     f0 = np.ones(n)
     length0 = TWO_PI
 
-    drivers = BrownianDriver.for_paths(seed, range(n_paths))
-    fine = np.stack(list(_draw_blocks(drivers, n_fine, 1, dt_fine)))  # (n_fine, M, 1)
+    generators = _generators(seed, range(n_paths))
+    fine = np.stack(list(_draw_blocks(generators, n_fine, 1, dt_fine)))  # (n_fine, M, 1)
 
     def terminal(dt, increments):
         stepper = StepperConfig(IMEX_EM, dt, t_end, 10**9)
@@ -816,11 +821,13 @@ def build_parser():
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", help="output path")
     # invariants and reconstruct read no config, so only output is theirs
-    common = argparse.ArgumentParser(add_help=False, parents=[output])
-    common.add_argument("--config", help="path to a dotted-key config file")
-    common.add_argument("--seed", type=int, help="override run.seed")
+    config = argparse.ArgumentParser(add_help=False, parents=[output])
+    config.add_argument("--config", help="path to a dotted-key config file")
+    config.add_argument("--seed", type=int, help="override run.seed")
+    config.add_argument("--tend", type=float, help="override stepper.t_end")
+    # no convergence study reads stepper.dt, so the other config readers take --dt
+    common = argparse.ArgumentParser(add_help=False, parents=[config])
     common.add_argument("--dt", type=float, help="override stepper.dt")
-    common.add_argument("--tend", type=float, help="override stepper.t_end")
     # only ensemble runs in parallel; simulate takes --workers 1 for a uniform CLI
     workers = argparse.ArgumentParser(add_help=False)
     workers.add_argument("--workers", type=int, help="parallel workers (ensemble)")
@@ -841,7 +848,10 @@ def build_parser():
     )
     p.set_defaults(func=cmd_ensemble)
 
-    p = sub.add_parser("convergence", parents=[common], help="order-of-accuracy studies")
+    # no abbreviations, or --dt would be read as --dts
+    p = sub.add_parser(
+        "convergence", parents=[config], help="order-of-accuracy studies", allow_abbrev=False
+    )
     p.add_argument("--study", choices=("time", "space", "strong"), default="time")
     p.add_argument("--dts", default="4e-4,2e-4,1e-4", help="time study dt levels")
     p.add_argument("--ns", default="32,64,128", help="space study grid sizes")

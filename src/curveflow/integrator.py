@@ -83,7 +83,7 @@ import numpy as np
 
 from . import flows
 from .flows import State
-from .noise import BrownianDriver
+from .noise import BrownianDriver, _generators, increment_blocks
 
 IMEX_EM = "imex_em"
 HEUN_STRATONOVICH = "heun_stratonovich"
@@ -93,7 +93,7 @@ _SCHEMES = (IMEX_EM, HEUN_STRATONOVICH, EXPLICIT_EM)
 
 _MAX_HALVINGS = 10
 _BLOCK_VALUES = 2**14  # values per (rows, n) array of a batch's row block: 128 KiB
-_DRAW_CHUNK = 64  # drivers draw increments this many steps at a time
+_DRAW_CHUNK = 64  # generators draw increments this many steps at a time
 _SNAPSHOT_VALUE_CAP = 256
 _TURNING_TOL = 1e-6
 
@@ -421,13 +421,21 @@ def _start(spec, grid, stepper, f, lengths, stop):
     lies within _TURNING_TOL of a multiple of 2*pi, or of 2*pi itself under
     scalar noise of amplitude > 0, whose length row is the constant -2*pi,
     minus the turning of exactly those states.  stiff_sign = +1 runs only
-    under the explicit schemes, since the implicit solve only damps, and dt
-    must lie below the stability bound of every initial state (ExplicitEM
-    only warns).  Returns the stop window, by default
-    StopCriteria.from_initial of the first state.
+    under the explicit schemes, since the implicit solve only damps; noise
+    of amplitude > 0 only on a basis whose wavenumbers lie below n/2, which
+    the grid resolves; and dt must lie below the stability bound of every
+    initial state (ExplicitEM only warns).  Returns the stop window, by
+    default StopCriteria.from_initial of the first state.
     """
     if spec.stiff_sign > 0 and stepper.scheme == IMEX_EM:
         raise ValueError(f"stiff_sign = +1 needs an explicit scheme, not {IMEX_EM}")
+    if spec.noise.amplitude > 0.0:
+        top = max(b.wavenumber if b.kind in ("cos", "sin") else 0 for b in spec.noise.basis)
+        if 2 * top >= grid.n:
+            raise ValueError(
+                f"noise basis wavenumber {top} is not below n/2 = {grid.n // 2}: "
+                f"the {grid.n}-node grid aliases it"
+            )
     flows.check_state(grid, f, lengths)
     turning = lengths * grid.integrate(f)
     exact = spec.uses_turning_shortcut and spec.noise.amplitude > 0.0
@@ -610,23 +618,22 @@ def _schedule(t0, dt, t_end):
     return full + int(t_end - last > eps), step
 
 
-def _draw_blocks(drivers, n_steps, n_modes, dt):
-    """Each step's (M, n_modes) increments, one row per driver, drawn
+def _draw_blocks(generators, n_steps, n_modes, dt):
+    """Each step's (M, n_modes) increments, one row per generator, drawn
     _DRAW_CHUNK steps at a time."""
     for k in range(0, n_steps, _DRAW_CHUNK):
-        size = min(_DRAW_CHUNK, n_steps - k)
-        yield from np.stack([d.increment_block(size, n_modes, dt) for d in drivers], axis=1)
+        yield from increment_blocks(generators, min(_DRAW_CHUNK, n_steps - k), n_modes, dt)
 
 
-def _increment_rows(spec, dt, n_steps, make_drivers, increments, row_shape):
-    """Each step's (M, n_modes) N(0, dt) increments from make_drivers(), one
-    driver per row and made only when they draw, or pre-drawn as increments,
+def _increment_rows(spec, dt, n_steps, make_generators, increments, row_shape):
+    """Each step's (M, n_modes) N(0, dt) increments from make_generators(), one
+    generator per row and made only when they draw, or pre-drawn as increments,
     at least n_steps rows of row_shape (extra rows are ignored, any other
     shape raises ValueError); None without noise."""
     if spec.noise.amplitude == 0.0:
         return None
     if increments is None:
-        return _draw_blocks(make_drivers(), n_steps, spec.noise.n_modes, dt)
+        return _draw_blocks(make_generators(), n_steps, spec.noise.n_modes, dt)
     rows = np.asarray(increments, dtype=float)
     if rows.shape[1:] != row_shape or rows.shape[0] < n_steps:
         raise ValueError(
@@ -664,7 +671,9 @@ def run(
     stop = _start(spec, grid, stepper, f, lengths, stop)
     schedule = _schedule(float(state0.time), stepper.dt, stepper.t_end)
     n_modes = spec.noise.n_modes
-    rows = _increment_rows(spec, stepper.dt, schedule[0], lambda: [driver], increments, (n_modes,))
+    rows = _increment_rows(
+        spec, stepper.dt, schedule[0], lambda: [driver.generator], increments, (n_modes,)
+    )
     key = (0, 0) if driver is None else (driver.seed, driver.trajectory_index)
 
     t_last = float(state0.time)  # the time of the state the row holds
@@ -716,8 +725,9 @@ def run_ensemble(
     BrownianDriver(seed, first_path + i); the offset lets a worker advance a
     contiguous slice of a larger ensemble exactly as one process would.  The
     paths' generators are seeded together in one vectorised pass
-    (``BrownianDriver.for_paths``), each stream still bitwise
-    PCG64(SeedSequence(substream_seed(seed, first_path + i))).  The
+    (``noise._generators``), each stream still bitwise
+    PCG64(SeedSequence(substream_seed(seed, first_path + i))), and draw
+    through ``noise.increment_blocks`` with no driver object per path.  The
     steps are those of ``run``, a shortened last step included, so any t_end
     is accepted.  increments may pre-draw everything as an
     (n_steps, n_paths, n_modes) array of N(0, dt) samples, checked as in
@@ -737,7 +747,7 @@ def run_ensemble(
     n_steps, step = schedule = _schedule(0.0, stepper.dt, stepper.t_end)
     rows = _increment_rows(
         spec, stepper.dt, n_steps,
-        lambda: BrownianDriver.for_paths(seed, range(first_path, first_path + m)),
+        lambda: _generators(seed, range(first_path, first_path + m)),
         increments, (m, spec.noise.n_modes),
     )
     records = []

@@ -13,14 +13,14 @@ increment stream bit-for-bit.  Sub-seeds are derived with a splitmix64-style
 mix so that ensembles parallelize without any stream coordination, and
 trajectory i draws from Generator(PCG64(SeedSequence(substream_seed(seed, i)))).
 
-A batch seeds its generators in one vectorised pass
-(``BrownianDriver.for_paths``): the splitmix64 mix runs over all trajectory
-indices as uint64 words, NumPy's SeedSequence hash (a fixed sequence of
-uint32 operations over a pool of four words) runs over all sub-seeds as
-uint32 words, and each PCG64 takes its four hashed words as they are.  The
-streams are bitwise those of seeding each PCG64 from its integer sub-seed;
-only the Python-level work per path shrinks.  A single driver takes the same
-route with one index.
+A batch seeds its generators in one vectorised pass (``_generators``): the
+splitmix64 mix runs over all trajectory indices as uint64 words, NumPy's
+SeedSequence hash (a fixed sequence of uint32 operations over a pool of four
+words) runs over all sub-seeds as uint32 words, and each PCG64 takes its four
+hashed words as they are.  The streams are bitwise those of seeding each
+PCG64 from its integer sub-seed; only the Python-level work per path shrinks.
+A single driver takes the same route with one index, and every increment,
+a driver's or a batch's, is drawn by ``increment_blocks``.
 """
 
 from __future__ import annotations
@@ -292,11 +292,24 @@ def basis_eval(model, grid, l, order=0):
     return model.basis[l - 1].eval(grid.nodes, order)
 
 
+def increment_blocks(generators, n_steps, n_modes, dt):
+    """(n_steps, M, n_modes) N(0, dt) samples, column i drawn from generators[i]:
+    a transposed view of an (M, n_steps, n_modes) buffer whose rows each
+    generator fills in stream order, as n_steps draws of n_modes would."""
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    out = np.empty((len(generators), int(n_steps), int(n_modes)))
+    for gen, rows in zip(generators, out):
+        gen.standard_normal(out=rows)
+    out *= math.sqrt(dt)
+    return out.transpose(1, 0, 2)
+
+
 class BrownianDriver:
     """Seeded source of Brownian increments for one trajectory.
 
     Its generator is the one ``_generators`` makes for (seed, trajectory_index);
-    ``for_paths`` makes the drivers of many trajectories in one pass.
+    a batch needs no drivers, it draws from its paths' generators directly.
     """
 
     def __init__(self, seed, trajectory_index=0):
@@ -304,35 +317,17 @@ class BrownianDriver:
         self.trajectory_index = int(trajectory_index)
         self.reset()
 
-    @classmethod
-    def for_paths(cls, seed, trajectory_indices):
-        """One driver per trajectory index, bitwise BrownianDriver(seed, i) each,
-        with every generator seeded in one vectorised pass."""
-        indices = np.asarray(trajectory_indices, dtype=np.int64)
-        drivers = [cls.__new__(cls) for _ in range(len(indices))]
-        for driver, index, gen in zip(drivers, indices.tolist(), _generators(seed, indices)):
-            driver.seed, driver.trajectory_index, driver._gen = int(seed), index, gen
-        return drivers
-
     def reset(self):
         """Rewind the stream to its start."""
-        (self._gen,) = _generators(self.seed, [self.trajectory_index & _MASK64])
+        (self.generator,) = _generators(self.seed, [self.trajectory_index & _MASK64])
 
     def increments(self, n_modes, dt):
         """n_modes independent N(0, dt) samples; advances the stream."""
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
         if n_modes < 1:
             raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-        return self._gen.standard_normal(int(n_modes)) * math.sqrt(dt)
+        return increment_blocks([self.generator], 1, n_modes, dt)[0, 0]
 
     def increment_block(self, n_steps, n_modes, dt):
-        """(n_steps, n_modes) block of N(0, dt) samples.
-
-        Drawn in one call but consuming the generator in the same order as
-        n_steps successive ``increments`` calls, so blocked and stepwise
-        drawing produce identical streams.
-        """
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        return self._gen.standard_normal((int(n_steps), int(n_modes))) * math.sqrt(dt)
+        """(n_steps, n_modes) block of N(0, dt) samples, the stream of n_steps
+        successive ``increments`` calls."""
+        return increment_blocks([self.generator], n_steps, n_modes, dt)[:, 0]

@@ -412,8 +412,10 @@ def test_scalar_noise_rejects_turning_other_than_two_pi(tmp_path, capsys, value)
         ("init.kind = perturbed_circle\ninit.mode = 1\n", "init.mode"),
         # a straight segment: closure defect L
         ("init.kind = constant\ninit.value = 0\n", "init.value"),
+        # mode n samples as 1 at every node: f = 0 there, a straight segment
+        ("init.kind = perturbed_circle\ninit.mode = 64\ninit.epsilon = -1\n", "init.mode"),
     ],
-    ids=["mode_one", "straight_segment"],
+    ids=["mode_one", "straight_segment", "aliased_mode"],
 )
 def test_states_that_cannot_close_exit_2(tmp_path, capsys, text, key):
     cfg_path = _cfg_file(tmp_path, text)
@@ -561,6 +563,16 @@ def test_ensemble_identical_across_worker_counts(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_noise_basis_the_grid_aliases_exits_2(tmp_path, capsys):
+    # at 16 nodes the default basis of 40 modes reaches wavenumber 20
+    text = "grid.n = 16\nnoise.mode = spectral\nnoise.n_modes = 40\nnoise.amplitude = 0.01\n"
+    cfg_path = _cfg_file(tmp_path, text)
+    for command, out in (("simulate", "x.jsonl"), ("ensemble", "x.json")):
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / out)]) == 2
+        assert "wavenumber 20 is not below n/2 = 8" in capsys.readouterr().err
+        assert not (tmp_path / out).exists()
+
+
 def test_ensemble_needs_at_least_two_paths(tmp_path, capsys):
     cfg_path = _cfg_file(tmp_path, "run.trajectories = 1\n")
     assert main(["ensemble", "--config", cfg_path, "--out", str(tmp_path / "x.json")]) == 2
@@ -607,6 +619,10 @@ def test_time_study_first_order_against_circle(tmp_path, capsys):
     assert report["errors"][0] > report["errors"][1] > report["errors"][2] > 0
     assert 0.9 <= report["slope"] <= 1.5
     assert report["passed"] is True
+    # no study reads stepper.dt, so --dt is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--study", "time", "--dt", "1", "--out", out])
+    assert exc.value.code == 2
 
 
 def test_space_study_spectral_collapse(tmp_path):

@@ -755,6 +755,25 @@ def test_noisy_run_requires_increment_source():
         run(spec, grid, circle(), StepperConfig(IMEX_EM, 1e-4, 1e-3))
 
 
+def test_noise_basis_the_grid_aliases_is_refused():
+    # at n = 16 a basis wavenumber of 8 or more samples as a lower mode (cos at
+    # wavenumber 17 as mode 1) or as zero (sin at wavenumber 8)
+    grid, stepper = Grid(16), StepperConfig(IMEX_EM, 1e-4, 1e-3)
+    state = circle(16)
+    for n_modes, wave in ((40, 20), (16, 8)):
+        spec = FlowSpec(WILLMORE, NoiseModel(mode="spectral", amplitude=0.01, n_modes=n_modes))
+        message = f"wavenumber {wave} is not below n/2 = 8"
+        with pytest.raises(ValueError, match=message):
+            run(spec, grid, state, stepper, driver=BrownianDriver(1, 0))
+        with pytest.raises(ValueError, match=message):
+            run_ensemble(spec, grid, state.f, state.length, stepper, 2, 1)
+    # wavenumber 7 is resolved, and without noise the basis is never sampled
+    for amplitude, n_modes in ((0.01, 14), (0.0, 40)):
+        spec = FlowSpec(WILLMORE, NoiseModel("spectral", amplitude, n_modes))
+        traj = run(spec, grid, state, stepper, driver=BrownianDriver(1, 0))
+        assert traj.terminal_status is TerminalStatus.REACHED_T
+
+
 def test_tiny_dt_schedule_ends_at_t_end():
     # the full-step tolerance is relative to the times, never an absolute
     # 1e-12 that could exceed dt and add phantom steps past t_end

@@ -62,12 +62,13 @@ def test_batched_generators_and_drivers_draw_the_single_streams():
     for index, gen in zip(indices, noise._generators(201, indices)):
         ref = np.random.Generator(np.random.PCG64(substream_seed(201, index)))
         assert np.array_equal(gen.standard_normal(200), ref.standard_normal(200))
-    drivers = BrownianDriver.for_paths(201, range(3, 7))
-    for index, driver in zip(range(3, 7), drivers):
-        assert (driver.seed, driver.trajectory_index) == (201, index)
-        single = BrownianDriver(201, index)
+    # 70 steps, longer than the 64-step chunks that run draws in
+    blocks = noise.increment_blocks(noise._generators(201, range(3, 7)), 70, 2, 1e-3)
+    assert blocks.shape == (70, 4, 2)
+    for column, index in enumerate(range(3, 7)):
+        driver = BrownianDriver(201, index)
         block = driver.increment_block(70, 2, 1e-3)
-        assert np.array_equal(block, single.increment_block(70, 2, 1e-3))
+        assert np.array_equal(blocks[:, column], block)
         driver.reset()
         assert np.array_equal(driver.increment_block(70, 2, 1e-3), block)
 
