@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from curveflow import flows
+from curveflow import grid as grid_module
 from curveflow.flows import (
     CURVE_DIFFUSION,
     WILLMORE,
@@ -408,7 +409,8 @@ def test_assembly_operation_counts(monkeypatch):
     """One assembly with Ito terms takes a fixed number of transforms, however
     many noise modes there are, validates nothing (states are checked where
     they enter), and samples the noise basis only on the first assembly on a
-    grid.  Counts, not times."""
+    grid.  A transform is one FFT call or one dense product, whichever route
+    the grid takes.  Counts, not times."""
     counts = {}
 
     def counting(name, fn):
@@ -418,25 +420,31 @@ def test_assembly_operation_counts(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(np.fft, "rfft", counting("fft", np.fft.rfft))
-    monkeypatch.setattr(np.fft, "irfft", counting("fft", np.fft.irfft))
+    monkeypatch.setattr(np.fft, "rfft", counting("transform", np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", counting("transform", np.fft.irfft))
+    monkeypatch.setattr(grid_module, "_product", counting("transform", grid_module._product))
     monkeypatch.setattr(Grid, "check_field", counting("check_field", Grid.check_field))
     monkeypatch.setattr(flows, "basis_eval", counting("basis_eval", flows.basis_eval))
     rng = np.random.default_rng(47)
-    fft_calls = []
-    for n_modes in (1, 8):
-        grid = Grid(64)
-        noise = NoiseModel(mode="spectral", amplitude=0.4, n_modes=n_modes, decay_exponent=6.0)
-        spec = FlowSpec(WILLMORE, noise)
-        f = _band_limited(rng, grid)
-        for first in (True, False):
-            counts.clear()
-            assemble(spec, grid, f, 1.3)
-            assert counts.get("check_field", 0) == 0
-            assert counts.get("basis_eval", 0) == (4 * n_modes if first else 0)
-            fft_calls.append(counts["fft"])
-    assert len(set(fft_calls)) == 1
-    assert fft_calls[0] <= 8
+    for dense_max in (64, 0):
+        monkeypatch.setattr(grid_module, "_DENSE_MAX_N", dense_max)
+        transforms = []
+        for n_modes in (1, 8):
+            grid = Grid(64)
+            noise = NoiseModel(mode="spectral", amplitude=0.4, n_modes=n_modes, decay_exponent=6.0)
+            spec = FlowSpec(WILLMORE, noise)
+            f = _band_limited(rng, grid)
+            # build the grid's dense matrices, which takes transforms of its own
+            grid.derivs(f, (1, 2, 4))
+            grid.cumint(f)
+            for first in (True, False):
+                counts.clear()
+                assemble(spec, grid, f, 1.3)
+                assert counts.get("check_field", 0) == 0
+                assert counts.get("basis_eval", 0) == (4 * n_modes if first else 0)
+                transforms.append(counts["transform"])
+        assert len(set(transforms)) == 1, dense_max
+        assert transforms[0] <= 8
 
 
 def test_stiff_sign_flip_only_touches_stiff_part():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from curveflow import grid as grid_module
 from curveflow.grid import Grid, cumulative_quadrature
 
 TWO_PI = 2.0 * math.pi
@@ -143,6 +144,63 @@ def test_stacked_helpers_match_per_field_ops():
         for k, order in enumerate(orders):
             assert np.array_equal(derivs[(k,) + idx], g.deriv(stack[idx], order))
         assert np.array_equal(running[idx], g.cumint(stack[idx]))
+
+
+def test_dense_batch_rows_match_single_fields_bitwise():
+    """On every dense grid, each row of an M-row batch equals the operator on
+    that row alone, bit for bit: a one-row field is multiplied as two rows
+    (never through GEMV) and every matrix's width is a multiple of 8.  A
+    BLAS kernel that rounds a row differently with the row count fails
+    here."""
+    gen = np.random.Generator(np.random.PCG64(29))
+    ops = {
+        "derivs(1, 2)": lambda g, v, L: g.derivs(v, (1, 2)),
+        "derivs(1, 2, 4)": lambda g, v, L: g.derivs(v, (1, 2, 4)),
+        "cumint": lambda g, v, L: g.cumint(v),
+        "solve_stiff": lambda g, v, L: g.solve_stiff(v, L, 1e-3),
+    }
+    for n in range(8, grid_module._DENSE_MAX_N + 1, 2):
+        g = Grid(n)
+        fields = gen.standard_normal((256, n))
+        lengths = 0.5 + gen.random(256)
+        for name, op in ops.items():
+            single = np.stack([op(g, fields[i], lengths[i]) for i in range(256)], axis=-2)
+            for m in (2, 3, 5, 17, 256):
+                batch = op(g, fields[:m], lengths[:m])
+                assert batch.tobytes() == single[..., :m, :].tobytes(), (n, name, m)
+
+
+def test_dense_and_fft_routes_agree(monkeypatch):
+    """The dense products reproduce the FFT route to round-off on
+    band-limited fields, and map a constant exactly: derivatives to 0, the
+    running integral to c * r and the stiff solve to c."""
+    gen = np.random.Generator(np.random.PCG64(31))
+    for n in (16, 64):
+        g = Grid(n)
+        r = g.nodes
+        fields = 1.0 + sum(
+            gen.standard_normal((3, 1)) / k**2 * np.cos(TWO_PI * k * r + gen.random((3, 1)))
+            for k in range(1, n // 4)
+        )
+        lengths = np.array([0.6, 1.0, 3.0])
+        results = {}
+        for dense_max in (n, 0):
+            monkeypatch.setattr(grid_module, "_DENSE_MAX_N", dense_max)
+            results[dense_max] = [
+                *g.derivs(fields, (1, 2, 3, 4)),
+                g.cumint(fields),
+                g.solve_stiff(fields, lengths, 1e-3),
+            ]
+        for dense, fft in zip(results[n], results[0]):
+            assert np.max(np.abs(dense - fft)) <= 1e-12 * np.max(np.abs(fft)), n
+        monkeypatch.setattr(grid_module, "_DENSE_MAX_N", n)
+        for c in (1.0, -2.5, 1e-300):
+            const = np.full((2, n), c)
+            assert not np.any(g.derivs(const, (1, 2, 3, 4)))
+            assert np.array_equal(g.cumint(const), c * np.broadcast_to(r, (2, n)))
+            assert np.array_equal(g.solve_stiff(const, np.array([0.5, 2.0]), 1e-3), const)
+            assert np.array_equal(g.cumint(const[0]), c * r)
+            assert np.array_equal(g.solve_stiff(const[0], 0.5, 1e-3), const[0])
 
 
 def test_resample_round_trip():

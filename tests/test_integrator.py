@@ -17,6 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
+from curveflow import grid as grid_module
 from curveflow import integrator
 from curveflow.flows import CURVE_DIFFUSION, WILLMORE, FlowSpec, State
 from curveflow.grid import Grid
@@ -1018,12 +1019,12 @@ def test_stopped_rows_are_not_stepped(monkeypatch):
 )
 def test_only_explicit_kernels_form_the_stiff_term(monkeypatch, noise):
     """An IMEX step transforms back two derivative rows (f', f''), not three,
-    and assembles no stiff term; the explicit kernels still receive it."""
-    grid = Grid(64)
+    and assembles no stiff term; the explicit kernels still receive it.  The
+    rows are counted on both routes of the grid's transforms."""
     spec = FlowSpec(WILLMORE, noise)
-    state = non_circle(grid)
+    state = non_circle(Grid(64))
     dw = np.full(noise.n_modes, 1e-3)
-    derivs, irfft, assemble = Grid.derivs, np.fft.irfft, integrator.flows.assemble
+    derivs, from_modes, assemble = Grid.derivs, Grid._from_modes, integrator.flows.assemble
     inside, rows, stiff = [False], [], []
 
     def counting_derivs(self, values, orders):
@@ -1033,10 +1034,10 @@ def test_only_explicit_kernels_form_the_stiff_term(monkeypatch, noise):
         finally:
             inside[0] = False
 
-    def counting_irfft(a, *args, **kwargs):
+    def counting_from_modes(self, vh, operator):
         if inside[0]:
-            rows.append(a.shape[0])
-        return irfft(a, *args, **kwargs)
+            rows.append(vh.shape[0])
+        return from_modes(self, vh, operator)
 
     def recording_assemble(*args, **kwargs):
         a = assemble(*args, **kwargs)
@@ -1044,18 +1045,21 @@ def test_only_explicit_kernels_form_the_stiff_term(monkeypatch, noise):
         return a
 
     monkeypatch.setattr(Grid, "derivs", counting_derivs)
-    monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+    monkeypatch.setattr(Grid, "_from_modes", counting_from_modes)
     monkeypatch.setattr(integrator.flows, "assemble", recording_assemble)
     expected = {
         IMEX_EM: ([2], [False]),
         HEUN_STRATONOVICH: ([3, 3], [True, True]),
         EXPLICIT_EM: ([3], [True]),
     }
-    for scheme, (want_rows, want_stiff) in expected.items():
-        rows.clear()
-        stiff.clear()
-        integrator._STEPPERS[scheme](spec, grid, state.f, state.length, 1e-7, dw)
-        assert (rows, stiff) == (want_rows, want_stiff), scheme
+    for dense_max in (64, 0):
+        monkeypatch.setattr(grid_module, "_DENSE_MAX_N", dense_max)
+        grid = Grid(64)
+        for scheme, (want_rows, want_stiff) in expected.items():
+            rows.clear()
+            stiff.clear()
+            integrator._STEPPERS[scheme](spec, grid, state.f, state.length, 1e-7, dw)
+            assert (rows, stiff) == (want_rows, want_stiff), (scheme, dense_max)
 
 
 def test_ensemble_rows_full_even_when_all_paths_stop():
