@@ -24,7 +24,6 @@ from .geometry import (
 )
 from .grid import Grid, cumulative_quadrature
 from .integrator import (
-    EXPLICIT_EM,
     HEUN_STRATONOVICH,
     IMEX_EM,
     EnsembleResult,
@@ -46,7 +45,6 @@ __all__ = [
     "BrownianDriver",
     "CURVE_DIFFUSION",
     "CurveSample",
-    "EXPLICIT_EM",
     "EnsembleResult",
     "FlowSpec",
     "Grid",

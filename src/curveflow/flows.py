@@ -35,11 +35,10 @@ so the Ito drift equals the Stratonovich drift plus C by construction.
 
 One pass assembles everything, with the noise modes on a leading array axis
 (Trefethen, Spectral Methods in MATLAB, ch. 3): one transform of f gives
-its first and second derivatives, and for the explicit schemes its fourth,
-through stacked multipliers; f*V
-and every f*phi_l share one running-integral pass, and every b_f,l*phi_l of
-the correction one more.  The basis samples and their derivatives are
-tabulated once per grid.
+its first and second derivatives, and for the explicit Heun scheme its
+fourth, through stacked multipliers; f*V and every f*phi_l share one
+running-integral pass, and every b_f,l*phi_l of the correction one more.
+The basis samples and their derivatives are tabulated once per grid.
 
 Under scalar noise the pass does no basis arithmetic.  With phi = 1, f*phi
 is f, phi', phi'' and phi''' vanish, and lam is the constant -2*pi with
@@ -52,7 +51,7 @@ one vanishing term kept, -2 phi'' lam / L^3 = +0.0 per row, turns -0.0
 partial sums into +0.0 as the general code's zero terms do.
 
 The fourth-order term -(1/L^4) drrrr f is returned separately (stiff), and
-is formed only for the explicit schemes, which add it to the drift.  The
+is formed only for the explicit Heun scheme, which adds it to the drift.  The
 semi-implicit scheme solves for it instead and never reads it, so its
 assembly transforms back only f' and f''.  Everything else, corrections
 included, is in the explicit part.
@@ -81,7 +80,7 @@ class FlowSpec:
     stiff_sign is a diagnostic knob: -1.0 is the dissipative fourth-order
     operator, +1.0 flips it so regression tests can confirm that the
     energy-dissipation check catches the backward-parabolic variant.  The
-    flipped sign runs only under the explicit schemes.
+    flipped sign runs only under the explicit Heun scheme.
     """
 
     kind: str
@@ -119,7 +118,7 @@ class _Assembly:
     """Everything one assembly pass produces, for a batch shape B.
 
     The drift pieces have shape (*B, n) on f and B on L; stiff is formed only
-    for the explicit schemes and is None otherwise.  The noise rows are
+    for the explicit Heun scheme and is None otherwise.  The noise rows are
     stacked with the modes on the leading axis: rows_beta has shape
     (n_modes, *B, n) and rows_lam (n_modes, *B).
     """

@@ -50,7 +50,6 @@ from . import geometry
 from .flows import CURVE_DIFFUSION, WILLMORE, FlowSpec, State
 from .grid import Grid
 from .integrator import (
-    EXPLICIT_EM,
     HEUN_STRATONOVICH,
     IMEX_EM,
     StepperConfig,
@@ -79,7 +78,7 @@ _SCHEMA = {
     "noise.amplitude": (float, 0.0, None),
     "noise.n_modes": (int, 8, None),
     "noise.decay_exponent": (float, 6.0, None),
-    "stepper.scheme": (str, IMEX_EM, (IMEX_EM, HEUN_STRATONOVICH, EXPLICIT_EM)),
+    "stepper.scheme": (str, IMEX_EM, (IMEX_EM, HEUN_STRATONOVICH)),
     "stepper.dt": (float, 1e-4, None),
     "stepper.t_end": (float, 0.1, None),
     "stepper.snapshot_every": (int, 50, None),

@@ -1,6 +1,6 @@
 """Time stepping, blow-up detection, and trajectory recording.
 
-Three schemes advance the curvature-length system:
+Two schemes advance the curvature-length system:
 
 * ImexEM - semi-implicit Euler-Maruyama on the Ito form.  Only the
   constant-coefficient fourth-order term is implicit (a per-mode division,
@@ -13,10 +13,8 @@ Three schemes advance the curvature-length system:
 * HeunStratonovich - explicit predictor-corrector on the Stratonovich form
   (drift without the Ito correction, noise averaged between the endpoint
   evaluations).  Its pathwise limit is the Stratonovich solution, so
-  agreement with ImexEM validates the Ito conversion terms.
-* ExplicitEM - fully explicit Euler-Maruyama on the Ito form; mainly a
-  divergence-detection reference, since the explicit fourth-order term
-  demands a very small dt.
+  agreement with ImexEM validates the Ito conversion terms.  Its
+  fourth-order term is explicit too, so it demands a very small dt.
 
 Each scheme is written once, as a kernel on stacked arrays,
 ``(spec, grid, f, length, dt, dw) -> (new_f, new_length)`` with f of shape
@@ -38,11 +36,10 @@ at n = 64).  Rows are independent, so blocked rows are bitwise the
 whole-batch ones.
 
 Stability: the explicitly treated variable-coefficient second-order term
-requires dt <= 0.5 * L^2 / (sup|f|^2 n^2); fully explicit schemes
-additionally require dt below the reciprocal of the fourth-order operator's
-largest eigenvalue.  ImexEM and HeunStratonovich refuse to start above their
-bound; ExplicitEM only warns, so that divergence detection itself can be
-exercised.  Crossing the bound mid-run warns.
+requires dt <= 0.5 * L^2 / (sup|f|^2 n^2); HeunStratonovich additionally
+requires dt below the reciprocal of the fourth-order operator's largest
+eigenvalue.  Both schemes refuse to start above their bound; crossing it
+mid-run warns.
 
 ``run`` (one trajectory, recorded as snapshots) and ``run_ensemble`` (a
 batch, recorded as length and energy rows) share one step schedule, one
@@ -53,8 +50,8 @@ window, mirroring the continuous flow's blow-up alternative (a length below
 l_min first: a curve shrinking to a point trips both), or at once on a
 non-finite value; the terminal status records which predicate tripped, and
 records hold only finite states.  Both admit a start by one rule, ``_start``:
-closed curves, turning by 2*pi under scalar noise, and stiff_sign = +1 only
-under the explicit schemes.
+closed curves, turning by 2*pi under scalar noise, stiff_sign = +1 only
+under HeunStratonovich, and dt below the stability bound.
 
 A step whose length update is non-positive is refined in place by Brownian
 bridge (Gaines & Lyons, SIAM J. Appl. Math. 57, 1997): two half steps, the
@@ -87,9 +84,8 @@ from .noise import BrownianDriver, _generators, increment_blocks
 
 IMEX_EM = "imex_em"
 HEUN_STRATONOVICH = "heun_stratonovich"
-EXPLICIT_EM = "explicit_em"
 
-_SCHEMES = (IMEX_EM, HEUN_STRATONOVICH, EXPLICIT_EM)
+_SCHEMES = (IMEX_EM, HEUN_STRATONOVICH)
 
 _MAX_HALVINGS = 10
 _BLOCK_VALUES = 2**14  # values per (rows, n) array of a batch's row block: 128 KiB
@@ -194,21 +190,23 @@ def dt_stability(scheme, grid, length, f_sup):
     """Largest stable dt for the explicitly treated terms, with safety 0.5.
 
     The variable-coefficient second-order term bounds every scheme by
-    0.5 * L^2 / (sup|f|^2 n^2), no bound at all where sup|f| is 0.  Fully
-    explicit schemes are additionally bounded by the fourth-order operator:
-    1 / lambda_max with lambda_max = (pi n)^4 / L^4, its largest Fourier
-    multiplier.  length and f_sup are scalars or arrays of one value per row,
-    and the bound has their shape.
+    0.5 * L^2 / (sup|f|^2 n^2), no bound at all where sup|f| is 0.
+    HeunStratonovich, explicit in the fourth-order term too, is additionally
+    bounded by 1 / lambda_max with lambda_max = (pi n)^4 / L^4, that
+    operator's largest Fourier multiplier.  length and f_sup are scalars or
+    arrays of one value per row, and the bound has their shape.  Powers of
+    extreme values overflow without a warning; the bound then reads 0, which
+    refuses every dt, or inf.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
     length, f_sup = np.asarray(length, dtype=float), np.asarray(f_sup, dtype=float)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         bound = 0.5 * length**2 / (f_sup**2 * grid.n**2)
-    if scheme == IMEX_EM:
-        return bound
-    lam = (math.pi * grid.n) ** 4 / length**4
-    return np.minimum(bound, 1.0 / lam)
+        if scheme == IMEX_EM:
+            return bound
+        lam = (math.pi * grid.n) ** 4 / length**4
+        return np.minimum(bound, 1.0 / lam)
 
 
 def _noise_sums(rows_beta, rows_lam, dw, amplitude):
@@ -263,18 +261,6 @@ def _imex_em(spec, grid, f, length, dt, dw):
     # a row whose length update is non-positive has shrunk; dividing by its
     # length could make it look non-finite instead
     new_f = _project_turning(grid, new_f, f, length, np.where(new_l > 0, new_l, length))
-    return new_f, new_l
-
-
-def _explicit_em(spec, grid, f, length, dt, dw):
-    """Fully explicit Euler-Maruyama on the Ito form."""
-    a = flows.assemble(spec, grid, f, length)
-    new_f = f + dt * (a.stiff + a.det_f + a.corr_f)
-    new_l = length + dt * (a.det_L + a.corr_L)
-    if dw is not None:
-        g_f, g_l = _noise_sums(a.rows_beta, a.rows_lam, dw, spec.noise.amplitude)
-        new_f = new_f + g_f
-        new_l = new_l + g_l
     return new_f, new_l
 
 
@@ -352,7 +338,6 @@ def _in_row_blocks(kernel):
 _STEPPERS = {
     IMEX_EM: _in_row_blocks(_imex_em),
     HEUN_STRATONOVICH: _in_row_blocks(_heun_stratonovich),
-    EXPLICIT_EM: _in_row_blocks(_explicit_em),
 }
 _BATCH_STEPPERS = dict(_STEPPERS)
 
@@ -421,11 +406,11 @@ def _start(spec, grid, stepper, f, lengths, stop):
     lies within _TURNING_TOL of a multiple of 2*pi, or of 2*pi itself under
     scalar noise of amplitude > 0, whose length row is the constant -2*pi,
     minus the turning of exactly those states.  stiff_sign = +1 runs only
-    under the explicit schemes, since the implicit solve only damps; noise
-    of amplitude > 0 only on a basis whose wavenumbers lie below n/2, which
-    the grid resolves; and dt must lie below the stability bound of every
-    initial state (ExplicitEM only warns).  Returns the stop window, by
-    default StopCriteria.from_initial of the first state.
+    under HeunStratonovich, since the implicit solve only damps; noise of
+    amplitude > 0 only on a basis whose wavenumbers lie below n/2, which the
+    grid resolves; and dt must lie below the stability bound of every
+    initial state, under every scheme.  Returns the stop window, by default
+    StopCriteria.from_initial of the first state.
     """
     if spec.stiff_sign > 0 and stepper.scheme == IMEX_EM:
         raise ValueError(f"stiff_sign = +1 needs an explicit scheme, not {IMEX_EM}")
@@ -453,14 +438,10 @@ def _start(spec, grid, stepper, f, lengths, stop):
         stop = StopCriteria.from_initial(State(f[0], float(lengths[0])))
     bound = dt_stability(stepper.scheme, grid, lengths, np.abs(f).max(axis=-1)).min()
     if stepper.dt > bound:
-        msg = (
+        raise ValueError(
             f"dt={stepper.dt:g} exceeds the stability bound {bound:.3g} for "
             f"{stepper.scheme} at the initial state"
         )
-        if stepper.scheme == EXPLICIT_EM:
-            warnings.warn(msg, stacklevel=3)
-        else:
-            raise ValueError(msg)
     return stop
 
 

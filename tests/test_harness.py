@@ -114,6 +114,7 @@ def test_config_unknown_key_reports_location(tmp_path):
         ("stepper.dt = fast", "expected a number"),
         ("stepper.dt 1e-3", "expected 'key = value'"),
         ("flow.kind = mean_curvature", "must be one of"),
+        ("stepper.scheme = explicit_em", "must be one of"),
         ("grid.dealias = false", "unknown config key"),
         ("grid.topology = open", "open curves were removed"),
     ],
@@ -570,6 +571,17 @@ def test_noise_basis_the_grid_aliases_exits_2(tmp_path, capsys):
     for command, out in (("simulate", "x.jsonl"), ("ensemble", "x.json")):
         assert main([command, "--config", cfg_path, "--out", str(tmp_path / out)]) == 2
         assert "wavenumber 20 is not below n/2 = 8" in capsys.readouterr().err
+        assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize("scheme", ["imex_em", "heun_stratonovich"])
+def test_tiny_radius_exits_2(tmp_path, capsys, scheme):
+    # sup|f| = 1e200 squares past the largest double: the stability bound
+    # reads 0 and refuses the run as a config error, without an overflow warning
+    cfg_path = _cfg_file(tmp_path, f"init.radius = 1e-200\nstepper.scheme = {scheme}\n")
+    for command, out in (("simulate", "x.jsonl"), ("ensemble", "x.json")):
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / out)]) == 2
+        assert "stability bound 0 " in capsys.readouterr().err
         assert not (tmp_path / out).exists()
 
 

@@ -23,7 +23,6 @@ from curveflow.flows import CURVE_DIFFUSION, WILLMORE, FlowSpec, State
 from curveflow.grid import Grid
 from curveflow.harness import _poisson_state
 from curveflow.integrator import (
-    EXPLICIT_EM,
     HEUN_STRATONOVICH,
     IMEX_EM,
     StepperConfig,
@@ -40,7 +39,7 @@ TWO_PI = 2.0 * np.pi
 NO_NOISE = NoiseModel(mode="scalar", amplitude=0.0)
 UNIT_NOISE = NoiseModel(mode="scalar", amplitude=1.0)
 WIDE_STOP = StopCriteria(l_min=1e-6, l_max=1e6, f_max=1e6)
-SCHEMES = (IMEX_EM, HEUN_STRATONOVICH, EXPLICIT_EM)
+SCHEMES = (IMEX_EM, HEUN_STRATONOVICH)
 
 
 def circle(n=32, radius=1.0):
@@ -66,18 +65,17 @@ def test_dt_stability_closed_formulas():
     advective = 0.5 * length**2 / (sup**2 * 64**2)
     assert dt_stability(IMEX_EM, grid, length, sup) == advective
     fourth = length**4 / (math.pi * 64) ** 4
-    assert dt_stability(EXPLICIT_EM, grid, length, sup) == min(advective, fourth)
     assert dt_stability(HEUN_STRATONOVICH, grid, length, sup) == min(advective, fourth)
     # flat states do not constrain the semi-implicit scheme at all
     assert dt_stability(IMEX_EM, grid, length, 0.0) == math.inf
-    assert dt_stability(EXPLICIT_EM, grid, length, 0.0) == fourth
+    assert dt_stability(HEUN_STRATONOVICH, grid, length, 0.0) == fourth
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_dt_stability_on_arrays_matches_scalar_calls(scheme):
     # one length and one sup per row: a flat row (sup 0) leaves ImexEM
-    # unbounded, and a long row lets the fourth-order cap bind the explicit
-    # schemes where the advective bound alone would be looser
+    # unbounded, and a long row lets the fourth-order cap bind Heun where
+    # the advective bound alone would be looser
     grid = Grid(64)
     lengths = np.array([TWO_PI, 0.5, 3.0, 40.0])
     sups = np.array([1.0, 0.0, 7.5, 0.1])
@@ -99,27 +97,20 @@ def test_dt_stability_rejects_unknown_scheme():
 
 
 def test_stability_enforcement_at_start():
+    # every scheme refuses a dt above its bound at the start, in run and
+    # run_ensemble alike: the semi-implicit scheme's advective bound is about
+    # 4.8e-3 here, and Heun's explicit fourth-order term caps it near 9.5e-7
     grid = Grid(64)
     spec = FlowSpec(WILLMORE, NO_NOISE)
     state = circle(64)
-    # semi-implicit: the advective bound (~4.8e-3 here) is a hard error
-    with pytest.raises(ValueError, match="stability"):
-        run(spec, grid, state, StepperConfig(IMEX_EM, 1e-2, 0.1))
-    # predictor-corrector treats the fourth-order term explicitly (~9.5e-7)
-    with pytest.raises(ValueError, match="stability"):
-        run(spec, grid, state, StepperConfig(HEUN_STRATONOVICH, 1e-4, 0.1))
-    # the explicit reference scheme only warns, so divergence stays observable
-    with pytest.warns(UserWarning, match="stability"):
-        traj = run(
-            spec,
-            grid,
-            State(1.0 + 0.01 * np.cos(TWO_PI * 16 * grid.nodes), TWO_PI),
-            StepperConfig(EXPLICIT_EM, 1e-4, 0.02),
-            stop=StopCriteria(1e-8, 1e9, np.inf),
-        )
-    assert traj.terminal_status is not TerminalStatus.REACHED_T
-    for snap in traj.snapshots:
-        assert np.all(np.isfinite(snap.f)) and math.isfinite(snap.length)
+    above = {IMEX_EM: 1e-2, HEUN_STRATONOVICH: 1e-4}
+    assert set(above) == set(integrator._SCHEMES)
+    for scheme, dt in above.items():
+        cfg = StepperConfig(scheme, dt, 0.1)
+        with pytest.raises(ValueError, match="stability"):
+            run(spec, grid, state, cfg)
+        with pytest.raises(ValueError, match="stability"):
+            run_ensemble(spec, grid, state.f, state.length, cfg, 2, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -646,17 +637,21 @@ def test_shrinking_below_l_min_is_a_length_stop_not_a_curvature_one():
 
 def test_flipped_stiff_sign_needs_an_explicit_scheme():
     # the implicit solve of imex_em only damps; the flipped, anti-dissipative
-    # operator runs under the explicit schemes alone
+    # operator runs under the explicit Heun scheme alone, and below its bound
+    # it starts without a warning
     grid = Grid(64)
     spec = FlowSpec(WILLMORE, NO_NOISE, stiff_sign=+1.0)
     with pytest.raises(ValueError, match="stiff_sign"):
         run(spec, grid, circle(64), StepperConfig(IMEX_EM, 1e-5, 1e-4))
     with pytest.raises(ValueError, match="stiff_sign"):
         run_ensemble(spec, grid, np.ones(64), TWO_PI, StepperConfig(IMEX_EM, 1e-5, 1e-4), 2, 1)
+    cfg = StepperConfig(HEUN_STRATONOVICH, 5e-7, 5e-6)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # explicit_em warns above its bound
-        traj = run(spec, grid, circle(64), StepperConfig(EXPLICIT_EM, 1e-5, 1e-4))
-    assert traj.steps == 10
+        warnings.simplefilter("error")
+        traj = run(spec, grid, circle(64), cfg)
+        ens = run_ensemble(spec, grid, np.ones(64), TWO_PI, cfg, 2, 1)
+    assert traj.steps == 10 and traj.terminal_status is TerminalStatus.REACHED_T
+    assert ens.steps == 10 and ens.statuses == [TerminalStatus.REACHED_T] * 2
 
 
 def test_predrawn_rows_scale_to_a_shortened_last_step():
@@ -830,9 +825,7 @@ def test_ensemble_rows_match_single_runs_bitwise():
         _assert_rows_match(ens, i, traj)
 
 
-@pytest.mark.parametrize(
-    "scheme,dt", [(IMEX_EM, 1e-4), (HEUN_STRATONOVICH, 2e-7), (EXPLICIT_EM, 2e-7)]
-)
+@pytest.mark.parametrize("scheme,dt", [(IMEX_EM, 1e-4), (HEUN_STRATONOVICH, 2e-7)])
 @pytest.mark.parametrize("kind", [WILLMORE, CURVE_DIFFUSION])
 @pytest.mark.parametrize(
     "noise",
@@ -1019,7 +1012,7 @@ def test_stopped_rows_are_not_stepped(monkeypatch):
 )
 def test_only_explicit_kernels_form_the_stiff_term(monkeypatch, noise):
     """An IMEX step transforms back two derivative rows (f', f''), not three,
-    and assembles no stiff term; the explicit kernels still receive it.  The
+    and assembles no stiff term; the explicit Heun kernel still receives it.  The
     rows are counted on both routes of the grid's transforms."""
     spec = FlowSpec(WILLMORE, noise)
     state = non_circle(Grid(64))
@@ -1050,7 +1043,6 @@ def test_only_explicit_kernels_form_the_stiff_term(monkeypatch, noise):
     expected = {
         IMEX_EM: ([2], [False]),
         HEUN_STRATONOVICH: ([3, 3], [True, True]),
-        EXPLICIT_EM: ([3], [True]),
     }
     for dense_max in (64, 0):
         monkeypatch.setattr(grid_module, "_DENSE_MAX_N", dense_max)
@@ -1136,7 +1128,7 @@ def test_ensemble_exact_zero_length_is_a_collapse():
     spec = FlowSpec(CURVE_DIFFUSION, UNIT_NOISE)
     inc = np.zeros((10, 1, 1))
     inc[1, 0, 0] = 1.0
-    for scheme, dt in ((IMEX_EM, 1e-4), (HEUN_STRATONOVICH, 2e-7), (EXPLICIT_EM, 2e-7)):
+    for scheme, dt in ((IMEX_EM, 1e-4), (HEUN_STRATONOVICH, 2e-7)):
         cfg = StepperConfig(scheme, dt, 10 * dt, snapshot_every=2)
         ens = run_ensemble(
             spec, grid, np.ones(32), TWO_PI, cfg, 1, seed=1, increments=inc, stop=WIDE_STOP
@@ -1243,6 +1235,8 @@ def test_pre_drawn_increments_are_checked_up_front(batched, noise, n_rows):
 def test_stepper_config_validation():
     with pytest.raises(ValueError):
         StepperConfig("rk4", 1e-4, 0.1)
+    with pytest.raises(ValueError):
+        StepperConfig("explicit_em", 1e-4, 1e-3)
     with pytest.raises(ValueError):
         StepperConfig(IMEX_EM, -1e-4, 0.1)
     with pytest.raises(ValueError):
