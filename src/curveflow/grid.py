@@ -25,9 +25,9 @@ exactly: a circle stays exactly a circle.  Two rules keep batch rows
 bitwise equal to single fields, because a GEMM row does not depend on how
 many rows share the product:
 
-- every product has at least two rows: a one-row field is multiplied as the
-  first of two equal rows, since NumPy sends a one-row product through GEMV,
-  which rounds differently;
+- every product has at least two rows: ``_product`` multiplies a lone row
+  as the first of two equal rows, since NumPy sends a one-row product
+  through GEMV, which rounds differently;
 - every matrix's width is a multiple of 8 (zero columns pad it); OpenBLAS's
   rows depend on the row count at widths 2 or 4 mod 8 from 18 up.
 
@@ -35,8 +35,8 @@ All operations accept arrays of shape ``(..., n)`` and act along the last
 axis, so stacked batches of fields go through the same code path as single
 fields, and a stack of several fields shares one transform pair (``derivs``
 for several derivative orders, ``cumint`` for several integrands).  They
-check the node count but not finiteness: states are validated once, where
-they enter, by ``flows.check_state``, which calls ``check_field``.
+check nothing: states are validated once, where they enter, by
+``flows.check_state``, which calls ``check_field``.
 """
 
 from __future__ import annotations
@@ -90,8 +90,10 @@ _DENSE_MAX_N = 96
 
 
 def _product(rows, matrix):
-    """One dense transform: rows @ matrix, for 2-D rows of at least two rows
-    (see the module docstring)."""
+    """One dense transform: rows @ matrix for 2-D rows, a lone row taken as
+    the first of two equal rows (see the module docstring)."""
+    if len(rows) == 1:
+        return (np.concatenate((rows, rows)) @ matrix)[:1]
     return rows @ matrix
 
 
@@ -126,19 +128,15 @@ class Grid:
     def check_field(self, values):
         """Validate a field at an API boundary: n values per row, all finite.
 
-        The calculus methods below check only the node count; the entry
-        points (``run``, ``run_ensemble``, reconstruction) validate their
-        states once through ``flows.check_state`` instead.
+        The calculus methods below check nothing; the entry points (``run``,
+        ``run_ensemble``, reconstruction) validate their states once through
+        ``flows.check_state`` instead.
         """
-        v = self._field(values)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite values")
-        return v
-
-    def _field(self, values):
         v = np.asarray(values, dtype=float)
         if v.shape[-1] != self.n:
             raise ValueError(f"field has {v.shape[-1]} values, grid has {self.n} nodes")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("field contains non-finite values")
         return v
 
     def cached(self, key, build):
@@ -176,21 +174,10 @@ class Grid:
 
     def _centred(self, v):
         """The fields v as v - v[..., :1] with v[..., :1] in the first slot,
-        where the difference is 0; a one-row field becomes two equal rows
-        (see the module docstring)."""
-        shape = v.shape
-        if v.size == self.n:
-            v, shape = v.reshape(1, self.n), (2, self.n)
-        centred = np.subtract(v, v[..., :1], out=np.empty(shape))
+        where the difference is 0 (see the module docstring)."""
+        centred = v - v[..., :1]
         centred[..., 0] = v[..., 0]
         return centred
-
-    def _unpad(self, out, v):
-        """An operator's output for the fields v in v's shape: on a dense
-        grid a one-row field's padding row is dropped."""
-        if not (self._dense() and v.size == self.n):
-            return out
-        return out[..., :1, :].reshape(out.shape[:-2] + v.shape)
 
     def _to_modes(self, v):
         """The real Fourier modes of the fields v along the last axis:
@@ -266,11 +253,10 @@ class Grid:
         stacked multipliers applied in one inverse transform.
         """
         orders = tuple(orders)
-        v = self._field(values)
         sym = self.cached(("symbols", orders, self._slots()), lambda: self._symbols(orders))
-        vh = self._to_modes(v)
+        vh = self._to_modes(values)
         vh = vh * sym.reshape((len(orders),) + (1,) * (vh.ndim - 1) + sym.shape[-1:])
-        return self._unpad(self._from_modes(vh, "derivs"), v)
+        return self._from_modes(vh, "derivs")
 
     def _symbols(self, orders):
         for order in orders:
@@ -290,7 +276,7 @@ class Grid:
         Written as the sum over n, which is what ``np.mean`` computes, bit
         for bit, without its dispatch overhead.
         """
-        return np.add.reduce(self._field(values), axis=-1) / self.n
+        return np.add.reduce(values, axis=-1) / self.n
 
     def cumint(self, values):
         """Running integral r -> integral of the field from 0 to r.
@@ -301,12 +287,11 @@ class Grid:
         pair, or on a dense grid one product with the cached running-integral
         matrix.
         """
-        v = self._field(values)
         if not self._dense():
-            return self._fft_cumint(v)
-        centred = self._centred(v)
+            return self._fft_cumint(values)
+        centred = self._centred(values)
         out = _product(centred.reshape(-1, self.n), self.cached("cumint", self._cumint_matrix))
-        return self._unpad(out[:, : self.n].reshape(centred.shape), v)
+        return out[:, : self.n].reshape(centred.shape)
 
     def _fft_cumint(self, v):
         """cumint through one real FFT pair: the route above ``_DENSE_MAX_N``,
@@ -336,19 +321,12 @@ class Grid:
         ``length`` may be a scalar or an array matching the batch shape of
         ``rhs`` (one length per stacked field).
         """
-        v = self._field(rhs)
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
         L = np.asarray(length, dtype=float)
-        if not (L > 0).all():
-            raise ValueError("length must be positive")
-        if v.size == self.n:
-            L = L.reshape(())  # one field, one length, however the row is shaped
         slots = self._slots()
         sym = self.cached(("wavenumbers4", slots), lambda: self._wavenumbers(slots) ** 4)
         denom = 1.0 + dt * sym / L[..., None] ** 4
-        vh = self._to_modes(v)
-        return self._unpad(self._from_modes(vh / denom, "solve_stiff"), v)
+        vh = self._to_modes(rhs)
+        return self._from_modes(vh / denom, "solve_stiff")
 
     # -- spectral utilities ------------------------------------------------
 
@@ -357,7 +335,9 @@ class Grid:
         m = int(m)
         if m < 8 or m % 2 != 0:
             raise ValueError(f"resample target must be even and >= 8, got {m}")
-        v = self._field(values)
+        v = np.asarray(values, dtype=float)
+        if v.shape[-1] != self.n:
+            raise ValueError(f"field has {v.shape[-1]} values, grid has {self.n} nodes")
         if m == self.n:
             return v.copy()
         vh = np.fft.rfft(v, axis=-1)

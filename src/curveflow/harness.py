@@ -46,11 +46,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import geometry
-from .flows import CURVE_DIFFUSION, WILLMORE, FlowSpec, State
+from . import flows, geometry, integrator
+from .flows import WILLMORE, FlowSpec, State
 from .grid import Grid
 from .integrator import (
-    HEUN_STRATONOVICH,
     IMEX_EM,
     StepperConfig,
     StopCriteria,
@@ -59,7 +58,7 @@ from .integrator import (
     run,
     run_ensemble,
 )
-from .noise import BrownianDriver, NoiseModel, _generators
+from .noise import SCALAR, SPECTRAL, BrownianDriver, NoiseModel, _generators
 
 TWO_PI = 2.0 * math.pi
 CLOSED = "closed"
@@ -71,14 +70,14 @@ class ConfigError(Exception):
 
 # key -> (type, default, choices); the README's table of config keys says what each means
 _SCHEMA = {
-    "flow.kind": (str, WILLMORE, (WILLMORE, CURVE_DIFFUSION)),
+    "flow.kind": (str, WILLMORE, flows._KINDS),
     "grid.topology": (str, CLOSED, (CLOSED,)),
     "grid.n": (int, 64, None),
-    "noise.mode": (str, "scalar", ("scalar", "spectral")),
+    "noise.mode": (str, SCALAR, (SCALAR, SPECTRAL)),
     "noise.amplitude": (float, 0.0, None),
     "noise.n_modes": (int, 8, None),
     "noise.decay_exponent": (float, 6.0, None),
-    "stepper.scheme": (str, IMEX_EM, (IMEX_EM, HEUN_STRATONOVICH)),
+    "stepper.scheme": (str, IMEX_EM, integrator._SCHEMES),
     "stepper.dt": (float, 1e-4, None),
     "stepper.t_end": (float, 0.1, None),
     "stepper.snapshot_every": (int, 50, None),
@@ -200,33 +199,35 @@ def build_stepper(cfg):
 
 def build_state(cfg, grid):
     kind = cfg["init.kind"]
-    r = grid.nodes
-    if kind == "circle":
-        radius = cfg["init.radius"]
-        if radius <= 0:
+    if kind == "constant":
+        key, length = "init.length", cfg["init.length"]
+        if not (length > 0 and math.isfinite(length)):
+            raise ConfigError(f"init.length must be positive and finite, got {length}")
+        value = cfg["init.value"]
+        if value == 0:
+            raise ConfigError("init.value must be nonzero: zero curvature is a straight segment")
+        f = np.full(grid.n, value)
+    else:
+        key, radius = "init.radius", cfg["init.radius"]
+        if not radius > 0:
             raise ConfigError(f"init.radius must be positive, got {radius}")
-        return State(np.full(grid.n, 1.0 / radius), TWO_PI * radius)
-    if kind == "perturbed_circle":
-        radius = cfg["init.radius"]
-        if radius <= 0:
-            raise ConfigError(f"init.radius must be positive, got {radius}")
-        mode = cfg["init.mode"]
-        if mode < 2:
-            # a mode-1 perturbation does not close: at epsilon 0.1 the ends
-            # of the unit-radius curve lie 0.31 apart
-            raise ConfigError(f"init.mode must be >= 2 for a closed curve, got {mode}")
-        if 2 * mode >= grid.n:
-            # the nodes sample it as a lower mode; mode n samples as a constant
-            raise ConfigError(f"init.mode must be below grid.n / 2 = {grid.n // 2}, got {mode}")
-        f = 1.0 / radius + cfg["init.epsilon"] * np.cos(TWO_PI * mode * r)
-        return State(f, TWO_PI * radius)
-    length = cfg["init.length"]
-    if not (length > 0 and math.isfinite(length)):
-        raise ConfigError(f"init.length must be positive and finite, got {length}")
-    value = cfg["init.value"]
-    if value == 0:
-        raise ConfigError("init.value must be nonzero: zero curvature is a straight segment")
-    return State(np.full(grid.n, value), length)
+        length, f = TWO_PI * radius, np.full(grid.n, 1.0 / radius)
+        if kind == "perturbed_circle":
+            mode = cfg["init.mode"]
+            if mode < 2:
+                # a mode-1 perturbation does not close: at epsilon 0.1 the ends
+                # of the unit-radius curve lie 0.31 apart
+                raise ConfigError(f"init.mode must be >= 2 for a closed curve, got {mode}")
+            if 2 * mode >= grid.n:
+                # the nodes sample it as a lower mode; mode n samples as a constant
+                raise ConfigError(
+                    f"init.mode must be below grid.n / 2 = {grid.n // 2}, got {mode}"
+                )
+            f += cfg["init.epsilon"] * np.cos(TWO_PI * mode * grid.nodes)
+    if not math.isfinite(length * length):
+        # the curve's area, about length squared over 4 pi, would overflow
+        raise ConfigError(f"{key} = {cfg[key]:g}: the curve's length squared overflows")
+    return State(f, length)
 
 
 def build_stop(cfg, state):
@@ -635,7 +636,7 @@ def _study_strong(cfg, n_paths):
     seed = cfg["run.seed"]
     n = 16
     grid = Grid(n)
-    spec = FlowSpec(WILLMORE, NoiseModel(mode="scalar", amplitude=amplitude))
+    spec = FlowSpec(WILLMORE, NoiseModel(mode=SCALAR, amplitude=amplitude))
     dt_fine = 1e-4
     n_fine = 512
     t_end = n_fine * dt_fine

@@ -585,6 +585,27 @@ def test_tiny_radius_exits_2(tmp_path, capsys, scheme):
         assert not (tmp_path / out).exists()
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("init.radius = 1e200\n", "init.radius"),
+        ("init.kind = perturbed_circle\ninit.radius = 1e200\n", "init.radius"),
+        (
+            f"init.kind = constant\ninit.length = 1e200\ninit.value = {TWO_PI / 1e200!r}\n",
+            "init.length",
+        ),
+    ],
+)
+def test_huge_initial_curve_exits_2(tmp_path, capsys, text, key):
+    # a length of about 6e200 squares past the largest double, so the
+    # curve's area would overflow: the setting that sized it is refused
+    cfg_path = _cfg_file(tmp_path, text)
+    for command, out in (("simulate", "x.jsonl"), ("ensemble", "x.json")):
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / out)]) == 2
+        assert f"{key} = 1e+200: the curve's length squared overflows" in capsys.readouterr().err
+        assert not (tmp_path / out).exists()
+
+
 def test_ensemble_needs_at_least_two_paths(tmp_path, capsys):
     cfg_path = _cfg_file(tmp_path, "run.trajectories = 1\n")
     assert main(["ensemble", "--config", cfg_path, "--out", str(tmp_path / "x.json")]) == 2

@@ -113,6 +113,31 @@ def test_stability_enforcement_at_start():
             run_ensemble(spec, grid, state.f, state.length, cfg, 2, seed=1)
 
 
+@pytest.mark.parametrize("n", (16, 128))
+def test_run_and_ensemble_check_fields_once_at_entry(monkeypatch, n):
+    # states are validated where they enter and nowhere else: a whole noisy
+    # run or ensemble calls check_field once, on the dense route (n = 16)
+    # and on the FFT route (n = 128) alike
+    assert (n <= grid_module._DENSE_MAX_N) == (n == 16)
+    calls = []
+    check_field = Grid.check_field
+
+    def counting(self, values):
+        calls.append(np.shape(values))
+        return check_field(self, values)
+
+    monkeypatch.setattr(Grid, "check_field", counting)
+    grid = Grid(n)
+    spec = FlowSpec(WILLMORE, NoiseModel(mode="scalar", amplitude=0.5))
+    state = non_circle(grid)
+    cfg = StepperConfig(IMEX_EM, 1e-4, 1e-3, snapshot_every=2)
+    run(spec, grid, state, cfg, driver=BrownianDriver(3, 0))
+    assert calls == [(1, n)]
+    calls.clear()
+    run_ensemble(spec, grid, state.f, state.length, cfg, 4, seed=3)
+    assert calls == [(4, n)]
+
+
 # ---------------------------------------------------------------------------
 # single steps
 
