@@ -42,7 +42,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -204,8 +203,15 @@ def build_state(cfg, grid):
         if not (length > 0 and math.isfinite(length)):
             raise ConfigError(f"init.length must be positive and finite, got {length}")
         value = cfg["init.value"]
-        if value == 0:
-            raise ConfigError("init.value must be nonzero: zero curvature is a straight segment")
+        if not math.isfinite(value):
+            raise ConfigError(f"init.value must be finite, got {value}")
+        if abs(value * length) < math.pi:
+            # the nearest whole number of turns is 0: a straight segment, or
+            # one that barely bends, which cannot close
+            raise ConfigError(
+                "init.value must be at least pi / init.length in magnitude, half a "
+                f"turn, for a closed curve; it turns the curve by {value * length:.3g}"
+            )
         f = np.full(grid.n, value)
     else:
         key, radius = "init.radius", cfg["init.radius"]
@@ -223,7 +229,10 @@ def build_state(cfg, grid):
                 raise ConfigError(
                     f"init.mode must be below grid.n / 2 = {grid.n // 2}, got {mode}"
                 )
-            f += cfg["init.epsilon"] * np.cos(TWO_PI * mode * grid.nodes)
+            epsilon = cfg["init.epsilon"]
+            if not math.isfinite(epsilon):
+                raise ConfigError(f"init.epsilon must be finite, got {epsilon}")
+            f += epsilon * np.cos(TWO_PI * mode * grid.nodes)
     if not math.isfinite(length * length):
         # the curve's area, about length squared over 4 pi, would overflow
         raise ConfigError(f"{key} = {cfg[key]:g}: the curve's length squared overflows")
@@ -232,7 +241,7 @@ def build_state(cfg, grid):
 
 def build_stop(cfg, state):
     try:
-        return StopCriteria.from_initial(
+        stop = StopCriteria.from_initial(
             state,
             l_min_factor=cfg["stop.l_min_factor"],
             l_max_factor=cfg["stop.l_max_factor"],
@@ -240,6 +249,20 @@ def build_stop(cfg, state):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # a start outside the window would be reported as a blow-up after one
+    # step; the comparisons are those of integrator._classify
+    sup = float(np.max(np.abs(state.f)))
+    for key, inside in (
+        ("stop.l_min_factor", state.length >= stop.l_min),
+        ("stop.f_max_factor", sup <= stop.f_max),
+        ("stop.l_max_factor", state.length <= stop.l_max),
+    ):
+        if not inside:
+            raise ConfigError(
+                f"{key} = {cfg[key]:g}: the stop window excludes the initial state "
+                f"(length {state.length:.6g}, sup|f| {sup:.6g})"
+            )
+    return stop
 
 
 def _setup(cfg):
@@ -445,6 +468,9 @@ def cmd_ensemble(args):
     if workers == 1:
         results = [_ensemble_worker(payloads[0])]
     else:
+        # only this branch needs the pool; every other call starts without it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_ensemble_worker, payloads))
 

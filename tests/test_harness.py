@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -415,8 +418,11 @@ def test_scalar_noise_rejects_turning_other_than_two_pi(tmp_path, capsys, value)
         ("init.kind = constant\ninit.value = 0\n", "init.value"),
         # mode n samples as 1 at every node: f = 0 there, a straight segment
         ("init.kind = perturbed_circle\ninit.mode = 64\ninit.epsilon = -1\n", "init.mode"),
+        # turns by 2*pi*1e-7, whose nearest whole number of turns is 0: the
+        # turning rule would take it, and it would run as a straight segment
+        ("init.kind = constant\ninit.value = 1e-7\n", "init.value"),
     ],
-    ids=["mode_one", "straight_segment", "aliased_mode"],
+    ids=["mode_one", "straight_segment", "aliased_mode", "nearly_straight"],
 )
 def test_states_that_cannot_close_exit_2(tmp_path, capsys, text, key):
     cfg_path = _cfg_file(tmp_path, text)
@@ -564,6 +570,34 @@ def test_ensemble_identical_across_worker_counts(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_single_worker_calls_start_without_the_process_pool(tmp_path):
+    # a fresh interpreter, since this test process may have loaded the pool
+    cfg_path = _cfg_file(tmp_path, ENSEMBLE_CFG)
+    simulate = ["simulate", "--config", cfg_path, "--out", str(tmp_path / "t.jsonl")]
+    ensemble = ["ensemble", "--config", cfg_path, "--out", str(tmp_path / "e.json")]
+    code = (
+        "import sys\n"
+        "import curveflow\n"
+        "from curveflow import harness\n"
+        f"assert harness.main({simulate!r}) == 0\n"
+        f"assert harness.main({ensemble + ['--workers', '1']!r}) == 0\n"
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "t.jsonl").exists() and (tmp_path / "e_paths.csv").exists()
+
+
 def test_noise_basis_the_grid_aliases_exits_2(tmp_path, capsys):
     # at 16 nodes the default basis of 40 modes reaches wavenumber 20
     text = "grid.n = 16\nnoise.mode = spectral\nnoise.n_modes = 40\nnoise.amplitude = 0.01\n"
@@ -604,6 +638,24 @@ def test_huge_initial_curve_exits_2(tmp_path, capsys, text, key):
         assert main([command, "--config", cfg_path, "--out", str(tmp_path / out)]) == 2
         assert f"{key} = 1e+200: the curve's length squared overflows" in capsys.readouterr().err
         assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize(
+    "key, factor",
+    [("stop.l_min_factor", 2.0), ("stop.l_max_factor", 0.5), ("stop.f_max_factor", 0.5)],
+)
+def test_stop_window_excluding_the_start_exits_2(tmp_path, capsys, key, factor):
+    # the unit circle, of length 2*pi and sup|f| = 1, lies outside each
+    # window: the run would stop after one step and report a blow-up
+    cfg_path = _cfg_file(tmp_path, f"{key} = {factor}\n")
+    for command, out in (("simulate", "x.jsonl"), ("ensemble", "x.json")):
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key} = {factor:g}: ")
+        assert not (tmp_path / out).exists()
+    # a factor of exactly 1 puts the start on the window's edge, which runs
+    cfg = default_config()
+    cfg[key] = 1.0
+    harness.build_stop(cfg, harness.build_state(cfg, harness.build_grid(cfg)))
 
 
 def test_ensemble_needs_at_least_two_paths(tmp_path, capsys):
@@ -962,13 +1014,16 @@ def test_state_families():
         {"init.kind": "perturbed_circle", "init.mode": 0},
         {"init.kind": "constant", "init.length": -1.0},
         {"init.kind": "constant", "init.length": math.inf},
+        {"init.kind": "constant", "init.value": math.nan},
+        {"init.kind": "perturbed_circle", "init.epsilon": math.inf},
     ],
 )
 def test_state_validation(overrides):
     cfg = default_config()
     cfg.update(overrides)
     grid = harness.build_grid(default_config())
-    with pytest.raises(ConfigError):
+    # the message names the key set last
+    with pytest.raises(ConfigError, match=f"^{list(overrides)[-1]} must be"):
         harness.build_state(cfg, grid)
 
 
