@@ -133,7 +133,8 @@ class _Assembly:
 
 
 def _basis_table(noise, grid):
-    """phi_l and its first three derivatives at the nodes, shape (4, n_modes, n).
+    """phi_l, its first three derivatives and -2 phi_l'' at the nodes, shape
+    (5, n_modes, n).
 
     Sampled once per (grid, noise model) through basis_eval, so every value
     is bitwise the closed form; later assemblies read the cached table.  The
@@ -144,7 +145,8 @@ def _basis_table(noise, grid):
 
     def build():
         modes = range(1, noise.n_modes + 1)
-        return np.array([[basis_eval(noise, grid, l, order) for l in modes] for order in range(4)])
+        table = np.array([[basis_eval(noise, grid, l, order) for l in modes] for order in range(4)])
+        return np.concatenate((table, -2.0 * table[2:3]))
 
     return grid.cached(("noise_basis", noise), build)
 
@@ -155,9 +157,10 @@ def mode_sum(terms, start):
     terms has the modes on its leading axis, (n_modes, *B, n).  One reduction
     over that axis adds whole rows in order, so a single path and a batch row
     take identical arithmetic.  (A 1-D reduction would add pairwise, which
-    is why the per-mode length terms are summed in a loop instead.)  A start
-    of -0.0, the exact identity of IEEE addition, gives the sum started from
-    the first term; +0.0 turns an all -0.0 sum into +0.0.
+    is why the per-mode length terms are summed by ``np.add.accumulate``,
+    which adds in order, instead.)  A start of -0.0, the exact identity of
+    IEEE addition, gives the sum started from the first term; +0.0 turns an
+    all -0.0 sum into +0.0.
     """
     return np.add.reduce(terms, axis=0, initial=start)
 
@@ -204,7 +207,10 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True):
     # Full-size temporaries are updated in place and freed as soon as they
     # are used: at M ~ 2000 paths every (M, n) array is a MiB.  Each in-place
     # form keeps the operand order of the formula it computes.
-    lcol = lc[..., None]
+    # per-row values meet the n nodes as columns, or for B = () as 0-d
+    # values, which broadcast faster than (1,) arrays
+    column = (lambda x: x[..., None]) if batch else (lambda x: x)
+    lcol = column(lc)
     l2 = lcol * lcol
     if include_stiff:
         f1, f2, stiff = grid.derivs(f, (1, 2, 4))
@@ -222,17 +228,18 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True):
     fv = fv_fphi[0]
     np.divide(f2, l2, out=fv)
     if spec.kind == WILLMORE:
-        np.multiply(ff, f, out=tmp)
-        tmp *= 0.5
+        f3 = ff * f  # shared with det_f's f^5 term
+        np.multiply(f3, 0.5, out=tmp)
         fv += tmp
     np.negative(fv, out=fv)
     fv *= f
     if scalar:
         fv_fphi[1] = f  # f * phi with phi = 1
     else:
-        phi, phi1, phi2, phi3 = _basis_table(noise, grid).reshape(
-            (4, n_modes) + (1,) * len(batch) + (grid.n,)
-        )
+        table = _basis_table(noise, grid)
+        if batch:
+            table = table.reshape((5, n_modes) + (1,) * len(batch) + (grid.n,))
+        phi, phi1, phi2, _, m2phi2 = table
         fphi = fv_fphi[1:]
         np.multiply(f, phi, out=fphi)
     ints = grid.integrate(fv_fphi)
@@ -243,7 +250,7 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True):
     # (cumint(f V) + r Ldot/L) f'
     det_l = -lc * ints[0]
     transport = cums[0]
-    np.multiply(r, (det_l / lc)[..., None], out=tmp)
+    np.multiply(r, column(det_l / lc), out=tmp)
     transport += tmp
     transport *= f1
     det_f = np.multiply(ff, f2)
@@ -255,8 +262,8 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True):
         tmp *= 3.0
         tmp /= l2
         det_f -= tmp
-        np.multiply(ff, f, out=tmp)
-        tmp *= f
+        np.multiply(f3, f, out=tmp)
+        del f3
         tmp *= f
         tmp *= 0.5
         det_f -= tmp
@@ -268,9 +275,10 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True):
 
     # noise rows: beta_l = phi_l''/L^2 + f^2 phi_l + coef_l f' with the
     # transport coefficient coef_l = cumint(f phi_l) + r lam_l / L
+    ito = include_ito and amp != 0.0
     if scalar:
         lam = np.full((1,) + batch, -TWO_PI)
-        lam_l = (lam[0] / lc)[..., None]
+        lam_l = column(lam[0] / lc)
         coef = cums[1]
         np.multiply(r, lam_l, out=tmp)
         coef += tmp
@@ -282,13 +290,15 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True):
         lam_l = (lam / lc)[..., None]
         coef = cums[1:]
         coef += r * lam_l
-        beta = phi2 / l2
+        if ito:  # [phi''; phi'''] / L^2 in one division
+            beta, beta1 = table[2:4] / l2
+        else:
+            beta = phi2 / l2
         beta += ff * phi
         beta += coef * f1
 
-    corr_L = np.zeros(batch)
-    if not include_ito or amp == 0.0:
-        corr_f = np.zeros_like(f)
+    if not ito:
+        corr_f, corr_L = np.zeros_like(f), np.zeros(batch)
     else:
         # D(beta_l)[(beta_l, lam_l)] for every mode at once:
         #   dbeta = -2 phi'' lam / L^3 + 2 f phi beta + rate * f' + coef * beta'
@@ -303,7 +313,7 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True):
             # sum of dbeta from -0.0, as the general code's zero terms and
             # zero-started mode sum do
             rate = grid.cumint(beta)
-            np.multiply(r, (lam[0] * lam[0] / (lc * lc))[..., None], out=tmp)
+            np.multiply(r, column(lam[0] * lam[0] / (lc * lc)), out=tmp)
             rate -= tmp
             rate *= f1
             two_f = 2.0 * f
@@ -321,7 +331,7 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True):
             beta1 *= coef
             dbeta += beta1
             del beta1
-            corr_f = dbeta
+            corr_f, corr_L = dbeta, np.zeros(batch)
         else:
             bphi = beta * phi
             dlam = -lam * ints[1:] - lc * grid.integrate(bphi)
@@ -330,22 +340,24 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True):
             rate += r * (dlam / lc)[..., None]
             rate -= r * (lam * lam / (lc * lc))[..., None]
             rate *= f1
-            dbeta = -2.0 * phi2 * lam[..., None] / (l2 * lcol)
-            dbeta += (2.0 * f) * phi * beta
+            dbeta = m2phi2 * lam[..., None] / (l2 * lcol)
+            two_f = 2.0 * f
+            dbeta += two_f * phi * beta
             dbeta += rate
             del rate
-            beta1 = phi3 / l2
-            beta1 += (2.0 * f * f1) * phi
+            beta1 += (two_f * f1) * phi
+            del two_f
             beta1 += ff * phi1
             beta1 += (fphi + lam_l) * f1
             beta1 += coef * f2
             beta1 *= coef
             dbeta += beta1
             del beta1
-            # sum over modes in mode order from +0.0, then scale once
+            # sum over modes in mode order from +0.0, then scale once; the
+            # length terms are summed from the first, and the final +0.0
+            # gives the zero-started sum's +0.0 where it is zero
             corr_f = mode_sum(dbeta, 0.0)
-            for dl in dlam:
-                corr_L = corr_L + dl
+            corr_L = np.add.accumulate(dlam, axis=0)[-1] + 0.0
         half_var = 0.5 * amp * amp
         corr_f *= half_var
         corr_L = half_var * corr_L

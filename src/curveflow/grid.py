@@ -25,9 +25,12 @@ exactly: a circle stays exactly a circle.  Two rules keep batch rows
 bitwise equal to single fields, because a GEMM row does not depend on how
 many rows share the product:
 
-- every product has at least two rows: ``_product`` multiplies a lone row
-  as the first of two equal rows, since NumPy sends a one-row product
-  through GEMV, which rounds differently;
+- every product has at least two rows, since NumPy sends a one-row product
+  through GEMV, which rounds differently.  The rule lives where a field is
+  centred: ``_centred`` writes a lone field (or a stack of one) into two or
+  more identical rows of one buffer, and the operators carry those rows
+  through; ``derivs`` multiplies its k rows (two for one order) by the k
+  stacked symbols, so each row is one derivative of the field;
 - every matrix's width is a multiple of 8 (zero columns pad it); OpenBLAS's
   rows depend on the row count at widths 2 or 4 mod 8 from 18 up.
 
@@ -40,6 +43,8 @@ check nothing: states are validated once, where they enter, by
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -90,11 +95,20 @@ _DENSE_MAX_N = 96
 
 
 def _product(rows, matrix):
-    """One dense transform: rows @ matrix for 2-D rows, a lone row taken as
-    the first of two equal rows (see the module docstring)."""
-    if len(rows) == 1:
-        return (np.concatenate((rows, rows)) @ matrix)[:1]
+    """One dense transform: rows @ matrix for 2-D rows, at least two of them
+    (see the module docstring)."""
     return rows @ matrix
+
+
+def _fields(rows, shape):
+    """The fields of the given shape in a dense product's rows: the leading
+    rows (a lone field's first copy) and the first n columns (zero columns
+    pad the matrices)."""
+    if rows.shape == shape:
+        return rows
+    if len(shape) == 1:
+        return rows[0, : shape[0]]
+    return rows[: math.prod(shape[:-1]), : shape[-1]].reshape(shape)
 
 
 def _padded(width):
@@ -119,6 +133,7 @@ class Grid:
         self.n = n
         self.nodes = np.arange(n) / n
         self._cache = {}
+        self._stiff_step = (None, None)  # ((dt, slots), dt * k^4) of the last solve_stiff
 
     def __repr__(self):
         return f"Grid(n={self.n})"
@@ -172,34 +187,41 @@ class Grid:
 
     # -- transforms ------------------------------------------------------
 
-    def _centred(self, v):
-        """The fields v as v - v[..., :1] with v[..., :1] in the first slot,
-        where the difference is 0 (see the module docstring)."""
-        centred = v - v[..., :1]
-        centred[..., 0] = v[..., 0]
+    def _centred(self, v, copies):
+        """The fields v as rows, each v - v[..., :1] with v[..., :1] in the
+        first slot, where the difference is 0 (see the module docstring): a
+        stack as its (-1, n) rows, a lone field, or a stack of one, as
+        max(copies, 2) identical rows."""
+        n = self.n
+        if v.size != n:
+            centred = v - v[..., :1]
+            centred[..., 0] = v[..., 0]
+            return centred.reshape(-1, n)
+        v0 = v[..., 0]
+        centred = np.empty((max(copies, 2), n))
+        np.subtract(v, v0, out=centred)
+        centred[:, 0] = v0
         return centred
 
-    def _to_modes(self, v):
+    def _to_modes(self, v, copies=2):
         """The real Fourier modes of the fields v along the last axis:
-        ``rfft(v)``, or on a dense grid one product of the centred fields
-        with the cached real DFT matrix (see ``_forward_matrix``)."""
-        n = self.n
+        ``rfft(v)``, or on a dense grid the rows of ``_centred(v, copies)``
+        times the cached real DFT matrix (see ``_forward_matrix``), as
+        complex rows."""
         if not self._dense():
             return np.fft.rfft(v, axis=-1)
-        centred = self._centred(v)
-        modes = _product(centred.reshape(-1, n), self.cached("forward", self._forward_matrix))
-        return modes.view(complex).reshape(centred.shape[:-1] + (-1,))
+        modes = _product(self._centred(v, copies), self.cached("forward", self._forward_matrix))
+        return modes.view(complex)
 
     def _from_modes(self, vh, operator):
         """The fields of n nodes whose real Fourier modes are vh: ``irfft(vh)``,
-        or on a dense grid one product with the operator's cached inverse DFT
-        matrix (see ``_inverse_matrix``)."""
-        n = self.n
+        or on a dense grid the rows of vh times the operator's cached inverse
+        DFT matrix (see ``_inverse_matrix``), as the product's rows, which
+        ``_fields`` shapes."""
         if not self._dense():
-            return np.fft.irfft(vh, n, axis=-1)
+            return np.fft.irfft(vh, self.n, axis=-1)
         matrix = self.cached(("inverse", operator), lambda: self._inverse_matrix(operator))
-        out = _product(vh.view(float).reshape(-1, matrix.shape[0]), matrix)
-        return out[:, :n].reshape(vh.shape[:-1] + (n,))
+        return _product(vh.view(float).reshape(-1, len(matrix)), matrix)
 
     def _forward_matrix(self):
         """rfft of the unit fields as rows of an (n, width) real matrix:
@@ -250,13 +272,22 @@ class Grid:
         """Derivatives of several orders (each 1..4) along the last axis.
 
         Returns shape (len(orders), ..., n): one forward transform, and the
-        stacked multipliers applied in one inverse transform.
+        stacked multipliers applied in one inverse transform.  On a dense
+        grid a lone field's rows, one per order, meet the stacked symbols
+        row by row.
         """
         orders = tuple(orders)
+        k = len(orders)
         sym = self.cached(("symbols", orders, self._slots()), lambda: self._symbols(orders))
-        vh = self._to_modes(values)
-        vh = vh * sym.reshape((len(orders),) + (1,) * (vh.ndim - 1) + sym.shape[-1:])
-        return self._from_modes(vh, "derivs")
+        vh = self._to_modes(values, k)
+        if not self._dense():
+            vh = vh * sym.reshape((k,) + (1,) * (vh.ndim - 1) + sym.shape[-1:])
+            return self._from_modes(vh, "derivs")
+        if values.size == self.n:
+            vh *= sym  # a lone field's k rows (two for one order), one per symbol
+        else:
+            vh = vh * sym[:, None]
+        return _fields(self._from_modes(vh, "derivs"), (k,) + values.shape)
 
     def _symbols(self, orders):
         for order in orders:
@@ -289,9 +320,8 @@ class Grid:
         """
         if not self._dense():
             return self._fft_cumint(values)
-        centred = self._centred(values)
-        out = _product(centred.reshape(-1, self.n), self.cached("cumint", self._cumint_matrix))
-        return out[:, : self.n].reshape(centred.shape)
+        out = _product(self._centred(values, 2), self.cached("cumint", self._cumint_matrix))
+        return _fields(out, values.shape)
 
     def _fft_cumint(self, v):
         """cumint through one real FFT pair: the route above ``_DENSE_MAX_N``,
@@ -323,10 +353,15 @@ class Grid:
         """
         L = np.asarray(length, dtype=float)
         slots = self._slots()
-        sym = self.cached(("wavenumbers4", slots), lambda: self._wavenumbers(slots) ** 4)
-        denom = 1.0 + dt * sym / L[..., None] ** 4
+        key, dt_k4 = self._stiff_step
+        if key != (dt, slots):  # one entry: a refinement halves dt, and a cache would grow
+            dt_k4 = dt * self._wavenumbers(slots) ** 4
+            self._stiff_step = ((dt, slots), dt_k4)
         vh = self._to_modes(rhs)
-        return self._from_modes(vh / denom, "solve_stiff")
+        if not self._dense():
+            return self._from_modes(vh / (1.0 + dt_k4 / L[..., None] ** 4), "solve_stiff")
+        vh /= 1.0 + dt_k4 / L.reshape(-1, 1) ** 4  # one length per row of vh
+        return _fields(self._from_modes(vh, "solve_stiff"), rhs.shape)
 
     # -- spectral utilities ------------------------------------------------
 

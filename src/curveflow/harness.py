@@ -240,6 +240,14 @@ def build_state(cfg, grid):
 
 
 def build_stop(cfg, state):
+    for key in ("stop.l_min_factor", "stop.l_max_factor", "stop.f_max_factor"):
+        if not (math.isfinite(cfg[key]) and cfg[key] > 0):
+            raise ConfigError(f"{key} = {cfg[key]:g}: must be positive and finite")
+    if cfg["stop.l_max_factor"] <= cfg["stop.l_min_factor"]:
+        raise ConfigError(
+            f"stop.l_max_factor = {cfg['stop.l_max_factor']:g}: must exceed "
+            f"stop.l_min_factor = {cfg['stop.l_min_factor']:g}"
+        )
     try:
         stop = StopCriteria.from_initial(
             state,

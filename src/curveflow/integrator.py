@@ -214,16 +214,14 @@ def _noise_sums(rows_beta, rows_lam, dw, amplitude):
 
     The rows are stacked with the modes leading, (n_modes, n) and (n_modes,)
     for one path, (n_modes, M, n) and (n_modes, M) for a batch; dw has shape
-    (n_modes,) or (M, n_modes).  The mode terms are added in mode order, so a
-    single path and a batch row take identical arithmetic (see
-    ``flows.mode_sum``).
+    (n_modes,) or (M, n_modes).  The mode terms are added in mode order, the
+    field terms by ``flows.mode_sum`` and the length terms by
+    ``np.add.accumulate``, so a single path and a batch row take identical
+    arithmetic.
     """
     w = amplitude * np.asarray(dw, dtype=float).T
     g_f = flows.mode_sum(w[..., None] * rows_beta, -0.0)
-    terms_l = w * rows_lam
-    g_l = terms_l[0]
-    for term_l in terms_l[1:]:
-        g_l = g_l + term_l
+    g_l = np.add.accumulate(w * rows_lam, axis=0)[-1]
     return g_f, g_l
 
 
@@ -235,7 +233,7 @@ def _project_turning(grid, new_f, f, length, new_length):
     the other rows unchanged.
     """
     shift = length * grid.integrate(f) / new_length - grid.integrate(new_f)
-    new_f += shift[..., None]
+    new_f += shift[..., None] if new_f.ndim > 1 else shift
     return new_f
 
 
@@ -260,7 +258,11 @@ def _imex_em(spec, grid, f, length, dt, dw):
     new_f = grid.solve_stiff(rhs, length, dt)
     # a row whose length update is non-positive has shrunk; dividing by its
     # length could make it look non-finite instead
-    new_f = _project_turning(grid, new_f, f, length, np.where(new_l > 0, new_l, length))
+    if f.ndim == 1:  # B = (): one NumPy scalar
+        kept_l = new_l if new_l > 0 else length
+    else:
+        kept_l = np.where(new_l > 0, new_l, length)
+    new_f = _project_turning(grid, new_f, f, length, kept_l)
     return new_f, new_l
 
 
@@ -317,8 +319,10 @@ def _in_row_blocks(kernel):
 
     @functools.wraps(kernel)
     def step(spec, grid, f, length, dt, dw):
+        if f.ndim == 1:
+            return kernel(spec, grid, f, length, dt, dw)
         rows = _block_rows(spec, grid.n)
-        if f.ndim == 1 or len(f) <= rows:
+        if len(f) <= rows:
             return kernel(spec, grid, f, length, dt, dw)
         new_f, new_l = np.empty_like(f), np.empty_like(length)
         for i in range(0, len(f), rows):
@@ -376,9 +380,12 @@ def _classify(f, length, stop):
     why the others stopped.
     """
     sup = np.maximum.reduce(np.abs(f), axis=-1)  # NaN if any value is
-    runs = sup <= min(stop.f_max, sys.float_info.max)
+    f_max, l_max = min(stop.f_max, sys.float_info.max), min(stop.l_max, sys.float_info.max)
+    if f.ndim == 1:  # B = (): NumPy booleans, combined without array calls
+        return sup, sup <= f_max and length >= stop.l_min and length <= l_max
+    runs = sup <= f_max
     runs &= length >= stop.l_min  # l_min > 0
-    runs &= length <= min(stop.l_max, sys.float_info.max)
+    runs &= length <= l_max
     return sup, runs
 
 

@@ -326,8 +326,3 @@ class BrownianDriver:
         if n_modes < 1:
             raise ValueError(f"n_modes must be >= 1, got {n_modes}")
         return increment_blocks([self.generator], 1, n_modes, dt)[0, 0]
-
-    def increment_block(self, n_steps, n_modes, dt):
-        """(n_steps, n_modes) block of N(0, dt) samples, the stream of n_steps
-        successive ``increments`` calls."""
-        return increment_blocks([self.generator], n_steps, n_modes, dt)[:, 0]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from curveflow import flows
+from curveflow import flows, integrator
 from curveflow import grid as grid_module
 from curveflow.flows import (
     CURVE_DIFFUSION,
@@ -445,6 +445,49 @@ def test_assembly_operation_counts(monkeypatch):
                 transforms.append(counts["transform"])
         assert len(set(transforms)) == 1, dense_max
         assert transforms[0] <= 8
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [
+        NoiseModel(mode="scalar", amplitude=0.3),
+        NoiseModel(mode="spectral", amplitude=0.3, n_modes=8, decay_exponent=6.0),
+    ],
+    ids=["scalar", "spectral8"],
+)
+def test_imex_step_transform_counts(monkeypatch, noise):
+    """One IMEX step of a lone path takes the transforms of one step of a
+    2-row batch: six dense products and no FFT call on a dense grid, eight
+    FFT calls and no product above it.  A lone field's rows (the one-row
+    rule, see the grid module) ride in those products, not in extra ones."""
+    counts = {"product": 0, "fft": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.fft, "rfft", counting("fft", np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", counting("fft", np.fft.irfft))
+    monkeypatch.setattr(grid_module, "_product", counting("product", grid_module._product))
+    spec = FlowSpec(WILLMORE, noise)
+    rng = np.random.default_rng(53)
+    dw = np.full(noise.n_modes, 1e-3)
+    for dense_max, want in ((64, {"product": 6, "fft": 0}), (0, {"product": 0, "fft": 8})):
+        monkeypatch.setattr(grid_module, "_DENSE_MAX_N", dense_max)
+        grid = Grid(64)
+        f = _band_limited(rng, grid)
+        # the first step builds the grid's matrices, which takes FFTs of its own
+        integrator._imex_em(spec, grid, f, np.float64(1.3), 1e-4, dw)
+        for fields, lengths, w in (
+            (f, np.float64(1.3), dw),
+            (np.stack([f, f]), np.array([1.3, 1.3]), np.stack([dw, dw])),
+        ):
+            counts.update(product=0, fft=0)
+            integrator._imex_em(spec, grid, fields, lengths, 1e-4, w)
+            assert counts == want, (dense_max, fields.shape)
 
 
 def test_stiff_sign_flip_only_touches_stiff_part():

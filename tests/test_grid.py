@@ -140,14 +140,17 @@ def test_stacked_helpers_match_per_field_ops():
 
 def test_dense_batch_rows_match_single_fields_bitwise():
     """On every dense grid, each row of an M-row batch equals the operator on
-    that row alone, bit for bit: ``_product`` multiplies a lone row as two
-    rows (never through GEMV), whether it comes as (n,) or as a (1, n)
-    batch, and every matrix's width is a multiple of 8.  A BLAS kernel that
-    rounds a row differently with the row count fails here."""
+    that row alone, bit for bit: a lone field is centred into two or more
+    identical rows (never a GEMV), one per derivative order and two for one
+    order, whether it comes as (n,) or as a (1, n) batch, and every matrix's
+    width is a multiple of 8.  A BLAS kernel that rounds a row differently
+    with the row count fails here."""
     gen = np.random.Generator(np.random.PCG64(29))
     ops = {
+        "derivs(2)": lambda g, v, L: g.derivs(v, (2,)),
         "derivs(1, 2)": lambda g, v, L: g.derivs(v, (1, 2)),
         "derivs(1, 2, 4)": lambda g, v, L: g.derivs(v, (1, 2, 4)),
+        "derivs(1, 2, 3, 4)": lambda g, v, L: g.derivs(v, (1, 2, 3, 4)),
         "cumint": lambda g, v, L: g.cumint(v),
         "solve_stiff": lambda g, v, L: g.solve_stiff(v, L, 1e-3),
     }
@@ -165,7 +168,19 @@ def test_dense_batch_rows_match_single_fields_bitwise():
 def test_dense_and_fft_routes_agree(monkeypatch):
     """The dense products reproduce the FFT route to round-off on
     band-limited fields, and map a constant exactly: derivatives to 0, the
-    running integral to c * r and the stiff solve to c."""
+    running integral to c * r and the stiff solve to c.  Each leg is checked
+    to take its route: FFT calls on the FFT leg, none on the dense one."""
+    ffts = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            ffts.append(fn)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft))
     gen = np.random.Generator(np.random.PCG64(31))
     for n in (16, 64):
         g = Grid(n)
@@ -175,14 +190,18 @@ def test_dense_and_fft_routes_agree(monkeypatch):
             for k in range(1, n // 4)
         )
         lengths = np.array([0.6, 1.0, 3.0])
-        results = {}
+        results, calls = {}, {}
         for dense_max in (n, 0):
             monkeypatch.setattr(grid_module, "_DENSE_MAX_N", dense_max)
-            results[dense_max] = [
-                *g.derivs(fields, (1, 2, 3, 4)),
-                g.cumint(fields),
-                g.solve_stiff(fields, lengths, 1e-3),
-            ]
+            for _ in range(2):  # the first dense pass builds the matrices through FFTs
+                del ffts[:]
+                results[dense_max] = [
+                    *g.derivs(fields, (1, 2, 3, 4)),
+                    g.cumint(fields),
+                    g.solve_stiff(fields, lengths, 1e-3),
+                ]
+            calls[dense_max] = len(ffts)
+        assert calls[n] == 0 and calls[0] > 0, calls
         for dense, fft in zip(results[n], results[0]):
             assert np.max(np.abs(dense - fft)) <= 1e-12 * np.max(np.abs(fft)), n
         monkeypatch.setattr(grid_module, "_DENSE_MAX_N", n)

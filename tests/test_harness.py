@@ -658,6 +658,27 @@ def test_stop_window_excluding_the_start_exits_2(tmp_path, capsys, key, factor):
     harness.build_stop(cfg, harness.build_state(cfg, harness.build_grid(cfg)))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("stop.l_min_factor = nan", "stop.l_min_factor = nan: must be positive and finite"),
+        ("stop.f_max_factor = nan", "stop.f_max_factor = nan: must be positive and finite"),
+        (
+            "stop.l_max_factor = 0.0001",
+            "stop.l_max_factor = 0.0001: must exceed stop.l_min_factor = 0.001",
+        ),
+    ],
+)
+def test_invalid_stop_factor_exits_2_naming_its_key(tmp_path, capsys, text, message):
+    # checked before the window is built, so the message names the config
+    # key rather than a field of StopCriteria
+    cfg_path = _cfg_file(tmp_path, text + "\n")
+    for command, out in (("simulate", "x.jsonl"), ("ensemble", "x.json")):
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / out).exists()
+
+
 def test_ensemble_needs_at_least_two_paths(tmp_path, capsys):
     cfg_path = _cfg_file(tmp_path, "run.trajectories = 1\n")
     assert main(["ensemble", "--config", cfg_path, "--out", str(tmp_path / "x.json")]) == 2

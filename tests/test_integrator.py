@@ -32,7 +32,7 @@ from curveflow.integrator import (
     run,
     run_ensemble,
 )
-from curveflow.noise import BrownianDriver, NoiseModel
+from curveflow.noise import BrownianDriver, NoiseModel, increment_blocks
 
 TWO_PI = 2.0 * np.pi
 
@@ -53,6 +53,11 @@ def non_circle(grid):
 
 def circle_length(radius, t):
     return TWO_PI * (radius**4 + 2.0 * t) ** 0.25
+
+
+def _block(driver, n_steps, n_modes, dt):
+    """(n_steps, n_modes) N(0, dt) samples from the driver's stream."""
+    return increment_blocks([driver.generator], n_steps, n_modes, dt)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +155,27 @@ def step(scheme, spec, grid, state, dt, dw=None):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_run_and_ensemble_share_one_kernel(scheme):
     assert integrator._STEPPERS[scheme] is integrator._BATCH_STEPPERS[scheme]
+
+
+def test_noise_length_sums_add_in_mode_order():
+    # g_l is np.add.accumulate's last row: the in-mode-order loop, bit for
+    # bit, signed zeros included, where a pairwise 1-D sum would round
+    # differently
+    rng = np.random.default_rng(59)
+    for n_modes in (1, 8, 17):
+        lam = rng.standard_normal((n_modes, 3)) * 10.0 ** rng.integers(-8, 8, (n_modes, 3))
+        lam[:, 2] = -0.0
+        dw = rng.standard_normal((3, n_modes))
+        beta = np.zeros((n_modes, 3, 8))
+        terms = 0.3 * dw.T * lam
+        loop = terms[0]
+        for term in terms[1:]:
+            loop = loop + term
+        g_l = integrator._noise_sums(beta, lam, dw, 0.3)[1]
+        assert g_l.tobytes() == loop.tobytes()
+        for i in range(3):
+            single = integrator._noise_sums(beta[:, i], lam[:, i], dw[i], 0.3)[1]
+            assert np.float64(single).tobytes() == loop[i].tobytes()
 
 
 def test_imex_step_exact_on_circle():
@@ -508,7 +534,7 @@ def test_refined_batch_rows_match_single_runs(monkeypatch):
     # refined and run on, and every full step, those after them included,
     # takes the increment stream's next draw
     spec = FlowSpec(WILLMORE, NoiseModel(mode="scalar", amplitude=0.5))
-    streams = [BrownianDriver(5, i).increment_block(8, 1, dt) for i in range(3)]
+    streams = [_block(BrownianDriver(5, i), 8, 1, dt) for i in range(3)]
     calls = veto_kernel(monkeypatch, IMEX_EM, [streams[1][2, 0], streams[2][4, 0]])
     ens = run_ensemble(spec, grid, np.ones(16), TWO_PI, cfg, 3, seed=5, stop=stop)
     assert list(ens.refinements) == [0, 1, 1]
@@ -725,7 +751,7 @@ def test_spectral_noise_converges_pathwise_in_n(kind, amplitude):
     # converges spectrally to the n = 256 path
     spec = FlowSpec(kind, NoiseModel(mode="spectral", amplitude=amplitude, n_modes=8))
     stepper = StepperConfig(IMEX_EM, 1e-5, 2e-4)
-    inc = BrownianDriver(7, 0).increment_block(20, 8, 1e-5)
+    inc = _block(BrownianDriver(7, 0), 20, 8, 1e-5)
 
     def final_f(n):
         grid = Grid(n)

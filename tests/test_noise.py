@@ -22,6 +22,12 @@ from curveflow.noise import (
 TWO_PI = 2.0 * math.pi
 
 
+def _block(driver, n_steps, n_modes, dt):
+    """(n_steps, n_modes) N(0, dt) samples from the driver's stream, the draws
+    of n_steps successive ``increments`` calls."""
+    return noise.increment_blocks([driver.generator], n_steps, n_modes, dt)[:, 0]
+
+
 def test_substream_seed_deterministic_and_distinct():
     seeds = [substream_seed(42, i) for i in range(64)]
     assert seeds == [substream_seed(42, i) for i in range(64)]
@@ -67,10 +73,10 @@ def test_batched_generators_and_drivers_draw_the_single_streams():
     assert blocks.shape == (70, 4, 2)
     for column, index in enumerate(range(3, 7)):
         driver = BrownianDriver(201, index)
-        block = driver.increment_block(70, 2, 1e-3)
+        block = _block(driver, 70, 2, 1e-3)
         assert np.array_equal(blocks[:, column], block)
         driver.reset()
-        assert np.array_equal(driver.increment_block(70, 2, 1e-3), block)
+        assert np.array_equal(_block(driver, 70, 2, 1e-3), block)
 
 
 def test_basis_function_derivatives():
@@ -152,7 +158,7 @@ def test_driver_reproducible_and_distinct_per_trajectory():
 
 
 def test_driver_block_matches_stepwise():
-    block = BrownianDriver(99, 2).increment_block(50, 3, 2e-4)
+    block = _block(BrownianDriver(99, 2), 50, 3, 2e-4)
     driver = BrownianDriver(99, 2)
     stepwise = np.stack([driver.increments(3, 2e-4) for _ in range(50)])
     assert np.array_equal(block, stepwise)
@@ -160,7 +166,7 @@ def test_driver_block_matches_stepwise():
 
 def test_driver_variance_scale():
     dt = 4e-3
-    draws = BrownianDriver(3, 0).increment_block(4000, 2, dt)
+    draws = _block(BrownianDriver(3, 0), 4000, 2, dt)
     assert abs(draws.var() - dt) < 0.12 * dt
     assert abs(draws.mean()) < 3.0 * math.sqrt(dt / 8000)
 
