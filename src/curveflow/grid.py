@@ -5,8 +5,9 @@ wrap-around.  Derivatives are pseudospectral (the Nyquist mode zeroed for odd
 derivative orders), quadrature is the exact mean on the torus, and the stiff
 fourth-order solve is a per-mode division.
 
-The spectral operators take one of two routes, chosen by n alone, so that a
-batch row and a single field always take the same arithmetic:
+The spectral operators take one of two routes, chosen by n alone when a
+``Grid`` is made, so that a batch row and a single field always take the
+same arithmetic:
 
 - above ``_DENSE_MAX_N`` nodes, a real FFT pair;
 - up to ``_DENSE_MAX_N`` nodes, products with cached dense matrices, the
@@ -133,7 +134,13 @@ class Grid:
         self.n = n
         self.nodes = np.arange(n) / n
         self._cache = {}
-        self._stiff_step = (None, None)  # ((dt, slots), dt * k^4) of the last solve_stiff
+        self._dense = n <= _DENSE_MAX_N
+        # 2*pi*k for the modes k = 0..n/2, one per complex slot of a spectrum,
+        # then 0 in the slots that pad a dense grid's forward matrix
+        half = n // 2 + 1
+        self._k = np.zeros(_padded(n + 2) // 2 if self._dense else half)
+        self._k[:half] = 2.0 * np.pi * np.arange(half)
+        self._k4 = self._k**4
 
     def __repr__(self):
         return f"Grid(n={self.n})"
@@ -167,24 +174,6 @@ class Grid:
             self._cache[key] = value
         return value
 
-    def _dense(self):
-        return self.n <= _DENSE_MAX_N
-
-    def _slots(self):
-        """Complex mode slots per row of a spectrum: n/2 + 1, or on a dense
-        grid half the forward matrix's padded width, the extra slots 0."""
-        return _padded(self.n + 2) // 2 if self._dense() else self.n // 2 + 1
-
-    def _wavenumbers(self, slots):
-        """2*pi*k for the modes k = 0..n/2, then 0 in any padding slots."""
-
-        def build():
-            k = np.zeros(slots)
-            k[: self.n // 2 + 1] = 2.0 * np.pi * np.arange(self.n // 2 + 1)
-            return k
-
-        return self.cached(("wavenumbers", slots), build)
-
     # -- transforms ------------------------------------------------------
 
     def _centred(self, v, copies):
@@ -208,20 +197,20 @@ class Grid:
         ``rfft(v)``, or on a dense grid the rows of ``_centred(v, copies)``
         times the cached real DFT matrix (see ``_forward_matrix``), as
         complex rows."""
-        if not self._dense():
+        if not self._dense:
             return np.fft.rfft(v, axis=-1)
         modes = _product(self._centred(v, copies), self.cached("forward", self._forward_matrix))
         return modes.view(complex)
 
-    def _from_modes(self, vh, operator):
-        """The fields of n nodes whose real Fourier modes are vh: ``irfft(vh)``,
-        or on a dense grid the rows of vh times the operator's cached inverse
-        DFT matrix (see ``_inverse_matrix``), as the product's rows, which
-        ``_fields`` shapes."""
-        if not self._dense():
+    def _from_modes(self, vh, operator, shape):
+        """The fields of the given shape whose real Fourier modes are vh:
+        ``irfft(vh)``, or on a dense grid the rows of vh times the operator's
+        cached inverse DFT matrix (see ``_inverse_matrix``), shaped by
+        ``_fields``."""
+        if not self._dense:
             return np.fft.irfft(vh, self.n, axis=-1)
         matrix = self.cached(("inverse", operator), lambda: self._inverse_matrix(operator))
-        return _product(vh.view(float).reshape(-1, len(matrix)), matrix)
+        return _fields(_product(vh.view(float).reshape(-1, len(matrix)), matrix), shape)
 
     def _forward_matrix(self):
         """rfft of the unit fields as rows of an (n, width) real matrix:
@@ -261,7 +250,7 @@ class Grid:
     def _symbol(self, order):
         """Fourier multiplier (ik)^order; odd orders drop the Nyquist mode,
         which carries no usable odd derivative."""
-        sym = (1j * self._wavenumbers(self._slots())) ** order
+        sym = (1j * self._k) ** order
         if order % 2 == 1:
             sym[self.n // 2] = 0.0
         return sym
@@ -278,16 +267,13 @@ class Grid:
         """
         orders = tuple(orders)
         k = len(orders)
-        sym = self.cached(("symbols", orders, self._slots()), lambda: self._symbols(orders))
+        sym = self.cached(("symbols", orders), lambda: self._symbols(orders))
         vh = self._to_modes(values, k)
-        if not self._dense():
-            vh = vh * sym.reshape((k,) + (1,) * (vh.ndim - 1) + sym.shape[-1:])
-            return self._from_modes(vh, "derivs")
-        if values.size == self.n:
+        if self._dense and values.size == self.n:
             vh *= sym  # a lone field's k rows (two for one order), one per symbol
         else:
-            vh = vh * sym[:, None]
-        return _fields(self._from_modes(vh, "derivs"), (k,) + values.shape)
+            vh = vh * sym.reshape((k,) + (1,) * (vh.ndim - 1) + sym.shape[-1:])
+        return self._from_modes(vh, "derivs", (k,) + values.shape)
 
     def _symbols(self, orders):
         for order in orders:
@@ -318,7 +304,7 @@ class Grid:
         pair, or on a dense grid one product with the cached running-integral
         matrix.
         """
-        if not self._dense():
+        if not self._dense:
             return self._fft_cumint(values)
         out = _product(self._centred(values, 2), self.cached("cumint", self._cumint_matrix))
         return _fields(out, values.shape)
@@ -338,7 +324,7 @@ class Grid:
     def _antiderivative_symbol(self):
         """1/(ik), zero on the mean (integrated linearly instead) and on the
         Nyquist mode, whose antiderivative vanishes at the nodes."""
-        k = self._wavenumbers(self.n // 2 + 1)
+        k = self._k[: self.n // 2 + 1]
         inv = np.zeros(k.shape, dtype=complex)
         inv[1:-1] = 1.0 / (1j * k[1:-1])
         return inv
@@ -352,16 +338,10 @@ class Grid:
         ``rhs`` (one length per stacked field).
         """
         L = np.asarray(length, dtype=float)
-        slots = self._slots()
-        key, dt_k4 = self._stiff_step
-        if key != (dt, slots):  # one entry: a refinement halves dt, and a cache would grow
-            dt_k4 = dt * self._wavenumbers(slots) ** 4
-            self._stiff_step = ((dt, slots), dt_k4)
         vh = self._to_modes(rhs)
-        if not self._dense():
-            return self._from_modes(vh / (1.0 + dt_k4 / L[..., None] ** 4), "solve_stiff")
-        vh /= 1.0 + dt_k4 / L.reshape(-1, 1) ** 4  # one length per row of vh
-        return _fields(self._from_modes(vh, "solve_stiff"), rhs.shape)
+        # one length per row of vh: the dense route's rows are (-1, slots)
+        vh /= 1.0 + dt * self._k4 / (L.reshape(-1, 1) if self._dense else L[..., None]) ** 4
+        return self._from_modes(vh, "solve_stiff", rhs.shape)
 
     # -- spectral utilities ------------------------------------------------
 

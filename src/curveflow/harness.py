@@ -243,20 +243,23 @@ def build_stop(cfg, state):
     for key in ("stop.l_min_factor", "stop.l_max_factor", "stop.f_max_factor"):
         if not (math.isfinite(cfg[key]) and cfg[key] > 0):
             raise ConfigError(f"{key} = {cfg[key]:g}: must be positive and finite")
-    if cfg["stop.l_max_factor"] <= cfg["stop.l_min_factor"]:
+    l_min = cfg["stop.l_min_factor"] * state.length  # as StopCriteria.from_initial forms it
+    if not l_min > 0:
+        raise ConfigError(
+            f"stop.l_min_factor = {cfg['stop.l_min_factor']:g}: times the initial length "
+            f"{state.length:.6g}, the bound underflows to 0"
+        )
+    if cfg["stop.l_max_factor"] * state.length <= l_min:
         raise ConfigError(
             f"stop.l_max_factor = {cfg['stop.l_max_factor']:g}: must exceed "
             f"stop.l_min_factor = {cfg['stop.l_min_factor']:g}"
         )
-    try:
-        stop = StopCriteria.from_initial(
-            state,
-            l_min_factor=cfg["stop.l_min_factor"],
-            l_max_factor=cfg["stop.l_max_factor"],
-            f_max_factor=cfg["stop.f_max_factor"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    stop = StopCriteria.from_initial(
+        state,
+        l_min_factor=cfg["stop.l_min_factor"],
+        l_max_factor=cfg["stop.l_max_factor"],
+        f_max_factor=cfg["stop.f_max_factor"],
+    )
     # a start outside the window would be reported as a blow-up after one
     # step; the comparisons are those of integrator._classify
     sup = float(np.max(np.abs(state.f)))

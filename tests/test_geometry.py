@@ -210,5 +210,7 @@ def test_reconstruct_validation():
         reconstruct(grid, state, samples=129)  # odd
     with pytest.raises(ValueError):
         reconstruct(grid, State(np.ones((2, 64)), TWO_PI))
+    with pytest.raises(ValueError, match="reconstruct expects a single state, not a batch"):
+        reconstruct(grid, State(np.ones((2, 64)), np.full(2, TWO_PI)))
     with pytest.raises(ValueError):
         reconstruct(grid, State(np.ones(64), -1.0))

@@ -169,7 +169,8 @@ def test_dense_and_fft_routes_agree(monkeypatch):
     """The dense products reproduce the FFT route to round-off on
     band-limited fields, and map a constant exactly: derivatives to 0, the
     running integral to c * r and the stiff solve to c.  Each leg is checked
-    to take its route: FFT calls on the FFT leg, none on the dense one."""
+    to take its route: FFT calls on the FFT leg, none on the dense one.  Each
+    leg makes its own grid, whose route is fixed when it is made."""
     ffts = []
 
     def counting(fn):
@@ -183,8 +184,7 @@ def test_dense_and_fft_routes_agree(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft))
     gen = np.random.Generator(np.random.PCG64(31))
     for n in (16, 64):
-        g = Grid(n)
-        r = g.nodes
+        r = Grid(n).nodes
         fields = 1.0 + sum(
             gen.standard_normal((3, 1)) / k**2 * np.cos(TWO_PI * k * r + gen.random((3, 1)))
             for k in range(1, n // 4)
@@ -193,6 +193,7 @@ def test_dense_and_fft_routes_agree(monkeypatch):
         results, calls = {}, {}
         for dense_max in (n, 0):
             monkeypatch.setattr(grid_module, "_DENSE_MAX_N", dense_max)
+            g = Grid(n)  # the route is fixed here, from n alone
             for _ in range(2):  # the first dense pass builds the matrices through FFTs
                 del ffts[:]
                 results[dense_max] = [
@@ -205,6 +206,7 @@ def test_dense_and_fft_routes_agree(monkeypatch):
         for dense, fft in zip(results[n], results[0]):
             assert np.max(np.abs(dense - fft)) <= 1e-12 * np.max(np.abs(fft)), n
         monkeypatch.setattr(grid_module, "_DENSE_MAX_N", n)
+        g = Grid(n)
         for c in (1.0, -2.5, 1e-300):
             const = np.full((2, n), c)
             assert not np.any(g.derivs(const, (1, 2, 3, 4)))

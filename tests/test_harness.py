@@ -70,6 +70,19 @@ def test_print_config_lists_all_defaults(capsys):
     assert "stepper.dt = 0.0001" in lines
 
 
+def test_readme_config_table_matches_print_config(capsys):
+    # the README's key table lists what print-config prints, in its order
+    # and with its default text
+    assert main(["print-config"]) == 0
+    printed = [tuple(line.split(" = ")) for line in capsys.readouterr().out.splitlines()]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    head = "| key | default | meaning |\n|---|---|---|\n"
+    assert readme.count(head) == 1
+    rows = readme.split(head)[1].split("\n\n")[0].splitlines()
+    table = [tuple(cell.strip().strip("`") for cell in row.split("|")[1:3]) for row in rows]
+    assert table == printed
+
+
 def test_print_config_round_trips_through_load(tmp_path):
     out = str(tmp_path / "defaults.cfg")
     assert main(["print-config", "--out", out]) == 0
@@ -667,11 +680,17 @@ def test_stop_window_excluding_the_start_exits_2(tmp_path, capsys, key, factor):
             "stop.l_max_factor = 0.0001",
             "stop.l_max_factor = 0.0001: must exceed stop.l_min_factor = 0.001",
         ),
+        (
+            "init.radius = 0.05\nstop.l_min_factor = 5e-324",
+            "stop.l_min_factor = 4.94066e-324: times the initial length 0.314159, "
+            "the bound underflows to 0",
+        ),
     ],
 )
 def test_invalid_stop_factor_exits_2_naming_its_key(tmp_path, capsys, text, message):
     # checked before the window is built, so the message names the config
-    # key rather than a field of StopCriteria
+    # key rather than a field of StopCriteria; a positive factor whose bound
+    # underflows is refused too
     cfg_path = _cfg_file(tmp_path, text + "\n")
     for command, out in (("simulate", "x.jsonl"), ("ensemble", "x.json")):
         assert main([command, "--config", cfg_path, "--out", str(tmp_path / out)]) == 2
@@ -731,6 +750,20 @@ def test_time_study_first_order_against_circle(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flow", ["willmore", "curve_diffusion"])
+def test_time_study_first_order_against_fine_dt(flow):
+    # no analytic law off the Willmore circle: the reference is a run at a
+    # quarter of the finest dt
+    cfg = default_config()
+    cfg["flow.kind"] = flow
+    cfg["init.kind"] = "perturbed_circle"
+    report = harness._study_time(cfg, [4e-4, 2e-4, 1e-4])
+    assert report["reference"] == "fine_dt"
+    assert report["errors"][0] > report["errors"][1] > report["errors"][2] > 0
+    assert 0.9 <= report["slope"] <= 1.5
+    assert report["passed"] is True
+
+
 def test_space_study_spectral_collapse(tmp_path):
     out = str(tmp_path / "space.json")
     assert main(["convergence", "--study", "space", "--ns", "32,64,128", "--out", out]) == 0
@@ -787,6 +820,22 @@ def test_strong_study_rejects_refined_paths(monkeypatch):
 def test_convergence_rejects_bad_levels(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "x.json")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--study", "space", "--ns", "32,64"], "space study needs at least 3 grid levels, got 2"),
+        (["--study", "space", "--ns", "32,x"], "expected comma-separated integers, got '32,x'"),
+        (["--study", "strong", "--paths", "1"], "strong study needs at least 2 paths, got 1"),
+    ],
+    ids=["two-grid-levels", "non-integer-level", "one-path"],
+)
+def test_convergence_refusals_name_the_fault(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.json"
+    assert main(["convergence", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -974,6 +1023,26 @@ def test_reconstruct_rejects_incomplete_records(tmp_path, capsys, meta, snapshot
     path.write_text(meta + "\n" + snapshot + "\n")
     assert main(["reconstruct", "--state", str(path), "--out", str(tmp_path / "c.csv")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", " is empty"),
+        (
+            json.dumps({"f": [[1, 1], [1, 1]], "length": TWO_PI}),
+            ": 'f' must be a flat list of numbers",
+        ),
+        (json.dumps({"f": ["a", "b"], "length": TWO_PI}), ": 'f' and 'length' must be numbers"),
+    ],
+    ids=["empty", "nested-f", "text-f"],
+)
+def test_reconstruct_rejects_malformed_state_files(tmp_path, capsys, text, message):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    assert main(["reconstruct", "--state", str(path), "--out", str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: state file {path}{message}")
     assert not (tmp_path / "c.csv").exists()
 
 

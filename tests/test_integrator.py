@@ -1078,10 +1078,10 @@ def test_only_explicit_kernels_form_the_stiff_term(monkeypatch, noise):
         finally:
             inside[0] = False
 
-    def counting_from_modes(self, vh, operator):
+    def counting_from_modes(self, vh, operator, shape):
         if inside[0]:
             rows.append(vh.shape[0])
-        return from_modes(self, vh, operator)
+        return from_modes(self, vh, operator, shape)
 
     def recording_assemble(*args, **kwargs):
         a = assemble(*args, **kwargs)
