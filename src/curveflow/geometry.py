@@ -20,6 +20,13 @@ Closure is never enforced, only measured: ``closure_defect`` is the gap
 the signed area, counterclockwise positive, by the trapezoid rule in
 arclength; ``area_advisory`` flags it as advisory when the closure defect
 exceeds 1e-3 of the length.
+
+A stack of states, f of shape (*B, n) and length of shape B, reconstructs
+in one pass: one transform pair, one cos/sin pass and one quadrature call
+for all rows, and the diagnostics give one value per row (a float or bool
+for a single state).  Row i equals a single reconstruction of state i bit
+for bit; the area's sums stay one ``np.dot`` per row for that reason.
+``simulate`` reconstructs its snapshots this way, in row blocks.
 """
 
 from __future__ import annotations
@@ -37,46 +44,50 @@ _ADVISORY_DEFECT = 1e-3
 
 @dataclass
 class CurveSample:
-    """Reconstructed planar polyline.
+    """Reconstructed planar polylines, one per state of a stack of shape B.
 
     points has samples+1 rows; on a consistent closed state the last row
     lands back on the first up to quadrature error.  theta holds the tangent
     angle at the same parameter values, and tangent its cosine and sine.
+    length is a float for a single state (B = ()) and an array of shape B
+    otherwise.
     """
 
-    points: np.ndarray   # (m+1, 2)
-    theta: np.ndarray    # (m+1,)
-    tangent: np.ndarray  # (2, m+1)
-    length: float
+    points: np.ndarray   # (*B, m+1, 2)
+    theta: np.ndarray    # (*B, m+1)
+    tangent: np.ndarray  # (*B, 2, m+1)
+    length: float | np.ndarray
 
 
 def reconstruct(grid, state, anchor=(0.0, 0.0), theta0=0.0, samples=None):
-    """Integrate the state into a polyline of ``samples`` segments.
+    """Integrate the state, or each state of a stack, into a polyline of
+    ``samples`` segments.
 
-    ``samples`` defaults to max(n, 1024) so that polygon-area and spacing
-    diagnostics are limited by the state, not by chord error; it must be an
-    even number >= 8.
+    ``state.f`` has shape (*B, n) and ``state.length`` shape B, as
+    ``flows.check_state`` admits them; row i of a stack gives the bits of a
+    single reconstruction of state i.  ``samples`` defaults to max(n, 1024)
+    so that polygon-area and spacing diagnostics are limited by the state,
+    not by chord error; it must be an even number >= 8.
     """
     f, length = check_state(grid, state.f, state.length)
-    if f.ndim != 1:
-        raise ValueError("reconstruct expects a single state, not a batch")
-    length = float(length)
-
     m = int(samples) if samples is not None else max(grid.n, _DEFAULT_MIN_SAMPLES)
     if m < 8 or m % 2:
         raise ValueError(f"samples must be an even number >= 8, got {samples}")
     spectrum = np.fft.rfft(f)
     symbol = grid.cached(("theta", m), lambda: _theta_symbol(grid.n, m))
-    periodic = np.fft.irfft(spectrum[: symbol.shape[0]] * symbol, m)
-    ramp = (spectrum[0].real / grid.n) * (np.arange(m + 1) / m)  # the mean, integrated
+    periodic = np.fft.irfft(spectrum[..., : symbol.shape[0]] * symbol, m)
+    ramp = (spectrum[..., :1].real / grid.n) * (np.arange(m + 1) / m)  # the mean, integrated
     # the periodic part closes up at s = 1; the ramp carries the total turning
-    theta = theta0 + length * (ramp + np.append(periodic, periodic[0]) - periodic[0])
+    start = periodic[..., :1]
+    theta = theta0 + length[..., None] * (ramp + np.concatenate((periodic, start), -1) - start)
 
-    tangent = np.empty((2, m + 1))
+    # both tangent components share one quadrature call, on a leading axis
+    tangent = np.empty((2,) + theta.shape)
     np.cos(theta, out=tangent[0])
     np.sin(theta, out=tangent[1])
-    points = cumulative_quadrature(tangent, length / m).T + np.asarray(anchor, dtype=float)
-    return CurveSample(points=points, theta=theta, tangent=tangent, length=length)
+    points = cumulative_quadrature(tangent, length[..., None] / m)
+    points = np.moveaxis(points, 0, -1) + np.asarray(anchor, dtype=float)
+    return CurveSample(points, theta, np.moveaxis(tangent, 0, -2), _per_row(length))
 
 
 def _theta_symbol(n, m):
@@ -95,28 +106,40 @@ def _theta_symbol(n, m):
     return symbol
 
 
+def _per_row(values):
+    """A float or bool for a single sample, the array of row values otherwise."""
+    return values.item() if values.ndim == 0 else values
+
+
 def closure_defect(sample):
-    """Euclidean gap between the endpoint and the start of the polyline."""
-    gap = sample.points[-1] - sample.points[0]
-    return float(np.hypot(gap[0], gap[1]))
+    """Euclidean gap between the endpoint and the start of each polyline."""
+    gap = sample.points[..., -1, :] - sample.points[..., 0, :]
+    return _per_row(np.hypot(gap[..., 0], gap[..., 1]))
 
 
-def area_advisory(sample):
-    """Whether the sample closes too poorly for its area to be more than
-    advisory: a closure defect above 1e-3 of the length."""
-    return closure_defect(sample) > _ADVISORY_DEFECT * sample.length
+def area_advisory(sample, defect=None):
+    """Whether each sample closes too poorly for its area to be more than
+    advisory: a closure defect above 1e-3 of the length.  ``defect`` is the
+    sample's ``closure_defect``, when the caller has it already."""
+    if defect is None:
+        defect = closure_defect(sample)
+    return _per_row(np.greater(defect, _ADVISORY_DEFECT * sample.length))
 
 
 def enclosed_area(sample):
-    """Signed enclosed area, counterclockwise positive.
+    """Signed enclosed area of each polyline, counterclockwise positive.
 
     The area 1/2 * integral (x dy - y dx) is 1/2 * integral of
     x sin(theta) - y cos(theta) over arclength, taken by the trapezoid rule
     over the m samples, the duplicate endpoint dropped: spectrally accurate
     on a closed smooth curve, where the inscribed polygon's shoelace area
     falls short by O(m^-2).  On a poorly closing sample (see
-    ``area_advisory``) the value is still returned.
+    ``area_advisory``) the value is still returned.  The sums are one
+    ``np.dot`` per row, since stacked products do not reproduce its bits.
     """
-    (x, y), (cos, sin) = sample.points[:-1].T, sample.tangent[:, :-1]
-    ds = sample.length / len(x)
-    return float(0.5 * ds * (np.dot(x, sin) - np.dot(y, cos)))
+    x, y = np.moveaxis(sample.points[..., :-1, :], -1, 0)
+    cos, sin = np.moveaxis(sample.tangent[..., :-1], -2, 0)
+    sums = np.empty(x.shape[:-1])
+    for i in np.ndindex(sums.shape):
+        sums[i] = np.dot(x[i], sin[i]) - np.dot(y[i], cos[i])
+    return _per_row(0.5 * (sample.length / x.shape[-1]) * sums)

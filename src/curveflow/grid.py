@@ -63,8 +63,8 @@ def cumulative_quadrature(values, h):
     Parameters
     ----------
     values : ndarray, shape (..., m) with m >= 4
-    h : float
-        Sample spacing.
+    h : float or ndarray
+        Sample spacing, or one per row, shaped to broadcast against values.
 
     Returns
     -------

@@ -38,6 +38,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -249,10 +250,18 @@ def build_stop(cfg, state):
             f"stop.l_min_factor = {cfg['stop.l_min_factor']:g}: times the initial length "
             f"{state.length:.6g}, the bound underflows to 0"
         )
-    if cfg["stop.l_max_factor"] * state.length <= l_min:
+    if cfg["stop.l_max_factor"] <= cfg["stop.l_min_factor"]:
         raise ConfigError(
             f"stop.l_max_factor = {cfg['stop.l_max_factor']:g}: must exceed "
             f"stop.l_min_factor = {cfg['stop.l_min_factor']:g}"
+        )
+    l_max = cfg["stop.l_max_factor"] * state.length
+    if l_max <= l_min:
+        # ordered factors whose subnormal bounds round to the same value
+        raise ConfigError(
+            f"stop.l_max_factor = {cfg['stop.l_max_factor']:g}: times the initial length "
+            f"{state.length:.6g}, the bound {l_max:.6g} does not exceed the "
+            f"stop.l_min_factor bound {l_min:.6g}"
         )
     stop = StopCriteria.from_initial(
         state,
@@ -328,12 +337,19 @@ def _dumps(obj):
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
-        return "{" + ",".join(json.dumps(str(k)) + ":" + _dumps(v) for k, v in obj.items()) + "}"
+        return "{" + ",".join(_key(k) + ":" + _dumps(v) for k, v in obj.items()) + "}"
     if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
         return "[" + _format_doubles(obj, null="null") + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ",".join(_dumps(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+@functools.lru_cache(maxsize=256)
+def _key(k):
+    """A dict key's JSON text; the keys are a few fixed names, so each is
+    encoded once."""
+    return json.dumps(str(k))
 
 
 def _fmt(value):
@@ -384,25 +400,41 @@ def _meta_record(command, cfg):
     }
 
 
-def _snapshot_record(grid, snap):
-    rec = {
-        "record": "snapshot",
-        "step": snap.step,
-        "t": snap.time,
-        "length": snap.length,
-        "turning": snap.turning,
-        "energy": snap.energy,
-        "sup_curvature": snap.sup_f,
-        "full_resolution": snap.full_resolution,
-        "f": snap.f,
-    }
-    if snap.f.shape[-1] == grid.n:
-        sample = geometry.reconstruct(grid, State(snap.f, snap.length, snap.time))
+def _snapshot_records(grid, snaps):
+    """The records of a run's snapshots, in order.
+
+    A full-resolution snapshot also carries its reconstructed curve's area,
+    closure defect and advisory flag.  Those curves are reconstructed as
+    stacks of integrator._BLOCK_VALUES // (m + 1) snapshots, m the samples
+    per curve, so that each (rows, m + 1) array of a block stays within
+    128 KiB, as the integrator's row blocks do; the rows equal single
+    reconstructions bit for bit.
+    """
+    full = [i for i, snap in enumerate(snaps) if snap.f.shape[-1] == grid.n]
+    rows = max(1, integrator._BLOCK_VALUES // (max(grid.n, geometry._DEFAULT_MIN_SAMPLES) + 1))
+    diagnostics = {}  # snapshot index -> (area, closure defect, advisory flag)
+    for lo in range(0, len(full), rows):
+        block = full[lo : lo + rows]
+        f = np.stack([snaps[i].f for i in block])
+        sample = geometry.reconstruct(grid, State(f, np.array([snaps[i].length for i in block])))
         defect = geometry.closure_defect(sample)
-        rec["area"] = geometry.enclosed_area(sample)
-        rec["closure_defect"] = defect
-        rec["area_advisory"] = geometry.area_advisory(sample)
-    return rec
+        columns = (geometry.enclosed_area(sample), defect, geometry.area_advisory(sample, defect))
+        diagnostics.update(zip(block, zip(*(c.tolist() for c in columns))))
+    for i, snap in enumerate(snaps):
+        rec = {
+            "record": "snapshot",
+            "step": snap.step,
+            "t": snap.time,
+            "length": snap.length,
+            "turning": snap.turning,
+            "energy": snap.energy,
+            "sup_curvature": snap.sup_f,
+            "full_resolution": snap.full_resolution,
+            "f": snap.f,
+        }
+        if i in diagnostics:
+            rec["area"], rec["closure_defect"], rec["area_advisory"] = diagnostics[i]
+        yield rec
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +453,7 @@ def cmd_simulate(args):
     traj = run(spec, grid, state, stepper, stop=stop, driver=driver)
 
     lines = [_dumps(_meta_record("simulate", cfg))]
-    for snap in traj.snapshots:
-        lines.append(_dumps(_snapshot_record(grid, snap)))
+    lines += map(_dumps, _snapshot_records(grid, traj.snapshots))
     lines.append(
         _dumps(
             {
@@ -832,7 +863,7 @@ def cmd_reconstruct(args):
     defect = geometry.closure_defect(sample)
     print(f"closure defect: {defect:.6g}")
     area = geometry.enclosed_area(sample)
-    note = " (advisory)" if geometry.area_advisory(sample) else ""
+    note = " (advisory)" if geometry.area_advisory(sample, defect) else ""
     print(f"enclosed area: {area:.6g}{note}")
     print(f"wrote {out}")
     return 0

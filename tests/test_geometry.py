@@ -201,6 +201,33 @@ def test_theta_matches_resample_then_cumint(m):
     assert np.max(np.abs(sample.theta - reference)) < 1e-13
 
 
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("samples", [None, 64])
+def test_stacked_rows_equal_single_states(n, samples):
+    """Row i of a stacked reconstruction gives the bits of a single
+    reconstruction of state i, diagnostics included.  The 17 rows outnumber
+    the 15 that a simulate block holds at the default 1024 samples."""
+    grid = Grid(n)
+    rng = np.random.default_rng(n)
+    lengths = rng.uniform(0.5, 8.0, 17)
+    k = np.arange(1, 6)
+    wobble = (rng.standard_normal((17, 5)) / k) @ np.cos(TWO_PI * np.outer(k, grid.nodes))
+    f = (TWO_PI / lengths[:, None]) * (1.0 + 0.1 * wobble)  # one turn each
+    f[::4] = TWO_PI / lengths[::4, None]  # circles, which close
+    stack = reconstruct(grid, State(f, lengths), anchor=(0.3, -1.2), theta0=0.7, samples=samples)
+    defect, area, advisory = closure_defect(stack), enclosed_area(stack), area_advisory(stack)
+    assert set(advisory.tolist()) == {False, True}
+    for i in range(17):
+        single = reconstruct(
+            grid, State(f[i], lengths[i]), anchor=(0.3, -1.2), theta0=0.7, samples=samples
+        )
+        assert np.array_equal(stack.points[i], single.points)
+        assert np.array_equal(stack.theta[i], single.theta)
+        assert closure_defect(single) == defect[i]
+        assert enclosed_area(single) == area[i]
+        assert area_advisory(single) == advisory[i]
+
+
 def test_reconstruct_validation():
     grid = Grid(64)
     state = unit_circle_state(64)
@@ -208,9 +235,14 @@ def test_reconstruct_validation():
         reconstruct(grid, state, samples=7)  # too few
     with pytest.raises(ValueError):
         reconstruct(grid, state, samples=129)  # odd
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="length batch shape"):
         reconstruct(grid, State(np.ones((2, 64)), TWO_PI))
-    with pytest.raises(ValueError, match="reconstruct expects a single state, not a batch"):
-        reconstruct(grid, State(np.ones((2, 64)), np.full(2, TWO_PI)))
+    # a stack with one length per row reconstructs, row by row
+    stack = reconstruct(grid, State(np.ones((2, 3, 64)), np.full((2, 3), TWO_PI)))
+    single = reconstruct(grid, state)
+    assert stack.points.shape == (2, 3, 1025, 2)
+    assert stack.tangent.shape == (2, 3, 2, 1025)
+    assert np.array_equal(stack.points[1, 2], single.points)
+    assert np.array_equal(enclosed_area(stack), np.full((2, 3), enclosed_area(single)))
     with pytest.raises(ValueError):
         reconstruct(grid, State(np.ones(64), -1.0))

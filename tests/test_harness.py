@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curveflow import harness
+from curveflow import geometry, harness, integrator
 from curveflow.flows import State
+from curveflow.grid import Grid
 from curveflow.harness import ConfigError, default_config, load_config, main
 from curveflow.integrator import run, run_ensemble
 from curveflow.noise import BrownianDriver
@@ -330,6 +331,41 @@ def test_simulate_state_fields_are_per_element_17_digits(tmp_path):
             f'"full_resolution":true,"f":[{_per_element(snap.f.tolist())}],"area":'
         )
         assert line.startswith(expected)
+
+
+@pytest.mark.parametrize("n, steps, records, full", [(64, 40, 41, 41), (512, 6, 8, 1)])
+def test_simulate_reconstructs_snapshots_in_blocks(tmp_path, monkeypatch, n, steps, records, full):
+    """simulate reconstructs its full-resolution snapshots as stacks of
+    _BLOCK_VALUES // (m + 1) rows (15 at m = 1024): one reconstruct call per
+    block, each record's geometry that of a single reconstruction of its
+    state.  Past n = 256 only the final snapshot is full, an extra record
+    after the decimated one of the same step."""
+    calls = []
+    reconstruct = geometry.reconstruct
+    monkeypatch.setattr(
+        geometry, "reconstruct", lambda grid, state: calls.append(1) or reconstruct(grid, state)
+    )
+    cfg_path = _cfg_file(
+        tmp_path,
+        f"grid.n = {n}\nstepper.dt = 1e-6\nstepper.t_end = {steps}e-6\n"
+        "stepper.snapshot_every = 1\ninit.kind = perturbed_circle\n",
+    )
+    out = str(tmp_path / "traj.jsonl")
+    assert main(["simulate", "--config", cfg_path, "--out", out]) == 0
+    snaps = _records(out)[1:-1]
+    assert len(snaps) == records
+    rows = integrator._BLOCK_VALUES // (max(n, 1024) + 1)
+    assert len(calls) == -(-full // rows)
+    grid = Grid(n)
+    assert sum(rec["full_resolution"] for rec in snaps) == full
+    for rec in snaps:
+        if not rec["full_resolution"]:
+            assert "area" not in rec
+            continue
+        sample = reconstruct(grid, State(np.array(rec["f"]), rec["length"]))
+        assert rec["area"] == geometry.enclosed_area(sample)
+        assert rec["closure_defect"] == geometry.closure_defect(sample)
+        assert rec["area_advisory"] == geometry.area_advisory(sample)
 
 
 def test_simulate_seed_override_and_rerun_identical(tmp_path):
@@ -679,6 +715,12 @@ def test_stop_window_excluding_the_start_exits_2(tmp_path, capsys, key, factor):
         (
             "stop.l_max_factor = 0.0001",
             "stop.l_max_factor = 0.0001: must exceed stop.l_min_factor = 0.001",
+        ),
+        (
+            "init.kind = constant\ninit.length = 0.6\ninit.value = 10.471975511965978\n"
+            "stop.l_min_factor = 5e-324\nstop.l_max_factor = 1e-323",
+            "stop.l_max_factor = 9.88131e-324: times the initial length 0.6, the bound "
+            "4.94066e-324 does not exceed the stop.l_min_factor bound 4.94066e-324",
         ),
         (
             "init.radius = 0.05\nstop.l_min_factor = 5e-324",
