@@ -54,11 +54,10 @@ from .integrator import (
     StepperConfig,
     StopCriteria,
     TerminalStatus,
-    _draw_blocks,
     run,
     run_ensemble,
 )
-from .noise import SCALAR, SPECTRAL, BrownianDriver, NoiseModel, _generators
+from .noise import SCALAR, SPECTRAL, BrownianDriver, NoiseModel, _generators, increment_blocks
 
 TWO_PI = 2.0 * math.pi
 CLOSED = "closed"
@@ -270,14 +269,15 @@ def build_stop(cfg, state):
         f_max_factor=cfg["stop.f_max_factor"],
     )
     # a start outside the window would be reported as a blow-up after one
-    # step; the comparisons are those of integrator._classify
+    # step, so it is judged by the loop's own stop masks
     sup = float(np.max(np.abs(state.f)))
-    for key, inside in (
-        ("stop.l_min_factor", state.length >= stop.l_min),
-        ("stop.f_max_factor", sup <= stop.f_max),
-        ("stop.l_max_factor", state.length <= stop.l_max),
+    _, _, low, curv, high = integrator._stop_masks(sup, state.length, stop)
+    for key, outside in (
+        ("stop.l_min_factor", low),
+        ("stop.f_max_factor", curv),
+        ("stop.l_max_factor", high),
     ):
-        if not inside:
+        if outside:
             raise ConfigError(
                 f"{key} = {cfg[key]:g}: the stop window excludes the initial state "
                 f"(length {state.length:.6g}, sup|f| {sup:.6g})"
@@ -711,19 +711,14 @@ def _study_strong(cfg, n_paths):
     f0 = np.ones(n)
     length0 = TWO_PI
 
-    generators = _generators(seed, range(n_paths))
-    fine = np.stack(list(_draw_blocks(generators, n_fine, 1, dt_fine)))  # (n_fine, M, 1)
+    fine = increment_blocks(_generators(seed, range(n_paths)), n_fine, 1, dt_fine)  # (n_fine, M, 1)
 
     def terminal(dt, increments):
         stepper = StepperConfig(IMEX_EM, dt, t_end, 10**9)
         result = run_ensemble(
             spec, grid, f0, length0, stepper, n_paths, seed, increments=increments
         )
-        # a refined step splits a coarse increment at a bridge midpoint drawn
-        # apart from the fine increments, which would decouple the two paths
-        if result.refinements.any() or any(
-            s is not TerminalStatus.REACHED_T for s in result.statuses
-        ):
+        if any(s is not TerminalStatus.REACHED_T for s in result.statuses):
             raise ConfigError("strong study path stopped early; lower the amplitude")
         return result.final_lengths
 

@@ -24,12 +24,12 @@ length.
 
 A batch steps in row blocks.  Each entry of the kernel tables advances an
 (M, n) batch in blocks of _BLOCK_VALUES // n rows, 128 KiB per block array,
-and writes them into preallocated outputs; the stepping loop, the step
-refinement and anything wrapping a table entry still see one kernel call
-per step.  An assembly keeps about sixteen arrays of the batch's size alive,
-so whole-batch temporaries of a MiB each (M = 2048, n = 64) stream through
-main memory, while a block's working set stays near a 2 MiB L2 cache; the
-block length follows n so that its arrays keep that size at every grid.  A
+and writes them into preallocated outputs; the stepping loop and anything
+wrapping a table entry still see one kernel call per step.  An assembly
+keeps about sixteen arrays of the batch's size alive, so whole-batch
+temporaries of a MiB each (M = 2048, n = 64) stream through main memory,
+while a block's working set stays near a 2 MiB L2 cache; the block length
+follows n so that its arrays keep that size at every grid.  A
 spectral assembly also keeps about eight (n_modes, rows, n) mode stacks
 alive, so its blocks are 1 + n_modes // 2 times shorter (51 rows for 8 modes
 at n = 64).  Rows are independent, so blocked rows are bitwise the
@@ -53,18 +53,8 @@ records hold only finite states.  Both admit a start by one rule, ``_start``:
 closed curves, turning by 2*pi under scalar noise, stiff_sign = +1 only
 under HeunStratonovich, and dt below the stability bound.
 
-A step whose length update is non-positive is refined in place by Brownian
-bridge (Gaines & Lyons, SIAM J. Appl. Math. 57, 1997): two half steps, the
-first taking an increment drawn from N(dW/2, h/4) and the second the rest of
-dW, each split again while it fails or is longer than the stability bound of
-the state it starts from, up to _MAX_HALVINGS levels.  Midpoints come from a
-per-path stream apart from the increment stream, so the path stays an honest
-sample and unrefined steps draw and compute exactly what they would without
-refinement.  A refined step is a collapse, its row kept
-at the start-of-step state and declared to have shrunk to a point, when its
-refinement runs out, when it ends below l_min, and when it ends where dt
-exceeds the stability bound, so that the next step would not be
-trustworthy; any other end state is classified as an unrefined one is.
+A step whose length update is non-positive is a collapse: the row is kept
+at its start-of-step state and declared to have shrunk to a point.
 """
 
 from __future__ import annotations
@@ -80,14 +70,13 @@ import numpy as np
 
 from . import flows
 from .flows import State
-from .noise import BrownianDriver, _generators, increment_blocks
+from .noise import _generators, increment_blocks
 
 IMEX_EM = "imex_em"
 HEUN_STRATONOVICH = "heun_stratonovich"
 
 _SCHEMES = (IMEX_EM, HEUN_STRATONOVICH)
 
-_MAX_HALVINGS = 10
 _BLOCK_VALUES = 2**14  # values per (rows, n) array of a batch's row block: 128 KiB
 _DRAW_CHUNK = 64  # generators draw increments this many steps at a time
 _SNAPSHOT_VALUE_CAP = 256
@@ -164,7 +153,6 @@ class Trajectory:
     final_state: State
     steps: int  # steps taken, the one that stopped the run included
     stability_warning: bool = False
-    refinements: int = 0  # steps refined by Brownian bridge
     min_h: float = math.inf  # smallest step size used
 
 
@@ -181,7 +169,6 @@ class EnsembleResult:
     final_f: np.ndarray        # (M, n)
     final_lengths: np.ndarray  # (M,)
     steps: int
-    refinements: np.ndarray    # (M,) steps refined by Brownian bridge
     min_h: np.ndarray          # (M,) smallest step size used
     stability_warning: bool = False
 
@@ -452,66 +439,30 @@ def _start(spec, grid, stepper, f, lengths, stop):
     return stop
 
 
-def _bridge_midpoint(driver, dw, h):
-    """The first half's increment of a step h whose increment is dw: N(dw/2, h/4)."""
-    return 0.5 * dw + driver.increments(len(dw), 0.25 * h)
-
-
 def _take(dw, rows):
     return None if dw is None else dw[rows]
 
 
-def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, key, record):
+def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, record):
     """The stepping loop of run and run_ensemble over rows f (M, n), lengths (M,).
 
     schedule is _schedule's (n_steps, step) pair; rows yields each step's
     (M, n_modes) N(0, dt) increments (rows is None without noise), scaled by
-    sqrt(h/dt) for a step of size h.  Row r, the trajectory (seed, index) =
-    (key[0], key[1] + r), draws bridge midpoints from the substream
-    (seed, -1 - index), apart from every increment stream.  After each step
-    record(k, t, f, lengths, active, halted) sees the rows, halted flagging
-    those that stopped on the state they hold.  Once a row has stopped, only
-    the active rows are stepped.  Returns the steps taken, the
-    final f and lengths; per row the status, stop time (NaN if none), refined
-    steps and smallest h; and whether dt crossed the stability bound.
+    sqrt(h/dt) for a step of size h.  A row stops on the first step that
+    leaves the window (see _classify); one that ends non-finite or with a
+    non-positive length is rejected, kept at its start-of-step state, the
+    latter as a collapse.  After each step record(k, t, f, lengths, active,
+    halted) sees the rows, halted flagging those that stopped on the state
+    they hold.  Once a row has stopped, only the active rows are stepped.
+    Returns the steps taken, the final f and lengths; per row the status,
+    stop time (NaN if none) and smallest h; and whether dt crossed the
+    stability bound.
     """
     (n_steps, step), m, k, unstable = schedule, len(lengths), -1, False
     statuses = [TerminalStatus.REACHED_T] * m
-    stop_times, refinements = np.full(m, np.nan), np.zeros(m, dtype=int)
-    min_h, bridges = np.full(m, stepper.dt), [None] * m
+    stop_times, min_h = np.full(m, np.nan), np.full(m, stepper.dt)
     active, no_rows = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
     every = True  # every row is active: the batch steps whole, with no gather
-
-    def refine(h, f, length, dw, rows, depth):
-        # the step of rows f, length over h as two half steps whose increments
-        # split dw at a bridge midpoint.  A half step whose length update is
-        # non-positive, or that is longer than the stability bound of the
-        # state it starts from, is refined again while depth lasts and
-        # otherwise fails as a collapse
-        min_h[rows] = np.minimum(min_h[rows], 0.5 * h)
-        halves = (None, None)
-        if dw is not None:
-            for r in rows:
-                bridges[r] = bridges[r] or BrownianDriver(key[0], -1 - key[1] - r)
-            first = np.stack([_bridge_midpoint(bridges[r], w, h) for r, w in zip(rows, dw)])
-            halves = (first, dw - first)
-        live = np.arange(len(rows))
-        for half in halves:
-            new_f, new_l = step_fn(spec, grid, f[live], length[live], 0.5 * h, _take(half, live))
-            bound = dt_stability(stepper.scheme, grid, length[live], np.abs(f[live]).max(axis=-1))
-            bad = np.flatnonzero((new_l <= 0.0) | (0.5 * h > bound))
-            if depth > 1 and bad.size:
-                i = live[bad]
-                new_f[bad], new_l[bad] = refine(
-                    0.5 * h, f[i], length[i], _take(half, i), rows[i], depth - 1
-                )
-            elif bad.size:
-                new_l[bad] = 0.0
-            f[live], length[live] = new_f, new_l
-            live = live[np.isfinite(new_f).all(axis=-1) & np.isfinite(new_l) & (new_l > 0)]
-            if not live.size:
-                break
-        return f, length
 
     # non-finite values are the divergence detector, so IEEE overflow inside
     # a failing step is expected and must not warn
@@ -548,25 +499,6 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, key
             halted = no_rows
             if not all_run:
                 masks = _stop_masks(sup, new_l, stop)
-                bad = np.flatnonzero(masks[1] & active)
-                if bad.size:
-                    sub_f, sub_l = refine(
-                        h, f[bad], lengths[bad], _take(dw, bad), bad, _MAX_HALVINGS
-                    )
-                    # the collapse, a row kept at its start-of-step state,
-                    # stands for a refined end state below l_min and for one
-                    # that dt cannot step on from stably; any other end state
-                    # is classified as an unrefined one is
-                    collapse = sub_l < stop.l_min
-                    sub_sup, on = _classify(sub_f, sub_l, stop)
-                    collapse[on] = stepper.dt > dt_stability(
-                        stepper.scheme, grid, sub_l[on], sub_sup[on]
-                    )
-                    ok = ~collapse
-                    new_f[bad[ok]], new_l[bad[ok]] = sub_f[ok], sub_l[ok]
-                    refinements[bad] += 1
-                    sup, runs = _classify(new_f, new_l, stop)
-                    masks = _stop_masks(sup, new_l, stop)
                 stopped = active & ~runs
                 for mask, verdict in zip(masks, _VERDICTS):
                     for i in np.flatnonzero(mask & stopped):
@@ -588,7 +520,7 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, key
             record(k, t, f, lengths, active, halted)
             if halted is not no_rows and not active.any():  # the last row stopped
                 break
-    return k + 1, f, lengths, statuses, stop_times, refinements, min_h, unstable
+    return k + 1, f, lengths, statuses, stop_times, min_h, unstable
 
 
 def _schedule(t0, dt, t_end):
@@ -650,8 +582,6 @@ def run(
     row per step (``run_ensemble`` takes them likewise; the strong
     convergence study couples its paths that way).  A shortened last step
     scales its row by sqrt(h/dt).  With amplitude 0 neither is touched.
-    Refined steps draw bridge midpoints as the trajectory (driver.seed,
-    driver.trajectory_index), or as (0, 0) without a driver.
     """
     if spec.noise.amplitude > 0.0 and driver is None and increments is None:
         raise ValueError("noisy run needs a BrownianDriver or a pre-drawn increments array")
@@ -662,7 +592,6 @@ def run(
     rows = _increment_rows(
         spec, stepper.dt, schedule[0], lambda: [driver.generator], increments, (n_modes,)
     )
-    key = (0, 0) if driver is None else (driver.seed, driver.trajectory_index)
 
     t_last = float(state0.time)  # the time of the state the row holds
     snapshots = [_snapshot(grid, f[0], float(lengths[0]), t_last, 0)]
@@ -674,9 +603,8 @@ def run(
             if halted[0] or (k + 1) % stepper.snapshot_every == 0:
                 snapshots.append(_snapshot(grid, f[0], float(lengths[0]), t, k + 1, halted[0]))
 
-    steps, f, lengths, statuses, _, refinements, min_h, unstable = _advance(
-        spec, grid, stepper, stop, _STEPPERS[stepper.scheme], f, lengths,
-        schedule, rows, key, record,
+    steps, f, lengths, statuses, _, min_h, unstable = _advance(
+        spec, grid, stepper, stop, _STEPPERS[stepper.scheme], f, lengths, schedule, rows, record
     )
     state = State(f[0], float(lengths[0]), t_last)
     last = snapshots[-1]
@@ -688,7 +616,6 @@ def run(
         final_state=state,
         steps=steps,
         stability_warning=unstable,
-        refinements=int(refinements[0]),
         min_h=float(min_h[0]),
     )
 
@@ -747,9 +674,9 @@ def run_ensemble(
 
     with np.errstate(over="ignore", invalid="ignore"):
         record(-1, 0.0, f, lengths, np.ones(m, dtype=bool), None)
-        steps, f, lengths, statuses, stop_times, refinements, min_h, unstable = _advance(
+        steps, f, lengths, statuses, stop_times, min_h, unstable = _advance(
             spec, grid, stepper, stop, _BATCH_STEPPERS[stepper.scheme], f, lengths,
-            schedule, rows, (seed, first_path), record,
+            schedule, rows, record,
         )
         # rows stay on the cadence after every path has stopped, so their
         # times (and any cross-worker alignment) never depend on the stops;
@@ -772,7 +699,6 @@ def run_ensemble(
         final_f=f,
         final_lengths=lengths,
         steps=n_steps,
-        refinements=refinements,
         min_h=min_h,
         stability_warning=unstable,
     )

@@ -22,7 +22,7 @@ from curveflow import geometry, harness, integrator
 from curveflow.flows import State
 from curveflow.grid import Grid
 from curveflow.harness import ConfigError, default_config, load_config, main
-from curveflow.integrator import run, run_ensemble
+from curveflow.integrator import TerminalStatus, run, run_ensemble
 from curveflow.noise import BrownianDriver
 
 TWO_PI = 2.0 * math.pi
@@ -832,15 +832,14 @@ def test_strong_study_pathwise_order(tmp_path):
 
 
 def test_strong_study_rejects_refined_paths(monkeypatch):
-    # a refined coarse step splits its summed fine increments at a bridge
-    # midpoint drawn apart from them, so the coarse path is no longer coupled
-    # to the fine one
-    def refined(*args, **kwargs):
+    # a path that stops keeps its state from then on, so its terminal length
+    # no longer measures the scheme's pathwise error
+    def one_stopped(*args, **kwargs):
         result = run_ensemble(*args, **kwargs)
-        result.refinements[0] = 1
+        result.statuses[0] = TerminalStatus.BLOWUP_LENGTH_ZERO
         return result
 
-    monkeypatch.setattr(harness, "run_ensemble", refined)
+    monkeypatch.setattr(harness, "run_ensemble", one_stopped)
     with pytest.raises(ConfigError, match="stopped early"):
         harness._study_strong(default_config(), 2)
 

@@ -32,7 +32,7 @@ from curveflow.integrator import (
     run,
     run_ensemble,
 )
-from curveflow.noise import BrownianDriver, NoiseModel, increment_blocks
+from curveflow.noise import BrownianDriver, NoiseModel, _generators, increment_blocks
 
 TWO_PI = 2.0 * np.pi
 
@@ -326,19 +326,7 @@ def test_run_is_deterministic_given_seed():
 
 
 # ---------------------------------------------------------------------------
-# retries and terminal classification
-
-
-def spy_kernel(monkeypatch, scheme):
-    """Record (h, dw) of every call of the scheme's kernel in run."""
-    kernel, calls = integrator._STEPPERS[scheme], []
-
-    def spy(spec, grid, f, length, h, dw):
-        calls.append((h, None if dw is None else np.array(dw)))
-        return kernel(spec, grid, f, length, h, dw)
-
-    monkeypatch.setitem(integrator._STEPPERS, scheme, spy)
-    return calls
+# terminal classification
 
 
 def bumpy(grid):
@@ -346,103 +334,39 @@ def bumpy(grid):
     return State(1.0 + np.cos(2.0 * TWO_PI * grid.nodes), TWO_PI)
 
 
-def test_step_halving_rescues_a_survivable_increment(monkeypatch):
-    # On a Willmore curve the length drift grows without bound as L falls,
-    # while unit scalar noise moves L by -2 pi dW.  A single Euler step with
-    # dW = 1.02 overshoots to a negative length; the bridge-refined step
-    # resolves the drift's growth on the way down, each sub-step within the
-    # stability bound of the state it starts from, and ends where dt can go
-    # on.  The coarse n = 8 grid keeps that bound loose enough for a rescue:
-    # on finer grids the rescuing sub-steps are too stiff and the step is a
-    # collapse.  The array holds exactly one row per step
-    grid = Grid(8)
-    spec = FlowSpec(WILLMORE, UNIT_NOISE)
-    dt = 1e-2
-    inc = np.zeros((3, 1))
-    inc[2, 0] = 1.02
-    cfg = StepperConfig(IMEX_EM, dt, 3 * dt, snapshot_every=100)
-    two_steps = StepperConfig(IMEX_EM, dt, 2 * dt)
-    before = run(spec, grid, bumpy(grid), two_steps, increments=inc, stop=WIDE_STOP)
-    assert step(IMEX_EM, spec, grid, before.final_state, dt, inc[2])[1] < 0.0
-    calls = spy_kernel(monkeypatch, IMEX_EM)
-    traj = run(spec, grid, bumpy(grid), cfg, increments=inc, stop=WIDE_STOP)
-    assert traj.terminal_status is TerminalStatus.REACHED_T
-    assert traj.steps == 3
-    assert traj.refinements == 1
-    assert traj.min_h <= dt / 2
-    assert traj.final_state.time == pytest.approx(3 * dt, rel=1e-12)
-    end = traj.final_state
-    assert dt <= dt_stability(IMEX_EM, grid, end.length, np.abs(end.f).max())
-    assert end.length * grid.integrate(end.f) == pytest.approx(TWO_PI, rel=1e-12)
-    # the two half steps of the split take increments that add back to dW
-    first, second = [dw for h, dw in calls if h == dt / 2]
-    assert abs((first + second) - inc[2]) <= np.spacing(max(abs(first), abs(second)))
-
-
+# the ids name how each step ended when a collapsing step was still re-run
+# as Brownian-bridge sub-steps; every such step ended a collapse
 @pytest.mark.parametrize(
     "n,dw",
     [
-        # the bridge path dips to where the drift is too stiff for every
-        # sub-step the refinement may take; unchecked, the step ends near
-        # L = 0.11, far past the bound of dt, and the next full step throws
-        # L to about 5e3, inside the default stop window
-        pytest.param(32, 1.0051, id="depth-runs-out"),
-        # the sub-steps stay within their bounds but end near L = 1.05,
-        # where dt is past the bound
-        pytest.param(16, 1.01, id="end-state-stiff"),
-        # a sub-step past the bound of the state it starts from would throw
-        # L from near 0 to about 36 in one step
-        pytest.param(16, 1.3, id="sub-step-stiff"),
+        pytest.param(32, 1.0051, id="depth-runs-out"),  # Euler length -6.3e-4
+        pytest.param(16, 1.01, id="end-state-stiff"),  # -0.031
+        pytest.param(16, 1.3, id="sub-step-stiff"),  # -1.85
     ],
 )
 def test_refined_step_is_a_collapse_unless_dt_can_go_on(n, dw):
     """On a Willmore circle at dt = 1e-2 these increments take the Euler
-    length negative, and no refinement reaches a state that dt can step on
-    from through sub-steps within their stability bounds: each is a
-    collapse, in run and run_ensemble alike, with the default stop window."""
+    length negative: each step is a collapse at once, the row kept at its
+    start-of-step state, in run and run_ensemble alike, with the default
+    stop window."""
     grid = Grid(n)
     spec = FlowSpec(WILLMORE, UNIT_NOISE)
     cfg = StepperConfig(IMEX_EM, 1e-2, 2e-2, snapshot_every=1)
     inc = np.array([[dw], [0.0]])
+    assert step(IMEX_EM, spec, grid, circle(n), 1e-2, inc[0])[1] < 0.0
     traj = run(spec, grid, circle(n), cfg, increments=inc)
     ens = run_ensemble(spec, grid, np.ones(n), TWO_PI, cfg, 1, seed=0, increments=inc[:, None])
     assert traj.terminal_status is ens.statuses[0] is TerminalStatus.BLOWUP_LENGTH_ZERO
     assert traj.steps == 1 and ens.stop_times[0] == 1e-2
-    assert traj.refinements == ens.refinements[0] == 1
     assert traj.final_state.length == ens.final_lengths[0] == TWO_PI
     assert np.array_equal(traj.final_state.f, ens.final_f[0])
     assert [s.length for s in traj.snapshots] == [TWO_PI]
     assert not (traj.stability_warning or ens.stability_warning)
 
 
-def test_refined_step_is_classified_like_any_step():
-    # the rescue above ends with sup|f| = 3.67, past an f_max of 3 that the
-    # first two steps (sup|f| up to 2.09) stay under: a curvature blow-up,
-    # recorded on the refined state, in run and run_ensemble alike
-    grid = Grid(8)
-    spec = FlowSpec(WILLMORE, UNIT_NOISE)
-    dt = 1e-2
-    cfg = StepperConfig(IMEX_EM, dt, 3 * dt, snapshot_every=100)
-    stop = StopCriteria(1e-6, 1e6, 3.0)
-    inc = np.zeros((3, 1))
-    inc[2, 0] = 1.02
-    state = bumpy(grid)
-    traj = run(spec, grid, state, cfg, increments=inc, stop=stop)
-    ens = run_ensemble(
-        spec, grid, state.f, state.length, cfg, 1, seed=0, increments=inc[:, None], stop=stop
-    )
-    assert traj.terminal_status is ens.statuses[0] is TerminalStatus.BLOWUP_CURVATURE
-    assert traj.steps == 3 and traj.refinements == ens.refinements[0] == 1
-    assert np.abs(traj.final_state.f).max() > 3.0
-    assert np.array_equal(traj.final_state.f, ens.final_f[0])
-    assert traj.final_state.length == ens.final_lengths[0]
-    last = traj.snapshots[-1]
-    assert last.step == 3 and last.full_resolution and last.length == traj.final_state.length
-
-
 def test_exhausted_halvings_mean_vanishing_length():
-    # on a curve-diffusion circle L = 2 pi (1 - W) exactly, so no refinement
-    # of a step with dW = 50 keeps the length positive
+    # on a curve-diffusion circle L = 2 pi (1 - W) exactly, so a step with
+    # dW = 50 takes the length to 2 pi (1 - 50): the curve has shrunk to a point
     grid = Grid(32)
     spec = FlowSpec(CURVE_DIFFUSION, UNIT_NOISE)
     traj = run(
@@ -455,8 +379,7 @@ def test_exhausted_halvings_mean_vanishing_length():
     )
     assert traj.terminal_status is TerminalStatus.BLOWUP_LENGTH_ZERO
     assert traj.steps == 1  # the step that collapsed
-    assert traj.refinements == 1
-    assert traj.min_h == 1e-4 / 2**integrator._MAX_HALVINGS
+    assert traj.min_h == 1e-4
     # the start-of-step state is kept
     assert traj.final_state.length == TWO_PI and traj.final_state.time == 0.0
     assert np.array_equal(traj.final_state.f, np.ones(32))
@@ -464,9 +387,8 @@ def test_exhausted_halvings_mean_vanishing_length():
 
 
 def test_exact_size_increments_collapse_alike_in_run_and_ensemble():
-    # one pre-drawn row per step: refining the fatal first step consumes no
-    # further rows, and the single run and the one-path batch (whose bridge
-    # midpoints are keyed alike) end identically
+    # one pre-drawn row per step: the fatal first step is a collapse, and the
+    # single run and the one-path batch end identically
     grid = Grid(32)
     spec = FlowSpec(CURVE_DIFFUSION, UNIT_NOISE)
     cfg = StepperConfig(IMEX_EM, 1e-4, 3e-4, snapshot_every=100)
@@ -479,7 +401,6 @@ def test_exact_size_increments_collapse_alike_in_run_and_ensemble():
     assert traj.terminal_status is ens.statuses[0] is TerminalStatus.BLOWUP_LENGTH_ZERO
     assert np.array_equal(traj.final_state.f, ens.final_f[0])
     assert traj.final_state.length == ens.final_lengths[0] == TWO_PI
-    assert traj.refinements == ens.refinements[0] == 1
     assert traj.min_h == ens.min_h[0]
     assert ens.stop_times[0] == 1e-4
 
@@ -488,14 +409,13 @@ def _assert_rows_match(ens, i, traj):
     assert traj.terminal_status is ens.statuses[i]
     assert np.array_equal(traj.final_state.f, ens.final_f[i])
     assert traj.final_state.length == ens.final_lengths[i]
-    assert traj.refinements == ens.refinements[i]
     assert traj.min_h == ens.min_h[i]
 
 
 def veto_kernel(monkeypatch, scheme, vetoed):
     """Wrap the scheme's kernel, in run and run_ensemble, so that a row whose
-    increment is in vetoed reports a non-positive length and has its step
-    refined through the real kernel.  Returns the (h, dw) of every call."""
+    increment is in vetoed reports a non-positive length.  Returns the
+    (h, dw) of every call."""
     kernel, calls = integrator._STEPPERS[scheme], []
 
     def vetoing(spec, grid, f, length, h, dw):
@@ -508,50 +428,51 @@ def veto_kernel(monkeypatch, scheme, vetoed):
     return calls
 
 
-# amplitude 6 also drives unrefined paths past the stability bound mid-run,
+# amplitude 6 also drives running paths past the stability bound mid-run,
 # which only warns and is not what the test is about
 @pytest.mark.filterwarnings("ignore:dt exceeded the stability bound")
 def test_refined_batch_rows_match_single_runs(monkeypatch):
-    """Refined steps keep batch rows bitwise equal to single runs, for driver
-    noise and for pre-drawn increments, and never consume the increment
-    stream: every step of the grid takes the draw it takes unrefined."""
+    """Collapsed rows keep batch rows bitwise equal to single runs, for
+    driver noise and for pre-drawn increments, and never shift the increment
+    stream: every step a row takes draws what it would in a single run."""
     grid = Grid(16)
     dt = 5e-3
-    # amplitude 6 makes collapsing Euler steps common; here their
-    # refinements end in collapses
+    # amplitude 6 makes collapsing Euler steps common
     spec = FlowSpec(WILLMORE, NoiseModel(mode="scalar", amplitude=6.0))
     cfg = StepperConfig(IMEX_EM, dt, 8 * dt, snapshot_every=2)
     stop = StopCriteria(1e-6, 1e6, 1e6)
     ens = run_ensemble(spec, grid, np.ones(16), TWO_PI, cfg, 8, seed=5, stop=stop)
-    assert ens.refinements.sum() >= 2
-    for i in np.flatnonzero(ens.refinements):
-        assert ens.statuses[i] is TerminalStatus.BLOWUP_LENGTH_ZERO
+    assert sum(s is TerminalStatus.BLOWUP_LENGTH_ZERO for s in ens.statuses) >= 2
     for i in range(8):
         traj = run(spec, grid, circle(16), cfg, stop=stop, driver=BrownianDriver(5, i))
         _assert_rows_match(ens, i, traj)
 
-    # steps 3 of path 1 and 5 of path 2 made to report a collapse: they are
-    # refined and run on, and every full step, those after them included,
-    # takes the increment stream's next draw
+    # steps 3 of path 1 and 5 of path 2 made to report a collapse: each row
+    # stops there at its start-of-step state, and path 2's veto, matched on
+    # its own draw, lands only if the gathered rows after path 1 stopped
+    # still take their own streams
     spec = FlowSpec(WILLMORE, NoiseModel(mode="scalar", amplitude=0.5))
     streams = [_block(BrownianDriver(5, i), 8, 1, dt) for i in range(3)]
     calls = veto_kernel(monkeypatch, IMEX_EM, [streams[1][2, 0], streams[2][4, 0]])
     ens = run_ensemble(spec, grid, np.ones(16), TWO_PI, cfg, 3, seed=5, stop=stop)
-    assert list(ens.refinements) == [0, 1, 1]
-    assert all(s is TerminalStatus.REACHED_T for s in ens.statuses)
-    for i in range(3):
+    assert [s.value for s in ens.statuses] == [
+        "reached_t", "blowup_length_zero", "blowup_length_zero"
+    ]
+    assert np.array_equal(ens.stop_times, [np.nan, 3 * dt, 5 * dt], equal_nan=True)
+    for i, steps in enumerate((8, 3, 5)):
         del calls[:]
         traj = run(spec, grid, circle(16), cfg, stop=stop, driver=BrownianDriver(5, i))
         _assert_rows_match(ens, i, traj)
-        assert np.array_equal([s.length for s in traj.snapshots], ens.lengths[:, i])
-        assert np.array_equal([s.energy for s in traj.snapshots], ens.energies[:, i])
-        assert np.array_equal(np.stack([dw for h, dw in calls if h == dt]), streams[i])
+        assert traj.steps == steps
+        k = len(traj.snapshots)
+        assert np.array_equal([s.length for s in traj.snapshots], ens.lengths[:k, i])
+        assert np.array_equal([s.energy for s in traj.snapshots], ens.energies[:k, i])
+        assert np.all(ens.lengths[k:, i] == traj.final_state.length)
+        assert np.array_equal(np.stack([dw for h, dw in calls]), streams[i][:steps])
     monkeypatch.undo()
 
-    # pre-drawn increments: two rows refined in the same step, one rescued
-    # (see test_step_halving_rescues_a_survivable_increment) and one that
-    # collapses, and a row untouched; the driver keys a single run's bridge
-    # midpoints like the batch row's
+    # pre-drawn increments: two rows whose step 3 takes the Euler length
+    # negative collapse in the same step, and a row untouched runs on
     grid = Grid(8)
     spec = FlowSpec(WILLMORE, UNIT_NOISE)
     cfg = StepperConfig(IMEX_EM, 1e-2, 3e-2, snapshot_every=1)
@@ -561,27 +482,12 @@ def test_refined_batch_rows_match_single_runs(monkeypatch):
     ens = run_ensemble(
         spec, grid, state.f, state.length, cfg, 3, seed=0, increments=inc, stop=stop
     )
-    assert list(ens.refinements) == [1, 1, 0]
-    assert [s.value for s in ens.statuses] == ["reached_t", "blowup_length_zero", "reached_t"]
+    assert [s.value for s in ens.statuses] == [
+        "blowup_length_zero", "blowup_length_zero", "reached_t"
+    ]
     for i in range(3):
-        driver = BrownianDriver(0, i)
-        traj = run(spec, grid, state, cfg, stop=stop, increments=inc[:, i], driver=driver)
+        traj = run(spec, grid, state, cfg, stop=stop, increments=inc[:, i])
         _assert_rows_match(ens, i, traj)
-
-
-def test_bridge_midpoint_statistics():
-    """The first half of a bridge-split step is N(dw/2, h/4) per mode, and
-    the two halves add back to dw to within an ulp of the larger half."""
-    driver = BrownianDriver(2024, -1)
-    dw, h, n_draws = np.array([0.3, -0.1, 0.0]), 0.01, 20000
-    firsts = np.array([integrator._bridge_midpoint(driver, dw, h) for _ in range(n_draws)])
-    seconds = dw - firsts
-    ulp = np.spacing(np.maximum(np.abs(firsts), np.abs(seconds)))
-    assert np.all(np.abs((firsts + seconds) - dw) <= ulp)
-    # 5 standard errors of the sample mean, 5% of the variance (about 5
-    # standard errors of the sample variance at this many draws)
-    assert np.all(np.abs(firsts.mean(axis=0) - dw / 2) < 5 * math.sqrt(h / 4 / n_draws))
-    assert np.allclose(firsts.var(axis=0, ddof=1), h / 4, rtol=0.05)
 
 
 def test_ensemble_start_bound_is_per_row():
@@ -669,7 +575,7 @@ def test_shrinking_length_stops_run():
 
 
 def test_shrinking_below_l_min_is_a_length_stop_not_a_curvature_one():
-    # a curve-diffusion circle has L = 2 pi (1 - W): one unrefined step lands
+    # a curve-diffusion circle has L = 2 pi (1 - W): one step lands
     # at L = pi * 1e-3 = l_min / 2, where sup|f| = 2 pi / L = 2000 also
     # exceeds f_max = 1000.  The curve shrinks to a point, and the verdict
     # must say so in run and run_ensemble alike
@@ -678,7 +584,7 @@ def test_shrinking_below_l_min_is_a_length_stop_not_a_curvature_one():
     cfg = StepperConfig(IMEX_EM, 1e-2, 2e-2)
     traj = run(spec, grid, circle(16), cfg, increments=[[0.9995], [0.0]])
     assert traj.terminal_status is TerminalStatus.BLOWUP_LENGTH_ZERO
-    assert traj.steps == 1 and traj.refinements == 0
+    assert traj.steps == 1
     assert traj.final_state.length == pytest.approx(math.pi * 1e-3, rel=1e-9)
     inc = [[[0.9995], [0.0]], [[0.0], [0.0]]]
     ens = run_ensemble(spec, grid, np.ones(16), TWO_PI, cfg, 2, seed=1, increments=inc)
@@ -1277,6 +1183,66 @@ def test_pre_drawn_increments_are_checked_up_front(batched, noise, n_rows):
             run_ensemble(spec, grid, np.ones(32), TWO_PI, cfg, 1, seed=0, increments=inc)
         else:
             run(spec, grid, circle(), cfg, increments=inc)
+
+
+# ---------------------------------------------------------------------------
+# spectral noise: strong order and the Ito correction off the circle
+
+
+def test_strong_order_under_spectral_noise():
+    # coarse paths step on summed fine increments, so each follows the fine
+    # path's Brownian motion; the noise is multiplicative, unlike the scalar
+    # noise of the strong convergence study, where a circle stays a circle
+    grid = Grid(32)
+    spec = FlowSpec(WILLMORE, NoiseModel(mode="spectral", amplitude=0.5, n_modes=6))
+    m, dt, n_fine = 64, 1e-5, 512
+    fine = increment_blocks(_generators(7, range(m)), n_fine, 6, dt)
+
+    def final(factor):
+        inc = fine.reshape(n_fine // factor, factor, m, 6).sum(axis=1)
+        cfg = StepperConfig(IMEX_EM, factor * dt, n_fine * dt, snapshot_every=10**9)
+        ens = run_ensemble(spec, grid, np.ones(32), TWO_PI, cfg, m, seed=7, increments=inc)
+        assert all(s is TerminalStatus.REACHED_T for s in ens.statuses)
+        return ens.final_f, ens.final_lengths
+
+    f_fine, l_fine = final(1)
+    factors = np.array([16, 8, 4, 2])
+    f_errors, l_errors = [], []
+    for factor in factors:
+        f, length = final(factor)
+        f_errors.append(math.sqrt(np.mean(np.abs(f - f_fine).max(axis=-1) ** 2)))
+        l_errors.append(np.mean(np.abs(length - l_fine)))
+    log_dt = np.log(factors * dt)
+    assert np.polyfit(log_dt, np.log(f_errors), 1)[0] >= 0.4
+    assert np.polyfit(log_dt, np.log(l_errors), 1)[0] >= 0.4
+
+
+def test_ito_and_stratonovich_agree_under_spectral_noise():
+    # the two schemes share each path's increments, so their final-length gap
+    # has a paired standard error far below that of two independent
+    # ensembles.  The gap is O(dt), and it tends to 0 with dt only if the
+    # spectral Ito correction converts the Stratonovich drift right: then its
+    # Richardson value 2 gap(dt/2) - gap(dt) is 0 to within noise
+    grid = Grid(16)
+    spec = FlowSpec(CURVE_DIFFUSION, NoiseModel(mode="spectral", amplitude=0.3, n_modes=6))
+    f0 = 1.0 + 0.3 * np.cos(2.0 * TWO_PI * grid.nodes)
+    f0 += 1.0 - grid.integrate(f0)
+    m = 200
+    gaps = []
+    for dt in (2e-4, 1e-4, 5e-5):
+        lengths = []
+        for scheme in (IMEX_EM, HEUN_STRATONOVICH):
+            cfg = StepperConfig(scheme, dt, 0.02, snapshot_every=10**9)
+            ens = run_ensemble(spec, grid, f0, TWO_PI, cfg, m, seed=2024)
+            assert all(s is TerminalStatus.REACHED_T for s in ens.statuses)
+            lengths.append(ens.final_lengths)
+        gaps.append(lengths[0] - lengths[1])
+    gap, se = np.mean(gaps[0]), np.std(gaps[0], ddof=1) / math.sqrt(m)
+    assert se <= 0.1 * abs(gap)
+    for coarse, half in zip(gaps, gaps[1:]):
+        richardson = 2.0 * half - coarse  # per path
+        se = np.std(richardson, ddof=1) / math.sqrt(m)
+        assert abs(np.mean(richardson)) <= 4.0 * se
 
 
 # ---------------------------------------------------------------------------

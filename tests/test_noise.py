@@ -41,7 +41,7 @@ def test_vectorised_substream_seeds_match_the_scalar_form():
         words = substream_seeds(seed, indices)
         assert words.dtype == np.uint64
         assert words.tolist() == [substream_seed(seed, int(i)) for i in indices]
-    # the bridge substreams (seed, -1 - i), and indices beyond int64, wrap mod 2^64
+    # negative indices, and indices beyond int64, wrap mod 2^64
     beyond = np.array([2**64 - 1], dtype=np.uint64)
     assert substream_seeds(3, beyond)[0] == substream_seed(3, -1)
 
