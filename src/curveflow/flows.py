@@ -50,6 +50,12 @@ a normal double: each remaining operation keeps its operand order, and the
 one vanishing term kept, -2 phi'' lam / L^3 = +0.0 per row, turns -0.0
 partial sums into +0.0 as the general code's zero terms do.
 
+At amplitude 0 the pass forms no noise rows, as the Ito rule already forms
+no correction: the steppers add no noise term, so nothing would read them.
+f*V goes through the running-integral pass alone, and the row stacks come
+back empty, (0, *B, n) and (0, *B).  Every other field is bitwise what the
+same state gives under a non-zero amplitude without the Ito correction.
+
 The fourth-order term -(1/L^4) drrrr f is returned separately (stiff), and
 is formed only for the explicit Heun scheme, which adds it to the drift.  The
 semi-implicit scheme solves for it instead and never reads it, so its
@@ -120,7 +126,7 @@ class _Assembly:
     The drift pieces have shape (*B, n) on f and B on L; stiff is formed only
     for the explicit Heun scheme and is None otherwise.  The noise rows are
     stacked with the modes on the leading axis: rows_beta has shape
-    (n_modes, *B, n) and rows_lam (n_modes, *B).
+    (n_modes, *B, n) and rows_lam (n_modes, *B), or no modes at amplitude 0.
     """
 
     stiff: np.ndarray | None
@@ -224,7 +230,9 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True):
 
     # f*V and every f*phi_l share one running-integral pass; V is
     # -(f''/L^2 + f^3/2) for Willmore and -f''/L^2 for curve diffusion
-    fv_fphi = np.empty((n_modes + 1,) + f.shape)
+    # (at amplitude 0 nothing reads the noise rows, so f*V goes alone)
+    noisy = amp != 0.0
+    fv_fphi = np.empty((n_modes + 1 if noisy else 1,) + f.shape)
     fv = fv_fphi[0]
     np.divide(f2, l2, out=fv)
     if spec.kind == WILLMORE:
@@ -233,9 +241,9 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True):
         fv += tmp
     np.negative(fv, out=fv)
     fv *= f
-    if scalar:
+    if noisy and scalar:
         fv_fphi[1] = f  # f * phi with phi = 1
-    else:
+    elif noisy:
         table = _basis_table(noise, grid)
         if batch:
             table = table.reshape((5, n_modes) + (1,) * len(batch) + (grid.n,))
@@ -275,8 +283,10 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True):
 
     # noise rows: beta_l = phi_l''/L^2 + f^2 phi_l + coef_l f' with the
     # transport coefficient coef_l = cumint(f phi_l) + r lam_l / L
-    ito = include_ito and amp != 0.0
-    if scalar:
+    ito = include_ito and noisy
+    if not noisy:
+        lam, beta = np.empty((0,) + batch), np.empty((0,) + f.shape)
+    elif scalar:
         lam = np.full((1,) + batch, -TWO_PI)
         lam_l = column(lam[0] / lc)
         coef = cums[1]
@@ -368,6 +378,6 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True):
         det_L=det_l,
         corr_f=corr_f,
         corr_L=corr_L,
-        rows_beta=beta[None] if scalar else beta,
+        rows_beta=beta[None] if scalar and noisy else beta,
         rows_lam=lam,
     )

@@ -83,6 +83,12 @@ _SNAPSHOT_VALUE_CAP = 256
 _TURNING_TOL = 1e-6
 
 
+class StartRefused(ValueError):
+    """A run refused before its first step, by ``_start``: an initial state,
+    scheme, noise basis or dt that the run cannot start from.  Every other
+    ValueError out of a run is a fault of the caller or of the program."""
+
+
 class TerminalStatus(enum.Enum):
     REACHED_T = "reached_t"
     BLOWUP_CURVATURE = "blowup_curvature"
@@ -189,11 +195,18 @@ def dt_stability(scheme, grid, length, f_sup):
         raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
     length, f_sup = np.asarray(length, dtype=float), np.asarray(f_sup, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
-        bound = 0.5 * length**2 / (f_sup**2 * grid.n**2)
-        if scheme == IMEX_EM:
-            return bound
-        lam = (math.pi * grid.n) ** 4 / length**4
-        return np.minimum(bound, 1.0 / lam)
+        return _dt_bound(scheme, grid, length, f_sup)
+
+
+def _dt_bound(scheme, grid, length, f_sup):
+    """dt_stability's bound for a known scheme on float arrays, under the
+    caller's errstate; the stepping loop, which holds one, calls it
+    directly."""
+    bound = 0.5 * length**2 / (f_sup**2 * grid.n**2)
+    if scheme == IMEX_EM:
+        return bound
+    lam = (math.pi * grid.n) ** 4 / length**4
+    return np.minimum(bound, 1.0 / lam)
 
 
 def _noise_sums(rows_beta, rows_lam, dw, amplitude):
@@ -333,14 +346,16 @@ _STEPPERS = {
 _BATCH_STEPPERS = dict(_STEPPERS)
 
 
-def _snapshot(grid, f, length, time, step, full=False):
+def _snapshot(grid, f, length, time, step, sup, full=False):
+    """The snapshot of state (f, length) at time after step steps; sup is
+    sup|f|, which the stepping loop has already taken (see _advance)."""
     stride = 1 if full else -(-f.shape[-1] // _SNAPSHOT_VALUE_CAP)
     return Snapshot(
         time=time,
         length=length,
         turning=float(length * grid.integrate(f)),
         energy=float(0.5 * length * grid.integrate(f * f)),
-        sup_f=float(np.max(np.abs(f))),
+        sup_f=float(sup),
         f=np.array(f[::stride]),
         step=step,
         full_resolution=stride == 1,
@@ -404,18 +419,22 @@ def _start(spec, grid, stepper, f, lengths, stop):
     amplitude > 0 only on a basis whose wavenumbers lie below n/2, which the
     grid resolves; and dt must lie below the stability bound of every
     initial state, under every scheme.  Returns the stop window, by default
-    StopCriteria.from_initial of the first state.
+    StopCriteria.from_initial of the first state; a refusal raises
+    StartRefused.
     """
     if spec.stiff_sign > 0 and stepper.scheme == IMEX_EM:
-        raise ValueError(f"stiff_sign = +1 needs an explicit scheme, not {IMEX_EM}")
+        raise StartRefused(f"stiff_sign = +1 needs an explicit scheme, not {IMEX_EM}")
     if spec.noise.amplitude > 0.0:
         top = max(b.wavenumber if b.kind in ("cos", "sin") else 0 for b in spec.noise.basis)
         if 2 * top >= grid.n:
-            raise ValueError(
+            raise StartRefused(
                 f"noise basis wavenumber {top} is not below n/2 = {grid.n // 2}: "
                 f"the {grid.n}-node grid aliases it"
             )
-    flows.check_state(grid, f, lengths)
+    try:
+        flows.check_state(grid, f, lengths)
+    except ValueError as exc:
+        raise StartRefused(str(exc)) from None
     turning = lengths * grid.integrate(f)
     exact = spec.uses_turning_shortcut and spec.noise.amplitude > 0.0
     target = 2.0 * math.pi * (1.0 if exact else np.round(turning / (2.0 * math.pi)))
@@ -424,7 +443,7 @@ def _start(spec, grid, stepper, f, lengths, stop):
     if bad.size:
         i = bad[0]
         goal = "2*pi, which scalar noise requires" if exact else "the nearest multiple of 2*pi"
-        raise ValueError(
+        raise StartRefused(
             f"closed-curve total turning {turning[i]:.8g} is {defect[i]:.3g} away from "
             f"{goal} (tolerance {_TURNING_TOL:g})"
         )
@@ -432,7 +451,7 @@ def _start(spec, grid, stepper, f, lengths, stop):
         stop = StopCriteria.from_initial(State(f[0], float(lengths[0])))
     bound = dt_stability(stepper.scheme, grid, lengths, np.abs(f).max(axis=-1)).min()
     if stepper.dt > bound:
-        raise ValueError(
+        raise StartRefused(
             f"dt={stepper.dt:g} exceeds the stability bound {bound:.3g} for "
             f"{stepper.scheme} at the initial state"
         )
@@ -452,8 +471,11 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, rec
     leaves the window (see _classify); one that ends non-finite or with a
     non-positive length is rejected, kept at its start-of-step state, the
     latter as a collapse.  After each step record(k, t, f, lengths, active,
-    halted) sees the rows, halted flagging those that stopped on the state
-    they hold.  Once a row has stopped, only the active rows are stepped.
+    halted, sup) sees the rows, halted flagging those that stopped on the
+    state they hold, and sup their sup|f| as _classify took it: right for
+    every active or halted row (a rejected one holds an older state), and a
+    NumPy scalar when a single row steps.  Once a row has stopped, only the
+    active rows are stepped.
     Returns the steps taken, the final f and lengths; per row the status,
     stop time (NaN if none) and smallest h; and whether dt crossed the
     stability bound.
@@ -511,13 +533,13 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, rec
                 every = bool(active.all())
             f, lengths = new_f, new_l
             if (k + 1) % stepper.snapshot_every == 0 and not unstable and active.any():
-                sup = np.reshape(sup, m)[active]
-                bound = dt_stability(stepper.scheme, grid, lengths[active], sup)
+                active_sup = np.reshape(sup, m)[active]
+                bound = _dt_bound(stepper.scheme, grid, lengths[active], active_sup)
                 if stepper.dt > bound.min():
                     unstable = True
                     msg = "dt exceeded the stability bound mid-run; results may be inaccurate"
                     warnings.warn(msg, stacklevel=3)
-            record(k, t, f, lengths, active, halted)
+            record(k, t, f, lengths, active, halted, sup)
             if halted is not no_rows and not active.any():  # the last row stopped
                 break
     return k + 1, f, lengths, statuses, stop_times, min_h, unstable
@@ -594,14 +616,15 @@ def run(
     )
 
     t_last = float(state0.time)  # the time of the state the row holds
-    snapshots = [_snapshot(grid, f[0], float(lengths[0]), t_last, 0)]
+    snapshots = [_snapshot(grid, f[0], float(lengths[0]), t_last, 0, np.max(np.abs(f)))]
 
-    def record(k, t, f, lengths, active, halted):
+    def record(k, t, f, lengths, active, halted, sup):
         nonlocal t_last
         if active[0] or halted[0]:
             t_last = t
             if halted[0] or (k + 1) % stepper.snapshot_every == 0:
-                snapshots.append(_snapshot(grid, f[0], float(lengths[0]), t, k + 1, halted[0]))
+                snap = _snapshot(grid, f[0], float(lengths[0]), t, k + 1, sup, halted[0])
+                snapshots.append(snap)
 
     steps, f, lengths, statuses, _, min_h, unstable = _advance(
         spec, grid, stepper, stop, _STEPPERS[stepper.scheme], f, lengths, schedule, rows, record
@@ -609,7 +632,8 @@ def run(
     state = State(f[0], float(lengths[0]), t_last)
     last = snapshots[-1]
     if statuses[0] is TerminalStatus.REACHED_T and (last.step != steps or not last.full_resolution):
-        snapshots.append(_snapshot(grid, state.f, state.length, t_last, steps, full=True))
+        sup = np.max(np.abs(state.f))
+        snapshots.append(_snapshot(grid, state.f, state.length, t_last, steps, sup, full=True))
     return Trajectory(
         snapshots=snapshots,
         terminal_status=statuses[0],
@@ -667,13 +691,13 @@ def run_ensemble(
     )
     records = []
 
-    def record(k, t, f, lengths, active, halted):
+    def record(k, t, f, lengths, active, halted, sup):
         if (k + 1) % stepper.snapshot_every == 0 or k + 1 == n_steps:
             energy = 0.5 * lengths * grid.integrate(f * f)
             records.append((t, lengths.copy(), energy, active.copy()))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        record(-1, 0.0, f, lengths, np.ones(m, dtype=bool), None)
+        record(-1, 0.0, f, lengths, np.ones(m, dtype=bool), None, None)
         steps, f, lengths, statuses, stop_times, min_h, unstable = _advance(
             spec, grid, stepper, stop, _BATCH_STEPPERS[stepper.scheme], f, lengths,
             schedule, rows, record,
@@ -687,7 +711,7 @@ def run_ensemble(
         if n_steps % every and n_steps > steps:
             tail = [*tail, n_steps - 1]
         for k in tail:
-            record(k, step(k)[1], f, lengths, idle, None)
+            record(k, step(k)[1], f, lengths, idle, None, None)
     times, length_rows, energy_rows, active_rows = zip(*records)
     return EnsembleResult(
         times=np.asarray(times),

@@ -349,6 +349,33 @@ def test_assembly_without_stiff_matches_full_assembly_bitwise(noise, batch):
         assert have.tobytes() == want.tobytes(), name
 
 
+@pytest.mark.parametrize("kind", [WILLMORE, CURVE_DIFFUSION])
+@pytest.mark.parametrize("mode", ["scalar", "spectral"])
+@pytest.mark.parametrize("batch", [(), (5,)])
+@pytest.mark.parametrize("n", [32, 256], ids=["dense", "fft"])
+def test_zero_amplitude_forms_no_noise_rows(kind, mode, batch, n):
+    """At amplitude 0 the noise rows have no modes, and every other field is
+    bitwise that of the same state under amplitude 0.7 without the Ito
+    correction, on both grid routes (8 modes under spectral noise)."""
+    rng = np.random.default_rng(67)
+    grid = Grid(n)
+    quiet = FlowSpec(kind, NoiseModel(mode=mode, amplitude=0.0))
+    noisy = FlowSpec(kind, NoiseModel(mode=mode, amplitude=0.7))
+    f = np.stack([_band_limited(rng, grid) for _ in range(5)])
+    f = f[0] if batch == () else f
+    length = 0.3 + 3.0 * rng.random(batch)
+    want = assemble(noisy, grid, f, length, include_ito=False)
+    assert want.rows_beta.shape == (noisy.noise.n_modes,) + f.shape
+    for include_ito in (True, False):
+        got = assemble(quiet, grid, f, length, include_ito=include_ito)
+        assert got.rows_beta.shape == (0,) + f.shape
+        assert got.rows_lam.shape == (0,) + batch
+        for name in ("stiff", "det_f", "det_L", "corr_f", "corr_L"):
+            have, ref = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+            assert have.shape == ref.shape, name
+            assert have.tobytes() == ref.tobytes(), name
+
+
 def test_mode_sum_adds_modes_in_order():
     """mode_sum is bitwise the in-order loop from its start value, for one
     path and for batches; from +0.0 an all -0.0 stack sums to +0.0, and from

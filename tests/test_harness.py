@@ -368,6 +368,92 @@ def test_simulate_reconstructs_snapshots_in_blocks(tmp_path, monkeypatch, n, ste
         assert rec["area_advisory"] == geometry.area_advisory(sample)
 
 
+def _snapshot_dict(grid, snap):
+    """A snapshot's record as a dict, in the key order of its line, with the
+    geometry of its own single reconstruction: the reference that
+    ``_snapshot_records``' template lines must match through ``_dumps``."""
+    rec = {
+        "record": "snapshot",
+        "step": snap.step,
+        "t": snap.time,
+        "length": snap.length,
+        "turning": snap.turning,
+        "energy": snap.energy,
+        "sup_curvature": snap.sup_f,
+        "full_resolution": snap.full_resolution,
+        "f": snap.f,
+    }
+    if snap.f.shape[-1] == grid.n:
+        sample = geometry.reconstruct(grid, State(snap.f, snap.length))
+        defect = geometry.closure_defect(sample)
+        rec["area"] = geometry.enclosed_area(sample)
+        rec["closure_defect"] = defect
+        rec["area_advisory"] = geometry.area_advisory(sample, defect)
+    return rec
+
+
+_STRIDED_CFG = (
+    "grid.n = 512\nstepper.dt = 1e-6\nstepper.t_end = 6e-6\nstepper.snapshot_every = 1\n"
+    "init.kind = perturbed_circle\n"
+)
+_HALTING_CFG = "stop.l_max_factor = 1.01\nstepper.t_end = 0.1\nstepper.dt = 1e-4\n"
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["path_spectral", "ensemble_scalar", "path_snapshots", _STRIDED_CFG, _HALTING_CFG],
+    ids=["path_spectral", "ensemble_scalar", "path_snapshots", "strided_n512", "halted"],
+)
+def test_snapshot_lines_equal_dumps_of_their_records(tmp_path, monkeypatch, capsys, source):
+    """simulate's snapshot lines, each filled from one template, are byte for
+    byte ``_dumps`` of the record dict, on the benchmark's three configs (the
+    ensemble one run as a single path), decimated snapshots at n = 512, and a
+    run that halts on its stop window."""
+    if source in ("path_spectral", "ensemble_scalar", "path_snapshots"):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+
+        source = workloads.config_text(workloads.WORKLOADS[source], 201)
+    cfg_path = _cfg_file(tmp_path, source)
+    out = tmp_path / "traj.jsonl"
+    code = main(["simulate", "--config", cfg_path, "--out", str(out)])
+    capsys.readouterr()
+    cfg = load_config(cfg_path)
+    grid, spec, stepper, state, stop = harness._setup(cfg)
+    driver = BrownianDriver(cfg["run.seed"], 0) if spec.noise.amplitude > 0 else None
+    traj = run(spec, grid, state, stepper, stop=stop, driver=driver)
+    assert code == (0 if traj.terminal_status is TerminalStatus.REACHED_T else 4)
+    want = [harness._dumps(_snapshot_dict(grid, snap)) for snap in traj.snapshots]
+    assert out.read_text().splitlines()[1:-1] == want
+    assert list(harness._snapshot_records(grid, traj.snapshots)) == want
+    if source is _STRIDED_CFG:
+        assert [snap.full_resolution for snap in traj.snapshots] == [False] * 7 + [True]
+    if source is _HALTING_CFG:
+        assert traj.terminal_status is TerminalStatus.BLOWUP_LENGTH_INFINITE
+        assert traj.snapshots[-1].step % stepper.snapshot_every != 0
+
+
+def test_snapshot_line_spells_a_non_finite_value_null():
+    # hand-made snapshots of the unit circle, full and decimated, with an
+    # energy that overflowed and one that did not, and a decimated field
+    # holding a NaN
+    grid = Grid(16)
+    fields = [np.ones(16), np.ones(8), np.array([1.0, np.nan] * 4)]
+    snaps = [
+        integrator.Snapshot(
+            time=0.5, length=TWO_PI, turning=TWO_PI, energy=energy, sup_f=1.0,
+            f=f, step=3, full_resolution=f.size == grid.n,
+        )
+        for energy in (math.inf, math.pi)
+        for f in fields
+    ]
+    lines = list(harness._snapshot_records(grid, snaps))
+    assert lines == [harness._dumps(_snapshot_dict(grid, snap)) for snap in snaps]
+    records = [json.loads(line) for line in lines]
+    assert [rec["energy"] for rec in records] == [None] * 3 + [math.pi] * 3
+    assert records[-1]["f"] == [1.0, None] * 4
+
+
 def test_simulate_seed_override_and_rerun_identical(tmp_path):
     cfg_path = _cfg_file(
         tmp_path,
@@ -849,6 +935,7 @@ def test_strong_study_rejects_refined_paths(monkeypatch):
     [
         ["convergence", "--study", "time", "--dts", "4e-4,2e-4"],
         ["convergence", "--study", "time", "--dts", "a,b,c"],
+        ["convergence", "--study", "time", "--dts=-1e-4,-2e-4,-4e-4"],
         ["convergence", "--study", "space", "--ns", "32,48,128"],
         # repeated levels would give a degenerate fit or a ratio of 1
         ["convergence", "--study", "time", "--dts", "1e-4,1e-4,1e-4"],
@@ -1021,6 +1108,15 @@ def test_reconstruct_error_paths(tmp_path, capsys):
     state_path = tmp_path / "state.json"
     state_path.write_text(json.dumps({"f": [1.0] * 16, "length": TWO_PI}))
     assert main(["reconstruct", "--state", str(state_path), "--anchor", "1.0"]) == 2
+
+    # a state or sample count that the grid or the reconstruction refuses
+    # is input as well
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"f": [1.0] * 6, "length": TWO_PI}))
+    assert main(["reconstruct", "--state", str(short)]) == 2
+    assert "grid needs an even n >= 8" in capsys.readouterr().err
+    assert main(["reconstruct", "--state", str(state_path), "--samples", "3"]) == 2
+    assert "samples must be an even number" in capsys.readouterr().err
 
     # reconstruct reads no config: the shared config flags are usage errors
     for flags in (
@@ -1243,3 +1339,39 @@ def test_benchmark_tracer_counts_and_restores(tmp_path):
 def test_missing_subcommand_exits():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_fault_during_a_run_is_not_a_config_error(tmp_path, monkeypatch, capsys):
+    # exit 2 is for input: a ValueError that the stepping kernel raises
+    # mid-run is a fault of the program, and it propagates
+    def faulty_kernel(*args):
+        raise ValueError("kernel fault")
+
+    monkeypatch.setitem(integrator._STEPPERS, "imex_em", faulty_kernel)
+    monkeypatch.setitem(integrator._BATCH_STEPPERS, "imex_em", faulty_kernel)
+    cfg_path = _cfg_file(tmp_path, "grid.n = 16\nstepper.t_end = 5e-4\nrun.trajectories = 2\n")
+    for command, out in (("simulate", "x.jsonl"), ("ensemble", "x.json")):
+        with pytest.raises(ValueError, match="kernel fault"):
+            main([command, "--config", cfg_path, "--out", str(tmp_path / out)])
+        assert "config error" not in capsys.readouterr().err
+        assert not (tmp_path / out).exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # python -m curveflow from a source checkout writes what main writes
+    cfg_path = _cfg_file(tmp_path, "grid.n = 16\nstepper.t_end = 5e-4\nstepper.snapshot_every = 2\n")
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "a.jsonl")]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "curveflow", "simulate", "--config", cfg_path,
+         "--out", str(tmp_path / "b.jsonl")],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "status: reached_t"
+    assert (tmp_path / "b.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
