@@ -25,7 +25,7 @@ under scalar noise (the total turning of a simple closed curve), and
 for states that turn by exactly 2*pi, so ``run`` and ``run_ensemble``
 refuse to start a scalar-noise run anywhere else; the flow conserves the
 turning, so the row stays right along the run.  The global amplitude
-multiplies the Brownian increments in the stepper, and enters the
+multiplies the Brownian increments (``noise_field``), and enters the
 Stratonovich-to-Ito correction quadratically.  The correction is the exact
 directional derivative of each diffusion row along itself,
 
@@ -33,34 +33,31 @@ directional derivative of each diffusion row along itself,
 
 so the Ito drift equals the Stratonovich drift plus C by construction.
 
-One pass assembles everything, with the noise modes on a leading array axis
-(Trefethen, Spectral Methods in MATLAB, ch. 3): one transform of f gives
-its first and second derivatives, and for the explicit Heun scheme its
-fourth, through stacked multipliers; f*V and every f*phi_l share one
-running-integral pass, and every b_f,l*phi_l of the correction one more.
-The basis samples and their derivatives are tabulated once per grid.
+One pass assembles everything (Trefethen, Spectral Methods in MATLAB,
+ch. 3): one transform of f gives f', f'' and, for the explicit Heun scheme,
+f''''.  The noise and the correction are linear in the modes, so they are
+formed after summing over them.  The noise field is one contraction,
+psi = sum_l w_l phi_l of the increments w = a dW (``noise_field``), and the
+step's noise increment is the row formula with psi for phi_l.  The
+correction is mode sums (fixed tables of sum phi phi'' and sum phi^2, and
+contractions of the transport coefficients) plus one running integral, of
+sum_l b_f,l phi_l.  f*V, f*psi and the per-mode f*phi_l share one
+running-integral pass.  Per-mode rows, the formula at unit increments, are
+formed only when no noise field is given.  Every mode sum adds in mode
+order, so a single path and a batch row take identical arithmetic.
 
-Under scalar noise the pass does no basis arithmetic.  With phi = 1, f*phi
-is f, phi', phi'' and phi''' vanish, and lam is the constant -2*pi with
-derivative 0, so those products and the (n_modes, ...) stacks of the noise
-row and the correction are never formed.  The deterministic drift and the
-transport are one code path for both noise kinds.  Every field is bitwise
-the general formulas evaluated with phi = 1, at every length whose square is
-a normal double: each remaining operation keeps its operand order, and the
-one vanishing term kept, -2 phi'' lam / L^3 = +0.0 per row, turns -0.0
-partial sums into +0.0 as the general code's zero terms do.
+Under scalar noise (phi = 1, lam = -2*pi) the pass does no basis
+arithmetic and forms no mode sums; the noise increment is w times the one
+row.  Every field is bitwise the per-mode formulas at phi = 1, at every
+length whose square is a normal double: each remaining operation keeps its
+operand order, and the one vanishing term kept, -2 phi'' lam / L^3 = +0.0,
+turns -0.0 partial sums into +0.0 as those formulas' zero terms do.
 
-At amplitude 0 the pass forms no noise rows, as the Ito rule already forms
-no correction: the steppers add no noise term, so nothing would read them.
-f*V goes through the running-integral pass alone, and the row stacks come
-back empty, (0, *B, n) and (0, *B).  Every other field is bitwise what the
-same state gives under a non-zero amplitude without the Ito correction.
-
-The fourth-order term -(1/L^4) drrrr f is returned separately (stiff), and
-is formed only for the explicit Heun scheme, which adds it to the drift.  The
-semi-implicit scheme solves for it instead and never reads it, so its
-assembly transforms back only f' and f''.  Everything else, corrections
-included, is in the explicit part.
+At amplitude 0 the pass forms no noise rows (they come back empty), and
+every other field is bitwise that of a non-zero amplitude without the Ito
+correction.  The fourth-order term -(1/L^4) drrrr f is returned separately
+(stiff), and only for the explicit Heun scheme; the semi-implicit scheme
+solves for it instead.
 """
 
 from __future__ import annotations
@@ -121,13 +118,11 @@ class State:
 
 @dataclass
 class _Assembly:
-    """Everything one assembly pass produces, for a batch shape B.
-
-    The drift pieces have shape (*B, n) on f and B on L; stiff is formed only
-    for the explicit Heun scheme and is None otherwise.  The noise rows are
-    stacked with the modes on the leading axis: rows_beta has shape
-    (n_modes, *B, n) and rows_lam (n_modes, *B), or no modes at amplitude 0.
-    """
+    """One assembly pass for a batch shape B: drift pieces of shape (*B, n)
+    on f and B on L (stiff only for the Heun scheme, else None); rows_beta
+    and rows_lam are the step's noise increment, (*B, n) and B, given a noise
+    field, or else the rows at unit increments, (n_modes, *B, n) and
+    (n_modes, *B), with no modes at amplitude 0."""
 
     stiff: np.ndarray | None
     det_f: np.ndarray
@@ -139,36 +134,51 @@ class _Assembly:
 
 
 def _basis_table(noise, grid):
-    """phi_l, its first three derivatives and -2 phi_l'' at the nodes, shape
-    (5, n_modes, n).
+    """[phi_l'', phi_l, phi_l', phi_l'''] at the nodes, (4, n_modes, n), so
+    that the noise field and the transport contractions each take one slice.
 
-    Sampled once per (grid, noise model) through basis_eval, so every value
-    is bitwise the closed form; later assemblies read the cached table.  The
-    key is the model itself, hashed by identity: the cache holds it, so its
-    identity never passes to another model, and a model's basis is fixed at
-    construction.
-    """
+    Sampled once per (grid, noise model) by basis_eval, bitwise the closed
+    form.  The key is the model, hashed by identity: the cache holds it, so
+    its identity never passes to another, and its basis is fixed."""
 
     def build():
         modes = range(1, noise.n_modes + 1)
-        table = np.array([[basis_eval(noise, grid, l, order) for l in modes] for order in range(4)])
-        return np.concatenate((table, -2.0 * table[2:3]))
+        return np.array([[basis_eval(noise, grid, l, order) for l in modes] for order in (2, 0, 1, 3)])
 
     return grid.cached(("noise_basis", noise), build)
 
 
-def mode_sum(terms, start):
-    """start + terms[0] + terms[1] + ..., added in mode order.
+def _basis_sums(noise, grid):
+    """[sum_l phi_l phi_l'', sum_l phi_l^2] at the nodes, cached likewise."""
 
-    terms has the modes on its leading axis, (n_modes, *B, n).  One reduction
-    over that axis adds whole rows in order, so a single path and a batch row
-    take identical arithmetic.  (A 1-D reduction would add pairwise, which
-    is why the per-mode length terms are summed by ``np.add.accumulate``,
-    which adds in order, instead.)  A start of -0.0, the exact identity of
-    IEEE addition, gives the sum started from the first term; +0.0 turns an
-    all -0.0 sum into +0.0.
-    """
-    return np.add.reduce(terms, axis=0, initial=start)
+    def build():
+        table = _basis_table(noise, grid)
+        return mode_sum(table[1] * table[:2], 0.0, axis=1)
+
+    return grid.cached(("noise_basis_sums", noise), build)
+
+
+def mode_sum(terms, start, axis=0):
+    """start + terms[0] + terms[1] + ..., the modes on axis 0 (axis 1 for
+    several sums at once), adding whole rows in mode order, so that a single
+    path and a batch row take identical arithmetic (a 1-D reduction would add
+    pairwise).  A start of -0.0 gives the sum started from the first term;
+    +0.0 turns an all -0.0 sum into +0.0."""
+    return np.add.reduce(terms, axis=axis, initial=start)
+
+
+def noise_field(spec, grid, dw):
+    """The noise field ``assemble`` takes for a step's N(0, dt) increments
+    dw, (n_modes,) or (M, n_modes): with w = amplitude * dw, [psi'', psi] for
+    psi = sum_l w_l phi_l, shape (2, *B, n), by ``mode_sum`` from -0.0, or
+    under scalar noise w itself, shape B."""
+    w = spec.noise.amplitude * np.asarray(dw, dtype=float).T
+    if spec.uses_turning_shortcut:
+        return w[0]
+    pair = _basis_table(spec.noise, grid)[:2]
+    if w.ndim > 1:  # the batch rows meet the nodes as columns
+        pair = pair[:, :, None]
+    return mode_sum(w[..., None] * pair, -0.0, axis=1)
 
 
 def check_state(grid, f, length):
@@ -187,23 +197,23 @@ def check_state(grid, f, length):
     return f, lc
 
 
-def assemble(spec, grid, f, length, include_ito=True, include_stiff=True):
+def _column(x):
+    """Per-row values as a column against the nodes; a 0-d one as it is."""
+    return x[..., None] if x.ndim else x
+
+
+def assemble(spec, grid, f, length, include_ito=True, include_stiff=True, psi=None):
     """Assemble drift pieces and diffusion rows for (possibly stacked) states.
 
     f has shape (*B, n) for a batch shape B (empty for a single state) and
-    length has shape B.  All noise modes are assembled together on a leading
-    axis: one transform pair gives the running integrals of f*V and of every
-    f*phi_l, and one more those of every beta_l*phi_l for the Ito
-    correction.  Under scalar noise the same values come from the scalar
-    pass (see the module docstring).  Nothing is validated: the states pass
-    ``check_state`` where they enter, and a bad row spoils only its own row.
-    Without include_stiff the fourth-order term is not formed (stiff is
-    None), and the inverse transform of f's derivatives has no f'''' row.
-
-    Returns an _Assembly whose fields broadcast over the batch shape.
+    length has shape B; psi is the step's ``noise_field``, if any.  Nothing
+    is validated: states pass ``check_state`` where they enter, and a bad row
+    spoils only its own row.  Without include_stiff the fourth-order term is
+    not formed.  Returns an _Assembly.
     """
     batch = f.shape[:-1]
-    lc = np.asarray(length, dtype=float)
+    # one state's length as a NumPy scalar: 0-d arithmetic, bit for bit, but faster
+    lc = np.asarray(length, dtype=float)[()]
     r = grid.nodes
     noise = spec.noise
     n_modes = noise.n_modes
@@ -213,10 +223,7 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True):
     # Full-size temporaries are updated in place and freed as soon as they
     # are used: at M ~ 2000 paths every (M, n) array is a MiB.  Each in-place
     # form keeps the operand order of the formula it computes.
-    # per-row values meet the n nodes as columns, or for B = () as 0-d
-    # values, which broadcast faster than (1,) arrays
-    column = (lambda x: x[..., None]) if batch else (lambda x: x)
-    lcol = column(lc)
+    lcol = _column(lc)
     l2 = lcol * lcol
     if include_stiff:
         f1, f2, stiff = grid.derivs(f, (1, 2, 4))
@@ -228,12 +235,17 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True):
     ff = f * f
     tmp = np.empty_like(f)
 
-    # f*V and every f*phi_l share one running-integral pass; V is
+    # one running-integral pass takes f*V, f*psi (per mode at unit
+    # increments) and the per-mode f*phi_l of the Ito correction; V is
     # -(f''/L^2 + f^3/2) for Willmore and -f''/L^2 for curve diffusion
-    # (at amplitude 0 nothing reads the noise rows, so f*V goes alone)
     noisy = amp != 0.0
-    fv_fphi = np.empty((n_modes + 1 if noisy else 1,) + f.shape)
-    fv = fv_fphi[0]
+    ito = include_ito and noisy
+    spectral = noisy and not scalar
+    unit = psi is None
+    per_mode = spectral and (ito or unit)
+    rows = 1 + (noisy and not (spectral and unit)) + (n_modes if per_mode else 0)
+    stack = np.empty((rows,) + f.shape)
+    fv = stack[0]
     np.divide(f2, l2, out=fv)
     if spec.kind == WILLMORE:
         f3 = ff * f  # shared with det_f's f^5 term
@@ -242,23 +254,27 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True):
     np.negative(fv, out=fv)
     fv *= f
     if noisy and scalar:
-        fv_fphi[1] = f  # f * phi with phi = 1
-    elif noisy:
+        stack[1] = f  # f * phi with phi = 1
+    elif spectral:
         table = _basis_table(noise, grid)
         if batch:
-            table = table.reshape((5, n_modes) + (1,) * len(batch) + (grid.n,))
-        phi, phi1, phi2, _, m2phi2 = table
-        fphi = fv_fphi[1:]
-        np.multiply(f, phi, out=fphi)
-    ints = grid.integrate(fv_fphi)
-    cums = grid.cumint(fv_fphi)
-    del fv_fphi, fv
+            table = table.reshape((4, n_modes) + (1,) * len(batch) + (grid.n,))
+        if unit:
+            psi2, psi = table[:2]
+        else:
+            psi2, psi = psi
+            np.multiply(f, psi, out=stack[1])
+        if per_mode:
+            np.multiply(f, table[1], out=stack[rows - n_modes :])
+    ints = grid.integrate(stack)
+    cums = grid.cumint(stack)
+    del stack, fv
 
     # deterministic drift: the flow's own terms plus the transport
     # (cumint(f V) + r Ldot/L) f'
     det_l = -lc * ints[0]
     transport = cums[0]
-    np.multiply(r, column(det_l / lc), out=tmp)
+    np.multiply(r, _column(det_l / lc), out=tmp)
     transport += tmp
     transport *= f1
     det_f = np.multiply(ff, f2)
@@ -281,14 +297,13 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True):
     det_f += transport
     del transport
 
-    # noise rows: beta_l = phi_l''/L^2 + f^2 phi_l + coef_l f' with the
-    # transport coefficient coef_l = cumint(f phi_l) + r lam_l / L
-    ito = include_ito and noisy
+    # noise rows: beta = psi''/L^2 + f^2 psi + coef f' with the transport
+    # coefficient coef = cumint(f psi) + r lam / L and lam = -L integral(f psi)
     if not noisy:
         lam, beta = np.empty((0,) + batch), np.empty((0,) + f.shape)
     elif scalar:
         lam = np.full((1,) + batch, -TWO_PI)
-        lam_l = column(lam[0] / lc)
+        lam_l = _column(lam[0] / lc)
         coef = cums[1]
         np.multiply(r, lam_l, out=tmp)
         coef += tmp
@@ -296,88 +311,90 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True):
         beta = np.multiply(coef, f1)
         beta += ff
     else:
-        lam = -lc * ints[1:]
-        lam_l = (lam / lc)[..., None]
-        coef = cums[1:]
-        coef += r * lam_l
-        if ito:  # [phi''; phi'''] / L^2 in one division
-            beta, beta1 = table[2:4] / l2
-        else:
-            beta = phi2 / l2
-        beta += ff * phi
+        # the rows after f*V: per mode, or the noise field's and then those
+        lam_all = -lc * ints[1:]
+        lam_l = _column(lam_all / lc)
+        coef_all = cums[1:]
+        coef_all += r * lam_l
+        lam, coef = (lam_all, coef_all) if unit else (lam_all[0], coef_all[0])
+        beta = psi2 / l2
+        beta += ff * psi
         beta += coef * f1
 
     if not ito:
         corr_f, corr_L = np.zeros_like(f), np.zeros(batch)
+    elif scalar:
+        # D(beta)[(beta, lam)] = -2 phi'' lam / L^3 + 2 f phi beta + rate * f'
+        # + coef * beta' with phi = 1 and dlam = 0: bphi is beta, and the
+        # phi', phi'', phi''' and r * dlam / L terms are zeros, which can only
+        # set the sign of a zero result.  One is kept: -2 phi'' lam / L^3,
+        # +0.0 per row (NaN where L^3 underflows), which keeps every partial
+        # sum of dbeta from -0.0, as the per-mode formulas' zero terms and
+        # zero-started mode sum do
+        rate = grid.cumint(beta)
+        np.multiply(r, _column(lam[0] * lam[0] / (lc * lc)), out=tmp)
+        rate -= tmp
+        rate *= f1
+        two_f = 2.0 * f
+        dbeta = np.multiply(two_f, beta)
+        dbeta += 0.0 / (l2 * lcol)
+        dbeta += rate
+        del rate
+        beta1 = np.multiply(two_f, f1)
+        del two_f
+        np.add(f, lam_l, out=tmp)
+        tmp *= f1
+        beta1 += tmp
+        np.multiply(coef, f2, out=tmp)
+        beta1 += tmp
+        beta1 *= coef
+        dbeta += beta1
+        del beta1
+        corr_f, corr_L = dbeta, np.zeros(batch)
     else:
-        # D(beta_l)[(beta_l, lam_l)] for every mode at once:
-        #   dbeta = -2 phi'' lam / L^3 + 2 f phi beta + rate * f' + coef * beta'
-        # with beta' by the chain rule, since the basis derivatives are
-        # analytic and the r-linear transport coefficient differentiates
-        # exactly
-        if scalar:
-            # phi = 1 and dlam = 0: bphi is beta, and the phi', phi'',
-            # phi''' and r * dlam / L terms are zeros, which can only set the
-            # sign of a zero result.  One is kept: -2 phi'' lam / L^3, +0.0
-            # per row (NaN where L^3 underflows), which keeps every partial
-            # sum of dbeta from -0.0, as the general code's zero terms and
-            # zero-started mode sum do
-            rate = grid.cumint(beta)
-            np.multiply(r, column(lam[0] * lam[0] / (lc * lc)), out=tmp)
-            rate -= tmp
-            rate *= f1
-            two_f = 2.0 * f
-            dbeta = np.multiply(two_f, beta)
-            dbeta += 0.0 / (l2 * lcol)
-            dbeta += rate
-            del rate
-            beta1 = np.multiply(two_f, f1)
-            del two_f
-            np.add(f, lam_l, out=tmp)
-            tmp *= f1
-            beta1 += tmp
-            np.multiply(coef, f2, out=tmp)
-            beta1 += tmp
-            beta1 *= coef
-            dbeta += beta1
-            del beta1
-            corr_f, corr_L = dbeta, np.zeros(batch)
-        else:
-            bphi = beta * phi
-            dlam = -lam * ints[1:] - lc * grid.integrate(bphi)
-            rate = grid.cumint(bphi)
-            del bphi
-            rate += r * (dlam / lc)[..., None]
-            rate -= r * (lam * lam / (lc * lc))[..., None]
-            rate *= f1
-            dbeta = m2phi2 * lam[..., None] / (l2 * lcol)
-            two_f = 2.0 * f
-            dbeta += two_f * phi * beta
-            dbeta += rate
-            del rate
-            beta1 += (two_f * f1) * phi
-            del two_f
-            beta1 += ff * phi1
-            beta1 += (fphi + lam_l) * f1
-            beta1 += coef * f2
-            beta1 *= coef
-            dbeta += beta1
-            del beta1
-            # sum over modes in mode order from +0.0, then scale once; the
-            # length terms are summed from the first, and the final +0.0
-            # gives the zero-started sum's +0.0 where it is zero
-            corr_f = mode_sum(dbeta, 0.0)
-            corr_L = np.add.accumulate(dlam, axis=0)[-1] + 0.0
+        # sum_l D(beta_l)[(beta_l, lam_l)] by the chain rule, as mode sums:
+        # dlam_l = lam_l^2 / L - L integral(beta_l phi_l), so with
+        # bphi = sum beta phi = sum phi phi'' / L^2 + f^2 sum phi^2 + f' sum coef phi
+        #   C_L = sum lam^2 / L - L integral(bphi),
+        #   C_f = (sum coef phi''' - 2 sum (lam/L) phi'') / L^2 + f^2 sum coef phi'
+        #       + f'' sum coef^2 + f (2 bphi + 3 f' sum coef phi)
+        #       + f' (cumint(bphi - integral(bphi)) + sum coef lam / L)
+        m = slice(0 if unit else 1, None)
+        coef_m, lam_lm = coef_all[m], lam_l[m]
+        prod = np.empty((6,) + coef_m.shape)
+        np.multiply(coef_m, table[1:], out=prod[:3])
+        np.multiply(coef_m, coef_m, out=prod[3])
+        np.multiply(coef_m, lam_lm, out=prod[4])
+        np.multiply(lam_lm, table[0], out=prod[5])
+        c_phi, c_phi1, c_phi3, c_c, c_lam, lam_phi2 = mode_sum(prod, 0.0, axis=1)
+        del prod
+        s_ll = np.add.accumulate(lam_all[m] * lam_all[m])[-1]  # in mode order
+        phi_phi2, phi_phi = _basis_sums(noise, grid)
+        bphi = phi_phi2 / l2
+        bphi += ff * phi_phi
+        c_phi *= f1
+        bphi += c_phi
+        mean = grid.integrate(bphi)
+        corr_L = s_ll / lc - lc * mean
+        rate = grid.cumint(bphi - _column(mean))
+        rate += c_lam
+        rate *= f1
+        corr_f = lam_phi2 * -2.0
+        corr_f += c_phi3
+        corr_f /= l2
+        corr_f += ff * c_phi1
+        corr_f += f2 * c_c
+        bphi *= 2.0
+        c_phi *= 3.0
+        bphi += c_phi
+        bphi *= f
+        corr_f += bphi
+        corr_f += rate
+    if ito:
         half_var = 0.5 * amp * amp
         corr_f *= half_var
         corr_L = half_var * corr_L
 
-    return _Assembly(
-        stiff=stiff,
-        det_f=det_f,
-        det_L=det_l,
-        corr_f=corr_f,
-        corr_L=corr_L,
-        rows_beta=beta[None] if scalar and noisy else beta,
-        rows_lam=lam,
-    )
+    if noisy and scalar:
+        beta, lam = (beta[None], lam) if unit else (_column(psi) * beta, psi * lam[0])
+    return _Assembly(stiff, det_f, det_l, corr_f, corr_L, beta, lam)

@@ -29,11 +29,11 @@ wrapping a table entry still see one kernel call per step.  An assembly
 keeps about sixteen arrays of the batch's size alive, so whole-batch
 temporaries of a MiB each (M = 2048, n = 64) stream through main memory,
 while a block's working set stays near a 2 MiB L2 cache; the block length
-follows n so that its arrays keep that size at every grid.  A
-spectral assembly also keeps about eight (n_modes, rows, n) mode stacks
-alive, so its blocks are 1 + n_modes // 2 times shorter (51 rows for 8 modes
-at n = 64).  Rows are independent, so blocked rows are bitwise the
-whole-batch ones.
+follows n so that its arrays keep that size at every grid.  A spectral
+assembly also keeps about seven (n_modes, rows, n) mode stacks alive (six
+contraction products and the running integrals of every f*phi_l), so its
+blocks are 1 + n_modes // 2 times shorter (51 rows for 8 modes at n = 64).
+Rows are independent, so blocked rows are bitwise the whole-batch ones.
 
 Stability: the explicitly treated variable-coefficient second-order term
 requires dt <= 0.5 * L^2 / (sup|f|^2 n^2); HeunStratonovich additionally
@@ -209,22 +209,6 @@ def _dt_bound(scheme, grid, length, f_sup):
     return np.minimum(bound, 1.0 / lam)
 
 
-def _noise_sums(rows_beta, rows_lam, dw, amplitude):
-    """amplitude * sum_l dw_l * (beta_l, lam_l): the noise increment of f and L.
-
-    The rows are stacked with the modes leading, (n_modes, n) and (n_modes,)
-    for one path, (n_modes, M, n) and (n_modes, M) for a batch; dw has shape
-    (n_modes,) or (M, n_modes).  The mode terms are added in mode order, the
-    field terms by ``flows.mode_sum`` and the length terms by
-    ``np.add.accumulate``, so a single path and a batch row take identical
-    arithmetic.
-    """
-    w = amplitude * np.asarray(dw, dtype=float).T
-    g_f = flows.mode_sum(w[..., None] * rows_beta, -0.0)
-    g_l = np.add.accumulate(w * rows_lam, axis=0)[-1]
-    return g_f, g_l
-
-
 def _project_turning(grid, new_f, f, length, new_length):
     """Shift the zero mode of new_f, in place, so that new_length * mean(new_f)
     equals length * mean(f).
@@ -243,16 +227,16 @@ def _imex_em(spec, grid, f, length, dt, dw):
     dw holds raw N(0, dt) increments, one per noise mode, not yet scaled by
     the noise amplitude; None means no noise term (deterministic step).
     """
-    a = flows.assemble(spec, grid, f, length, include_stiff=False)
+    psi = None if dw is None else flows.noise_field(spec, grid, dw)
+    a = flows.assemble(spec, grid, f, length, include_stiff=False, psi=psi)
     rhs = a.det_f  # f + dt * (det_f + corr_f), in det_f's slot
     rhs += a.corr_f
     rhs *= dt
     rhs += f
     new_l = length + dt * (a.det_L + a.corr_L)
-    if dw is not None:
-        g_f, g_l = _noise_sums(a.rows_beta, a.rows_lam, dw, spec.noise.amplitude)
-        rhs += g_f
-        new_l = new_l + g_l
+    if dw is not None:  # the step's noise increment
+        rhs += a.rows_beta
+        new_l = new_l + a.rows_lam
     # the solve transforms row by row: a diverged row comes back non-finite
     # and leaves the others as they are
     new_f = grid.solve_stiff(rhs, length, dt)
@@ -275,23 +259,21 @@ def _heun_stratonovich(spec, grid, f, length, dt, dw):
     row at its predictor; a row whose predictor is non-finite or has a
     non-positive length returns the predictor itself, so the caller sees the
     divergence or the collapse rather than what the corrector made of it.
+    Both evaluations take the step's one noise field.
     """
-    amplitude = spec.noise.amplitude
-    a0 = flows.assemble(spec, grid, f, length, include_ito=False)
+    psi = None if dw is None else flows.noise_field(spec, grid, dw)
+    a0 = flows.assemble(spec, grid, f, length, include_ito=False, psi=psi)
     a_f0 = a0.stiff + a0.det_f
     a_l0 = a0.det_L
-    g_f0, g_l0 = 0.0, 0.0
-    if dw is not None:
-        g_f0, g_l0 = _noise_sums(a0.rows_beta, a0.rows_lam, dw, amplitude)
+    g_f0, g_l0 = (0.0, 0.0) if dw is None else (a0.rows_beta, a0.rows_lam)
     pred_f = f + dt * a_f0 + g_f0
     pred_l = length + dt * a_l0 + g_l0
-    a1 = flows.assemble(spec, grid, pred_f, pred_l, include_ito=False)
+    a1 = flows.assemble(spec, grid, pred_f, pred_l, include_ito=False, psi=psi)
     new_f = f + 0.5 * dt * (a_f0 + (a1.stiff + a1.det_f))
     new_l = length + 0.5 * dt * (a_l0 + a1.det_L)
     if dw is not None:
-        g_f1, g_l1 = _noise_sums(a1.rows_beta, a1.rows_lam, dw, amplitude)
-        new_f = new_f + 0.5 * (g_f0 + g_f1)
-        new_l = new_l + 0.5 * (g_l0 + g_l1)
+        new_f = new_f + 0.5 * (g_f0 + a1.rows_beta)
+        new_l = new_l + 0.5 * (g_l0 + a1.rows_lam)
     bad = ~(np.isfinite(pred_f).all(axis=-1) & np.isfinite(pred_l) & (pred_l > 0))
     if bad.any():
         new_f = np.where(bad[..., None], pred_f, new_f)
@@ -301,9 +283,8 @@ def _heun_stratonovich(spec, grid, f, length, dt, dw):
 
 def _block_rows(spec, n):
     """Rows per block: _BLOCK_VALUES // n, divided by 1 + n_modes // 2 under
-    spectral noise, whose eight or so (n_modes, rows, n) stacks weigh about
-    n_modes / 2 times the sixteen (rows, n) arrays of the rest of the
-    assembly."""
+    spectral noise, whose seven or so (n_modes, rows, n) stacks weigh about
+    n_modes / 2 times the sixteen (rows, n) arrays of the rest."""
     stacks = 1 if spec.uses_turning_shortcut else 1 + spec.noise.n_modes // 2
     return max(1, _BLOCK_VALUES // (n * stacks))
 

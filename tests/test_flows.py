@@ -236,15 +236,27 @@ def test_scalar_noise_length_row_is_constant():
     assert abs(defect) < 1e-12
 
 
-def _unit_basis_assembly(spec, grid, f, length, include_ito):
-    """The general assembly formulas, modes on a leading axis, with the
-    scalar basis written out: phi = 1, phi' = phi'' = phi''' = 0, the length
-    row -2 pi and its derivative 0."""
+def _per_mode_assembly(spec, grid, f, length, include_ito, dw=None):
+    """The assembly written mode by mode, modes on a leading axis: one noise
+    row per mode, and the correction summed over each row's directional
+    derivative along itself.  Under scalar noise the basis is written out:
+    phi = 1, phi' = phi'' = phi''' = 0, the length row -2 pi and its
+    derivative 0.  With increments dw the rows are also summed into the
+    step's noise increment, amplitude * sum_l dw_l (beta_l, lam_l), in mode
+    order, returned as noise_f and noise_L."""
     batch = f.shape[:-1]
     lc = np.asarray(length, dtype=float)
     r = grid.nodes
+    noise = spec.noise
     ones = (1,) * len(batch) + (grid.n,)
-    phi, phi1, phi2, phi3 = np.ones((1,) + ones), *np.zeros((3, 1) + ones)
+    if spec.uses_turning_shortcut:
+        phi, phi1, phi2, phi3 = np.ones((1,) + ones), *np.zeros((3, 1) + ones)
+    else:
+        modes = range(1, noise.n_modes + 1)
+        phi, phi1, phi2, phi3 = (
+            np.array([basis_eval(noise, grid, l, order) for l in modes]).reshape((-1,) + ones)
+            for order in range(4)
+        )
     f1, f2, f4 = grid.derivs(f, (1, 2, 4))
     lcol = lc[..., None]
     l2 = lcol * lcol
@@ -265,15 +277,21 @@ def _unit_basis_assembly(spec, grid, f, length, include_ito):
         )
     else:
         det_f = -(ff * f2) / l2 + transport * f1
-    lam = np.full((1,) + batch, -TWO_PI)
+    if spec.uses_turning_shortcut:
+        lam = np.full((1,) + batch, -TWO_PI)
+    else:
+        lam = -lc * ints[1:]
     lam_l = (lam / lc)[..., None]
     coef = cums[1:] + r * lam_l
     beta = phi2 / l2 + ff * phi + coef * f1
     corr_f, corr_L = np.zeros_like(f), np.zeros_like(det_l)
-    amp = spec.noise.amplitude
+    amp = noise.amplitude
     if include_ito and amp > 0.0:
         bphi = beta * phi
-        dlam = np.zeros_like(lam)
+        if spec.uses_turning_shortcut:
+            dlam = np.zeros_like(lam)
+        else:
+            dlam = -lam * ints[1:] - lc * grid.integrate(bphi)
         rate = grid.cumint(bphi) + r * (dlam / lc)[..., None]
         rate = (rate - r * (lam * lam / (lc * lc))[..., None]) * f1
         dbeta = -2.0 * phi2 * lam[..., None] / (l2 * lcol) + (2.0 * f) * phi * beta + rate
@@ -285,7 +303,7 @@ def _unit_basis_assembly(spec, grid, f, length, include_ito):
             corr_L = corr_L + dl
         half_var = 0.5 * amp * amp
         corr_f, corr_L = corr_f * half_var, half_var * corr_L
-    return {
+    out = {
         "stiff": stiff,
         "det_f": det_f,
         "det_L": det_l,
@@ -294,16 +312,23 @@ def _unit_basis_assembly(spec, grid, f, length, include_ito):
         "rows_beta": beta,
         "rows_lam": lam,
     }
+    if dw is not None:
+        w = amp * np.asarray(dw, dtype=float).T
+        out["noise_f"], out["noise_L"] = -0.0, -0.0
+        for w_l, b_f, b_l in zip(w, beta, lam):
+            out["noise_f"] = out["noise_f"] + w_l[..., None] * b_f
+            out["noise_L"] = out["noise_L"] + w_l * b_l
+    return out
 
 
 @pytest.mark.parametrize("kind", [WILLMORE, CURVE_DIFFUSION])
 @pytest.mark.parametrize("include_ito", [True, False])
 @pytest.mark.parametrize("batch", [(), (5,)])
 def test_scalar_pass_matches_general_formulas_bitwise(kind, include_ito, batch):
-    """Under scalar noise every assembly field is bitwise the general
+    """Under scalar noise every assembly field is bitwise the per-mode
     formulas with phi = 1, shape and signed zeros included: on the -0.0
-    state the correction is a sum of -0.0 terms, which the general code's
-    +0.0 terms make +0.0."""
+    state the correction is a sum of -0.0 terms, which the per-mode
+    formulas' +0.0 terms make +0.0."""
     rng = np.random.default_rng(53)
     grid = Grid(32)
     spec = FlowSpec(kind, NoiseModel(mode="scalar", amplitude=0.7))
@@ -318,10 +343,53 @@ def test_scalar_pass_matches_general_formulas_bitwise(kind, include_ito, batch):
         f = f[0] if batch == () else f
         length = 0.3 + 3.0 * rng.random(batch)
         got = assemble(spec, grid, f, length, include_ito=include_ito)
-        for name, want in _unit_basis_assembly(spec, grid, f, length, include_ito).items():
+        for name, want in _per_mode_assembly(spec, grid, f, length, include_ito).items():
             have, want = np.asarray(getattr(got, name)), np.asarray(want)
             assert have.shape == want.shape, name
             assert have.tobytes() == want.tobytes(), name
+
+
+def _close(have, want, rel):
+    """have equals want to rel times the largest |want|, shape included."""
+    have, want = np.asarray(have), np.asarray(want)
+    assert have.shape == want.shape
+    return np.abs(have - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind", [WILLMORE, CURVE_DIFFUSION])
+@pytest.mark.parametrize("include_ito", [True, False])
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("mode", ["scalar", "spectral"])
+def test_mode_sums_match_the_per_mode_formulas(kind, include_ito, batch, mode):
+    """The assembly by mode sums matches the per-mode formulas to 1e-13 of
+    each field's size: the drift, the correction, the noise increment of a
+    step's noise field and the rows at unit increments (8 spectral modes).
+    Under scalar noise the increment is w times the one row, bitwise."""
+    rng = np.random.default_rng(71)
+    grid = Grid(64)
+    noise = NoiseModel(mode=mode, amplitude=0.7, n_modes=8, decay_exponent=6.0)
+    spec = FlowSpec(kind, noise)
+    for _ in range(4):
+        f = np.stack([_band_limited(rng, grid) for _ in range(3)])
+        f = f[0] if batch == () else f
+        length = 0.3 + 3.0 * rng.random(batch)
+        dw = rng.standard_normal(batch + (noise.n_modes,))
+        want = _per_mode_assembly(spec, grid, f, length, include_ito, dw)
+        psi = flows.noise_field(spec, grid, dw)
+        step = assemble(spec, grid, f, length, include_ito=include_ito, psi=psi)
+        rows = assemble(spec, grid, f, length, include_ito=include_ito)
+        for got in (step, rows):
+            assert np.array_equal(got.det_f, want["det_f"])
+            assert np.array_equal(got.det_L, want["det_L"])
+            assert _close(got.corr_f, want["corr_f"], 1e-13)
+            assert _close(got.corr_L, want["corr_L"], 1e-13)
+        assert _close(rows.rows_beta, want["rows_beta"], 1e-13)
+        assert _close(rows.rows_lam, want["rows_lam"], 1e-13)
+        assert _close(step.rows_beta, want["noise_f"], 1e-13)
+        assert _close(step.rows_lam, want["noise_L"], 1e-13)
+        if mode == "scalar":
+            assert step.rows_beta.tobytes() == want["noise_f"].tobytes()
+            assert step.rows_lam.tobytes() == np.asarray(want["noise_L"]).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -378,8 +446,9 @@ def test_zero_amplitude_forms_no_noise_rows(kind, mode, batch, n):
 
 def test_mode_sum_adds_modes_in_order():
     """mode_sum is bitwise the in-order loop from its start value, for one
-    path and for batches; from +0.0 an all -0.0 stack sums to +0.0, and from
-    -0.0 it stays -0.0 as a sum started from the first term does."""
+    path and for batches, with the modes leading or, for several sums at
+    once, second; from +0.0 an all -0.0 stack sums to +0.0, and from -0.0 it
+    stays -0.0 as a sum started from the first term does."""
     rng = np.random.default_rng(67)
     for shape in ((8, 64), (8, 5, 64), (8, 256, 64), (1, 64), (9, 3, 16)):
         terms = rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
@@ -389,6 +458,11 @@ def test_mode_sum_adds_modes_in_order():
             for term in terms:
                 want = want + term
             assert flows.mode_sum(terms, start).tobytes() == want.tobytes()
+            several = np.stack([terms, terms[::-1], rng.permutation(terms)])
+            want = np.full(several[:, 0].shape, start)
+            for l in range(shape[0]):
+                want = want + several[:, l]
+            assert flows.mode_sum(several, start, axis=1).tobytes() == want.tobytes()
     negative_zeros = np.full((8, 5, 64), -0.0)
     assert not np.signbit(flows.mode_sum(negative_zeros, 0.0)).any()
     assert np.signbit(flows.mode_sum(negative_zeros, -0.0)).all()
@@ -564,10 +638,17 @@ def test_basis_table_is_cached_per_noise_model():
     model = NoiseModel(mode="spectral", amplitude=0.3, n_modes=4)
     table = flows._basis_table(model, grid)
     assert flows._basis_table(model, grid) is table
-    for order in range(4):
+    for slot, order in enumerate((2, 0, 1, 3)):
         for l in range(1, 5):
-            assert np.array_equal(table[order, l - 1], basis_eval(model, grid, l, order))
+            assert np.array_equal(table[slot, l - 1], basis_eval(model, grid, l, order))
+    # the fixed sums, in mode order from +0.0, are cached next to the table
+    sums = flows._basis_sums(model, grid)
+    assert flows._basis_sums(model, grid) is sums
+    want = np.zeros((2, grid.n))
+    for l in range(4):
+        want = want + table[1, l] * table[:2, l]
+    assert sums.tobytes() == want.tobytes()
     # another model on the same grid gets its own table, from its own basis
     other = NoiseModel(mode="spectral", amplitude=0.3, n_modes=4, decay_exponent=7.0)
-    assert np.array_equal(flows._basis_table(other, grid)[0, 3], basis_eval(other, grid, 4))
+    assert np.array_equal(flows._basis_table(other, grid)[1, 3], basis_eval(other, grid, 4))
     assert not np.array_equal(flows._basis_table(other, grid), table)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from curveflow import grid as grid_module
-from curveflow import integrator
+from curveflow import flows, integrator
 from curveflow.flows import CURVE_DIFFUSION, WILLMORE, FlowSpec, State
 from curveflow.grid import Grid
 from curveflow.harness import _poisson_state
@@ -158,24 +158,33 @@ def test_run_and_ensemble_share_one_kernel(scheme):
 
 
 def test_noise_length_sums_add_in_mode_order():
-    # g_l is np.add.accumulate's last row: the in-mode-order loop, bit for
-    # bit, signed zeros included, where a pairwise 1-D sum would round
-    # differently
+    # the noise field psi = sum_l w_l phi_l (and psi'') is the in-mode-order
+    # loop from -0.0, bit for bit, signed zeros included, where a pairwise
+    # sum would round differently; a single path and a batch row then give
+    # bitwise equal psi, noise increment and length increment
+    # Lambda = -L integral(f psi)
     rng = np.random.default_rng(59)
+    grid = Grid(64)
+    f = np.stack([non_circle(grid).f, bumpy(grid).f, -non_circle(grid).f])
+    lengths = np.array([TWO_PI, 1.7, 0.4])
     for n_modes in (1, 8, 17):
-        lam = rng.standard_normal((n_modes, 3)) * 10.0 ** rng.integers(-8, 8, (n_modes, 3))
-        lam[:, 2] = -0.0
-        dw = rng.standard_normal((3, n_modes))
-        beta = np.zeros((n_modes, 3, 8))
-        terms = 0.3 * dw.T * lam
-        loop = terms[0]
-        for term in terms[1:]:
-            loop = loop + term
-        g_l = integrator._noise_sums(beta, lam, dw, 0.3)[1]
-        assert g_l.tobytes() == loop.tobytes()
+        noise = NoiseModel(mode="spectral", amplitude=0.3, n_modes=n_modes)
+        spec = FlowSpec(WILLMORE, noise)
+        dw = rng.standard_normal((3, n_modes)) * 10.0 ** rng.integers(-8, 8, (3, n_modes))
+        dw[2] = -0.0
+        psi = flows.noise_field(spec, grid, dw)
+        table = flows._basis_table(noise, grid)
+        loop = np.full((2, 3, grid.n), -0.0)
+        for l, w in enumerate(0.3 * dw.T):
+            loop = loop + w[:, None] * table[:2, l, None]
+        assert psi.tobytes() == loop.tobytes()
+        batch = flows.assemble(spec, grid, f, lengths, include_ito=False, psi=psi)
         for i in range(3):
-            single = integrator._noise_sums(beta[:, i], lam[:, i], dw[i], 0.3)[1]
-            assert np.float64(single).tobytes() == loop[i].tobytes()
+            single_psi = flows.noise_field(spec, grid, dw[i])
+            assert single_psi.tobytes() == psi[:, i].tobytes()
+            single = flows.assemble(spec, grid, f[i], lengths[i], include_ito=False, psi=single_psi)
+            assert single.rows_beta.tobytes() == batch.rows_beta[i].tobytes()
+            assert np.float64(single.rows_lam).tobytes() == batch.rows_lam[i].tobytes()
 
 
 def test_imex_step_exact_on_circle():
@@ -345,10 +354,12 @@ def bumpy(grid):
     ],
 )
 def test_refined_step_is_a_collapse_unless_dt_can_go_on(n, dw):
-    """On a Willmore circle at dt = 1e-2 these increments take the Euler
-    length negative: each step is a collapse at once, the row kept at its
-    start-of-step state, in run and run_ensemble alike, with the default
-    stop window."""
+    """A step whose length update is non-positive stops its row at once.
+    On a Willmore circle at dt = 1e-2 each of these increments takes the
+    Euler length negative; run and run_ensemble alike end after that one
+    step with blowup_length_zero, the row kept at its start-of-step state
+    (only the initial snapshot), with the default stop window and no
+    stability warning."""
     grid = Grid(n)
     spec = FlowSpec(WILLMORE, UNIT_NOISE)
     cfg = StepperConfig(IMEX_EM, 1e-2, 2e-2, snapshot_every=1)
@@ -365,8 +376,11 @@ def test_refined_step_is_a_collapse_unless_dt_can_go_on(n, dw):
 
 
 def test_exhausted_halvings_mean_vanishing_length():
-    # on a curve-diffusion circle L = 2 pi (1 - W) exactly, so a step with
-    # dW = 50 takes the length to 2 pi (1 - 50): the curve has shrunk to a point
+    """A first step that takes the length to a non-positive value ends the
+    run as blowup_length_zero after that full-size step, with the
+    start-of-step state kept and only the initial snapshot recorded.  On a
+    curve-diffusion circle L = 2 pi (1 - W) exactly, so dW = 50 takes the
+    length to 2 pi (1 - 50): the curve has shrunk to a point."""
     grid = Grid(32)
     spec = FlowSpec(CURVE_DIFFUSION, UNIT_NOISE)
     traj = run(
@@ -432,9 +446,12 @@ def veto_kernel(monkeypatch, scheme, vetoed):
 # which only warns and is not what the test is about
 @pytest.mark.filterwarnings("ignore:dt exceeded the stability bound")
 def test_refined_batch_rows_match_single_runs(monkeypatch):
-    """Collapsed rows keep batch rows bitwise equal to single runs, for
-    driver noise and for pre-drawn increments, and never shift the increment
-    stream: every step a row takes draws what it would in a single run."""
+    """Rows that collapse leave every batch row bitwise equal to its single
+    run: under scalar noise of amplitude 6, where collapsing steps are
+    common, and with collapses forced at chosen steps of two paths.  A
+    stopped row never shifts the increment stream: every step a row takes
+    draws what it would in a single run, and each row stops at its own
+    step and time."""
     grid = Grid(16)
     dt = 5e-3
     # amplitude 6 makes collapsing Euler steps common
@@ -1243,6 +1260,32 @@ def test_ito_and_stratonovich_agree_under_spectral_noise():
         richardson = 2.0 * half - coarse  # per path
         se = np.std(richardson, ddof=1) / math.sqrt(m)
         assert abs(np.mean(richardson)) <= 4.0 * se
+
+
+def test_willmore_ito_and_stratonovich_agree_under_spectral_noise():
+    # the Willmore counterpart of the test above, on 12 nodes: Heun's
+    # fourth-order bound grows as n^-4, so its legs step at dt 6e-4 and 3e-4
+    # over T = 0.4, where the O(dt) gap is some 26 paired se.  A correction
+    # 10% off leaves a Richardson value of about 24 se
+    grid = Grid(12)
+    spec = FlowSpec(WILLMORE, NoiseModel(mode="spectral", amplitude=0.3, n_modes=6))
+    f0 = 1.0 + 0.3 * np.cos(2.0 * TWO_PI * grid.nodes)
+    f0 += 1.0 - grid.integrate(f0)
+    m = 100
+    gaps = []
+    for dt in (6e-4, 3e-4):
+        lengths = []
+        for scheme in (IMEX_EM, HEUN_STRATONOVICH):
+            cfg = StepperConfig(scheme, dt, 0.4, snapshot_every=10**9)
+            ens = run_ensemble(spec, grid, f0, TWO_PI, cfg, m, seed=2024)
+            assert all(s is TerminalStatus.REACHED_T for s in ens.statuses)
+            lengths.append(ens.final_lengths)
+        gaps.append(lengths[0] - lengths[1])
+    gap, se = np.mean(gaps[0]), np.std(gaps[0], ddof=1) / math.sqrt(m)
+    assert se <= 0.1 * abs(gap)
+    richardson = 2.0 * gaps[1] - gaps[0]  # per path
+    se = np.std(richardson, ddof=1) / math.sqrt(m)
+    assert abs(np.mean(richardson)) <= 4.0 * se
 
 
 # ---------------------------------------------------------------------------
