@@ -35,8 +35,9 @@ so the Ito drift equals the Stratonovich drift plus C by construction.
 
 One pass assembles everything (Trefethen, Spectral Methods in MATLAB,
 ch. 3): one transform of f gives f', f'' and, for the explicit Heun scheme,
-f''''.  The noise and the correction are linear in the modes, so they are
-formed after summing over them.  The noise field is one contraction,
+f''''; the semi-implicit step passes f' and f'' in instead, from the solve
+of the step before.  The noise and the correction are linear in the modes,
+so they are formed after summing over them.  The noise field is one contraction,
 psi = sum_l w_l phi_l of the increments w = a dW (``noise_field``), and the
 step's noise increment is the row formula with psi for phi_l.  The
 correction is mode sums (fixed tables of sum phi phi'' and sum phi^2, and
@@ -202,14 +203,15 @@ def _column(x):
     return x[..., None] if x.ndim else x
 
 
-def assemble(spec, grid, f, length, include_ito=True, include_stiff=True, psi=None):
+def assemble(spec, grid, f, length, include_ito=True, include_stiff=True, psi=None, derivs=None):
     """Assemble drift pieces and diffusion rows for (possibly stacked) states.
 
     f has shape (*B, n) for a batch shape B (empty for a single state) and
-    length has shape B; psi is the step's ``noise_field``, if any.  Nothing
-    is validated: states pass ``check_state`` where they enter, and a bad row
-    spoils only its own row.  Without include_stiff the fourth-order term is
-    not formed.  Returns an _Assembly.
+    length has shape B; psi is the step's ``noise_field``, if any, and
+    derivs (f', f''), if known, else ``grid.derivs`` takes them from f.
+    Nothing is validated: states pass ``check_state`` where they enter, and
+    a bad row spoils only its own row.  Without include_stiff the
+    fourth-order term is not formed.  Returns an _Assembly.
     """
     batch = f.shape[:-1]
     # one state's length as a NumPy scalar: 0-d arithmetic, bit for bit, but faster
@@ -230,7 +232,7 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True, psi=No
         stiff *= spec.stiff_sign  # in f4's slot: stiff_sign * f4 / L^4
         stiff /= l2 * l2
     else:
-        f1, f2 = grid.derivs(f, (1, 2))
+        f1, f2 = grid.derivs(f, (1, 2)) if derivs is None else derivs
         stiff = None
     ff = f * f
     tmp = np.empty_like(f)

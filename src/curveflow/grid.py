@@ -18,6 +18,13 @@ same arithmetic:
   ``cumint`` is one product with its running-integral matrix.  Each matrix
   is the FFT route applied to the identity, so every symbol is defined once.
 
+Given a target mean, ``solve_stiff`` sets its solution's mode 0, the only
+mode that carries a mean, and applies the stacked symbols 1, ik and (ik)^2
+to the solved modes, so one inverse transform returns the solution with its
+first two derivatives (Trefethen, Spectral Methods in MATLAB, 2000, ch. 3).
+The semi-implicit step projects its turning that way and carries the
+derivatives to the next step's assembly.
+
 On the dense route a field v enters as v - v[..., :1], whose first value is
 exactly 0; that slot carries v[..., :1] instead, and the matrices map it to
 the operator's exact image of a constant c: 0 for a derivative, c for the
@@ -229,7 +236,7 @@ class Grid:
         as a real matrix with a zero row for each padding slot.  The row of
         mode 0's imaginary part, the constant (see ``_forward_matrix``), is 0
         for ``derivs`` as irfft makes it, and 1, the constant's exact image,
-        for ``solve_stiff``."""
+        for ``solve_stiff``, whose derivative rows meet it times (ik)^j = 0."""
         n = self.n
         out = np.zeros((_padded(n + 2), _padded(n)))
         out[: n + 2, :n] = np.fft.irfft(np.eye(n + 2).view(complex), n, axis=-1)
@@ -266,14 +273,20 @@ class Grid:
         row by row.
         """
         orders = tuple(orders)
-        k = len(orders)
         sym = self.cached(("symbols", orders), lambda: self._symbols(orders))
-        vh = self._to_modes(values, k)
-        if self._dense and values.size == self.n:
-            vh *= sym  # a lone field's k rows (two for one order), one per symbol
+        return self._stacked(self._to_modes(values, len(orders)), sym, "derivs", values.shape)
+
+    def _stacked(self, vh, sym, operator, shape):
+        """The fields of the given shape whose modes are vh times each of the
+        k stacked symbols sym, shape (k, *shape), from one inverse transform.
+        On a dense grid a lone field's k rows (two for k = 1) meet the
+        symbols row by row."""
+        k = len(sym)
+        if self._dense and math.prod(shape) == self.n:
+            vh *= sym
         else:
             vh = vh * sym.reshape((k,) + (1,) * (vh.ndim - 1) + sym.shape[-1:])
-        return self._from_modes(vh, "derivs", (k,) + values.shape)
+        return self._from_modes(vh, operator, (k,) + shape)
 
     def _symbols(self, orders):
         for order in orders:
@@ -331,17 +344,31 @@ class Grid:
 
     # -- stiff fourth-order operator --------------------------------------
 
-    def solve_stiff(self, rhs, length, dt):
+    def solve_stiff(self, rhs, length, dt, mean=None):
         """Solve (I + dt*(1/L^4) d^4/dr^4) x = rhs along the last axis.
 
         ``length`` may be a scalar or an array matching the batch shape of
-        ``rhs`` (one length per stacked field).
+        ``rhs`` (one length per stacked field), and so may ``mean``.  Given
+        ``mean``, the solve sets the mean of x to it in mode 0, the only mode
+        that carries a mean, and returns [x, x', x''], shape (3, *B, n): the
+        solved modes times the stacked symbols 1, ik and (ik)^2 in one
+        inverse transform.
         """
-        L = np.asarray(length, dtype=float)
-        vh = self._to_modes(rhs)
+        scale = dt / np.asarray(length, dtype=float) ** 4
+        vh = self._to_modes(rhs, 2 if mean is None else 3)
         # one length per row of vh: the dense route's rows are (-1, slots)
-        vh /= 1.0 + dt * self._k4 / (L.reshape(-1, 1) if self._dense else L[..., None]) ** 4
-        return self._from_modes(vh, "solve_stiff", rhs.shape)
+        vh /= 1.0 + self._k4 * (scale.reshape(-1, 1) if self._dense else scale[..., None])
+        if mean is None:
+            return self._from_modes(vh, "solve_stiff", rhs.shape)
+        mean = np.asarray(mean, dtype=float)
+        if self._dense:  # mode 0's imaginary part is the constant (see _forward_matrix)
+            modes = vh.view(float)
+            modes[:, 0] = 0.0
+            modes[:, 1] = mean.reshape(-1)
+        else:
+            vh[..., 0] = self.n * mean
+        sym = self.cached("solve_symbols", lambda: np.stack([self._symbol(o) for o in (0, 1, 2)]))
+        return self._stacked(vh, sym, "solve_stiff", rhs.shape)
 
     # -- spectral utilities ------------------------------------------------
 

@@ -5,11 +5,14 @@ Two schemes advance the curvature-length system:
 * ImexEM - semi-implicit Euler-Maruyama on the Ito form.  Only the
   constant-coefficient fourth-order term is implicit (a per-mode division,
   with the length frozen at its start-of-step value); every other drift
-  term and the noise are explicit.  The step ends by shifting the zero mode
-  of f so that the total turning L * mean(f), a pathwise invariant of the
-  flow, keeps its start-of-step value; the unprojected update drifts it by
-  the O(dt) product of the length and mean updates (a projection method:
-  Hairer, Lubich & Wanner, Geometric Numerical Integration, IV.4).
+  term and the noise are explicit.  The new length is known before the
+  solve, so the solve sets the zero mode of f such that the total turning
+  L * mean(f), a pathwise invariant of the flow, keeps its start-of-step
+  value; the unprojected update drifts it by the O(dt) product of the
+  length and mean updates (a projection method: Hairer, Lubich & Wanner,
+  Geometric Numerical Integration, IV.4).  The same inverse transform gives
+  f' and f'' of the new state, which the next step's assembly takes instead
+  of transforming f again: four dense products per step, not six.
 * HeunStratonovich - explicit predictor-corrector on the Stratonovich form
   (drift without the Ito correction, noise averaged between the endpoint
   evaluations).  Its pathwise limit is the Stratonovich solution, so
@@ -17,23 +20,27 @@ Two schemes advance the curvature-length system:
   fourth-order term is explicit too, so it demands a very small dt.
 
 Each scheme is written once, as a kernel on stacked arrays,
-``(spec, grid, f, length, dt, dw) -> (new_f, new_length)`` with f of shape
-(*B, n) and length of shape B.  A kernel never raises on a bad row: a
-diverged row comes back non-finite and a collapsed one with a non-positive
-length.
+``(spec, grid, f, length, dt, dw, d) -> (new_f, new_length, new_d)`` with f
+of shape (*B, n), length of shape B and d the carried pair (f', f''), shape
+(2, *B, n): None on a first step, where ImexEM takes the pair from f, and
+always None under HeunStratonovich, which carries nothing.  A kernel never
+raises on a bad row: a diverged row comes back non-finite and a collapsed
+one with a non-positive length.
 
 A batch steps in row blocks.  Each entry of the kernel tables advances an
 (M, n) batch in blocks of _BLOCK_VALUES // n rows, 128 KiB per block array,
-and writes them into preallocated outputs; the stepping loop and anything
-wrapping a table entry still see one kernel call per step.  An assembly
-keeps about sixteen arrays of the batch's size alive, so whole-batch
-temporaries of a MiB each (M = 2048, n = 64) stream through main memory,
-while a block's working set stays near a 2 MiB L2 cache; the block length
-follows n so that its arrays keep that size at every grid.  A spectral
-assembly also keeps about seven (n_modes, rows, n) mode stacks alive (six
-contraction products and the running integrals of every f*phi_l), so its
-blocks are 1 + n_modes // 2 times shorter (51 rows for 8 modes at n = 64).
-Rows are independent, so blocked rows are bitwise the whole-batch ones.
+and writes them into preallocated outputs, the carried pair into d in
+place; the stepping loop and anything wrapping a table entry still see one
+kernel call per step.  An assembly keeps about sixteen arrays of the
+batch's size alive, so whole-batch temporaries of a MiB each (M = 2048,
+n = 64) stream through main memory, while a block's working set stays near
+a 2 MiB L2 cache; the block length follows n so that its arrays keep that
+size at every grid.  Across steps the batch keeps f and the carried pair,
+three (M, n) arrays.  A spectral assembly also keeps about seven
+(n_modes, rows, n) mode stacks alive (six contraction products and the
+running integrals of every f*phi_l), so its blocks are max(2, n_modes // 2)
+times shorter (64 rows for 8 modes at n = 64).  Rows are independent, so
+blocked rows are bitwise the whole-batch ones.
 
 Stability: the explicitly treated variable-coefficient second-order term
 requires dt <= 0.5 * L^2 / (sup|f|^2 n^2); HeunStratonovich additionally
@@ -209,26 +216,17 @@ def _dt_bound(scheme, grid, length, f_sup):
     return np.minimum(bound, 1.0 / lam)
 
 
-def _project_turning(grid, new_f, f, length, new_length):
-    """Shift the zero mode of new_f, in place, so that new_length * mean(new_f)
-    equals length * mean(f).
-
-    Works row-wise on batches: a non-finite row stays non-finite and leaves
-    the other rows unchanged.
-    """
-    shift = length * grid.integrate(f) / new_length - grid.integrate(new_f)
-    new_f += shift[..., None] if new_f.ndim > 1 else shift
-    return new_f
-
-
-def _imex_em(spec, grid, f, length, dt, dw):
+def _imex_em(spec, grid, f, length, dt, dw, d=None):
     """Semi-implicit Euler-Maruyama on the Ito form.
 
     dw holds raw N(0, dt) increments, one per noise mode, not yet scaled by
-    the noise amplitude; None means no noise term (deterministic step).
+    the noise amplitude; None means no noise term (deterministic step).  d
+    is (f', f''), shape (2, *B, n), as the step before left it, or None to
+    take it from f.  Returns the new state and its (f', f''), which the
+    solve forms from its modes.
     """
     psi = None if dw is None else flows.noise_field(spec, grid, dw)
-    a = flows.assemble(spec, grid, f, length, include_stiff=False, psi=psi)
+    a = flows.assemble(spec, grid, f, length, include_stiff=False, psi=psi, derivs=d)
     rhs = a.det_f  # f + dt * (det_f + corr_f), in det_f's slot
     rhs += a.corr_f
     rhs *= dt
@@ -237,20 +235,21 @@ def _imex_em(spec, grid, f, length, dt, dw):
     if dw is not None:  # the step's noise increment
         rhs += a.rows_beta
         new_l = new_l + a.rows_lam
-    # the solve transforms row by row: a diverged row comes back non-finite
-    # and leaves the others as they are
-    new_f = grid.solve_stiff(rhs, length, dt)
+    del a  # frees its other arrays before the solve makes its own
     # a row whose length update is non-positive has shrunk; dividing by its
     # length could make it look non-finite instead
     if f.ndim == 1:  # B = (): one NumPy scalar
         kept_l = new_l if new_l > 0 else length
     else:
         kept_l = np.where(new_l > 0, new_l, length)
-    new_f = _project_turning(grid, new_f, f, length, kept_l)
-    return new_f, new_l
+    # the turning projection: the solve sets mean(new_f) so that
+    # kept_l * mean(new_f) is length * mean(f).  It transforms row by row: a
+    # diverged row comes back non-finite and leaves the others as they are
+    out = grid.solve_stiff(rhs, length, dt, mean=length * grid.integrate(f) / kept_l)
+    return out[0], new_l, out[1:]
 
 
-def _heun_stratonovich(spec, grid, f, length, dt, dw):
+def _heun_stratonovich(spec, grid, f, length, dt, dw, d=None):
     """Heun predictor-corrector on the Stratonovich form.
 
     Drift excludes the Ito correction; drift and noise are both averaged
@@ -259,7 +258,8 @@ def _heun_stratonovich(spec, grid, f, length, dt, dw):
     row at its predictor; a row whose predictor is non-finite or has a
     non-positive length returns the predictor itself, so the caller sees the
     divergence or the collapse rather than what the corrector made of it.
-    Both evaluations take the step's one noise field.
+    Both evaluations take the step's one noise field.  It carries no
+    derivatives: d is ignored and comes back None.
     """
     psi = None if dw is None else flows.noise_field(spec, grid, dw)
     a0 = flows.assemble(spec, grid, f, length, include_ito=False, psi=psi)
@@ -278,14 +278,17 @@ def _heun_stratonovich(spec, grid, f, length, dt, dw):
     if bad.any():
         new_f = np.where(bad[..., None], pred_f, new_f)
         new_l = np.where(bad, pred_l, new_l)
-    return new_f, new_l
+    return new_f, new_l, None
 
 
 def _block_rows(spec, n):
-    """Rows per block: _BLOCK_VALUES // n, divided by 1 + n_modes // 2 under
-    spectral noise, whose seven or so (n_modes, rows, n) stacks weigh about
-    n_modes / 2 times the sixteen (rows, n) arrays of the rest."""
-    stacks = 1 if spec.uses_turning_shortcut else 1 + spec.noise.n_modes // 2
+    """Rows per block: _BLOCK_VALUES // n, divided by max(2, n_modes // 2)
+    under spectral noise, whose seven or so (n_modes, rows, n) stacks weigh
+    about n_modes / 2 times the (rows, n) arrays of the rest.  Timed at
+    M = 2048, n = 64 on a 2-core Xeon, that divisor beat 1 + n_modes // 2
+    by 5% at 8 modes (64 rows against 51) and 7% at 4 (128 against 85),
+    and 2 beat 1 by 18% at one mode."""
+    stacks = 1 if spec.uses_turning_shortcut else max(2, spec.noise.n_modes // 2)
     return max(1, _BLOCK_VALUES // (n * stacks))
 
 
@@ -294,24 +297,31 @@ def _in_row_blocks(kernel):
 
     Every row's arithmetic is independent of the others, so each block's
     rows come out bitwise as from one call on the whole batch; they are
-    written into preallocated outputs.  A single state, or a batch of at
-    most one block, goes to the kernel as it is.
+    written into preallocated outputs, and a carried (f', f'') into d in
+    place (into one made on the first step).  A single state, or a batch of
+    at most one block, goes to the kernel as it is.
     """
 
     @functools.wraps(kernel)
-    def step(spec, grid, f, length, dt, dw):
+    def step(spec, grid, f, length, dt, dw, d=None):
         if f.ndim == 1:
-            return kernel(spec, grid, f, length, dt, dw)
+            return kernel(spec, grid, f, length, dt, dw, d)
         rows = _block_rows(spec, grid.n)
         if len(f) <= rows:
-            return kernel(spec, grid, f, length, dt, dw)
-        new_f, new_l = np.empty_like(f), np.empty_like(length)
+            return kernel(spec, grid, f, length, dt, dw, d)
+        new_f, new_l, new_d = np.empty_like(f), np.empty_like(length), d
         for i in range(0, len(f), rows):
             block = slice(i, i + rows)
-            new_f[block], new_l[block] = kernel(
-                spec, grid, f[block], length[block], dt, _take(dw, block)
+            new_f[block], new_l[block], block_d = kernel(
+                spec, grid, f[block], length[block], dt, _take(dw, block),
+                None if d is None else d[:, block],
             )
-        return new_f, new_l
+            if block_d is not None:
+                if new_d is None:
+                    new_d = np.empty((2,) + f.shape)
+                new_d[:, block] = block_d
+            del block_d  # it holds the block's solve output, whose rows are copied
+        return new_f, new_l, new_d
 
     return step
 
@@ -456,7 +466,8 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, rec
     state they hold, and sup their sup|f| as _classify took it: right for
     every active or halted row (a rejected one holds an older state), and a
     NumPy scalar when a single row steps.  Once a row has stopped, only the
-    active rows are stepped.
+    active rows are stepped, their carried pairs gathered and scattered
+    with them.
     Returns the steps taken, the final f and lengths; per row the status,
     stop time (NaN if none) and smallest h; and whether dt crossed the
     stability bound.
@@ -466,6 +477,7 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, rec
     stop_times, min_h = np.full(m, np.nan), np.full(m, stepper.dt)
     active, no_rows = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
     every = True  # every row is active: the batch steps whole, with no gather
+    d = None  # the rows' (f', f''), once an IMEX step has carried them
 
     # non-finite values are the divergence detector, so IEEE overflow inside
     # a failing step is expected and must not warn
@@ -482,21 +494,25 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, rec
                 # A batch of one takes longer for kernel plus _classify: 1.10x
                 # at n=64 with 8 spectral modes, 1.06x at n=256 without noise
                 # (IMEX, medians of 15 paired runs on a 2-core host)
-                new_f, new_l = step_fn(spec, grid, f[0], lengths[0], h, _take(dw, 0))
+                new_f, new_l, d = step_fn(spec, grid, f[0], lengths[0], h, _take(dw, 0), d)
                 sup, runs = _classify(new_f, new_l, stop)
                 all_run = bool(runs)
                 new_f, new_l = new_f[None], new_l[None]
             else:
                 if every:
-                    new_f, new_l = step_fn(spec, grid, f, lengths, h, dw)
+                    new_f, new_l, d = step_fn(spec, grid, f, lengths, h, dw, d)
                 else:
                     # stopped rows are not stepped; their increments were
                     # drawn all the same, so every row's stream stays aligned
                     on = np.flatnonzero(active)
                     new_f, new_l = f.copy(), lengths.copy()
-                    new_f[on], new_l[on] = step_fn(
-                        spec, grid, f[on], lengths[on], h, _take(dw, on)
+                    new_f[on], new_l[on], d_on = step_fn(
+                        spec, grid, f[on], lengths[on], h, _take(dw, on),
+                        None if d is None else d[:, on],
                     )
+                    if d is not None:
+                        d[:, on] = d_on
+                    del d_on  # it holds the kernel's output until the next gather
                 sup, runs = _classify(new_f, new_l, stop)
                 all_run = (runs if every else runs[active]).all()
             halted = no_rows
@@ -661,7 +677,9 @@ def run_ensemble(
     f0 = np.asarray(f0, dtype=float)
     if f0.ndim > 1 and f0.shape[0] != m:
         raise ValueError(f"f0 batch {f0.shape[0]} does not match n_paths {m}")
-    f = np.array(np.broadcast_to(f0, (m, f0.shape[-1])), order="C")
+    # a read-only view: _advance steps a copy that no name here keeps, so
+    # the initial rows are freed after the first step, not held to the end
+    f = np.broadcast_to(f0, (m, f0.shape[-1]))
     lengths = np.array(np.broadcast_to(np.asarray(length0, dtype=float), (m,)))
     stop = _start(spec, grid, stepper, f, lengths, stop)
     n_steps, step = schedule = _schedule(0.0, stepper.dt, stepper.t_end)
@@ -680,8 +698,8 @@ def run_ensemble(
     with np.errstate(over="ignore", invalid="ignore"):
         record(-1, 0.0, f, lengths, np.ones(m, dtype=bool), None, None)
         steps, f, lengths, statuses, stop_times, min_h, unstable = _advance(
-            spec, grid, stepper, stop, _BATCH_STEPPERS[stepper.scheme], f, lengths,
-            schedule, rows, record,
+            spec, grid, stepper, stop, _BATCH_STEPPERS[stepper.scheme],
+            np.array(f, order="C"), lengths, schedule, rows, record,
         )
         # rows stay on the cadence after every path has stopped, so their
         # times (and any cross-worker alignment) never depend on the stops;

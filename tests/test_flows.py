@@ -558,9 +558,12 @@ def test_assembly_operation_counts(monkeypatch):
 )
 def test_imex_step_transform_counts(monkeypatch, noise):
     """One IMEX step of a lone path takes the transforms of one step of a
-    2-row batch: six dense products and no FFT call on a dense grid, eight
-    FFT calls and no product above it.  A lone field's rows (the one-row
-    rule, see the grid module) ride in those products, not in extra ones."""
+    2-row batch.  A first step, which transforms f for its derivatives,
+    takes six dense products and no FFT call on a dense grid, eight FFT
+    calls and no product above it; a step given the pair the step before
+    carried takes four products or six FFT calls.  A lone field's rows (the
+    one-row rule, see the grid module) ride in those products, not in extra
+    ones."""
     counts = {"product": 0, "fft": 0}
 
     def counting(name, fn):
@@ -576,7 +579,10 @@ def test_imex_step_transform_counts(monkeypatch, noise):
     spec = FlowSpec(WILLMORE, noise)
     rng = np.random.default_rng(53)
     dw = np.full(noise.n_modes, 1e-3)
-    for dense_max, want in ((64, {"product": 6, "fft": 0}), (0, {"product": 0, "fft": 8})):
+    for dense_max, fresh, carried in (
+        (64, {"product": 6, "fft": 0}, {"product": 4, "fft": 0}),
+        (0, {"product": 0, "fft": 8}, {"product": 0, "fft": 6}),
+    ):
         monkeypatch.setattr(grid_module, "_DENSE_MAX_N", dense_max)
         grid = Grid(64)
         f = _band_limited(rng, grid)
@@ -587,8 +593,11 @@ def test_imex_step_transform_counts(monkeypatch, noise):
             (np.stack([f, f]), np.array([1.3, 1.3]), np.stack([dw, dw])),
         ):
             counts.update(product=0, fft=0)
-            integrator._imex_em(spec, grid, fields, lengths, 1e-4, w)
-            assert counts == want, (dense_max, fields.shape)
+            new_f, new_l, d = integrator._imex_em(spec, grid, fields, lengths, 1e-4, w)
+            assert counts == fresh, (dense_max, fields.shape)
+            counts.update(product=0, fft=0)
+            integrator._imex_em(spec, grid, new_f, new_l, 1e-4, w, d)
+            assert counts == carried, (dense_max, fields.shape)
 
 
 def test_stiff_sign_flip_only_touches_stiff_part():

@@ -104,6 +104,31 @@ def test_solve_stiff_batched_lengths_match_loop():
         assert np.array_equal(batched[i], single)
 
 
+def test_solve_stiff_to_a_mean_returns_its_derivatives(monkeypatch):
+    """Given a mean, the stiff solve sets the solution's mean to it, leaves
+    the other modes as they are, and returns [x, x', x''] on both routes,
+    for a lone field and a batch; the derivatives agree with ``derivs`` of
+    x to round-off, and a batch row equals the lone field bitwise."""
+    gen = np.random.Generator(np.random.PCG64(37))
+    for dense_max in (64, 0):
+        monkeypatch.setattr(grid_module, "_DENSE_MAX_N", dense_max)
+        g = Grid(64)
+        rhs = np.exp(np.cos(TWO_PI * g.nodes) + gen.standard_normal((3, 1)))
+        lengths, means = np.array([0.7, 1.3, 2.0]), np.array([0.5, -1.0, 3.0])
+        out = g.solve_stiff(rhs, lengths, 1e-3, mean=means)
+        assert out.shape == (3, 3, 64)
+        plain = g.solve_stiff(rhs, lengths, 1e-3)
+        shifted = plain - g.integrate(plain)[:, None] + means[:, None]
+        assert np.max(np.abs(out[0] - shifted)) < 1e-13
+        assert np.max(np.abs(g.integrate(out[0]) - means)) < 1e-15
+        derivs = g.derivs(out[0], (1, 2))
+        scale = np.max(np.abs(derivs), axis=-1)[..., None]
+        assert np.max(np.abs(out[1:] - derivs) / scale) < 1e-11
+        for i in range(3):
+            lone = g.solve_stiff(rhs[i], lengths[i], 1e-3, mean=means[i])
+            assert lone.tobytes() == out[:, i].tobytes(), (dense_max, i)
+
+
 def test_batched_ops_match_single():
     g = Grid(32)
     gen = np.random.Generator(np.random.PCG64(11))
@@ -153,6 +178,7 @@ def test_dense_batch_rows_match_single_fields_bitwise():
         "derivs(1, 2, 3, 4)": lambda g, v, L: g.derivs(v, (1, 2, 3, 4)),
         "cumint": lambda g, v, L: g.cumint(v),
         "solve_stiff": lambda g, v, L: g.solve_stiff(v, L, 1e-3),
+        "solve_stiff(mean)": lambda g, v, L: g.solve_stiff(v, L, 1e-3, mean=1.0 / L),
     }
     for n in range(8, grid_module._DENSE_MAX_N + 1, 2):
         g = Grid(n)
@@ -200,6 +226,7 @@ def test_dense_and_fft_routes_agree(monkeypatch):
                     *g.derivs(fields, (1, 2, 3, 4)),
                     g.cumint(fields),
                     g.solve_stiff(fields, lengths, 1e-3),
+                    *g.solve_stiff(fields, lengths, 1e-3, mean=lengths),
                 ]
             calls[dense_max] = len(ffts)
         assert calls[n] == 0 and calls[0] > 0, calls
@@ -214,6 +241,9 @@ def test_dense_and_fft_routes_agree(monkeypatch):
             assert np.array_equal(g.solve_stiff(const, np.array([0.5, 2.0]), 1e-3), const)
             assert np.array_equal(g.cumint(const[0]), c * r)
             assert np.array_equal(g.solve_stiff(const[0], 0.5, 1e-3), const[0])
+            pair = np.array([0.5, 2.0])
+            stacked = g.solve_stiff(const, pair, 1e-3, mean=np.full(2, c))
+            assert np.array_equal(stacked[0], const) and not np.any(stacked[1:])
 
 
 def test_resample_round_trip():

@@ -149,7 +149,7 @@ def test_run_and_ensemble_check_fields_once_at_entry(monkeypatch, n):
 
 def step(scheme, spec, grid, state, dt, dw=None):
     """One step of the scheme's kernel on a single state: (new_f, new_length)."""
-    return integrator._STEPPERS[scheme](spec, grid, state.f, state.length, dt, dw)
+    return integrator._STEPPERS[scheme](spec, grid, state.f, state.length, dt, dw)[:2]
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -203,6 +203,45 @@ def test_imex_step_exact_on_circle():
     assert new_length * grid.integrate(new_f) == pytest.approx(TWO_PI, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "noise",
+    [
+        NoiseModel(mode="scalar", amplitude=0.3),
+        NoiseModel(mode="spectral", amplitude=0.3, n_modes=8, decay_exponent=6.0),
+    ],
+    ids=["scalar", "spectral8"],
+)
+def test_imex_step_carries_the_derivatives_of_its_result(monkeypatch, noise):
+    """The IMEX kernel returns (f', f'') of its new f, from the solve's
+    modes: on both routes, for a lone path and a batch, they match
+    ``derivs`` of the new f to round-off, the turning L * mean(f) keeps its
+    start-of-step value, and a batch row is bitwise the lone path.  A step
+    given the carried pair matches them likewise."""
+    spec = FlowSpec(WILLMORE, noise)
+    rng = np.random.default_rng(67)
+    dw = rng.standard_normal((3, noise.n_modes)) * 1e-3
+    for dense_max in (64, 0):
+        monkeypatch.setattr(grid_module, "_DENSE_MAX_N", dense_max)
+        grid = Grid(64)
+        f = np.stack([non_circle(grid).f, bumpy(grid).f, 1.0 + 0.2 * np.sin(TWO_PI * grid.nodes)])
+        lengths = np.full(3, TWO_PI)
+        batch = integrator._imex_em(spec, grid, f, lengths, 1e-4, dw)
+        again = integrator._imex_em(spec, grid, *batch[:2], 1e-4, dw, batch[2])
+        for new_f, new_l, d in (batch, again):
+            assert d.shape == (2, 3, 64)
+            derivs = grid.derivs(new_f, (1, 2))
+            assert np.max(np.abs(d - derivs)) < 1e-10, dense_max
+            turning = new_l * grid.integrate(new_f)
+            assert np.max(np.abs(turning - TWO_PI)) < 1e-13
+        for i in range(3):
+            new_f, new_l, d = integrator._imex_em(spec, grid, f[i], lengths[i], 1e-4, dw[i])
+            assert new_f.tobytes() == batch[0][i].tobytes() and new_l == batch[1][i]
+            assert d.tobytes() == batch[2][:, i].tobytes()
+            carried = integrator._imex_em(spec, grid, new_f, new_l, 1e-4, dw[i], d)
+            assert carried[0].tobytes() == again[0][i].tobytes()
+            assert carried[2].tobytes() == again[2][:, i].tobytes()
+
+
 def test_flat_curve_diffusion_step_is_identity():
     grid = Grid(32)
     spec = FlowSpec(CURVE_DIFFUSION, NO_NOISE)
@@ -251,8 +290,8 @@ def test_bad_rows_stay_in_their_rows(scheme):
     dw = np.array([[0.01], [-1e150], [5.0]])
     kernel = integrator._STEPPERS[scheme]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        new_f, new_length = kernel(spec, grid, f, length, 1e-4, dw)
-    alone_f, alone_length = kernel(spec, grid, f[0], length[0], 1e-4, dw[0])
+        new_f, new_length, _ = kernel(spec, grid, f, length, 1e-4, dw)
+    alone_f, alone_length, _ = kernel(spec, grid, f[0], length[0], 1e-4, dw[0])
     assert np.array_equal(new_f[0], alone_f) and new_length[0] == alone_length
     assert not (np.all(np.isfinite(new_f[1])) and math.isfinite(new_length[1]))
     assert new_length[2] <= 0.0
@@ -353,7 +392,7 @@ def bumpy(grid):
         pytest.param(16, 1.3, id="sub-step-stiff"),  # -1.85
     ],
 )
-def test_refined_step_is_a_collapse_unless_dt_can_go_on(n, dw):
+def test_step_to_a_negative_length_is_a_collapse(n, dw):
     """A step whose length update is non-positive stops its row at once.
     On a Willmore circle at dt = 1e-2 each of these increments takes the
     Euler length negative; run and run_ensemble alike end after that one
@@ -375,7 +414,7 @@ def test_refined_step_is_a_collapse_unless_dt_can_go_on(n, dw):
     assert not (traj.stability_warning or ens.stability_warning)
 
 
-def test_exhausted_halvings_mean_vanishing_length():
+def test_first_step_collapse_keeps_the_start_state():
     """A first step that takes the length to a non-positive value ends the
     run as blowup_length_zero after that full-size step, with the
     start-of-step state kept and only the initial snapshot recorded.  On a
@@ -432,10 +471,10 @@ def veto_kernel(monkeypatch, scheme, vetoed):
     (h, dw) of every call."""
     kernel, calls = integrator._STEPPERS[scheme], []
 
-    def vetoing(spec, grid, f, length, h, dw):
+    def vetoing(spec, grid, f, length, h, dw, d):
         calls.append((h, np.array(dw)))
-        new_f, new_l = kernel(spec, grid, f, length, h, dw)
-        return new_f, np.where(np.isin(dw[..., 0], vetoed), -1.0, new_l)
+        new_f, new_l, d = kernel(spec, grid, f, length, h, dw, d)
+        return new_f, np.where(np.isin(dw[..., 0], vetoed), -1.0, new_l), d
 
     monkeypatch.setitem(integrator._STEPPERS, scheme, vetoing)
     monkeypatch.setitem(integrator._BATCH_STEPPERS, scheme, vetoing)
@@ -445,7 +484,7 @@ def veto_kernel(monkeypatch, scheme, vetoed):
 # amplitude 6 also drives running paths past the stability bound mid-run,
 # which only warns and is not what the test is about
 @pytest.mark.filterwarnings("ignore:dt exceeded the stability bound")
-def test_refined_batch_rows_match_single_runs(monkeypatch):
+def test_collapsing_batch_rows_match_single_runs(monkeypatch):
     """Rows that collapse leave every batch row bitwise equal to its single
     run: under scalar noise of amplitude 6, where collapsing steps are
     common, and with collapses forced at chosen steps of two paths.  A
@@ -896,7 +935,7 @@ def test_spectral_batch_rows_match_single_runs_across_a_block_edge():
     spec = FlowSpec(WILLMORE, NoiseModel(mode="spectral", amplitude=0.5, n_modes=8))
     assert integrator._block_rows(scalar, grid.n) == integrator._BLOCK_VALUES // grid.n
     rows = integrator._block_rows(spec, grid.n)
-    assert rows == integrator._BLOCK_VALUES // (grid.n * 5)
+    assert rows == integrator._BLOCK_VALUES // (grid.n * 4)
     state = non_circle(grid)
     cfg = StepperConfig(IMEX_EM, 1e-5, 3e-5, snapshot_every=1)
     stop = StopCriteria.from_initial(state)
@@ -908,6 +947,37 @@ def test_spectral_batch_rows_match_single_runs_across_a_block_edge():
         assert np.array_equal([s.length for s in traj.snapshots], ens.lengths[:, i])
         assert np.array_equal([s.energy for s in traj.snapshots], ens.energies[:, i])
         _assert_rows_match(ens, i, traj)
+
+
+def test_survivors_match_single_runs_as_rows_stop_across_a_block_edge(monkeypatch):
+    """Rows of a batch one block and two rows long stop at different steps,
+    and every row still equals its single run bitwise.  The batch steps
+    whole (in two blocks, the carried pair made in the first), then its
+    active rows gathered with their pairs: one block and a row (still two
+    blocks, the gathered pair written in place), one block (one kernel
+    call), and a lone row, which the grid's one-row rule carries as two."""
+    grid = Grid(64)
+    spec = FlowSpec(WILLMORE, NoiseModel(mode="spectral", amplitude=0.3, n_modes=8))
+    rows = integrator._block_rows(spec, grid.n)
+    n_paths = rows + 2
+    cfg = StepperConfig(IMEX_EM, 1e-5, 6e-5, snapshot_every=1)
+    rng = np.random.default_rng(71)
+    inc = rng.standard_normal((6, n_paths, 8)) * math.sqrt(1e-5)
+    # row 0 stops at step 2, row 1 at step 3, every row but the last at step 4
+    vetoed = [inc[1, 0, 0], inc[2, 1, 0], *inc[3, 2:-1, 0]]
+    calls = veto_kernel(monkeypatch, IMEX_EM, vetoed)
+    state = non_circle(grid)
+    ens = run_ensemble(
+        spec, grid, state.f, state.length, cfg, n_paths, seed=0, increments=inc, stop=WIDE_STOP
+    )
+    assert [len(dw) for h, dw in calls] == [n_paths, n_paths, rows + 1, rows, 1, 1]
+    assert ens.statuses[-1] is TerminalStatus.REACHED_T
+    assert sum(s is TerminalStatus.BLOWUP_LENGTH_ZERO for s in ens.statuses) == n_paths - 1
+    for i in (0, 1, 2, rows - 1, rows, n_paths - 1):
+        traj = run(spec, grid, state, cfg, stop=WIDE_STOP, increments=inc[:, i])
+        _assert_rows_match(ens, i, traj)
+        k = len(traj.snapshots)
+        assert np.array_equal([s.length for s in traj.snapshots], ens.lengths[:k, i])
 
 
 def test_ensemble_predrawn_increments_match_single_runs():
@@ -959,9 +1029,9 @@ def test_stopped_rows_are_not_stepped(monkeypatch):
     length0 = np.where(np.arange(n_paths) % 2, np.pi, TWO_PI)
     kernel, seen = integrator._BATCH_STEPPERS[IMEX_EM], []
 
-    def counting(spec, grid, f, length, dt, dw):
+    def counting(spec, grid, f, length, dt, dw, d):
         seen.append(len(f))
-        return kernel(spec, grid, f, length, dt, dw)
+        return kernel(spec, grid, f, length, dt, dw, d)
 
     monkeypatch.setitem(integrator._BATCH_STEPPERS, IMEX_EM, counting)
     ens = run_ensemble(spec, grid, f0, length0, cfg, n_paths, seed=83, stop=stop)
