@@ -3,7 +3,7 @@
 Fields live on the uniform nodes j/n, j = 0..n-1, of [0, 1) with periodic
 wrap-around.  Derivatives are pseudospectral (the Nyquist mode zeroed for odd
 derivative orders), quadrature is the exact mean on the torus, and the stiff
-fourth-order solve is a per-mode division.
+fourth-order solve is a per-mode division to a given mean.
 
 The spectral operators take one of two routes, chosen by n alone when a
 ``Grid`` is made, so that a batch row and a single field always take the
@@ -18,8 +18,8 @@ same arithmetic:
   ``cumint`` is one product with its running-integral matrix.  Each matrix
   is the FFT route applied to the identity, so every symbol is defined once.
 
-Given a target mean, ``solve_stiff`` sets its solution's mode 0, the only
-mode that carries a mean, and applies the stacked symbols 1, ik and (ik)^2
+``solve_stiff`` sets its solution's mode 0, the only mode that carries a
+mean, to a target mean, and applies the stacked symbols 1, ik and (ik)^2
 to the solved modes, so one inverse transform returns the solution with its
 first two derivatives (Trefethen, Spectral Methods in MATLAB, 2000, ch. 3).
 The semi-implicit step projects its turning that way and carries the
@@ -27,11 +27,12 @@ derivatives to the next step's assembly.
 
 On the dense route a field v enters as v - v[..., :1], whose first value is
 exactly 0; that slot carries v[..., :1] instead, and the matrices map it to
-the operator's exact image of a constant c: 0 for a derivative, c for the
-stiff solve, c * r for the running integral.  A constant field then maps
-exactly: a circle stays exactly a circle.  Two rules keep batch rows
-bitwise equal to single fields, because a GEMM row does not depend on how
-many rows share the product:
+the operator's exact image of a constant c: 0 for a derivative, c * r for
+the running integral; the stiff solve writes its target mean there and
+maps it to that constant.  A constant field then maps exactly: a circle
+stays exactly a circle.  Two rules keep batch rows bitwise equal to single
+fields, because a GEMM row does not depend on how many rows share the
+product:
 
 - every product has at least two rows, since NumPy sends a one-row product
   through GEMV, which rounds differently.  The rule lives where a field is
@@ -235,8 +236,9 @@ class Grid:
         """irfft of a unit real or imaginary part of each mode, one row each,
         as a real matrix with a zero row for each padding slot.  The row of
         mode 0's imaginary part, the constant (see ``_forward_matrix``), is 0
-        for ``derivs`` as irfft makes it, and 1, the constant's exact image,
-        for ``solve_stiff``, whose derivative rows meet it times (ik)^j = 0."""
+        for ``derivs`` as irfft makes it, and 1 for ``solve_stiff``, which
+        writes its target mean there: x's row maps it to that constant
+        exactly, and the derivative rows meet it times (ik)^j = 0."""
         n = self.n
         out = np.zeros((_padded(n + 2), _padded(n)))
         out[: n + 2, :n] = np.fft.irfft(np.eye(n + 2).view(complex), n, axis=-1)
@@ -344,22 +346,20 @@ class Grid:
 
     # -- stiff fourth-order operator --------------------------------------
 
-    def solve_stiff(self, rhs, length, dt, mean=None):
-        """Solve (I + dt*(1/L^4) d^4/dr^4) x = rhs along the last axis.
+    def solve_stiff(self, rhs, length, dt, mean):
+        """Solve (I + dt*(1/L^4) d^4/dr^4) x = rhs along the last axis, with
+        the mean of x set to ``mean``.
 
-        ``length`` may be a scalar or an array matching the batch shape of
-        ``rhs`` (one length per stacked field), and so may ``mean``.  Given
-        ``mean``, the solve sets the mean of x to it in mode 0, the only mode
-        that carries a mean, and returns [x, x', x''], shape (3, *B, n): the
-        solved modes times the stacked symbols 1, ik and (ik)^2 in one
-        inverse transform.
+        ``length`` and ``mean`` may be scalars or arrays matching the batch
+        shape of ``rhs`` (one per stacked field).  The solve sets the mean in
+        mode 0, the only mode that carries a mean, and returns [x, x', x''],
+        shape (3, *B, n): the solved modes times the stacked symbols 1, ik
+        and (ik)^2 in one inverse transform.
         """
         scale = dt / np.asarray(length, dtype=float) ** 4
-        vh = self._to_modes(rhs, 2 if mean is None else 3)
+        vh = self._to_modes(rhs, 3)
         # one length per row of vh: the dense route's rows are (-1, slots)
         vh /= 1.0 + self._k4 * (scale.reshape(-1, 1) if self._dense else scale[..., None])
-        if mean is None:
-            return self._from_modes(vh, "solve_stiff", rhs.shape)
         mean = np.asarray(mean, dtype=float)
         if self._dense:  # mode 0's imaginary part is the constant (see _forward_matrix)
             modes = vh.view(float)

@@ -41,7 +41,6 @@ the program and propagates.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -310,20 +309,25 @@ def _format_doubles(values, null=None):
     element, and gives the bytes of ``format(x, ".17g")`` per element, ``-0``
     included.  Non-finite values print as ``nan``/``inf``/``-inf``, as
     ``format`` spells them, unless ``null`` gives another spelling (JSON has
-    no non-finite numbers and writes ``null``).
+    no non-finite numbers and writes ``null``; see ``_spell_non_finite``).
     """
     a = np.asarray(values, dtype=float)
     rows, cols = a.shape if a.ndim == 2 else (1, a.size)
-    if null is not None:
-        finite = np.isfinite(a).ravel()
-        if not finite.all():
-            # spell the non-finite cells out in the template, format the rest
-            spelled = null.replace("%", "%%")
-            cells = ["%.17g" if ok else spelled for ok in finite.tolist()]
-            lines = (",".join(cells[r * cols : (r + 1) * cols]) for r in range(rows))
-            return "\n".join(lines) % tuple(a.ravel()[finite].tolist())
     line = ",".join(["%.17g"] * cols)
-    return "\n".join([line] * rows) % tuple(a.ravel().tolist())
+    text = "\n".join([line] * rows) % tuple(a.ravel().tolist())
+    if null is not None and not np.isfinite(a).all():
+        text = _spell_non_finite(text, null)
+    return text
+
+
+def _spell_non_finite(text, spelling):
+    """text with the words ``%.17g`` writes for non-finite doubles, ``-inf``,
+    ``inf`` and ``nan``, replaced by spelling: ``null`` in JSON, an empty
+    cell in CSV.  text must hold no other ``inf`` or ``nan``, such as in a
+    JSON key; ``-inf`` goes first, so that its sign goes with it."""
+    for word in ("-inf", "inf", "nan"):
+        text = text.replace(word, spelling)
+    return text
 
 
 def _dumps(obj):
@@ -341,19 +345,12 @@ def _dumps(obj):
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
-        return "{" + ",".join(_key(k) + ":" + _dumps(v) for k, v in obj.items()) + "}"
+        return "{" + ",".join(json.dumps(str(k)) + ":" + _dumps(v) for k, v in obj.items()) + "}"
     if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
         return "[" + _format_doubles(obj, null="null") + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ",".join(_dumps(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-@functools.lru_cache(maxsize=256)
-def _key(k):
-    """A dict key's JSON text; the keys are a few fixed names, so each is
-    encoded once."""
-    return json.dumps(str(k))
 
 
 def _fmt(value):
@@ -418,8 +415,10 @@ def _snapshot_records(grid, snaps):
     ``_dumps`` writes for the record's dict: every double at ``%.17g``, as
     ``_format_doubles`` writes f.  f gets no text of its own, because such a
     string, formed and freed per line, leaves a hole per line in the heap
-    (1.2 MiB more peak memory over 301 snapshots at n = 256).  A record with
-    a non-finite value is written by ``_dumps`` itself, which spells it null.
+    (1.2 MiB more peak memory over 301 snapshots at n = 256).  A line with a
+    non-finite value is filled the same way and then spelled by
+    ``_spell_non_finite``, which writes null as ``_dumps`` does; no key of
+    the templates contains ``inf`` or ``nan``.
     """
     full = [i for i, snap in enumerate(snaps) if snap.f.shape[-1] == grid.n]
     rows = max(1, integrator._BLOCK_VALUES // (max(grid.n, geometry._DEFAULT_MIN_SAMPLES) + 1))
@@ -440,22 +439,6 @@ def _snapshot_records(grid, snaps):
     for i, snap in enumerate(snaps):
         scalars = (snap.time, snap.length, snap.turning, snap.energy, snap.sup_f)
         geo = diagnostics.get(i, ())  # (area, closure defect, advisory flag)
-        if not (all(map(math.isfinite, scalars + geo[:2])) and np.isfinite(snap.f).all()):
-            rec = {
-                "record": "snapshot",
-                "step": snap.step,
-                "t": snap.time,
-                "length": snap.length,
-                "turning": snap.turning,
-                "energy": snap.energy,
-                "sup_curvature": snap.sup_f,
-                "full_resolution": snap.full_resolution,
-                "f": snap.f,
-            }
-            if geo:
-                rec["area"], rec["closure_defect"], rec["area_advisory"] = geo
-            yield _dumps(rec)
-            continue
         key = (snap.f.size, bool(geo))
         if key not in templates:
             templates[key] = head + ",".join(["%.17g"] * snap.f.size) + tails[key[1]]
@@ -463,7 +446,10 @@ def _snapshot_records(grid, snaps):
         values += tuple(snap.f.tolist())
         if geo:
             values += (geo[0], geo[1], "true" if geo[2] else "false")
-        yield templates[key] % values
+        line = templates[key] % values
+        if not (all(map(math.isfinite, scalars + geo[:2])) and np.isfinite(snap.f).all()):
+            line = _spell_non_finite(line, "null")
+        yield line
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +590,7 @@ def cmd_ensemble(args):
     _write_text(stem + "_paths.csv", "\n".join(rows) + "\n")
 
     print(
-        f"paths: {n_paths}  E[L(T)]: {mean_l[-1]:.6g} +/- {stderr_l[-1]:.2g}  "
+        f"paths: {n_paths}  E[L(min(T,tau))]: {mean_l[-1]:.6g} +/- {stderr_l[-1]:.2g}  "
         f"blowup fraction: {blowup / n_paths:.3g}"
     )
     print(f"wrote {out}, {stem}.csv, {stem}_paths.csv")
@@ -865,13 +851,16 @@ def _load_state_file(path):
             f"state file {path} has topology {topology!r}; open curves were removed, "
             "only closed states can be reconstructed"
         )
-    try:
-        f, length = np.asarray(chosen["f"], dtype=float), float(chosen["length"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"state file {path}: 'f' and 'length' must be numbers") from None
-    if f.ndim != 1:
+    f, length = chosen["f"], chosen["length"]
+    if not isinstance(f, list) or any(isinstance(v, list) for v in f):
         raise ConfigError(f"state file {path}: 'f' must be a flat list of numbers")
-    return f, length
+    # JSON numbers load as int or float; true and false load as bool, an int
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in [length, *f]):
+        raise ConfigError(f"state file {path}: 'f' and 'length' must be numbers")
+    try:
+        return np.array(f, dtype=float), float(length)
+    except OverflowError:  # an integer beyond the largest double
+        raise ConfigError(f"state file {path}: 'f' and 'length' must fit a double") from None
 
 
 def cmd_reconstruct(args):

@@ -367,15 +367,14 @@ def _classify(f, length, stop):
     """sup|f| per row of a step's result, and the rows that run on: finite,
     of positive length and inside every window.
 
-    f has shape (*B, n) and length B.  Comparisons with NaN are false, and
-    the upper bounds are capped at the largest double, so that infinities
-    fail them too: three comparisons decide every row, and _stop_masks says
-    why the others stopped.
+    f has shape (*B, n) and length B; for B = () sup and runs are NumPy
+    scalars.  Comparisons with NaN are false, and the upper bounds are
+    capped at the largest double, so that infinities fail them too: three
+    comparisons decide every row, and _stop_masks says why the others
+    stopped.
     """
     sup = np.maximum.reduce(np.abs(f), axis=-1)  # NaN if any value is
     f_max, l_max = min(stop.f_max, sys.float_info.max), min(stop.l_max, sys.float_info.max)
-    if f.ndim == 1:  # B = (): NumPy booleans, combined without array calls
-        return sup, sup <= f_max and length >= stop.l_min and length <= l_max
     runs = sup <= f_max
     runs &= length >= stop.l_min  # l_min > 0
     runs &= length <= l_max

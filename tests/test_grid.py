@@ -88,7 +88,7 @@ def test_solve_stiff_closed_residual():
     g = Grid(64)
     rhs = np.exp(np.cos(TWO_PI * g.nodes))
     length, dt = 1.7, 1e-3
-    u = g.solve_stiff(rhs, length, dt)
+    u = g.solve_stiff(rhs, length, dt, mean=g.integrate(rhs))[0]  # the division keeps the mean
     residual = u + dt * g.deriv(u, 4) / length**4 - rhs
     assert np.max(np.abs(residual)) < 1e-10
 
@@ -98,18 +98,20 @@ def test_solve_stiff_batched_lengths_match_loop():
     gen = np.random.Generator(np.random.PCG64(5))
     rhs = gen.standard_normal((4, 32))
     lengths = np.array([0.7, 1.0, 2.0, 5.5])
-    batched = g.solve_stiff(rhs, lengths, 1e-3)
+    batched = g.solve_stiff(rhs, lengths, 1e-3, mean=g.integrate(rhs))
     for i in range(4):
-        single = g.solve_stiff(rhs[i], lengths[i], 1e-3)
-        assert np.array_equal(batched[i], single)
+        single = g.solve_stiff(rhs[i], lengths[i], 1e-3, mean=g.integrate(rhs[i]))
+        assert np.array_equal(batched[:, i], single)
 
 
 def test_solve_stiff_to_a_mean_returns_its_derivatives(monkeypatch):
     """Given a mean, the stiff solve sets the solution's mean to it, leaves
     the other modes as they are, and returns [x, x', x''] on both routes,
     for a lone field and a batch; the derivatives agree with ``derivs`` of
-    x to round-off, and a batch row equals the lone field bitwise."""
+    x to round-off, and a batch row equals the lone field bitwise.  The
+    reference for the other modes is a plain per-mode division."""
     gen = np.random.Generator(np.random.PCG64(37))
+    k4 = (TWO_PI * np.arange(33)) ** 4
     for dense_max in (64, 0):
         monkeypatch.setattr(grid_module, "_DENSE_MAX_N", dense_max)
         g = Grid(64)
@@ -117,7 +119,7 @@ def test_solve_stiff_to_a_mean_returns_its_derivatives(monkeypatch):
         lengths, means = np.array([0.7, 1.3, 2.0]), np.array([0.5, -1.0, 3.0])
         out = g.solve_stiff(rhs, lengths, 1e-3, mean=means)
         assert out.shape == (3, 3, 64)
-        plain = g.solve_stiff(rhs, lengths, 1e-3)
+        plain = np.fft.irfft(np.fft.rfft(rhs) / (1.0 + 1e-3 * k4 / lengths[:, None] ** 4), 64)
         shifted = plain - g.integrate(plain)[:, None] + means[:, None]
         assert np.max(np.abs(out[0] - shifted)) < 1e-13
         assert np.max(np.abs(g.integrate(out[0]) - means)) < 1e-15
@@ -177,7 +179,7 @@ def test_dense_batch_rows_match_single_fields_bitwise():
         "derivs(1, 2, 4)": lambda g, v, L: g.derivs(v, (1, 2, 4)),
         "derivs(1, 2, 3, 4)": lambda g, v, L: g.derivs(v, (1, 2, 3, 4)),
         "cumint": lambda g, v, L: g.cumint(v),
-        "solve_stiff": lambda g, v, L: g.solve_stiff(v, L, 1e-3),
+        "solve_stiff": lambda g, v, L: g.solve_stiff(v, L, 1e-3, mean=g.integrate(v))[0],
         "solve_stiff(mean)": lambda g, v, L: g.solve_stiff(v, L, 1e-3, mean=1.0 / L),
     }
     for n in range(8, grid_module._DENSE_MAX_N + 1, 2):
@@ -225,7 +227,7 @@ def test_dense_and_fft_routes_agree(monkeypatch):
                 results[dense_max] = [
                     *g.derivs(fields, (1, 2, 3, 4)),
                     g.cumint(fields),
-                    g.solve_stiff(fields, lengths, 1e-3),
+                    g.solve_stiff(fields, lengths, 1e-3, mean=g.integrate(fields))[0],
                     *g.solve_stiff(fields, lengths, 1e-3, mean=lengths),
                 ]
             calls[dense_max] = len(ffts)
@@ -238,10 +240,10 @@ def test_dense_and_fft_routes_agree(monkeypatch):
             const = np.full((2, n), c)
             assert not np.any(g.derivs(const, (1, 2, 3, 4)))
             assert np.array_equal(g.cumint(const), c * np.broadcast_to(r, (2, n)))
-            assert np.array_equal(g.solve_stiff(const, np.array([0.5, 2.0]), 1e-3), const)
-            assert np.array_equal(g.cumint(const[0]), c * r)
-            assert np.array_equal(g.solve_stiff(const[0], 0.5, 1e-3), const[0])
             pair = np.array([0.5, 2.0])
+            assert np.array_equal(g.solve_stiff(const, pair, 1e-3, mean=c)[0], const)
+            assert np.array_equal(g.cumint(const[0]), c * r)
+            assert np.array_equal(g.solve_stiff(const[0], 0.5, 1e-3, mean=c)[0], const[0])
             stacked = g.solve_stiff(const, pair, 1e-3, mean=np.full(2, c))
             assert np.array_equal(stacked[0], const) and not np.any(stacked[1:])
 

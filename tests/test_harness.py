@@ -435,8 +435,8 @@ def test_snapshot_lines_equal_dumps_of_their_records(tmp_path, monkeypatch, caps
 
 def test_snapshot_line_spells_a_non_finite_value_null():
     # hand-made snapshots of the unit circle, full and decimated, with an
-    # energy that overflowed and one that did not, and a decimated field
-    # holding a NaN
+    # energy that overflowed either way and one that did not, and a decimated
+    # field holding a NaN
     grid = Grid(16)
     fields = [np.ones(16), np.ones(8), np.array([1.0, np.nan] * 4)]
     snaps = [
@@ -444,14 +444,17 @@ def test_snapshot_line_spells_a_non_finite_value_null():
             time=0.5, length=TWO_PI, turning=TWO_PI, energy=energy, sup_f=1.0,
             f=f, step=3, full_resolution=f.size == grid.n,
         )
-        for energy in (math.inf, math.pi)
+        for energy in (math.inf, -math.inf, math.pi)
         for f in fields
     ]
     lines = list(harness._snapshot_records(grid, snaps))
     assert lines == [harness._dumps(_snapshot_dict(grid, snap)) for snap in snaps]
     records = [json.loads(line) for line in lines]
-    assert [rec["energy"] for rec in records] == [None] * 3 + [math.pi] * 3
+    assert [rec["energy"] for rec in records] == [None] * 6 + [math.pi] * 3
     assert records[-1]["f"] == [1.0, None] * 4
+    # a line is spelled by replacing every inf and nan in its text, so no
+    # key may hold either
+    assert not any(word in key for rec in records for key in rec for word in ("inf", "nan"))
 
 
 def test_simulate_seed_override_and_rerun_identical(tmp_path):
@@ -917,7 +920,7 @@ def test_strong_study_pathwise_order(tmp_path):
     assert report["passed"] is True
 
 
-def test_strong_study_rejects_refined_paths(monkeypatch):
+def test_strong_study_rejects_stopped_paths(monkeypatch):
     # a path that stops keeps its state from then on, so its terminal length
     # no longer measures the scheme's pathwise error
     def one_stopped(*args, **kwargs):
@@ -1172,8 +1175,18 @@ def test_reconstruct_rejects_incomplete_records(tmp_path, capsys, meta, snapshot
             ": 'f' must be a flat list of numbers",
         ),
         (json.dumps({"f": ["a", "b"], "length": TWO_PI}), ": 'f' and 'length' must be numbers"),
+        # JSON text and booleans that float() would take as numbers
+        (
+            json.dumps({"f": ["1"] * 16, "length": str(TWO_PI)}),
+            ": 'f' and 'length' must be numbers",
+        ),
+        (json.dumps({"f": [True] * 16, "length": True}), ": 'f' and 'length' must be numbers"),
+        (
+            json.dumps({"f": [1.0] * 16, "length": 10**400}),
+            ": 'f' and 'length' must fit a double",
+        ),
     ],
-    ids=["empty", "nested-f", "text-f"],
+    ids=["empty", "nested-f", "text-f", "numeric-text", "booleans", "huge-length"],
 )
 def test_reconstruct_rejects_malformed_state_files(tmp_path, capsys, text, message):
     path = tmp_path / "state.json"

@@ -1276,32 +1276,48 @@ def test_pre_drawn_increments_are_checked_up_front(batched, noise, n_rows):
 # spectral noise: strong order and the Ito correction off the circle
 
 
-def test_strong_order_under_spectral_noise():
-    # coarse paths step on summed fine increments, so each follows the fine
-    # path's Brownian motion; the noise is multiplicative, unlike the scalar
-    # noise of the strong convergence study, where a circle stays a circle
+def _spectral_strong_slopes(scheme, dt, factors):
+    """Strong-order slopes in dt of f (sup norm, root mean square) and of L
+    (mean), for the n = 32 Willmore circle under 6 spectral modes of
+    amplitude 0.5 over 512 fine steps of dt on 64 paths.  Coarse paths step
+    on summed fine increments, so each follows the fine path's Brownian
+    motion; the noise is multiplicative, unlike the scalar noise of the
+    strong convergence study, where a circle stays a circle."""
     grid = Grid(32)
     spec = FlowSpec(WILLMORE, NoiseModel(mode="spectral", amplitude=0.5, n_modes=6))
-    m, dt, n_fine = 64, 1e-5, 512
+    m, n_fine = 64, 512
     fine = increment_blocks(_generators(7, range(m)), n_fine, 6, dt)
 
     def final(factor):
         inc = fine.reshape(n_fine // factor, factor, m, 6).sum(axis=1)
-        cfg = StepperConfig(IMEX_EM, factor * dt, n_fine * dt, snapshot_every=10**9)
+        cfg = StepperConfig(scheme, factor * dt, n_fine * dt, snapshot_every=10**9)
         ens = run_ensemble(spec, grid, np.ones(32), TWO_PI, cfg, m, seed=7, increments=inc)
         assert all(s is TerminalStatus.REACHED_T for s in ens.statuses)
         return ens.final_f, ens.final_lengths
 
     f_fine, l_fine = final(1)
-    factors = np.array([16, 8, 4, 2])
+    factors = np.array(factors)
     f_errors, l_errors = [], []
     for factor in factors:
         f, length = final(factor)
         f_errors.append(math.sqrt(np.mean(np.abs(f - f_fine).max(axis=-1) ** 2)))
         l_errors.append(np.mean(np.abs(length - l_fine)))
     log_dt = np.log(factors * dt)
-    assert np.polyfit(log_dt, np.log(f_errors), 1)[0] >= 0.4
-    assert np.polyfit(log_dt, np.log(l_errors), 1)[0] >= 0.4
+    return np.polyfit(log_dt, np.log(f_errors), 1)[0], np.polyfit(log_dt, np.log(l_errors), 1)[0]
+
+
+def test_strong_order_under_spectral_noise():
+    f_slope, l_slope = _spectral_strong_slopes(IMEX_EM, 1e-5, (16, 8, 4, 2))
+    assert f_slope >= 0.4
+    assert l_slope >= 0.4
+
+
+def test_heun_strong_order_under_spectral_noise():
+    # Heun's explicit fourth-order term bounds dt by 1.5e-5 at this setup, so
+    # the fine steps are 1.5e-6 and the coarsest, 8 of them summed, 1.2e-5
+    f_slope, l_slope = _spectral_strong_slopes(HEUN_STRATONOVICH, 1.5e-6, (8, 4, 2))
+    assert f_slope >= 0.4
+    assert l_slope >= 0.4
 
 
 def test_ito_and_stratonovich_agree_under_spectral_noise():
