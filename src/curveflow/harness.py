@@ -41,6 +41,7 @@ the program and propagates.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -49,6 +50,7 @@ import sys
 import numpy as np
 
 from . import flows, geometry, integrator
+from ._dtoa import format_doubles as _format_doubles
 from .flows import WILLMORE, FlowSpec, State
 from .grid import Grid
 from .integrator import (
@@ -302,32 +304,9 @@ def _setup(cfg):
 # ---------------------------------------------------------------------------
 
 
-def _format_doubles(values, null=None):
-    """Text of a 1-D or 2-D float array: cells joined by commas, rows by line feeds.
-
-    One ``%.17g`` template is filled per call, with no formatting call per
-    element, and gives the bytes of ``format(x, ".17g")`` per element, ``-0``
-    included.  Non-finite values print as ``nan``/``inf``/``-inf``, as
-    ``format`` spells them, unless ``null`` gives another spelling (JSON has
-    no non-finite numbers and writes ``null``; see ``_spell_non_finite``).
-    """
-    a = np.asarray(values, dtype=float)
-    rows, cols = a.shape if a.ndim == 2 else (1, a.size)
-    line = ",".join(["%.17g"] * cols)
-    text = "\n".join([line] * rows) % tuple(a.ravel().tolist())
-    if null is not None and not np.isfinite(a).all():
-        text = _spell_non_finite(text, null)
-    return text
-
-
-def _spell_non_finite(text, spelling):
-    """text with the words ``%.17g`` writes for non-finite doubles, ``-inf``,
-    ``inf`` and ``nan``, replaced by spelling: ``null`` in JSON, an empty
-    cell in CSV.  text must hold no other ``inf`` or ``nan``, such as in a
-    JSON key; ``-inf`` goes first, so that its sign goes with it."""
-    for word in ("-inf", "inf", "nan"):
-        text = text.replace(word, spelling)
-    return text
+def _number(value):
+    """A float as JSON writes it here: ``%.17g``, or null if not finite."""
+    return format(value, ".17g") if math.isfinite(value) else "null"
 
 
 def _dumps(obj):
@@ -338,10 +317,7 @@ def _dumps(obj):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        if not math.isfinite(value):
-            return "null"
-        return format(value, ".17g")
+        return _number(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -359,10 +335,13 @@ def _fmt(value):
     return str(value)
 
 
-def _write_text(path, text):
+def _write_lines(path, lines):
+    """Write each of lines, a line feed after each, as lines yields them."""
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
@@ -402,54 +381,51 @@ def _meta_record(command, cfg):
 
 
 def _snapshot_records(grid, snaps):
-    """The JSON text lines of a run's snapshot records, in order.
+    """The JSON text lines of a run's snapshot records, in order, one at a time.
 
-    A full-resolution snapshot also carries its reconstructed curve's area,
-    closure defect and advisory flag.  Those curves are reconstructed as
-    stacks of integrator._BLOCK_VALUES // (m + 1) snapshots, m the samples
-    per curve, so that each (rows, m + 1) array of a block stays within
-    128 KiB, as the integrator's row blocks do; the rows equal single
-    reconstructions bit for bit.
+    Snapshots go in blocks of up to integrator._BLOCK_VALUES // (m + 1)
+    consecutive ones whose f has one size, m the samples per curve.  The f
+    fields of a block are one ``_format_doubles`` call, every value at
+    ``%.17g`` and null for a non-finite one, as ``_dumps`` writes them; the
+    scalars go through ``_number``, as in ``_dumps``.  A block of
+    full-resolution snapshots is reconstructed as one stack, whose
+    (rows, m + 1) arrays stay within 128 KiB as the integrator's row blocks
+    do, and each of its records carries its curve's area, closure defect
+    and advisory flag; the rows equal single reconstructions bit for bit.
 
-    Each line fills one fixed template, f's values included, with the bytes
-    ``_dumps`` writes for the record's dict: every double at ``%.17g``, as
-    ``_format_doubles`` writes f.  f gets no text of its own, because such a
-    string, formed and freed per line, leaves a hole per line in the heap
-    (1.2 MiB more peak memory over 301 snapshots at n = 256).  A line with a
-    non-finite value is filled the same way and then spelled by
-    ``_spell_non_finite``, which writes null as ``_dumps`` does; no key of
-    the templates contains ``inf`` or ``nan``.
+    Lines are yielded for the caller to write as they come, not to collect:
+    the 301 lines of a run at n = 256, held and joined, raise its peak
+    memory by about 3 MiB.
     """
-    full = [i for i, snap in enumerate(snaps) if snap.f.shape[-1] == grid.n]
     rows = max(1, integrator._BLOCK_VALUES // (max(grid.n, geometry._DEFAULT_MIN_SAMPLES) + 1))
-    diagnostics = {}  # snapshot index -> (area, closure defect, advisory flag)
-    for lo in range(0, len(full), rows):
-        block = full[lo : lo + rows]
-        f = np.stack([snaps[i].f for i in block])
-        sample = geometry.reconstruct(grid, State(f, np.array([snaps[i].length for i in block])))
-        defect = geometry.closure_defect(sample)
-        columns = (geometry.enclosed_area(sample), defect, geometry.area_advisory(sample, defect))
-        diagnostics.update(zip(block, zip(*(c.tolist() for c in columns))))
     head = (
-        '{"record":"snapshot","step":%d,"t":%.17g,"length":%.17g,"turning":%.17g,'
-        '"energy":%.17g,"sup_curvature":%.17g,"full_resolution":%s,"f":['
+        '{"record":"snapshot","step":%d,"t":%s,"length":%s,"turning":%s,'
+        '"energy":%s,"sup_curvature":%s,"full_resolution":%s,"f":['
     )
-    tails = ("]}", '],"area":%.17g,"closure_defect":%.17g,"area_advisory":%s}')
-    templates = {}  # (values in f, with geometry) -> the line's template
-    for i, snap in enumerate(snaps):
-        scalars = (snap.time, snap.length, snap.turning, snap.energy, snap.sup_f)
-        geo = diagnostics.get(i, ())  # (area, closure defect, advisory flag)
-        key = (snap.f.size, bool(geo))
-        if key not in templates:
-            templates[key] = head + ",".join(["%.17g"] * snap.f.size) + tails[key[1]]
-        values = (snap.step, *scalars, "true" if snap.full_resolution else "false")
-        values += tuple(snap.f.tolist())
-        if geo:
-            values += (geo[0], geo[1], "true" if geo[2] else "false")
-        line = templates[key] % values
-        if not (all(map(math.isfinite, scalars + geo[:2])) and np.isfinite(snap.f).all()):
-            line = _spell_non_finite(line, "null")
-        yield line
+    lo = 0
+    while lo < len(snaps):
+        size, hi = snaps[lo].f.size, lo + 1
+        while hi < min(len(snaps), lo + rows) and snaps[hi].f.size == size:
+            hi += 1
+        block = snaps[lo:hi]
+        f = np.stack([snap.f for snap in block])
+        fields = _format_doubles(f, null="null").split("\n")
+        tails = ["]}"] * len(block)
+        if size == grid.n:
+            sample = geometry.reconstruct(grid, State(f, np.array([s.length for s in block])))
+            defect = geometry.closure_defect(sample)
+            advisory = geometry.area_advisory(sample, defect)
+            columns = (geometry.enclosed_area(sample), defect, advisory)
+            tails = [
+                '],"area":%s,"closure_defect":%s,"area_advisory":%s}'
+                % (_number(area), _number(gap), _dumps(flag))
+                for area, gap, flag in zip(*(c.tolist() for c in columns))
+            ]
+        for snap, field, tail in zip(block, fields, tails):
+            scalars = (snap.time, snap.length, snap.turning, snap.energy, snap.sup_f)
+            flag = _dumps(snap.full_resolution)
+            yield head % (snap.step, *map(_number, scalars), flag) + field + tail
+        lo = hi
 
 
 # ---------------------------------------------------------------------------
@@ -467,19 +443,20 @@ def cmd_simulate(args):
     driver = BrownianDriver(cfg["run.seed"], 0) if spec.noise.amplitude > 0 else None
     traj = run(spec, grid, state, stepper, stop=stop, driver=driver)
 
-    lines = [_dumps(_meta_record("simulate", cfg))]
-    lines += _snapshot_records(grid, traj.snapshots)
-    lines.append(
-        _dumps(
-            {
-                "record": "final",
-                "status": traj.terminal_status.value,
-                "steps": traj.steps,
-                "stability_warning": traj.stability_warning,
-            }
-        )
+    final = {
+        "record": "final",
+        "status": traj.terminal_status.value,
+        "steps": traj.steps,
+        "stability_warning": traj.stability_warning,
+    }
+    _write_lines(
+        out,
+        itertools.chain(
+            [_dumps(_meta_record("simulate", cfg))],
+            _snapshot_records(grid, traj.snapshots),
+            [_dumps(final)],
+        ),
     )
-    _write_text(out, "\n".join(lines) + "\n")
     print(f"status: {traj.terminal_status.value}")
     print(f"wrote {out}")
     if traj.terminal_status is TerminalStatus.REACHED_T:
@@ -571,23 +548,19 @@ def cmd_ensemble(args):
             "blowup_fraction": blowup / n_paths,
         }
     )
-    _write_text(out, _dumps(summary) + "\n")
+    _write_lines(out, [_dumps(summary)])
 
     # n_active counts paths; integers below 2**53 print as integers at 17 digits
     table = np.column_stack([times, mean_l, var_l, stderr_l, mean_e, n_active])
-    _write_text(
-        stem + ".csv",
-        "t,mean_length,var_length,stderr_length,mean_energy,n_active\n"
-        + _format_doubles(table)
-        + "\n",
-    )
+    header = "t,mean_length,var_length,stderr_length,mean_energy,n_active"
+    _write_lines(stem + ".csv", [header, _format_doubles(table)])
 
     # a path that reached t_end has a NaN stop time and an empty cell; final
     # lengths are always finite, frozen at the last valid state
     ends = _format_doubles(np.column_stack([stop_times, final_lengths]), null="").split("\n")
     rows = ["path,status,stop_time,final_length"]
     rows += [f"{i},{statuses[i].value},{ends[i]}" for i in range(n_paths)]
-    _write_text(stem + "_paths.csv", "\n".join(rows) + "\n")
+    _write_lines(stem + "_paths.csv", ["\n".join(rows)])  # one write, not one per path
 
     print(
         f"paths: {n_paths}  E[L(min(T,tau))]: {mean_l[-1]:.6g} +/- {stderr_l[-1]:.2g}  "
@@ -772,7 +745,7 @@ def cmd_convergence(args):
         report = _study_strong(cfg, args.paths)
     report = {"record": "convergence", **report}
     out = args.out or "convergence.json"
-    _write_text(out, _dumps(report) + "\n")
+    _write_lines(out, [_dumps(report)])
     if report.get("slope") is not None:
         print(f"{args.study} study: slope {report['slope']:.3f}  passed: {report['passed']}")
     elif "ratios" in report:
@@ -796,7 +769,7 @@ def cmd_invariants(args):
     all_passed = all(c["passed"] for c in records)
     report = {"record": "invariants", "checks": records, "all_passed": all_passed}
     out = args.out or "invariants.json"
-    _write_text(out, _dumps(report) + "\n")
+    _write_lines(out, [_dumps(report)])
     for c in records:
         verdict = "PASS" if c["passed"] else "FAIL"
         print(f"{verdict}  {c['name']}: {c['value']:.3g} (bound {c['bound']:.3g})")
@@ -879,7 +852,7 @@ def cmd_reconstruct(args):
     except ValueError as exc:  # a state the grid or the reconstruction refuses
         raise ConfigError(str(exc)) from None
     out = args.out or "curve.csv"
-    _write_text(out, "x,y\n" + _format_doubles(sample.points) + "\n")
+    _write_lines(out, ["x,y", _format_doubles(sample.points)])
     defect = geometry.closure_defect(sample)
     print(f"closure defect: {defect:.6g}")
     area = geometry.enclosed_area(sample)
@@ -892,11 +865,10 @@ def cmd_reconstruct(args):
 def cmd_print_config(args):
     cfg = effective_config(args)
     lines = [f"{key} = {_fmt(cfg[key])}" for key in _SCHEMA]
-    text = "\n".join(lines) + "\n"
     if args.out:
-        _write_text(args.out, text)
+        _write_lines(args.out, lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -467,13 +467,12 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, rec
     NumPy scalar when a single row steps.  Once a row has stopped, only the
     active rows are stepped, their carried pairs gathered and scattered
     with them.
-    Returns the steps taken, the final f and lengths; per row the status,
-    stop time (NaN if none) and smallest h; and whether dt crossed the
-    stability bound.
+    Returns the steps taken, the final f and lengths; per row the status
+    and stop time (NaN if none); and whether dt crossed the stability bound.
     """
     (n_steps, step), m, k, unstable = schedule, len(lengths), -1, False
     statuses = [TerminalStatus.REACHED_T] * m
-    stop_times, min_h = np.full(m, np.nan), np.full(m, stepper.dt)
+    stop_times = np.full(m, np.nan)
     active, no_rows = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
     every = True  # every row is active: the batch steps whole, with no gather
     d = None  # the rows' (f', f''), once an IMEX step has carried them
@@ -484,9 +483,8 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, rec
         for k in range(n_steps):
             h, t = step(k)
             dw = None if rows is None else next(rows)
-            if h != stepper.dt:  # a shortened last step
-                min_h[active] = np.minimum(min_h[active], h)
-                dw = None if dw is None else dw * math.sqrt(h / stepper.dt)
+            if h != stepper.dt and dw is not None:  # a shortened last step
+                dw = dw * math.sqrt(h / stepper.dt)
             if m == 1:
                 # a single row steps and is classified on B = (): the same
                 # arithmetic, on NumPy scalars where it reduces to one value.
@@ -538,7 +536,7 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, rec
             record(k, t, f, lengths, active, halted, sup)
             if halted is not no_rows and not active.any():  # the last row stopped
                 break
-    return k + 1, f, lengths, statuses, stop_times, min_h, unstable
+    return k + 1, f, lengths, statuses, stop_times, unstable
 
 
 def _schedule(t0, dt, t_end):
@@ -554,6 +552,15 @@ def _schedule(t0, dt, t_end):
         return (dt, t0 + (k + 1) * dt) if k < full else (t_end - last, t_end)
 
     return full + int(t_end - last > eps), step
+
+
+def _min_h(last_step, dt, stop_times):
+    """Each row's smallest step size, last the schedule's last step (h, end
+    time): a shortened h for the rows that attempted that step, those whose
+    stop time is NaN or its end time, and dt for every other row."""
+    h, t_last = last_step
+    attempted = np.isnan(stop_times) | (stop_times == t_last)
+    return np.where(attempted, min(h, dt), dt)
 
 
 def _draw_blocks(generators, n_steps, n_modes, dt):
@@ -605,10 +612,10 @@ def run(
         raise ValueError("noisy run needs a BrownianDriver or a pre-drawn increments array")
     f, lengths = np.array(state0.f, dtype=float)[None], np.array([float(state0.length)])
     stop = _start(spec, grid, stepper, f, lengths, stop)
-    schedule = _schedule(float(state0.time), stepper.dt, stepper.t_end)
+    n_steps, step = schedule = _schedule(float(state0.time), stepper.dt, stepper.t_end)
     n_modes = spec.noise.n_modes
     rows = _increment_rows(
-        spec, stepper.dt, schedule[0], lambda: [driver.generator], increments, (n_modes,)
+        spec, stepper.dt, n_steps, lambda: [driver.generator], increments, (n_modes,)
     )
 
     t_last = float(state0.time)  # the time of the state the row holds
@@ -622,7 +629,8 @@ def run(
                 snap = _snapshot(grid, f[0], float(lengths[0]), t, k + 1, sup, halted[0])
                 snapshots.append(snap)
 
-    steps, f, lengths, statuses, _, min_h, unstable = _advance(
+    last_step = step(n_steps - 1)
+    steps, f, lengths, statuses, stop_times, unstable = _advance(
         spec, grid, stepper, stop, _STEPPERS[stepper.scheme], f, lengths, schedule, rows, record
     )
     state = State(f[0], float(lengths[0]), t_last)
@@ -636,7 +644,7 @@ def run(
         final_state=state,
         steps=steps,
         stability_warning=unstable,
-        min_h=float(min_h[0]),
+        min_h=float(_min_h(last_step, stepper.dt, stop_times)[0]),
     )
 
 
@@ -687,7 +695,7 @@ def run_ensemble(
         lambda: _generators(seed, range(first_path, first_path + m)),
         increments, (m, spec.noise.n_modes),
     )
-    records = []
+    records, last_step = [], step(n_steps - 1)
 
     def record(k, t, f, lengths, active, halted, sup):
         if (k + 1) % stepper.snapshot_every == 0 or k + 1 == n_steps:
@@ -696,7 +704,7 @@ def run_ensemble(
 
     with np.errstate(over="ignore", invalid="ignore"):
         record(-1, 0.0, f, lengths, np.ones(m, dtype=bool), None, None)
-        steps, f, lengths, statuses, stop_times, min_h, unstable = _advance(
+        steps, f, lengths, statuses, stop_times, unstable = _advance(
             spec, grid, stepper, stop, _BATCH_STEPPERS[stepper.scheme],
             np.array(f, order="C"), lengths, schedule, rows, record,
         )
@@ -721,6 +729,6 @@ def run_ensemble(
         final_f=f,
         final_lengths=lengths,
         steps=n_steps,
-        min_h=min_h,
+        min_h=_min_h(last_step, stepper.dt, stop_times),
         stability_warning=unstable,
     )

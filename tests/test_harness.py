@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 
 from curveflow import geometry, harness, integrator
-from curveflow.flows import State
+from curveflow.flows import FlowSpec, State
 from curveflow.grid import Grid
 from curveflow.harness import ConfigError, default_config, load_config, main
 from curveflow.integrator import TerminalStatus, run, run_ensemble
-from curveflow.noise import BrownianDriver
+from curveflow.noise import BrownianDriver, NoiseModel
 
 TWO_PI = 2.0 * math.pi
 
@@ -197,17 +197,47 @@ def test_json_formatting_round_trips():
 
 
 def _per_element(values, null=None):
-    return ",".join(
-        null if null is not None and not math.isfinite(x) else format(x, ".17g")
-        for x in values
-    )
+    if null is None:
+        return ",".join([format(x, ".17g") for x in values])
+    return ",".join([format(x, ".17g") if math.isfinite(x) else null for x in values])
+
+
+def _assert_same_cells(got, want):
+    """got == want, else a failure that names the first differing cell: the
+    diff pytest makes of two texts of megabytes takes minutes and gigabytes."""
+    if got == want:
+        return
+    a, b = got.replace("\n", ",").split(","), want.replace("\n", ",").split(",")
+    i = next((i for i, pair in enumerate(zip(a, b)) if pair[0] != pair[1]), min(len(a), len(b)))
+    pytest.fail(f"cell {i}: {a[i : i + 1]} != {b[i : i + 1]} ({len(a)} and {len(b)} cells)")
 
 
 def test_format_doubles_matches_per_element_format():
+    """``_format_doubles`` forms the 17 digits of most doubles in exact
+    integer arithmetic of its own; every cell must read as ``format(x,
+    ".17g")``, the text CPython writes."""
     rng = np.random.default_rng(3)
+    # a million random bit patterns with binary exponents from -16 to 52,
+    # about 1.5e-5 to 9e15: the exact path's range and past both its ends
+    mantissas = rng.integers(0, 2**52, 1_000_000, dtype=np.uint64)
+    exponents = rng.integers(1023 - 16, 1023 + 53, mantissas.size)
+    signs = rng.integers(0, 2, mantissas.size)
+    patterns = (mantissas | (exponents + 2048 * signs).astype(np.uint64) << 52).view(np.float64)
+    _assert_same_cells(harness._format_doubles(patterns), _per_element(patterns.tolist()))
+    decades = 10.0 ** rng.uniform(-8.0, 18.0, 30_000)
+    near_powers = [
+        np.nextafter(10.0**k, toward) for k in range(-20, 21) for toward in (0.0, math.inf)
+    ]
     rows = [
+        # any 64 bits: every exponent, subnormals and NaN payloads included
+        rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64),
+        decades * rng.choice([-1.0, 1.0], decades.size),
         rng.standard_normal(256),
         rng.standard_normal(64) * 10.0 ** rng.integers(-300, 300, 64),
+        np.array(near_powers + [float(f"1e{k}") for k in range(-20, 21)]),
+        # ties of the 17th digit round to even, in fixed notation and beyond
+        np.array([100000000000000.125, 100000000000000.375, 0.5, 2.5, -1000000000000000.25]),
+        np.array([1000000000000000.25, 2251799813685247.5, 4503599627370495.5]),
         np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310]),
         np.array([1.7976931348623157e308, -1e300, 1e22, 2.0**53, 123456789.0, 0.1]),
         np.array([1.0, math.nan, -0.0, math.inf, -math.inf]),
@@ -215,16 +245,17 @@ def test_format_doubles_matches_per_element_format():
     ]
     for row in rows:
         values = row.tolist()
-        assert harness._format_doubles(row) == _per_element(values)
-        assert harness._format_doubles(row, null="null") == _per_element(values, "null")
-        assert harness._dumps(row) == "[" + _per_element(values, "null") + "]"
-    table = np.stack([rows[0][:6], rows[1][:6], rows[4].tolist() + [2.5]], axis=1)
-    assert harness._format_doubles(table) == "\n".join(
-        _per_element(line) for line in table.tolist()
-    )
-    assert harness._format_doubles(table, null="") == "\n".join(
-        _per_element(line, "") for line in table.tolist()
-    )
+        for null in (None, "null", ""):
+            _assert_same_cells(harness._format_doubles(row, null=null), _per_element(values, null))
+        _assert_same_cells(harness._dumps(row), "[" + _per_element(values, "null") + "]")
+    table = np.stack([rows[2][:6], rows[3][:6], rows[9].tolist() + [2.5]], axis=1)
+    # (700, 3) holds more values than one pass takes, and a pass ends mid-row
+    tables = [table, table[:1], table[:, :1], np.empty((0, 3)), np.empty((3, 0))]
+    tables.append(rng.standard_normal((700, 3)))
+    for t in tables:
+        for null in (None, "null", ""):
+            want = "\n".join(_per_element(line, null) for line in t.tolist())
+            _assert_same_cells(harness._format_doubles(t, null=null), want)
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +324,23 @@ def test_simulate_writes_trajectory_records(tmp_path, capsys):
     }
 
 
+def _workload_config(name, seed=201):
+    """The config text of a benchmark workload (perfbench/workloads.py)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.config_text(workloads.WORKLOADS[name], seed)
+
+
 def test_simulate_state_fields_are_per_element_17_digits(tmp_path):
-    # every field of a snapshot record up to area and closure_defect reads as
-    # format(x, ".17g") of each double of the in-process run
-    cfg_path = _cfg_file(
-        tmp_path,
+    """Every double of every snapshot record, f's values, area and
+    closure_defect included, reads as format(x, ".17g") of the in-process
+    run's value and of a single reconstruction of its state: a reference
+    apart from the kernel that ``_format_doubles`` and ``_dumps`` share.  On
+    a noisy n = 32 run and on the benchmark's path_snapshots config."""
+    spectral = (
         "grid.n = 32\n"
         "noise.mode = spectral\n"
         "noise.amplitude = 0.1\n"
@@ -305,32 +348,32 @@ def test_simulate_state_fields_are_per_element_17_digits(tmp_path):
         "stepper.t_end = 0.005\n"
         "stepper.snapshot_every = 10\n"
         "init.kind = perturbed_circle\n"
-        "run.seed = 9\n",
+        "run.seed = 9\n"
     )
-    out = tmp_path / "traj.jsonl"
-    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
-    cfg = load_config(cfg_path)
-    grid = harness.build_grid(cfg)
-    state = harness.build_state(cfg, grid)
-    traj = run(
-        harness.build_spec(cfg),
-        grid,
-        state,
-        harness.build_stepper(cfg),
-        stop=harness.build_stop(cfg, state),
-        driver=BrownianDriver(9, 0),
-    )
-    lines = out.read_text().splitlines()[1:-1]
-    assert len(lines) == len(traj.snapshots) == 6
-    for line, snap in zip(lines, traj.snapshots):
-        scalars = (snap.time, snap.length, snap.turning, snap.energy, snap.sup_f)
-        t, length, turning, energy, sup = (format(x, ".17g") for x in scalars)
-        expected = (
-            f'{{"record":"snapshot","step":{snap.step},"t":{t},"length":{length},'
-            f'"turning":{turning},"energy":{energy},"sup_curvature":{sup},'
-            f'"full_resolution":true,"f":[{_per_element(snap.f.tolist())}],"area":'
-        )
-        assert line.startswith(expected)
+    for source, count in ((spectral, 6), (_workload_config("path_snapshots"), 301)):
+        cfg_path = _cfg_file(tmp_path, source)
+        out = tmp_path / "traj.jsonl"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+        cfg = load_config(cfg_path)
+        grid, spec, stepper, state, stop = harness._setup(cfg)
+        driver = BrownianDriver(cfg["run.seed"], 0) if spec.noise.amplitude > 0 else None
+        traj = run(spec, grid, state, stepper, stop=stop, driver=driver)
+        lines = out.read_text().splitlines()[1:-1]
+        assert len(lines) == len(traj.snapshots) == count
+        for line, snap in zip(lines, traj.snapshots):
+            sample = geometry.reconstruct(grid, State(snap.f, snap.length))
+            defect = geometry.closure_defect(sample)
+            advisory = "true" if geometry.area_advisory(sample, defect) else "false"
+            scalars = (snap.time, snap.length, snap.turning, snap.energy, snap.sup_f)
+            t, length, turning, energy, sup = (format(x, ".17g") for x in scalars)
+            area = format(float(geometry.enclosed_area(sample)), ".17g")
+            defect = format(float(defect), ".17g")
+            assert line == (
+                f'{{"record":"snapshot","step":{snap.step},"t":{t},"length":{length},'
+                f'"turning":{turning},"energy":{energy},"sup_curvature":{sup},'
+                f'"full_resolution":true,"f":[{_per_element(snap.f.tolist())}],'
+                f'"area":{area},"closure_defect":{defect},"area_advisory":{advisory}}}'
+            )
 
 
 @pytest.mark.parametrize("n, steps, records, full", [(64, 40, 41, 41), (512, 6, 8, 1)])
@@ -371,7 +414,7 @@ def test_simulate_reconstructs_snapshots_in_blocks(tmp_path, monkeypatch, n, ste
 def _snapshot_dict(grid, snap):
     """A snapshot's record as a dict, in the key order of its line, with the
     geometry of its own single reconstruction: the reference that
-    ``_snapshot_records``' template lines must match through ``_dumps``."""
+    ``_snapshot_records``' lines must match through ``_dumps``."""
     rec = {
         "record": "snapshot",
         "step": snap.step,
@@ -404,16 +447,13 @@ _HALTING_CFG = "stop.l_max_factor = 1.01\nstepper.t_end = 0.1\nstepper.dt = 1e-4
     ["path_spectral", "ensemble_scalar", "path_snapshots", _STRIDED_CFG, _HALTING_CFG],
     ids=["path_spectral", "ensemble_scalar", "path_snapshots", "strided_n512", "halted"],
 )
-def test_snapshot_lines_equal_dumps_of_their_records(tmp_path, monkeypatch, capsys, source):
-    """simulate's snapshot lines, each filled from one template, are byte for
-    byte ``_dumps`` of the record dict, on the benchmark's three configs (the
+def test_snapshot_lines_equal_dumps_of_their_records(tmp_path, capsys, source):
+    """simulate's snapshot lines, their f fields formatted a block at a time,
+    are byte for byte ``_dumps`` of the record dict, on the benchmark's three configs (the
     ensemble one run as a single path), decimated snapshots at n = 512, and a
     run that halts on its stop window."""
     if source in ("path_spectral", "ensemble_scalar", "path_snapshots"):
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-        import workloads
-
-        source = workloads.config_text(workloads.WORKLOADS[source], 201)
+        source = _workload_config(source)
     cfg_path = _cfg_file(tmp_path, source)
     out = tmp_path / "traj.jsonl"
     code = main(["simulate", "--config", cfg_path, "--out", str(out)])
@@ -452,9 +492,6 @@ def test_snapshot_line_spells_a_non_finite_value_null():
     records = [json.loads(line) for line in lines]
     assert [rec["energy"] for rec in records] == [None] * 6 + [math.pi] * 3
     assert records[-1]["f"] == [1.0, None] * 4
-    # a line is spelled by replacing every inf and nan in its text, so no
-    # key may hold either
-    assert not any(word in key for rec in records for key in rec for word in ("inf", "nan"))
 
 
 def test_simulate_seed_override_and_rerun_identical(tmp_path):
@@ -905,6 +942,25 @@ def test_space_study_spectral_collapse(tmp_path):
     assert len(report["errors"]) == 3
     assert report["ratios"][0] > 10.0
     assert report["passed"] is True
+
+
+@pytest.mark.parametrize("kind", ["willmore", "curve_diffusion"])
+def test_space_convergence_stays_above_roundoff(kind):
+    """The space study's setup on a rougher start, pole 0.85, where every
+    level's error lies far above round-off: each doubling of n, 32 -> 64 on
+    the dense route of the stiff solve and 64 -> 128 onto the FFT route,
+    cuts the error by more than 10 with no floor to fall back on."""
+    spec = FlowSpec(kind, NoiseModel())
+    stepper = integrator.StepperConfig(integrator.IMEX_EM, 1e-5, 2e-3, 10**9)
+
+    def evolve(n):
+        grid = Grid(n)
+        return run(spec, grid, harness._poisson_state(grid, pole=0.85), stepper).final_state.f
+
+    f_ref = evolve(256)
+    errors = [np.abs(evolve(n) - f_ref[:: 256 // n]).max() for n in (32, 64, 128)]
+    assert errors[-1] > 1e-11  # above round-off: the ratios measure truncation
+    assert all(coarse > 10.0 * fine for coarse, fine in zip(errors, errors[1:])), errors
 
 
 def test_strong_study_pathwise_order(tmp_path):
