@@ -134,29 +134,25 @@ class _Assembly:
     rows_lam: np.ndarray
 
 
-def _basis_table(noise, grid):
-    """[phi_l'', phi_l, phi_l', phi_l'''] at the nodes, (4, n_modes, n), so
-    that the noise field and the transport contractions each take one slice.
+def _basis(noise, grid):
+    """The noise model's basis at the grid's nodes, (table, sums): table is
+    [phi_l'', phi_l, phi_l', phi_l'''], (4, n_modes, n), so that the noise
+    field and the transport contractions each take one slice, and sums is
+    the pair (sum_l phi_l phi_l'', sum_l phi_l^2), each (n,), added in mode
+    order from +0.0.
 
-    Sampled once per (grid, noise model) by basis_eval, bitwise the closed
-    form.  The key is the model, hashed by identity: the cache holds it, so
-    its identity never passes to another, and its basis is fixed."""
-
-    def build():
+    Sampled by basis_eval, bitwise the closed form, on the model's first use
+    on a grid of that many nodes (the nodes are j/n), and kept read-only in
+    the model's ``samples``: a model's basis is fixed once it is made."""
+    basis = noise.samples.get(grid.n)
+    if basis is None:
         modes = range(1, noise.n_modes + 1)
-        return np.array([[basis_eval(noise, grid, l, order) for l in modes] for order in (2, 0, 1, 3)])
-
-    return grid.cached(("noise_basis", noise), build)
-
-
-def _basis_sums(noise, grid):
-    """[sum_l phi_l phi_l'', sum_l phi_l^2] at the nodes, cached likewise."""
-
-    def build():
-        table = _basis_table(noise, grid)
-        return mode_sum(table[1] * table[:2], 0.0, axis=1)
-
-    return grid.cached(("noise_basis_sums", noise), build)
+        table = np.array([[basis_eval(noise, grid, l, order) for l in modes] for order in (2, 0, 1, 3)])
+        sums = mode_sum(table[1] * table[:2], 0.0, axis=1)
+        table.setflags(write=False)
+        sums.setflags(write=False)
+        basis = noise.samples[grid.n] = table, tuple(sums)
+    return basis
 
 
 def mode_sum(terms, start, axis=0):
@@ -176,7 +172,7 @@ def noise_field(spec, grid, dw):
     w = spec.noise.amplitude * np.asarray(dw, dtype=float).T
     if spec.uses_turning_shortcut:
         return w[0]
-    pair = _basis_table(spec.noise, grid)[:2]
+    pair = _basis(spec.noise, grid)[0][:2]
     if w.ndim > 1:  # the batch rows meet the nodes as columns
         pair = pair[:, :, None]
     return mode_sum(w[..., None] * pair, -0.0, axis=1)
@@ -214,8 +210,13 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True, psi=No
     fourth-order term is not formed.  Returns an _Assembly.
     """
     batch = f.shape[:-1]
-    # one state's length as a NumPy scalar: 0-d arithmetic, bit for bit, but faster
-    lc = np.asarray(length, dtype=float)[()]
+    # a batch's lengths meet the nodes as a column; one state's length is a
+    # NumPy scalar: 0-d arithmetic, bit for bit, but faster
+    if batch:
+        lc = np.asarray(length, dtype=float)
+        lcol = lc[..., None]
+    else:
+        lc = lcol = np.float64(length)
     r = grid.nodes
     noise = spec.noise
     n_modes = noise.n_modes
@@ -225,14 +226,16 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True, psi=No
     # Full-size temporaries are updated in place and freed as soon as they
     # are used: at M ~ 2000 paths every (M, n) array is a MiB.  Each in-place
     # form keeps the operand order of the formula it computes.
-    lcol = _column(lc)
     l2 = lcol * lcol
     if include_stiff:
         f1, f2, stiff = grid.derivs(f, (1, 2, 4))
         stiff *= spec.stiff_sign  # in f4's slot: stiff_sign * f4 / L^4
         stiff /= l2 * l2
     else:
-        f1, f2 = grid.derivs(f, (1, 2)) if derivs is None else derivs
+        if derivs is None:
+            derivs = grid.derivs(f, (1, 2))
+        # rows by index: unpacking an array iterates it, which costs more
+        f1, f2 = derivs[0], derivs[1]
         stiff = None
     ff = f * f
     tmp = np.empty_like(f)
@@ -258,13 +261,13 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True, psi=No
     if noisy and scalar:
         stack[1] = f  # f * phi with phi = 1
     elif spectral:
-        table = _basis_table(noise, grid)
+        table, (phi_phi2, phi_phi) = _basis(noise, grid)
         if batch:
             table = table.reshape((4, n_modes) + (1,) * len(batch) + (grid.n,))
         if unit:
-            psi2, psi = table[:2]
+            psi2, psi = table[0], table[1]
         else:
-            psi2, psi = psi
+            psi2, psi = psi[0], psi[1]
             np.multiply(f, psi, out=stack[1])
         if per_mode:
             np.multiply(f, table[1], out=stack[rows - n_modes :])
@@ -315,7 +318,7 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True, psi=No
     else:
         # the rows after f*V: per mode, or the noise field's and then those
         lam_all = -lc * ints[1:]
-        lam_l = _column(lam_all / lc)
+        lam_l = (lam_all / lc)[..., None]
         coef_all = cums[1:]
         coef_all += r * lam_l
         lam, coef = (lam_all, coef_all) if unit else (lam_all[0], coef_all[0])
@@ -371,7 +374,6 @@ def assemble(spec, grid, f, length, include_ito=True, include_stiff=True, psi=No
         c_phi, c_phi1, c_phi3, c_c, c_lam, lam_phi2 = mode_sum(prod, 0.0, axis=1)
         del prod
         s_ll = np.add.accumulate(lam_all[m] * lam_all[m])[-1]  # in mode order
-        phi_phi2, phi_phi = _basis_sums(noise, grid)
         bphi = phi_phi2 / l2
         bphi += ff * phi_phi
         c_phi *= f1

@@ -10,7 +10,7 @@ The spectral operators take one of two routes, chosen by n alone when a
 same arithmetic:
 
 - above ``_DENSE_MAX_N`` nodes, a real FFT pair;
-- up to ``_DENSE_MAX_N`` nodes, products with cached dense matrices, the
+- up to ``_DENSE_MAX_N`` nodes, products with dense matrices, the
   matrix multiplication transform that beats the FFT on short rows (Boyd,
   Chebyshev and Fourier Spectral Methods, 2nd ed., 2001, ch. 10).
   ``derivs`` and ``solve_stiff`` multiply by the real DFT matrix, apply the
@@ -43,6 +43,19 @@ product:
 - every matrix's width is a multiple of 8 (zero columns pad it); OpenBLAS's
   rows depend on the row count at widths 2 or 4 mod 8 from 18 up.
 
+A third rule holds outside the products: a lone field's per-field values
+(its length) are raised to a power only as arrays.  ``**`` on a NumPy
+scalar or a float calls the C library's pow, which rounds L^4 differently
+from the array loop for about one length in twenty in [0.5, 20] (and x^2
+differently from x * x for about one in a thousand); +, -, * and / round
+alike on every path.
+
+The matrices and symbols are a grid's constants: read-only attributes
+(``functools.cached_property``), each made on first use, so ``Grid(n)``
+builds none of them and a step reads them without a lookup.  ``cached`` keeps
+what a caller keys by a parameter, such as the symbols of one tuple of
+derivative orders.
+
 All operations accept arrays of shape ``(..., n)`` and act along the last
 axis, so stacked batches of fields go through the same code path as single
 fields, and a stack of several fields shares one transform pair (``derivs``
@@ -54,6 +67,7 @@ check nothing: states are validated once, where they enter, by
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -125,6 +139,12 @@ def _padded(width):
     return -(-width // 8) * 8
 
 
+def _frozen(array):
+    """The array, made read-only: a grid's constants are shared by every caller."""
+    array.setflags(write=False)
+    return array
+
+
 class Grid:
     """Uniform periodic nodes j/n, j = 0..n-1, on [0, 1), with discrete calculus.
 
@@ -177,9 +197,7 @@ class Grid:
         """
         value = self._cache.get(key)
         if value is None:
-            value = build()
-            value.setflags(write=False)
-            self._cache[key] = value
+            value = self._cache[key] = _frozen(build())
         return value
 
     # -- transforms ------------------------------------------------------
@@ -195,31 +213,35 @@ class Grid:
             centred[..., 0] = v[..., 0]
             return centred.reshape(-1, n)
         v0 = v[..., 0]
-        centred = np.empty((max(copies, 2), n))
-        np.subtract(v, v0, out=centred)
-        centred[:, 0] = v0
-        return centred
+        centred = v - v0
+        centred[..., 0] = v0
+        rows = np.empty((max(copies, 2), n))
+        rows[:] = centred
+        return rows
 
     def _to_modes(self, v, copies=2):
         """The real Fourier modes of the fields v along the last axis:
         ``rfft(v)``, or on a dense grid the rows of ``_centred(v, copies)``
-        times the cached real DFT matrix (see ``_forward_matrix``), as
-        complex rows."""
+        times the real DFT matrix (see ``_forward_matrix``), as complex
+        rows."""
         if not self._dense:
             return np.fft.rfft(v, axis=-1)
-        modes = _product(self._centred(v, copies), self.cached("forward", self._forward_matrix))
-        return modes.view(complex)
+        return _product(self._centred(v, copies), self._forward_matrix).view(complex)
 
     def _from_modes(self, vh, operator, shape):
         """The fields of the given shape whose real Fourier modes are vh:
-        ``irfft(vh)``, or on a dense grid the rows of vh times the operator's
-        cached inverse DFT matrix (see ``_inverse_matrix``), shaped by
-        ``_fields``."""
+        ``irfft(vh)``, or on a dense grid the rows of vh times the
+        operator's inverse DFT matrix (see ``_derivs_inverse_matrix``),
+        shaped by ``_fields``."""
         if not self._dense:
             return np.fft.irfft(vh, self.n, axis=-1)
-        matrix = self.cached(("inverse", operator), lambda: self._inverse_matrix(operator))
+        if operator == "solve_stiff":
+            matrix = self._solve_inverse_matrix
+        else:
+            matrix = self._derivs_inverse_matrix
         return _fields(_product(vh.view(float).reshape(-1, len(matrix)), matrix), shape)
 
+    @cached_property
     def _forward_matrix(self):
         """rfft of the unit fields as rows of an (n, width) real matrix:
         columns 2k and 2k + 1 hold mode k's real and imaginary parts, and
@@ -230,22 +252,30 @@ class Grid:
         out = np.zeros((n, _padded(n + 2)))
         out[1:, : n + 2] = np.fft.rfft(np.eye(n)[1:], axis=-1).view(float)
         out[0, 1] = 1.0
-        return out
+        return _frozen(out)
 
-    def _inverse_matrix(self, operator):
+    @cached_property
+    def _derivs_inverse_matrix(self):
         """irfft of a unit real or imaginary part of each mode, one row each,
         as a real matrix with a zero row for each padding slot.  The row of
-        mode 0's imaginary part, the constant (see ``_forward_matrix``), is 0
-        for ``derivs`` as irfft makes it, and 1 for ``solve_stiff``, which
-        writes its target mean there: x's row maps it to that constant
-        exactly, and the derivative rows meet it times (ik)^j = 0."""
+        mode 0's imaginary part, the constant (see ``_forward_matrix``), is
+        0, as irfft makes it."""
         n = self.n
         out = np.zeros((_padded(n + 2), _padded(n)))
         out[: n + 2, :n] = np.fft.irfft(np.eye(n + 2).view(complex), n, axis=-1)
-        if operator == "solve_stiff":
-            out[1, :n] = 1.0
-        return out
+        return _frozen(out)
 
+    @cached_property
+    def _solve_inverse_matrix(self):
+        """``_derivs_inverse_matrix`` with 1 in the row of mode 0's imaginary
+        part, where ``solve_stiff`` writes its target mean: x's row maps it
+        to that constant exactly, and the derivative rows meet it times
+        (ik)^j = 0."""
+        out = self._derivs_inverse_matrix.copy()
+        out[1, : self.n] = 1.0
+        return _frozen(out)
+
+    @cached_property
     def _cumint_matrix(self):
         """The FFT route's running integral of the unit fields as rows of an
         (n, width) real matrix, with row 0, for the centred fields'
@@ -254,7 +284,7 @@ class Grid:
         out = np.zeros((n, _padded(n)))
         out[1:, :n] = self._fft_cumint(np.eye(n)[1:])
         out[0, :n] = self.nodes
-        return out
+        return _frozen(out)
 
     def _symbol(self, order):
         """Fourier multiplier (ik)^order; odd orders drop the Nyquist mode,
@@ -316,33 +346,33 @@ class Grid:
         The mean (the zero mode) contributes linearly and the zero-mean
         remainder is integrated spectrally, so periodic integrands are
         handled without seam error; a stack of fields shares one transform
-        pair, or on a dense grid one product with the cached running-integral
+        pair, or on a dense grid one product with the running-integral
         matrix.
         """
         if not self._dense:
             return self._fft_cumint(values)
-        out = _product(self._centred(values, 2), self.cached("cumint", self._cumint_matrix))
-        return _fields(out, values.shape)
+        return _fields(_product(self._centred(values, 2), self._cumint_matrix), values.shape)
 
     def _fft_cumint(self, v):
         """cumint through one real FFT pair: the route above ``_DENSE_MAX_N``,
         and on a dense grid the source of the running-integral matrix."""
         anti = np.fft.rfft(v, axis=-1)
         out = (anti[..., :1].real / self.n) * self.nodes  # the mean, integrated linearly
-        anti *= self.cached("antiderivative", self._antiderivative_symbol)
+        anti *= self._antiderivative_symbol
         periodic = np.fft.irfft(anti, self.n, axis=-1)
         del anti
         out += periodic
         out -= periodic[..., :1]
         return out
 
+    @cached_property
     def _antiderivative_symbol(self):
         """1/(ik), zero on the mean (integrated linearly instead) and on the
         Nyquist mode, whose antiderivative vanishes at the nodes."""
         k = self._k[: self.n // 2 + 1]
         inv = np.zeros(k.shape, dtype=complex)
         inv[1:-1] = 1.0 / (1j * k[1:-1])
-        return inv
+        return _frozen(inv)
 
     # -- stiff fourth-order operator --------------------------------------
 
@@ -356,19 +386,26 @@ class Grid:
         shape (3, *B, n): the solved modes times the stacked symbols 1, ik
         and (ik)^2 in one inverse transform.
         """
+        # the power of an array, never of a scalar: a NumPy scalar's or a
+        # float's ** rounds differently, and a lone field must get its batch
+        # row's bits
         scale = dt / np.asarray(length, dtype=float) ** 4
         vh = self._to_modes(rhs, 3)
-        # one length per row of vh: the dense route's rows are (-1, slots)
-        vh /= 1.0 + self._k4 * (scale.reshape(-1, 1) if self._dense else scale[..., None])
-        mean = np.asarray(mean, dtype=float)
+        if rhs.ndim > 1:  # one length per row of vh: the dense route's rows are (-1, slots)
+            scale = scale.reshape(-1, 1) if self._dense else scale[..., None]
+        vh /= 1.0 + self._k4 * scale
         if self._dense:  # mode 0's imaginary part is the constant (see _forward_matrix)
             modes = vh.view(float)
             modes[:, 0] = 0.0
-            modes[:, 1] = mean.reshape(-1)
+            modes[:, 1] = np.reshape(mean, -1) if rhs.ndim > 2 else mean
         else:
             vh[..., 0] = self.n * mean
-        sym = self.cached("solve_symbols", lambda: np.stack([self._symbol(o) for o in (0, 1, 2)]))
-        return self._stacked(vh, sym, "solve_stiff", rhs.shape)
+        return self._stacked(vh, self._solve_symbols, "solve_stiff", rhs.shape)
+
+    @cached_property
+    def _solve_symbols(self):
+        """The stacked symbols 1, ik and (ik)^2 that give [x, x', x'']."""
+        return _frozen(np.stack([self._symbol(o) for o in (0, 1, 2)]))
 
     # -- spectral utilities ------------------------------------------------
 

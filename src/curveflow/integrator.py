@@ -363,20 +363,20 @@ _VERDICTS = (
 )
 
 
-def _classify(f, length, stop):
+def _classify(f, length, window):
     """sup|f| per row of a step's result, and the rows that run on: finite,
-    of positive length and inside every window.
+    of positive length and inside the window (l_min, l_max, f_max).
 
     f has shape (*B, n) and length B; for B = () sup and runs are NumPy
-    scalars.  Comparisons with NaN are false, and the upper bounds are
-    capped at the largest double, so that infinities fail them too: three
+    scalars.  Comparisons with NaN are false, and the caller caps the upper
+    bounds at the largest double, so that infinities fail them too: three
     comparisons decide every row, and _stop_masks says why the others
     stopped.
     """
+    l_min, l_max, f_max = window
     sup = np.maximum.reduce(np.abs(f), axis=-1)  # NaN if any value is
-    f_max, l_max = min(stop.f_max, sys.float_info.max), min(stop.l_max, sys.float_info.max)
     runs = sup <= f_max
-    runs &= length >= stop.l_min  # l_min > 0
+    runs &= length >= l_min  # l_min > 0
     runs &= length <= l_max
     return sup, runs
 
@@ -476,6 +476,8 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, rec
     active, no_rows = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
     every = True  # every row is active: the batch steps whole, with no gather
     d = None  # the rows' (f', f''), once an IMEX step has carried them
+    dt, cadence = stepper.dt, stepper.snapshot_every
+    window = stop.l_min, min(stop.l_max, sys.float_info.max), min(stop.f_max, sys.float_info.max)
 
     # non-finite values are the divergence detector, so IEEE overflow inside
     # a failing step is expected and must not warn
@@ -483,16 +485,18 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, rec
         for k in range(n_steps):
             h, t = step(k)
             dw = None if rows is None else next(rows)
-            if h != stepper.dt and dw is not None:  # a shortened last step
-                dw = dw * math.sqrt(h / stepper.dt)
+            if h != dt and dw is not None:  # a shortened last step
+                dw = dw * math.sqrt(h / dt)
             if m == 1:
                 # a single row steps and is classified on B = (): the same
                 # arithmetic, on NumPy scalars where it reduces to one value.
                 # A batch of one takes longer for kernel plus _classify: 1.10x
                 # at n=64 with 8 spectral modes, 1.06x at n=256 without noise
                 # (IMEX, medians of 15 paired runs on a 2-core host)
-                new_f, new_l, d = step_fn(spec, grid, f[0], lengths[0], h, _take(dw, 0), d)
-                sup, runs = _classify(new_f, new_l, stop)
+                new_f, new_l, d = step_fn(
+                    spec, grid, f[0], lengths[0], h, None if dw is None else dw[0], d
+                )
+                sup, runs = _classify(new_f, new_l, window)
                 all_run = bool(runs)
                 new_f, new_l = new_f[None], new_l[None]
             else:
@@ -510,7 +514,7 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, rec
                     if d is not None:
                         d[:, on] = d_on
                     del d_on  # it holds the kernel's output until the next gather
-                sup, runs = _classify(new_f, new_l, stop)
+                sup, runs = _classify(new_f, new_l, window)
                 all_run = (runs if every else runs[active]).all()
             halted = no_rows
             if not all_run:
@@ -526,10 +530,15 @@ def _advance(spec, grid, stepper, stop, step_fn, f, lengths, schedule, rows, rec
                 halted, active = stopped & ~rejected, active & ~stopped
                 every = bool(active.all())
             f, lengths = new_f, new_l
-            if (k + 1) % stepper.snapshot_every == 0 and not unstable and active.any():
-                active_sup = np.reshape(sup, m)[active]
-                bound = _dt_bound(stepper.scheme, grid, lengths[active], active_sup)
-                if stepper.dt > bound.min():
+            if (k + 1) % cadence == 0 and not unstable and (every or active.any()):
+                if every:  # no gather; one row's values as 0-d arrays, whose
+                    # powers take the rows' array ufuncs (a scalar's ** rounds
+                    # otherwise) and whose bound is a scalar
+                    checked = lengths.reshape(sup.shape), np.asarray(sup)
+                else:
+                    checked = lengths[active], sup[active]
+                bound = _dt_bound(stepper.scheme, grid, *checked)
+                if dt > (bound.min() if bound.ndim else bound):
                     unstable = True
                     msg = "dt exceeded the stability bound mid-run; results may be inaccurate"
                     warnings.warn(msg, stacklevel=3)

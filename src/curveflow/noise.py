@@ -230,7 +230,8 @@ class NoiseModel:
     basis : optional sequence of BasisFunction
         Explicit basis override; length must equal n_modes.
 
-    A model is fixed once made: assemblies cache its basis samples per grid.
+    A model is fixed once made, so ``samples`` keeps its basis sampled on
+    the nodes of each grid size it has met (``flows._basis`` fills it).
     """
 
     def __init__(
@@ -248,6 +249,7 @@ class NoiseModel:
             raise ValueError(f"noise amplitude must be a finite non-negative real, got {amplitude}")
         self.mode = mode
         self.amplitude = amplitude
+        self.samples = {}
         self.decay_exponent = float(decay_exponent)
         if mode == SCALAR:
             if basis is not None:

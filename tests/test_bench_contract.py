@@ -37,7 +37,8 @@ def test_tracer_counts_the_layers_it_wraps(monkeypatch, tmp_path, capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert code == 0
-    for span in ("flows.assemble", "integrator.step", "grid.integrate", "grid.solve_stiff"):
+    spans = ("flows.assemble", "integrator.step", "grid.cumint", "grid.integrate", "grid.solve_stiff")
+    for span in spans:
         assert tracer.calls(span) >= 5, span
     assert tracer.calls("grid.fft") > 0 and tracer.fft_bytes > 0
     assert integrator._STEPPERS == steppers and np.fft.rfft is rfft

@@ -645,19 +645,23 @@ def test_state_copy_is_independent():
 def test_basis_table_is_cached_per_noise_model():
     grid = Grid(32)
     model = NoiseModel(mode="spectral", amplitude=0.3, n_modes=4)
-    table = flows._basis_table(model, grid)
-    assert flows._basis_table(model, grid) is table
+    basis = flows._basis(model, grid)
+    table, sums = basis
+    assert flows._basis(model, grid) is basis
+    # another grid of as many nodes has the same nodes, so it reads the same samples
+    assert flows._basis(model, Grid(32)) is basis
     for slot, order in enumerate((2, 0, 1, 3)):
         for l in range(1, 5):
             assert np.array_equal(table[slot, l - 1], basis_eval(model, grid, l, order))
-    # the fixed sums, in mode order from +0.0, are cached next to the table
-    sums = flows._basis_sums(model, grid)
-    assert flows._basis_sums(model, grid) is sums
+    # the fixed sums, in mode order from +0.0, are kept next to the table
     want = np.zeros((2, grid.n))
     for l in range(4):
         want = want + table[1, l] * table[:2, l]
-    assert sums.tobytes() == want.tobytes()
+    assert np.stack(sums).tobytes() == want.tobytes()
+    assert not table.flags.writeable and not any(s.flags.writeable for s in sums)
     # another model on the same grid gets its own table, from its own basis
     other = NoiseModel(mode="spectral", amplitude=0.3, n_modes=4, decay_exponent=7.0)
-    assert np.array_equal(flows._basis_table(other, grid)[1, 3], basis_eval(other, grid, 4))
-    assert not np.array_equal(flows._basis_table(other, grid), table)
+    assert np.array_equal(flows._basis(other, grid)[0][1, 3], basis_eval(other, grid, 4))
+    assert not np.array_equal(flows._basis(other, grid)[0], table)
+    # and another node count its own samples
+    assert flows._basis(model, Grid(16))[0].shape == (4, 4, 16)

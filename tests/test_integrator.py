@@ -173,7 +173,7 @@ def test_noise_length_sums_add_in_mode_order():
         dw = rng.standard_normal((3, n_modes)) * 10.0 ** rng.integers(-8, 8, (3, n_modes))
         dw[2] = -0.0
         psi = flows.noise_field(spec, grid, dw)
-        table = flows._basis_table(noise, grid)
+        table = flows._basis(noise, grid)[0]
         loop = np.full((2, 3, grid.n), -0.0)
         for l, w in enumerate(0.3 * dw.T):
             loop = loop + w[:, None] * table[:2, l, None]
@@ -578,6 +578,40 @@ def test_stability_bound_crossed_mid_run_warns_for_batches_too():
             spec, grid, np.ones(32), TWO_PI, cfg, 2, seed=1, increments=inc, stop=WIDE_STOP
         )
     assert traj.stability_warning and ens.stability_warning
+
+
+def test_mid_run_stability_check_takes_array_powers(monkeypatch):
+    """A single path's mid-run stability check squares its length and
+    sup|f| as arrays, as a batch row's check does, so the two decide alike.
+    A kernel stub holds every row at a state whose bound, taken on arrays,
+    is dt exactly: neither run warns.  On that state a NumPy scalar's **
+    (the C library's pow) rounds the bound below dt, so a check on scalars
+    would warn."""
+    grid = Grid(16)
+
+    def bound(length, sup):
+        return 0.5 * length**2 / (sup**2 * grid.n**2)
+
+    length, sup = next(
+        (x, 1.3)
+        for x in 1.0 + np.arange(7000) / 997.0
+        if bound(np.float64(x), np.float64(1.3)) < bound(np.asarray(x), np.asarray(1.3))
+    )
+    dt = float(bound(np.asarray(length), np.asarray(sup)))
+
+    def held(spec, grid, f, lengths, h, dw, d=None):
+        return np.full(f.shape, sup), np.full(np.shape(lengths), length)[()], None
+
+    monkeypatch.setitem(integrator._STEPPERS, IMEX_EM, held)
+    monkeypatch.setitem(integrator._BATCH_STEPPERS, IMEX_EM, held)
+    spec = FlowSpec(CURVE_DIFFUSION, NO_NOISE)
+    cfg = StepperConfig(IMEX_EM, dt, 3 * dt, snapshot_every=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run(spec, grid, circle(16), cfg)
+        ens = run_ensemble(spec, grid, np.ones(16), TWO_PI, cfg, 2, seed=0)
+    assert traj.steps == 3 and traj.final_state.length == length
+    assert not (traj.stability_warning or ens.stability_warning)
 
 
 def test_curvature_window_stops_run():
@@ -1096,6 +1130,42 @@ def test_only_explicit_kernels_form_the_stiff_term(monkeypatch, noise):
             stiff.clear()
             integrator._STEPPERS[scheme](spec, grid, state.f, state.length, 1e-7, dw)
             assert (rows, stiff) == (want_rows, want_stiff), (scheme, dense_max)
+
+
+@pytest.mark.parametrize("dense_max", [64, 0], ids=["dense", "fft"])
+def test_carried_imex_step_looks_nothing_up(monkeypatch, dense_max):
+    """A warm, carried IMEX step, single or batched, reads its constants as
+    attributes: the grid's matrices and symbols and the noise model's basis
+    samples are made on first use, and later steps call neither
+    ``Grid.cached`` nor ``basis_eval``.  The spec and grid are those of the
+    benchmark's single-path spectral workload (n = 64, Willmore, 8 modes)."""
+    monkeypatch.setattr(grid_module, "_DENSE_MAX_N", dense_max)
+    grid = Grid(64)
+    spec = FlowSpec(WILLMORE, NoiseModel(mode="spectral", amplitude=0.1, n_modes=8))
+    state = non_circle(grid)
+    dw = np.full(8, 1e-2)
+    carried = {
+        "single": integrator._imex_em(spec, grid, state.f, np.float64(state.length), 1e-4, dw),
+        "batch": integrator._imex_em(
+            spec, grid, np.stack([state.f] * 2), np.full(2, state.length), 1e-4, np.stack([dw] * 2)
+        ),
+    }
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(Grid, "cached", counting("cached", Grid.cached))
+    monkeypatch.setattr(flows, "basis_eval", counting("basis_eval", flows.basis_eval))
+    for name, (f, length, d) in carried.items():
+        w = dw if f.ndim == 1 else np.stack([dw] * 2)
+        for _ in range(3):
+            f, length, d = integrator._imex_em(spec, grid, f, length, 1e-4, w, d)
+        assert calls == [], name
 
 
 def test_ensemble_rows_full_even_when_all_paths_stop():
